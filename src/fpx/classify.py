@@ -46,19 +46,18 @@ class OpIdentity:
         return f"{self.name}/{self.arity}"
 
 
+_MEMBERSHIP = {ValueClass.NAN: math.isnan, ValueClass.INF: math.isinf}
+
+
 def is_exceptional(value_class: ValueClass, x) -> bool:
     """NaN class matches any NaN; Inf class matches either infinity. Subnormals are normal."""
-    if value_class is ValueClass.NAN:
-        return bool(np.isnan(x))
-    return bool(np.isinf(x))
+    return _MEMBERSHIP[value_class](x)
 
 
 def classify(value_class: ValueClass, inputs, output) -> EventKind | None:
-    exn_in = any(is_exceptional(value_class, x) for x in inputs)
-    if isinstance(output, (bool, np.bool_)):
-        exn_out = False
-    else:
-        exn_out = is_exceptional(value_class, output)
+    member = _MEMBERSHIP[value_class]
+    exn_in = any(map(member, inputs))
+    exn_out = not isinstance(output, (bool, np.bool_)) and member(output)
     if exn_out:
         return EventKind.PROP if exn_in else EventKind.GEN
     return EventKind.KILL if exn_in else None

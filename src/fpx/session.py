@@ -1,13 +1,17 @@
 """The ambient tracking session: ledger + injector + trace provider.
 
 Operator overloads on tracked scalars need a place to send events, so one
-session is always current. The default session logs everything, never injects,
-and captures native stack traces. Sessions are shareable across threads; the
-ledger and injector synchronize internally.
+session is always current. The current session is context-local: a session
+installed in one thread (or asyncio task) is not seen by another, and every
+new thread starts on the default session. The default session logs
+everything, never injects, and captures native stack traces. Sessions are
+shareable across threads when passed explicitly; the ledger and injector
+synchronize internally.
 """
 
 from __future__ import annotations
 
+import contextvars
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -33,25 +37,24 @@ def explicit_session(ledger_config: LedgerConfig | None = None,
     )
 
 
-_current = TrackerSession()
+_current = contextvars.ContextVar("fpx_session", default=TrackerSession())
 
 
 def current_session() -> TrackerSession:
-    return _current
+    return _current.get()
 
 
 def set_session(session: TrackerSession) -> TrackerSession:
-    """Install a session globally; returns the one it replaced."""
-    global _current
-    previous = _current
-    _current = session
+    """Install a session in the current context; returns the one it replaced."""
+    previous = _current.get()
+    _current.set(session)
     return previous
 
 
 @contextmanager
 def use_session(session: TrackerSession):
-    previous = set_session(session)
+    token = _current.set(session)
     try:
         yield session
     finally:
-        set_session(previous)
+        _current.reset(token)

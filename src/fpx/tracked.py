@@ -1,10 +1,12 @@
 """Tracked floating-point scalars and the operation intercept pipeline.
 
-Every operation on a tracked value runs the same five steps: consult the
-injector, compute (or substitute the injected value), pin NaN payloads to
-their source, classify the event per value class, and re-wrap the result.
-The pipeline is written once; individual operations are rows in a table and
-their operator methods are installed mechanically.
+Every operation on a tracked value consults the injector, then computes (or
+substitutes the injected value). A clean operation, one whose operands and
+result are all finite, cannot be an event, so it stops there and re-wraps the
+result. Any other operation goes on to pin NaN payloads to their source,
+classify the event per value class, and re-wrap the result. The pipeline is
+written once; individual operations are rows in a table and their operator
+methods are installed mechanically.
 
 Arithmetic is delegated to numpy scalar ufuncs with floating-point traps
 suppressed, so 0/0, log(0), overflow, and friends yield IEEE results instead
@@ -13,6 +15,8 @@ same computation over plain scalars.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -54,18 +58,17 @@ _COMPARISON_IMPLS = {
     "!=": np.not_equal,
 }
 
-# (name, arity) -> (implementation, is_comparison)
+# (name, arity) -> (implementation, is_comparison, OpIdentity)
 _REGISTRY = {}
-for _name, _fn in _BINARY_IMPLS.items():
-    _REGISTRY[(_name, 2)] = (_fn, False)
-for _name, _fn in _UNARY_IMPLS.items():
-    _REGISTRY[(_name, 1)] = (_fn, False)
-for _name, _fn in _COMPARISON_IMPLS.items():
-    _REGISTRY[(_name, 2)] = (_fn, True)
+for _impls, _arity, _is_comparison in ((_BINARY_IMPLS, 2, False),
+                                       (_UNARY_IMPLS, 1, False),
+                                       (_COMPARISON_IMPLS, 2, True)):
+    for _name, _fn in _impls.items():
+        _REGISTRY[(_name, _arity)] = (_fn, _is_comparison, OpIdentity(_name, _arity))
 
 
 def supported_operations() -> tuple:
-    return tuple(sorted((OpIdentity(n, a) for (n, a) in _REGISTRY), key=str))
+    return tuple(sorted((op for (_, _, op) in _REGISTRY.values()), key=str))
 
 
 class TrackedFloat:
@@ -151,6 +154,13 @@ def _result_class(operands):
     return cls
 
 
+def _wrap_result(cls, value):
+    """Wrap a computed value of cls's width without __init__'s second conversion."""
+    t = object.__new__(cls)
+    object.__setattr__(t, "_value", cls._store(value))
+    return t
+
+
 def _once(capture):
     cell = []
 
@@ -167,31 +177,33 @@ def apply(name: str, operands, session=None):
 
     Returns a tracked scalar at the widest tracked operand width, or a plain
     bool for comparisons. One event is recorded per value class whose
-    exceptional status changed or persisted across the operation.
+    exceptional status changed or persisted across the operation; an
+    uninjected operation with finite operands and a finite (or boolean)
+    result records none, so it returns without classifying.
     """
     cls = _result_class(operands)
     if cls is None:
         raise TypeError("apply requires at least one tracked operand")
     try:
-        impl, is_comparison = _REGISTRY[(name, len(operands))]
+        impl, is_comparison, op = _REGISTRY[(name, len(operands))]
     except KeyError:
         raise ValueError(f"unsupported operation: {name}/{len(operands)}") from None
     sess = session if session is not None else current_session()
     np_type = cls._np_type
     xs = tuple(np_type(o._value if isinstance(o, TrackedFloat) else o) for o in operands)
-    op = OpIdentity(name, len(operands))
     thunk = _once(sess.traces.capture)
 
     injected = False
-    result = None
     if not is_comparison:
         injected_value = sess.injector.decide(op, thunk)
         if injected_value is not None:
             result = np_type(injected_value)
             injected = True
-    if result is None:
+    if not injected:
         with np.errstate(all="ignore"):
             result = impl(*xs)
+        if all(map(math.isfinite, xs)) and (is_comparison or math.isfinite(result)):
+            return bool(result) if is_comparison else _wrap_result(cls, result)
         if not is_comparison:
             result = propagate_payload(op, xs, result)
 
@@ -200,7 +212,7 @@ def apply(name: str, operands, session=None):
         if kind is not None:
             sess.ledger.record(kind, value_class, op, xs, result,
                                injected=injected, trace=thunk)
-    return bool(result) if is_comparison else cls(result)
+    return bool(result) if is_comparison else _wrap_result(cls, result)
 
 
 def _is_operand(x) -> bool:

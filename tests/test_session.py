@@ -1,0 +1,79 @@
+"""The current session is context-local: threads do not see each other's."""
+
+import threading
+
+from fpx.classify import EventKind, ValueClass
+from fpx.session import current_session, explicit_session, set_session, use_session
+from fpx.tracked import TrackedFloat64
+
+NAN = float("nan")
+
+
+def _run_threads(targets):
+    errors = []
+
+    def guarded(fn):
+        def run():
+            try:
+                fn()
+            except Exception as exc:  # surfaced in the main thread
+                errors.append(exc)
+        return run
+
+    threads = [threading.Thread(target=guarded(fn)) for fn in targets]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    if errors:
+        raise errors[0]
+
+
+def test_threads_keep_their_own_sessions():
+    default = current_session()
+    default_before = len(default.ledger.events())
+    sessions = [explicit_session(), explicit_session()]
+    # Both threads are inside their use_session before either computes, and
+    # neither leaves it before both are done.
+    entered = threading.Barrier(2, timeout=10)
+    computed = threading.Barrier(2, timeout=10)
+
+    def worker(session):
+        def run():
+            with use_session(session):
+                entered.wait()
+                for _ in range(50):
+                    TrackedFloat64(NAN) + 1.0
+                computed.wait()
+        return run
+
+    _run_threads([worker(s) for s in sessions])
+    for session in sessions:
+        events = session.ledger.events()
+        assert len(events) == 50
+        assert all(e.kind is EventKind.PROP and e.value_class is ValueClass.NAN
+                   for e in events)
+    assert current_session() is default
+    assert len(default.ledger.events()) == default_before
+
+
+def test_new_thread_starts_on_default_session():
+    default = current_session()
+    seen = []
+    with use_session(explicit_session()) as mine:
+        assert current_session() is mine
+        _run_threads([lambda: seen.append(current_session())])
+    assert seen == [default]
+    assert current_session() is default
+
+
+def test_set_session_returns_previous():
+    default = current_session()
+    mine = explicit_session()
+    assert set_session(mine) is default
+    try:
+        assert current_session() is mine
+    finally:
+        assert set_session(default) is mine
+    assert current_session() is default

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 import fpx
 from fpx import fpbits
-from fpx.classify import EventKind, OpIdentity, ValueClass
+from fpx.classify import (EventKind, OpIdentity, ValueClass, classify,
+                          propagate_payload)
 from fpx.ledger import LedgerConfig
 from fpx.session import explicit_session, use_session
-from fpx.tracked import (TrackedFloat, TrackedFloat16, TrackedFloat32,
-                         TrackedFloat64, apply, maximum, minimum, unwrap, wrap)
+from fpx.tracked import (_REGISTRY, TrackedFloat, TrackedFloat16,
+                         TrackedFloat32, TrackedFloat64, apply, maximum, minimum,
+                         unwrap, wrap)
 
 NAN = float("nan")
 INF = float("inf")
@@ -33,6 +35,13 @@ PLAIN = {
 }
 
 NUMERIC_OPS = sorted(PLAIN, key=str)
+COMPARISONS = {
+    ("<", 2): np.less, ("<=", 2): np.less_equal, (">", 2): np.greater,
+    (">=", 2): np.greater_equal, ("==", 2): np.equal, ("!=", 2): np.not_equal,
+}
+REFERENCE = {**PLAIN, **COMPARISONS}
+WIDTHS = {64: (TrackedFloat64, np.float64), 32: (TrackedFloat32, np.float32),
+          16: (TrackedFloat16, np.float16)}
 
 
 def plain_eval(leaves, program, np_type):
@@ -267,3 +276,104 @@ def test_concurrent_apply_serializes_events():
     events = session.ledger.events()
     assert len(events) == 400
     assert len({e.seq for e in events}) == 400
+
+
+def _scalar_bits(x):
+    if isinstance(x, (bool, np.bool_)):
+        return bool(x)
+    return (fpbits.width_of(x), fpbits.to_bits(x))
+
+
+def _predicted(name_arity, operands, np_type):
+    """Bare-ufunc result, NaN payload pinned to its source as the pipeline
+    does, and the (kind, class) events classify predicts for it."""
+    xs = tuple(np_type(unwrap(o)) for o in operands)
+    impl = REFERENCE[name_arity]
+    with np.errstate(all="ignore"):
+        raw = impl(*xs)
+    op = OpIdentity(*name_arity)
+    if name_arity not in COMPARISONS:
+        raw = propagate_payload(op, xs, raw)
+    events = [(kind, vc, op, tuple(map(_scalar_bits, xs)), _scalar_bits(raw))
+              for vc in (ValueClass.NAN, ValueClass.INF)
+              if (kind := classify(vc, xs, raw)) is not None]
+    return raw, events
+
+
+def _observed(name_arity, operands):
+    session = explicit_session()
+    result = apply(name_arity[0], operands, session=session)
+    if not isinstance(result, bool):
+        assert type(result._value) is type(result)._store
+    events = [(e.kind, e.value_class, e.op, tuple(map(_scalar_bits, e.operands)),
+               _scalar_bits(e.result)) for e in session.ledger.events()]
+    return unwrap(result), events
+
+
+def _check_against_reference(name_arity, operands, np_type):
+    expected, expected_events = _predicted(name_arity, operands, np_type)
+    result, events = _observed(name_arity, operands)
+    assert _scalar_bits(result) == _scalar_bits(expected), (name_arity, operands)
+    assert events == expected_events, (name_arity, operands)
+    return events
+
+
+def _value_pool(width):
+    """Tracked-width edge values plus plain int/float operands."""
+    np_type = WIDTHS[width][1]
+    finfo = np.finfo(np_type)
+    tiny_subnormal = fpbits.from_bits(1, width)
+    return [
+        np_type(0.0), np_type(-0.0), tiny_subnormal, -tiny_subnormal,
+        np_type(finfo.max), np_type(-finfo.max), np_type(1.5),
+        np_type(INF), np_type(-INF), fpbits.nan_with_payload(0x5A, width),
+    ], [2, -3, 100000, 0.5, 1e300]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+@pytest.mark.parametrize("width", sorted(WIDTHS))
+@pytest.mark.parametrize("name_arity", sorted(_REGISTRY, key=str), ids=str)
+def test_fast_path_matches_classify_reference(name_arity, width):
+    """Every registry row, every width: results are the bare ufunc's, bit for
+    bit (NaN payloads pinned), and events are what classify predicts over
+    both value classes, so skipping classification on the clean path loses
+    nothing."""
+    cls, np_type = WIDTHS[width]
+    tracked_values, plain_values = _value_pool(width)
+    tracked = [cls(v) for v in tracked_values]
+    if name_arity[1] == 1:
+        cases = [(t,) for t in tracked]
+    else:
+        cases = [(a, b) for a in tracked for b in tracked + plain_values]
+        cases += [(p, t) for p in plain_values for t in tracked]
+    for operands in cases:
+        _check_against_reference(name_arity, operands, np_type)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+@pytest.mark.parametrize("width", sorted(WIDTHS))
+def test_fast_path_boundary_events(width):
+    """Operations the finiteness test must send down the classifying path."""
+    cls, np_type = WIDTHS[width]
+    big = cls(np.finfo(np_type).max)
+    cases = {
+        # Inf operand, finite result: an Inf kill
+        (("/", 2), (cls(1.0), cls(INF))): [(EventKind.KILL, ValueClass.INF)],
+        (("atan2", 2), (cls(1.0), cls(-INF))): [(EventKind.KILL, ValueClass.INF)],
+        # finite operands overflowing to Inf: an Inf gen
+        (("*", 2), (big, cls(2.0))): [(EventKind.GEN, ValueClass.INF)],
+        (("exp", 1), (big,)): [(EventKind.GEN, ValueClass.INF)],
+        # comparisons against NaN: NaN kills
+        (("<", 2), (cls(NAN), 1.0)): [(EventKind.KILL, ValueClass.NAN)],
+        (("==", 2), (2, cls(NAN))): [(EventKind.KILL, ValueClass.NAN)],
+        (("!=", 2), (cls(NAN), cls(NAN))): [(EventKind.KILL, ValueClass.NAN)],
+        # clean in, clean out: nothing
+        (("+", 2), (cls(1.0), 2)): [],
+        (("<", 2), (cls(1.0), cls(2.0))): [],
+    }
+    if width == 16:
+        # a plain int that overflows the tracked width is an Inf operand
+        cases[(("+", 2), (cls(1.0), 100000))] = [(EventKind.PROP, ValueClass.INF)]
+    for (name_arity, operands), expected in cases.items():
+        events = _check_against_reference(name_arity, operands, np_type)
+        assert [(kind, vc) for kind, vc, *_ in events] == expected, (name_arity, width)
