@@ -37,21 +37,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_values(text):
-    out = []
-    for token in text.split(","):
-        token = token.strip().lower()
-        if token == "nan":
-            out.append(float("nan"))
-        elif token in ("inf", "+inf"):
-            out.append(float("inf"))
-        elif token == "-inf":
-            out.append(float("-inf"))
-        else:
-            out.append(float(token))
-    return out
-
-
 def _parse_fuzz(tokens) -> InjectionConfig:
     fields = {"odds": 10, "n_inject": 1, "seed": 0, "value": float("nan"),
               "functions": (), "libraries": ()}
@@ -66,8 +51,7 @@ def _parse_fuzz(tokens) -> InjectionConfig:
         elif key == "seed":
             fields["seed"] = int(raw)
         elif key == "value":
-            v = _parse_values(raw)[0]
-            fields["value"] = v
+            fields["value"] = float(raw)
         elif key == "functions":
             fields["functions"] = tuple(raw.split(","))
         elif key == "libraries":
@@ -95,7 +79,7 @@ def _out_dir(args) -> Path:
 
 def _run_demo(name, args, session):
     if name == "max":
-        result = demo_max(tuple(_parse_values(args.values)), session=session)
+        result = demo_max(tuple(map(float, args.values.split(","))), session=session)
         print(f"max1={fpbits.format_dec(result.max1)} "
               f"max2={fpbits.format_dec(result.max2)}")
     elif name == "loop":

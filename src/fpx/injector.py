@@ -47,7 +47,6 @@ class InjectorMode(enum.Enum):
 class InjectionConfig:
     odds: int = 10                     # inject when a draw from [1, odds] lands on 1
     n_inject: int = 1                  # upper bound on injections per run
-    active: bool = True
     functions: tuple = ()              # substring match on frame function names
     libraries: tuple = ()              # prefix match on frame file paths
     value: float = float("nan")        # NaN, +Inf, or -Inf
@@ -135,22 +134,9 @@ class Injector:
                 return None
             return self._record_injection(op, trace_thunk())
 
-    def should_inject(self, trace_thunk) -> bool:
-        """Fuzz-mode decision alone (advances the op counter, records nothing)."""
-        with self._lock:
-            self.op_counter += 1
-            if self.mode is not InjectorMode.FUZZ:
-                return False
-            return self._fuzz_wants_injection(trace_thunk)
-
-    def inject(self, op: OpIdentity, trace) -> float:
-        """Commit an injection decided by should_inject; returns the injected value."""
-        with self._lock:
-            return self._record_injection(op, tuple(trace))
-
     def _fuzz_wants_injection(self, trace_thunk) -> bool:
         cfg = self.config
-        if not cfg.active or self.injected_so_far >= cfg.n_inject:
+        if self.injected_so_far >= cfg.n_inject:
             return False
         if cfg.functions or cfg.libraries:
             trace = trace_thunk()

@@ -8,15 +8,20 @@ classify the event per value class, and re-wrap the result. The pipeline is
 written once; individual operations are rows in a table and their operator
 methods are installed mechanically.
 
-Arithmetic is delegated to numpy scalar ufuncs with floating-point traps
-suppressed, so 0/0, log(0), overflow, and friends yield IEEE results instead
-of raising. With injection off, unwrapped results are bit-identical to the
-same computation over plain scalars.
+Two substrates compute, with the same bits either way. Rows whose Python float
+operator is IEEE correctly rounded or exact (+ - * /, negation, abs, sqrt, the
+comparisons and truth) compute over finite float64 operands in Python floats;
+if that raises or gives a non-finite result, the operation is redone by the
+ufunc. Everything else is delegated to numpy scalar ufuncs with floating-point
+traps suppressed, so 0/0, log(0), overflow, and friends yield IEEE results
+instead of raising. With injection off, unwrapped results are bit-identical
+to the same computation over plain numpy scalars.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -58,17 +63,43 @@ _COMPARISON_IMPLS = {
     "!=": np.not_equal,
 }
 
-# (name, arity) -> (implementation, is_comparison, OpIdentity)
+# Truth has comparison semantics: a bool result, no injector decision.
+_TRUTH_IMPLS = {"bool": np.bool_}
+
+# Python float twins that round exactly like the ufunc on finite float64
+# operands. Not here: pow (1 ulp off), exp/log/trig/atan2/hypot (libm and
+# numpy differ), floor (math.floor drops -0.0), min/max (signed zero).
+_EXACT_FLOAT_IMPLS = {
+    ("+", 2): operator.add,
+    ("-", 2): operator.sub,
+    ("*", 2): operator.mul,
+    ("/", 2): operator.truediv,
+    ("-", 1): operator.neg,
+    ("abs", 1): abs,
+    ("sqrt", 1): math.sqrt,
+    ("<", 2): operator.lt,
+    ("<=", 2): operator.le,
+    (">", 2): operator.gt,
+    (">=", 2): operator.ge,
+    ("==", 2): operator.eq,
+    ("!=", 2): operator.ne,
+    ("bool", 1): bool,
+}
+
+# (name, arity) -> (numpy implementation, is_comparison, OpIdentity,
+#                   exact float twin or None)
 _REGISTRY = {}
 for _impls, _arity, _is_comparison in ((_BINARY_IMPLS, 2, False),
                                        (_UNARY_IMPLS, 1, False),
-                                       (_COMPARISON_IMPLS, 2, True)):
+                                       (_COMPARISON_IMPLS, 2, True),
+                                       (_TRUTH_IMPLS, 1, True)):
     for _name, _fn in _impls.items():
-        _REGISTRY[(_name, _arity)] = (_fn, _is_comparison, OpIdentity(_name, _arity))
+        _REGISTRY[(_name, _arity)] = (_fn, _is_comparison, OpIdentity(_name, _arity),
+                                      _EXACT_FLOAT_IMPLS.get((_name, _arity)))
 
 
 def supported_operations() -> tuple:
-    return tuple(sorted((op for (_, _, op) in _REGISTRY.values()), key=str))
+    return tuple(sorted((row[2] for row in _REGISTRY.values()), key=str))
 
 
 class TrackedFloat:
@@ -97,9 +128,6 @@ class TrackedFloat:
 
     def __str__(self):
         return str(self._value)
-
-    def __bool__(self):
-        return bool(self._value)
 
     def __int__(self):
         return int(self._value)
@@ -172,6 +200,13 @@ def _once(capture):
     return thunk
 
 
+def _all_finite_floats(values) -> bool:
+    for v in values:
+        if type(v) is not float or not math.isfinite(v):
+            return False
+    return True
+
+
 def apply(name: str, operands, session=None):
     """Run one intercepted operation over tracked (or mixed) operands.
 
@@ -185,21 +220,34 @@ def apply(name: str, operands, session=None):
     if cls is None:
         raise TypeError("apply requires at least one tracked operand")
     try:
-        impl, is_comparison, op = _REGISTRY[(name, len(operands))]
+        impl, is_comparison, op, exact = _REGISTRY[(name, len(operands))]
     except KeyError:
         raise ValueError(f"unsupported operation: {name}/{len(operands)}") from None
     sess = session if session is not None else current_session()
-    np_type = cls._np_type
-    xs = tuple(np_type(o._value if isinstance(o, TrackedFloat) else o) for o in operands)
+    values = [o._value if isinstance(o, TrackedFloat) else o for o in operands]
     thunk = _once(sess.traces.capture)
 
-    injected = False
-    if not is_comparison:
-        injected_value = sess.injector.decide(op, thunk)
-        if injected_value is not None:
-            result = np_type(injected_value)
-            injected = True
-    if not injected:
+    injected_value = None if is_comparison else sess.injector.decide(op, thunk)
+    injected = injected_value is not None
+    # Plain float values are float64-wide, so only a TrackedFloat64 result
+    # gets here. An exception or a non-finite result redoes the op in numpy
+    # below, which yields the IEEE special value and classifies it.
+    if not injected and exact is not None and _all_finite_floats(values):
+        try:
+            result = exact(*values)
+        except (ZeroDivisionError, ValueError):    # x/0, sqrt(-x)
+            pass
+        else:
+            if is_comparison:
+                return result
+            if math.isfinite(result):
+                return _wrap_result(cls, result)
+
+    np_type = cls._np_type
+    xs = tuple(map(np_type, values))
+    if injected:
+        result = np_type(injected_value)
+    else:
         with np.errstate(all="ignore"):
             result = impl(*xs)
         if all(map(math.isfinite, xs)) and (is_comparison or math.isfinite(result)):
@@ -264,6 +312,7 @@ def _install_operators():
         setattr(TrackedFloat, dunder, _forward(name))
     setattr(TrackedFloat, "__neg__", _unary("-"))
     setattr(TrackedFloat, "__abs__", _unary("abs"))
+    setattr(TrackedFloat, "__bool__", _unary("bool"))
 
 
 _install_operators()

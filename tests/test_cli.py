@@ -62,6 +62,20 @@ class TestRun:
         assert code == 1
         assert "--record requires --fuzz" in stderr
 
+    def test_values_accept_nan_and_inf_spellings(self, tmp_path, capsys):
+        code, stdout, _ = run_cli(capsys, "run", "max", "--out", str(tmp_path),
+                                  "--values", " 1, +Inf ,nan,-INF")
+        assert code == 0
+        # the NaN-killing scan ends on -Inf; the propagating fold keeps the NaN
+        assert "max1=-Inf max2=NaN" in stdout
+
+    def test_fuzz_value_accepts_inf_spellings(self, tmp_path, capsys):
+        code, _, _ = run_cli(capsys, "run", "sim", "--out", str(tmp_path),
+                             "--fuzz", "odds=1", "n=1", "value= -infinity")
+        assert code == 0
+        first = parse_log(tmp_path / "gen.jsonl")[0]
+        assert first.injected and first.result == float("-inf")
+
     def test_bad_fuzz_token(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "run", "sim", "--out", str(tmp_path),
                                   "--fuzz", "odds")

@@ -35,82 +35,94 @@ class TestConfig:
         InjectionConfig(value=float("-inf"))  # infinities are allowed
 
 
+def _fires(inj, trace=TRACE):
+    """One decide call: True when it injected (and so returned a value)."""
+    return inj.decide(OP, _thunk(trace)) is not None
+
+
 class TestShouldInject:
+    """The fuzz decision, observed through decide: None, or the injected value."""
+
     def test_odds_one_fires_immediately(self):
         inj = Injector.fuzz(InjectionConfig(odds=1, n_inject=1))
-        assert inj.should_inject(_thunk()) is True
+        assert math.isnan(inj.decide(OP, _thunk()))
+        assert inj.op_counter == 1
 
     def test_inactive_never_fires(self):
-        inj = Injector.fuzz(InjectionConfig(odds=1, n_inject=5, active=False))
-        assert not any(inj.should_inject(_thunk()) for _ in range(50))
+        # an injector not in fuzz mode ignores an armed config
+        inj = Injector(InjectorMode.OFF, InjectionConfig(odds=1, n_inject=5))
+        assert not any(_fires(inj) for _ in range(50))
+        assert inj.recording.points == []
 
     def test_off_mode_never_fires(self):
         inj = Injector.off()
-        assert not any(inj.should_inject(_thunk()) for _ in range(50))
+        assert not any(_fires(inj) for _ in range(50))
         assert inj.op_counter == 50
 
     def test_bound_exhausted(self):
         inj = Injector.fuzz(InjectionConfig(odds=1, n_inject=1))
-        assert inj.should_inject(_thunk())
-        inj.inject(OP, TRACE)
-        assert inj.should_inject(_thunk()) is False
+        assert _fires(inj)
+        assert inj.decide(OP, _thunk()) is None
+        assert inj.injected_so_far == 1
 
     def test_n_inject_zero_is_armed_but_inert(self):
         inj = Injector.fuzz(InjectionConfig(odds=1, n_inject=0))
-        assert not any(inj.should_inject(_thunk()) for _ in range(20))
+        assert not any(_fires(inj) for _ in range(20))
+        assert inj.recording.points == []
 
     def test_function_scope_dynamic_extent(self):
         cfg = InjectionConfig(odds=1, n_inject=9, functions=("momentum_u!",))
         inj = Injector.fuzz(cfg)
-        assert inj.should_inject(_thunk(OTHER_TRACE)) is False
-        assert inj.should_inject(_thunk(TRACE)) is True
+        assert inj.decide(OP, _thunk(OTHER_TRACE)) is None
+        assert _fires(inj, TRACE)
 
     def test_function_scope_is_substring_match(self):
         cfg = InjectionConfig(odds=1, n_inject=9, functions=("momentum",))
         inj = Injector.fuzz(cfg)
-        assert inj.should_inject(_thunk(TRACE)) is True
+        assert _fires(inj, TRACE)
 
     def test_library_scope_is_path_prefix(self):
         cfg = InjectionConfig(odds=1, n_inject=9, libraries=("ODE/",))
         inj = Injector.fuzz(cfg)
-        assert inj.should_inject(_thunk(TRACE)) is False
-        assert inj.should_inject(_thunk(OTHER_TRACE)) is True
+        assert not _fires(inj, TRACE)
+        assert _fires(inj, OTHER_TRACE)
 
     def test_both_scopes_must_pass(self):
         cfg = InjectionConfig(odds=1, n_inject=9,
                               functions=("solve!",), libraries=("SW/",))
         inj = Injector.fuzz(cfg)
-        assert inj.should_inject(_thunk(TRACE)) is False       # wrong function
-        assert inj.should_inject(_thunk(OTHER_TRACE)) is False  # wrong library
+        assert not _fires(inj, TRACE)         # wrong function
+        assert not _fires(inj, OTHER_TRACE)   # wrong library
         mixed = (Frame("solve!", "SW/solve.jl", 9),)
-        assert inj.should_inject(_thunk(mixed)) is True
+        assert _fires(inj, mixed)
 
     def test_out_of_scope_calls_do_not_consume_randomness(self):
         cfg = InjectionConfig(odds=3, n_inject=100, seed=7, functions=("momentum",))
         plain = Injector.fuzz(InjectionConfig(odds=3, n_inject=100, seed=7))
         scoped = Injector.fuzz(cfg)
-        decisions_plain = [plain.should_inject(_thunk(TRACE)) for _ in range(40)]
+        decisions_plain = [_fires(plain, TRACE) for _ in range(40)]
         decisions_scoped = []
         for i in range(40):
-            scoped.should_inject(_thunk(OTHER_TRACE))  # out of scope, no draw
-            decisions_scoped.append(scoped.should_inject(_thunk(TRACE)))
+            assert not _fires(scoped, OTHER_TRACE)  # out of scope, no draw
+            decisions_scoped.append(_fires(scoped, TRACE))
         assert decisions_plain == decisions_scoped
+        assert any(decisions_plain) and not all(decisions_plain)
 
 
 class TestInjectAndRecord:
     def test_point_bookkeeping(self):
-        inj = Injector.fuzz(InjectionConfig(odds=1, n_inject=2, seed=1))
-        for _ in range(16):
-            inj.should_inject(_thunk())
-        value = inj.inject(OP, TRACE)
+        cfg = InjectionConfig(odds=1, n_inject=2, seed=1, functions=("momentum",))
+        inj = Injector.fuzz(cfg)
+        for _ in range(15):
+            assert inj.decide(OP, _thunk(OTHER_TRACE)) is None  # out of scope
+        value = inj.decide(OP, _thunk())
         assert math.isnan(value)
-        inj.should_inject(_thunk())
-        inj.inject(OpIdentity("*", 2), OTHER_TRACE)
+        inj.decide(OpIdentity("*", 2), _thunk())
+        assert inj.decide(OP, _thunk()) is None   # n_inject reached
         points = inj.recording.points
-        assert [p.op_counter for p in points] == sorted(p.op_counter for p in points)
-        assert points[0].op_counter == 16
-        assert points[0].op == "+"
-        assert points[0].trace_fp == trace_fingerprint(TRACE)
+        assert [p.op_counter for p in points] == [16, 17]
+        assert [p.op for p in points] == ["+", "*"]
+        assert all(p.trace_fp == trace_fingerprint(TRACE) for p in points)
         assert inj.injected_so_far == 2
 
     def test_decide_pipeline(self):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ NUMERIC_OPS = sorted(PLAIN, key=str)
 COMPARISONS = {
     ("<", 2): np.less, ("<=", 2): np.less_equal, (">", 2): np.greater,
     (">=", 2): np.greater_equal, ("==", 2): np.equal, ("!=", 2): np.not_equal,
+    ("bool", 1): np.bool_,      # truth: comparison semantics
 }
 REFERENCE = {**PLAIN, **COMPARISONS}
 WIDTHS = {64: (TrackedFloat64, np.float64), 32: (TrackedFloat32, np.float32),
@@ -191,9 +193,30 @@ def test_immutability_and_conversions():
     assert int(t) == 2
     assert bool(t) is True
     assert bool(TrackedFloat64(0.0)) is False
+    assert bool(TrackedFloat64(-0.0)) is False
     with pytest.raises(ValueError):
         int(TrackedFloat64(NAN))
     assert repr(t) == "TrackedFloat64(2.5)"
+
+
+@pytest.mark.parametrize("width", sorted(WIDTHS))
+def test_truth_of_exceptional_value_is_a_kill(width):
+    """bool() of NaN or Inf is True and logs a kill; of a finite value, nothing.
+    Truth takes no injector decision, like the comparisons."""
+    cls = WIDTHS[width][0]
+    cases = [(NAN, True, [(EventKind.KILL, ValueClass.NAN)]),
+             (INF, True, [(EventKind.KILL, ValueClass.INF)]),
+             (-INF, True, [(EventKind.KILL, ValueClass.INF)]),
+             (0.0, False, []), (-0.0, False, []), (2.5, True, [])]
+    for value, truth, expected in cases:
+        session = explicit_session()
+        with use_session(session):
+            assert bool(cls(value)) is truth
+            assert (not cls(value)) is (not truth)
+        events = session.ledger.events()
+        assert [(e.kind, e.value_class) for e in events] == expected * 2, value
+        assert all(e.op == OpIdentity("bool", 1) for e in events)
+        assert session.injector.op_counter == 0
 
 
 def test_numpy_does_not_absorb_tracked(session):
@@ -254,7 +277,8 @@ def test_supported_operations_table():
     assert OpIdentity("+", 2) in ops
     assert OpIdentity("-", 1) in ops
     assert OpIdentity("<", 2) in ops
-    assert len(ops) == 26
+    assert OpIdentity("bool", 1) in ops
+    assert len(ops) == 27
 
 
 def test_concurrent_apply_serializes_events():
@@ -377,3 +401,73 @@ def test_fast_path_boundary_events(width):
     for (name_arity, operands), expected in cases.items():
         events = _check_against_reference(name_arity, operands, np_type)
         assert [(kind, vc) for kind, vc, *_ in events] == expected, (name_arity, width)
+
+
+EXACT_ROWS = sorted((key for key, row in _REGISTRY.items() if row[3] is not None), key=str)
+FLOAT64_MAX = float(np.finfo(np.float64).max)
+FLOAT64_EDGES = [0.0, -0.0, 5e-324, -5e-324, FLOAT64_MAX, -FLOAT64_MAX, 1.0, -2.5]
+# Pairs that overflow, divide by zero or cancel to zero in the Python operator.
+FLOAT64_EDGE_PAIRS = [
+    (FLOAT64_MAX, FLOAT64_MAX), (-FLOAT64_MAX, FLOAT64_MAX), (FLOAT64_MAX, 0.5),
+    (1e308, 1e-308), (1.0, 0.0), (-1.0, -0.0), (0.0, 0.0), (-0.0, 0.0),
+    (5e-324, 0.0), (1.5, 1.5), (5e-324, 2.0), (5e-324, -5e-324),
+]
+
+
+def _random_finite_float64s(rng, n):
+    """Finite doubles from uniform bit patterns, so every exponent (and the
+    subnormals) turns up about equally often."""
+    out = []
+    while len(out) < n:
+        x = fpbits.from_bits(rng.getrandbits(64), 64)
+        if math.isfinite(x):
+            out.append(x)
+    return out
+
+
+def _result_np_type(operands):
+    widest = max(o._width for o in operands if isinstance(o, TrackedFloat))
+    return WIDTHS[widest][1]
+
+
+@pytest.mark.parametrize("name_arity", EXACT_ROWS, ids=str)
+def test_exact_float_rows_bit_transparent(name_arity):
+    """Rows with a Python float twin: over finite float64 values the tracked
+    result's bits and events are the bare ufunc's. Operands that are not
+    plain floats (numpy scalars, ints, narrower tracked widths) take the ufunc
+    as before. No floating-point warning escapes either path."""
+    rng = random.Random(0xF10A7 + EXACT_ROWS.index(name_arity))
+    arity = name_arity[1]
+    randoms = _random_finite_float64s(rng, 1500 * arity)
+    # operands near one another in magnitude, where rounding actually happens
+    randoms += [rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-40, 40)
+                for _ in range(1500 * arity)]
+    rng.shuffle(randoms)
+    if arity == 1:
+        cases = [(TrackedFloat64(x),) for x in randoms + FLOAT64_EDGES]
+    else:
+        pairs = list(zip(randoms[::2], randoms[1::2]))
+        pairs += [(a, b) for a in FLOAT64_EDGES for b in FLOAT64_EDGES]
+        pairs += FLOAT64_EDGE_PAIRS + [(b, a) for a, b in FLOAT64_EDGE_PAIRS]
+        # a plain float on either side takes the Python path as well
+        shapes = (lambda a, b: (TrackedFloat64(a), TrackedFloat64(b)),
+                  lambda a, b: (TrackedFloat64(a), b),
+                  lambda a, b: (a, TrackedFloat64(b)))
+        cases = [shapes[i % 3](a, b) for i, (a, b) in enumerate(pairs)]
+    others = [np.float64(1.5), np.float64(0.0), np.float64(FLOAT64_MAX), 3, 0,
+              TrackedFloat32(1.5), TrackedFloat32(0.0), TrackedFloat16(-2.0),
+              TrackedFloat16(0.0)]
+    if arity == 1:
+        cases += [(o,) for o in others if isinstance(o, TrackedFloat)]
+    else:
+        for o in others:
+            for x in (TrackedFloat64(0.1), TrackedFloat64(FLOAT64_MAX), TrackedFloat64(-0.0)):
+                cases += [(x, o), (o, x)]
+        cases += [(TrackedFloat32(0.1), TrackedFloat16(0.0)),
+                  (TrackedFloat16(3.0), TrackedFloat32(7.0))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for operands in cases:
+            if name_arity in COMPARISONS:
+                assert type(apply(name_arity[0], operands, session=explicit_session())) is bool
+            _check_against_reference(name_arity, operands, _result_np_type(operands))
