@@ -3,9 +3,10 @@ result with an exceptional value, record every injection, and replay a
 recording deterministically.
 
 The injector owns a seeded PCG64 generator; ambient randomness is never
-consulted. Replay keys on the global intercepted-operation counter and checks
-a stack-trace fingerprint at each injection point so divergence from the
-recorded run is detected rather than silently absorbed.
+consulted. Fuzz draws come from it in fixed-size blocks, which yield the same
+sequence as one draw at a time. Replay keys on the global intercepted-operation
+counter and checks a stack-trace fingerprint at each injection point so
+divergence from the recorded run is detected rather than silently absorbed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import numpy as np
 from . import fpbits
 from .classify import OpIdentity
 from .traces import trace_fingerprint
+
+DRAW_BLOCK = 256    # fuzz variates drawn per call into the generator
 
 
 class RecordingFormatError(ValueError):
@@ -103,6 +106,7 @@ class Injector:
         self._pending = deque(recording.points) if recording is not None else deque()
         self.divergences: list[str] = []
         self._rng = np.random.Generator(np.random.PCG64(self.config.seed))
+        self._draws = iter(())
         self._lock = threading.Lock()
 
     @classmethod
@@ -141,16 +145,19 @@ class Injector:
         if cfg.functions or cfg.libraries:
             trace = trace_thunk()
             if cfg.functions and not any(
-                any(name in f.function for name in cfg.functions) for f in trace
+                name in f.function for f in trace for name in cfg.functions
             ):
                 return False
-            if cfg.libraries and not any(
-                any(f.file.startswith(prefix) for prefix in cfg.libraries) for f in trace
-            ):
+            if cfg.libraries and not any(f.file.startswith(cfg.libraries) for f in trace):
                 return False
         # Out-of-scope operations never reach this draw, so they do not
         # consume randomness and scoped runs stay reproducible.
-        return int(self._rng.integers(1, cfg.odds, endpoint=True)) == 1
+        draw = next(self._draws, None)
+        if draw is None:
+            self._draws = iter(self._rng.integers(
+                1, cfg.odds, endpoint=True, size=DRAW_BLOCK).tolist())
+            draw = next(self._draws)
+        return draw == 1
 
     def _record_injection(self, op: OpIdentity, trace) -> float:
         value = float(self.config.value)

@@ -5,6 +5,14 @@ Traces are tuples of Frames, innermost frame first. The explicit provider is a
 pure function of its per-thread scope stack, which makes logs byte-stable
 across platforms; the native provider is best-effort and filters out frames
 that belong to this package.
+
+The native provider memoizes per call site. A code object and an instruction
+offset fix a frame's function, file and line, so each provider keeps a table
+from (code id, offset) to the Frame it maps to, or None for a skipped frame of
+this package. A hit returns the stored Frame, the same value a fresh walk
+would build. The table holds its code objects, checks identity on every hit,
+and is cleared when it outgrows SITE_TABLE_LIMIT, so code made at run time by
+exec or compile cannot grow it without bound.
 """
 
 from __future__ import annotations
@@ -66,6 +74,9 @@ class ExplicitContextProvider:
         return tuple(reversed(self._stack()))
 
 
+SITE_TABLE_LIMIT = 4096
+
+
 class NativeTraceProvider:
     """Map the live interpreter stack to Frames, dropping this package's own frames."""
 
@@ -73,15 +84,28 @@ class NativeTraceProvider:
         if skip_prefixes is None:
             skip_prefixes = (os.path.dirname(os.path.abspath(__file__)),)
         self._skip = tuple(skip_prefixes)
+        self._sites = {}    # (id(code), f_lasti) -> (code, Frame or None if skipped)
 
     def capture(self) -> StackTrace:
         try:
+            sites = self._sites
             frame = sys._getframe(1)
             frames = []
             while frame is not None:
-                path = frame.f_code.co_filename
-                if not path.startswith(self._skip):
-                    frames.append(Frame(frame.f_code.co_name, path, frame.f_lineno))
+                code = frame.f_code
+                key = (id(code), frame.f_lasti)
+                site = sites.get(key)
+                if site is None or site[0] is not code:
+                    path = code.co_filename
+                    if path.startswith(self._skip):
+                        site = (code, None)
+                    else:
+                        site = (code, Frame(code.co_name, path, frame.f_lineno))
+                    if len(sites) >= SITE_TABLE_LIMIT:
+                        sites.clear()
+                    sites[key] = site
+                if site[1] is not None:
+                    frames.append(site[1])
                 frame = frame.f_back
             return tuple(frames) if frames else (SENTINEL_FRAME,)
         except Exception:

@@ -162,7 +162,7 @@ class TrackedFloat16(TrackedFloat):
 
 _CLASS_BY_WIDTH = {64: TrackedFloat64, 32: TrackedFloat32, 16: TrackedFloat16}
 
-_PLAIN_OPERANDS = (int, float, np.floating, np.integer)
+_OPERANDS = (TrackedFloat, int, float, np.floating, np.integer)
 
 
 def wrap(x, width: int = 64) -> TrackedFloat:
@@ -244,12 +244,12 @@ def apply(name: str, operands, session=None):
                 return _wrap_result(cls, result)
 
     np_type = cls._np_type
-    xs = tuple(map(np_type, values))
-    if injected:
-        result = np_type(injected_value)
-    else:
-        with np.errstate(all="ignore"):
-            result = impl(*xs)
+    # The cast runs under errstate too: a plain operand too big for a narrow
+    # width becomes Inf without a RuntimeWarning, and is classified as one.
+    with np.errstate(all="ignore"):
+        xs = tuple(map(np_type, values))
+        result = np_type(injected_value) if injected else impl(*xs)
+    if not injected:
         if all(map(math.isfinite, xs)) and (is_comparison or math.isfinite(result)):
             return bool(result) if is_comparison else _wrap_result(cls, result)
         if not is_comparison:
@@ -264,7 +264,7 @@ def apply(name: str, operands, session=None):
 
 
 def _is_operand(x) -> bool:
-    return isinstance(x, (TrackedFloat,) + _PLAIN_OPERANDS)
+    return isinstance(x, _OPERANDS)
 
 
 def _forward(name):

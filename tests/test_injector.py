@@ -1,7 +1,9 @@
 """Injection decisions, recordings, and deterministic replay."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,6 +156,48 @@ class TestInjectAndRecord:
             inj.decide(OP, _thunk(TRACE if i % 3 == 0 else OTHER_TRACE))
         assert inj.recording.points
         assert all(p.trace_fp == trace_fingerprint(TRACE) for p in inj.recording.points)
+
+
+DRAW_ODDS = [1, 2, 3, 10, 300, 2**31, 2**32 - 1, 2**32, 2**40]
+
+
+def _scalar_draws(seed, odds, n):
+    """One-at-a-time draws, the sequence the fuzz injector must reproduce."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return [int(rng.integers(1, odds, endpoint=True)) for _ in range(n)]
+
+
+class TestBlockDraws:
+    """Fuzz draws come in blocks but fire exactly where scalar draws would."""
+
+    @pytest.mark.parametrize("odds", DRAW_ODDS)
+    def test_fires_where_scalar_draws_land_on_one(self, odds):
+        n, seed = 5000, 2024
+        draws = _scalar_draws(seed, odds, n)
+        block = np.random.Generator(np.random.PCG64(seed)).integers(
+            1, odds, endpoint=True, size=n).tolist()
+        assert block == draws
+        inj = Injector.fuzz(InjectionConfig(odds=odds, n_inject=n, seed=seed))
+        fired = [op for op in range(1, n + 1) if _fires(inj)]
+        assert fired == [op for op, d in enumerate(draws, start=1) if d == 1]
+        assert [p.op_counter for p in inj.recording.points] == fired
+
+    @pytest.mark.parametrize("odds", [3, 10])
+    def test_out_of_scope_decisions_consume_no_draws(self, odds):
+        n, seed = 5000, 11
+        pattern = random.Random(odds)
+        inj = Injector.fuzz(InjectionConfig(odds=odds, n_inject=n, seed=seed,
+                                            functions=("momentum",)))
+        in_scope_ops = []
+        for op in range(1, 2 * n + 1):
+            in_scope = pattern.random() < 0.5
+            if in_scope:
+                in_scope_ops.append(op)
+            inj.decide(OP, _thunk(TRACE if in_scope else OTHER_TRACE))
+        draws = _scalar_draws(seed, odds, len(in_scope_ops))
+        expected = [op for op, d in zip(in_scope_ops, draws) if d == 1]
+        assert len(in_scope_ops) > n // 2 and expected
+        assert [p.op_counter for p in inj.recording.points] == expected
 
 
 class TestRecordingFiles:

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 import fpx
+from fpx import traces
 from fpx.traces import (ExplicitContextProvider, Frame, NativeTraceProvider,
                         ScopeError, SENTINEL_FRAME, trace_fingerprint)
 
@@ -105,6 +106,154 @@ class TestNativeProvider:
 
         monkeypatch.setattr(sys, "_getframe", boom)
         assert p.capture() == (SENTINEL_FRAME,)
+
+
+def _reference_capture(skip):
+    """NativeTraceProvider.capture without its call-site table: a fresh walk."""
+    frame = sys._getframe(1)
+    frames = []
+    while frame is not None:
+        path = frame.f_code.co_filename
+        if not path.startswith(skip):
+            frames.append(Frame(frame.f_code.co_name, path, frame.f_lineno))
+        frame = frame.f_back
+    return tuple(frames) if frames else (SENTINEL_FRAME,)
+
+
+def _both(p):
+    """The memoized and the reference capture of one stack (same caller line)."""
+    return p.capture(), _reference_capture(p._skip)
+
+
+class TestNativeCallSiteTable:
+    """The memoized capture returns what a fresh walk of the stack returns."""
+
+    def _assert_same(self, pairs):
+        assert pairs
+        for memo, ref in pairs:
+            assert memo == ref
+
+    def test_nested_calls(self):
+        p = NativeTraceProvider()
+
+        def inner():
+            return _both(p)
+
+        def middle():
+            return [inner(), _both(p)]
+
+        def outer():
+            return middle() + [inner()]
+
+        pairs = outer() + outer() + [inner()]
+        self._assert_same(pairs)
+        assert [f.function for f in pairs[0][0][:4]] == ["_both", "inner", "middle", "outer"]
+
+    def test_recursion_from_one_call_site(self):
+        p = NativeTraceProvider()
+
+        def rec(n):
+            if n == 0:
+                return _both(p)
+            return rec(n - 1)
+
+        pairs = [rec(depth) for depth in (3, 1, 5, 1, 3, 0, 5)]
+        self._assert_same(pairs)
+        assert [len(memo) for memo, _ in pairs[:3]] == [
+            len(pairs[1][0]) + 2, len(pairs[1][0]), len(pairs[1][0]) + 4]
+
+    def test_generator_frames(self):
+        p = NativeTraceProvider()
+
+        def gen():
+            for _ in range(3):
+                yield _both(p)
+
+        def first(g):
+            return next(g)
+
+        def second(g):
+            return next(g)
+
+        g = gen()
+        pairs = [first(g), second(g), first(g)] + list(gen())
+        self._assert_same(pairs)
+        # a resumed generator frame hangs under whoever resumed it
+        assert [f.function for f in pairs[0][0][1:3]] == ["gen", "first"]
+        assert [f.function for f in pairs[1][0][1:3]] == ["gen", "second"]
+
+    def test_two_threads_share_a_provider(self):
+        p = NativeTraceProvider()
+        barrier = threading.Barrier(2)
+        results = {}
+
+        def leaf():
+            return _both(p)
+
+        def branch_a():
+            return [leaf()]
+
+        def branch_b():
+            return [leaf(), _both(p)]
+
+        def worker(name, body):
+            barrier.wait(timeout=30)
+            results[name] = [pair for _ in range(200) for pair in body()]
+
+        threads = [threading.Thread(target=worker, args=("a", branch_a)),
+                   threading.Thread(target=worker, args=("b", branch_b))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        self._assert_same(results["a"])
+        self._assert_same(results["b"])
+        assert results["a"][0][0][2].function == "branch_a"
+        assert results["b"][0][0][2].function == "branch_b"
+
+    @pytest.mark.parametrize("skip", [(__file__,), ("/nonexistent-prefix",),
+                                      (__file__, threading.__file__)])
+    def test_custom_skip_prefixes(self, skip):
+        p = NativeTraceProvider(skip_prefixes=skip)
+
+        def call():
+            return _both(p)
+
+        pairs = [call(), call(), _both(p)]
+        self._assert_same(pairs)
+        memo = pairs[0][0]
+        assert all(not f.file.startswith(skip) for f in memo)
+        assert (memo[0].function == "_both") == (skip == ("/nonexistent-prefix",))
+
+    def test_every_frame_skipped_gives_sentinel(self):
+        p = NativeTraceProvider(skip_prefixes=("",))
+
+        def call():
+            return _both(p)
+
+        self._assert_same([call(), call()])
+        assert p.capture() == p.capture() == (SENTINEL_FRAME,)
+
+    def test_code_made_at_run_time_reuses_ids_without_stale_frames(self, monkeypatch):
+        limit = 64
+        monkeypatch.setattr(traces, "SITE_TABLE_LIMIT", limit)
+        p = NativeTraceProvider()
+        code_ids = []
+        for i in range(300):
+            blank = i % 7
+            namespace = {}
+            source = "\n" * blank + f"def f_{i}(both):\n    return both()\n"
+            exec(compile(source, f"<made {i}>", "exec"), namespace)
+            fn = namespace[f"f_{i}"]
+            code_ids.append(id(fn.__code__))
+            memo, ref = fn(lambda: _both(p))
+            del fn, namespace
+            assert memo == ref
+            assert memo[2] == Frame(f"f_{i}", f"<made {i}>", blank + 2)
+            assert len(p._sites) <= limit
+        # the table let go of old code objects, and their ids came back
+        assert len(set(code_ids)) < len(code_ids)
 
 
 def test_fingerprint_stability():
