@@ -97,9 +97,14 @@ def _run_demo(name, args, session):
     return result
 
 
-def _report_events(session):
+def _run_and_flush(args, session) -> None:
+    """Run the demo, print its event counts, and write its logs."""
+    _run_demo(args.demo, args, session)
     counts = session.ledger.counts()
     print("events: " + " ".join(f"{k.value}={counts[k]}" for k in EventKind))
+    out = _out_dir(args)
+    session.ledger.flush(out)
+    print(f"logs written to {out}")
 
 
 def cmd_run(args) -> int:
@@ -107,11 +112,7 @@ def cmd_run(args) -> int:
         raise UsageError("--record requires --fuzz")
     injector = Injector.fuzz(_parse_fuzz(args.fuzz)) if args.fuzz else Injector.off()
     session = explicit_session(_ledger_config(args), injector)
-    _run_demo(args.demo, args, session)
-    _report_events(session)
-    out = _out_dir(args)
-    session.ledger.flush(out)
-    print(f"logs written to {out}")
+    _run_and_flush(args, session)
     if args.record:
         save_recording(session.injector.recording, args.record)
         print(f"recording written to {args.record}")
@@ -121,11 +122,7 @@ def cmd_run(args) -> int:
 def cmd_replay(args) -> int:
     recording = load_recording(args.recording)
     session = explicit_session(_ledger_config(args), Injector.replay(recording))
-    _run_demo(args.demo, args, session)
-    _report_events(session)
-    out = _out_dir(args)
-    session.ledger.flush(out)
-    print(f"logs written to {out}")
+    _run_and_flush(args, session)
     for message in session.injector.divergences:
         print(f"warning: {message}", file=sys.stderr)
     pending = session.injector.unconsumed_points()
@@ -171,17 +168,21 @@ def _emit(text, dest) -> None:
         sys.stdout.write(text)
 
 
+def _emit_diff(d, args) -> None:
+    """The diff as DOT (to --dot or stdout), and as a JSON document to --json."""
+    _emit(stackgraph.emit_dot_diff(d), args.dot)
+    if args.json:
+        Path(args.json).write_text(
+            json.dumps(stackgraph.diff_to_json(d), indent=2) + "\n", encoding="utf-8")
+
+
 def cmd_cstg(args) -> int:
     key_policy = "coarse" if args.coarse else "fine"
     traces = _load_traces(args.log, args.value_class)
     if args.split is not None:
         head, tail = stackgraph.slice_traces(traces, args.split)
-        d = stackgraph.diff(stackgraph.build(head, key_policy),
-                            stackgraph.build(tail, key_policy))
-        _emit(stackgraph.emit_dot_diff(d), args.dot)
-        if args.json:
-            Path(args.json).write_text(
-                json.dumps(stackgraph.diff_to_json(d), indent=2) + "\n", encoding="utf-8")
+        _emit_diff(stackgraph.diff(stackgraph.build(head, key_policy),
+                                   stackgraph.build(tail, key_policy)), args)
         return 0
     g = stackgraph.build(traces, key_policy)
     _emit(stackgraph.emit_dot(g), args.dot)
@@ -194,11 +195,7 @@ def cmd_diff(args) -> int:
     key_policy = "coarse" if args.coarse else "fine"
     before = _load_graph_any(args.before, key_policy)
     after = _load_graph_any(args.after, key_policy)
-    d = stackgraph.diff(before, after)
-    _emit(stackgraph.emit_dot_diff(d), args.dot)
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(stackgraph.diff_to_json(d), indent=2) + "\n", encoding="utf-8")
+    _emit_diff(stackgraph.diff(before, after), args)
     return 0
 
 

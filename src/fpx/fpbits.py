@@ -14,8 +14,6 @@ import struct
 
 import numpy as np
 
-SUPPORTED_WIDTHS = (64, 32, 16)
-
 _FLOAT_DTYPE = {32: "<f4", 16: "<f2"}
 _UINT_DTYPE = {32: "<u4", 16: "<u2"}
 _HEX_DIGITS = {64: 16, 32: 8, 16: 4}

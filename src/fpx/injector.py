@@ -87,11 +87,6 @@ class InjectionRecording:
     seed: int = 0
     points: list = field(default_factory=list)
 
-    def __eq__(self, other):
-        if not isinstance(other, InjectionRecording):
-            return NotImplemented
-        return self.seed == other.seed and self.points == other.points
-
 
 class Injector:
     """Per-operation injection decisions in one of three modes: off, fuzz, replay."""

@@ -42,7 +42,6 @@ class LedgerConfig:
     max_logs: int | None = None                      # per-kind bound; None = unbounded
     log_kinds: frozenset = ALL_KINDS
     exclude_stacktrace: frozenset = frozenset()
-    output_dir: str = "."
 
     def __post_init__(self):
         object.__setattr__(self, "log_kinds", frozenset(self.log_kinds))
@@ -92,21 +91,14 @@ class ExceptionEvent:
 class Ledger:
     """Thread-safe per-kind event streams with a global sequence counter.
 
-    Events are buffered and written by flush(); pass stream_dir to also append
-    each accepted event to its jsonl file at record time.
+    Events are kept in memory; flush(output_dir) writes them out.
     """
 
-    def __init__(self, config: LedgerConfig | None = None, stream_dir=None):
+    def __init__(self, config: LedgerConfig | None = None):
         self.config = config or LedgerConfig()
         self._streams = {kind: [] for kind in EventKind}
         self._seq = 0
         self._lock = threading.Lock()
-        self._stream_dir = None
-        if stream_dir is not None:
-            self._stream_dir = Path(stream_dir)
-            self._stream_dir.mkdir(parents=True, exist_ok=True)
-            for filename in FILE_BY_KIND.values():
-                (self._stream_dir / filename).write_text("", encoding="utf-8")
 
     def record(self, kind, value_class, op, operands, result, *,
                injected=False, trace=EMPTY_TRACE) -> bool:
@@ -138,10 +130,6 @@ class Ledger:
                 trace=resolved,
             )
             stream.append(event)
-            if self._stream_dir is not None:
-                with open(self._stream_dir / FILE_BY_KIND[kind], "a",
-                          encoding="utf-8") as fh:
-                    fh.write(event_to_line(event))
         return True
 
     def events(self, kind=None, value_class=None) -> list:
@@ -160,9 +148,9 @@ class Ledger:
         with self._lock:
             return {kind: len(stream) for kind, stream in self._streams.items()}
 
-    def flush(self, output_dir=None) -> dict:
+    def flush(self, output_dir) -> dict:
         """Write the three jsonl files; rewrites from scratch, so it is idempotent."""
-        out = Path(output_dir if output_dir is not None else self.config.output_dir)
+        out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
         paths = {}
         with self._lock:

@@ -5,8 +5,9 @@ substitutes the injected value). A clean operation, one whose operands and
 result are all finite, cannot be an event, so it stops there and re-wraps the
 result. Any other operation goes on to pin NaN payloads to their source,
 classify the event per value class, and re-wrap the result. The pipeline is
-written once; individual operations are rows in a table and their operator
-methods are installed mechanically.
+written once, and an operation is one row of the table below: name, arity,
+numpy ufunc, exact Python float twin, and the operator methods or public
+function it backs. The registry, methods and functions are built from it.
 
 Two substrates compute, with the same bits either way. Rows whose Python float
 operator is IEEE correctly rounded or exact (+ - * /, negation, abs, sqrt, the
@@ -15,7 +16,8 @@ if that raises or gives a non-finite result, the operation is redone by the
 ufunc. Everything else is delegated to numpy scalar ufuncs with floating-point
 traps suppressed, so 0/0, log(0), overflow, and friends yield IEEE results
 instead of raising. With injection off, unwrapped results are bit-identical
-to the same computation over plain numpy scalars.
+to the same computation over plain numpy scalars. A number too big for the
+width of a tracked value being constructed becomes Inf, logged as a cast gen.
 """
 
 from __future__ import annotations
@@ -25,77 +27,55 @@ import operator
 
 import numpy as np
 
-from .classify import OpIdentity, ValueClass, classify, propagate_payload
+from .classify import EventKind, OpIdentity, ValueClass, classify, propagate_payload
 from .session import current_session
 
-_BINARY_IMPLS = {
-    "+": np.add,
-    "-": np.subtract,
-    "*": np.multiply,
-    "/": np.divide,
-    "pow": np.power,
-    "min": np.minimum,      # NaN-propagating, not IEEE minNum
-    "max": np.maximum,
-    "atan2": np.arctan2,
-    "hypot": np.hypot,
-    "rem": np.fmod,
-}
+# One row per operation: name, arity, numpy ufunc, Python float twin, and the
+# methods it backs (forward then reflected dunder, or a public function name).
+# A twin rounds exactly like the ufunc on finite float64 operands; there is
+# none for pow (1 ulp off), exp/log/trig/atan2/hypot (libm and numpy differ),
+# floor (math.floor drops -0.0) and min/max (signed zero).
+_NUMERIC = (
+    ("+", 2, np.add, operator.add, "__add__ __radd__"),
+    ("-", 2, np.subtract, operator.sub, "__sub__ __rsub__"),
+    ("*", 2, np.multiply, operator.mul, "__mul__ __rmul__"),
+    ("/", 2, np.divide, operator.truediv, "__truediv__ __rtruediv__"),
+    ("pow", 2, np.power, None, "__pow__ __rpow__"),
+    ("min", 2, np.minimum, None, "minimum"),     # NaN-propagating, not IEEE minNum
+    ("max", 2, np.maximum, None, "maximum"),
+    ("atan2", 2, np.arctan2, None, "atan2"),
+    ("hypot", 2, np.hypot, None, "hypot"),
+    ("rem", 2, np.fmod, None, "rem"),
+    ("-", 1, np.negative, operator.neg, "__neg__"),
+    ("abs", 1, np.abs, abs, "__abs__"),
+    ("sqrt", 1, np.sqrt, math.sqrt, "sqrt"),
+    ("exp", 1, np.exp, None, "exp"),
+    ("log", 1, np.log, None, "log"),
+    ("sin", 1, np.sin, None, "sin"),
+    ("cos", 1, np.cos, None, "cos"),
+    ("tan", 1, np.tan, None, "tan"),
+    ("floor", 1, np.floor, None, "floor"),
+    ("ceil", 1, np.ceil, None, "ceil"),
+)
 
-_UNARY_IMPLS = {
-    "-": np.negative,
-    "abs": np.abs,
-    "sqrt": np.sqrt,
-    "exp": np.exp,
-    "log": np.log,
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "floor": np.floor,
-    "ceil": np.ceil,
-}
+# Comparisons and truth: a bool result, no injector decision.
+_COMPARISONS = (
+    ("<", 2, np.less, operator.lt, "__lt__"),
+    ("<=", 2, np.less_equal, operator.le, "__le__"),
+    (">", 2, np.greater, operator.gt, "__gt__"),
+    (">=", 2, np.greater_equal, operator.ge, "__ge__"),
+    ("==", 2, np.equal, operator.eq, "__eq__"),
+    ("!=", 2, np.not_equal, operator.ne, "__ne__"),
+    ("bool", 1, np.bool_, bool, "__bool__"),
+)
 
-_COMPARISON_IMPLS = {
-    "<": np.less,
-    "<=": np.less_equal,
-    ">": np.greater,
-    ">=": np.greater_equal,
-    "==": np.equal,
-    "!=": np.not_equal,
-}
+# (name, arity) -> (ufunc, is_comparison, OpIdentity, twin); a plain tuple,
+# which unpacks faster than a namedtuple on every operation.
+_REGISTRY = {(name, arity): (impl, is_comparison, OpIdentity(name, arity), exact)
+             for is_comparison, rows in ((False, _NUMERIC), (True, _COMPARISONS))
+             for name, arity, impl, exact, _ in rows}
 
-# Truth has comparison semantics: a bool result, no injector decision.
-_TRUTH_IMPLS = {"bool": np.bool_}
-
-# Python float twins that round exactly like the ufunc on finite float64
-# operands. Not here: pow (1 ulp off), exp/log/trig/atan2/hypot (libm and
-# numpy differ), floor (math.floor drops -0.0), min/max (signed zero).
-_EXACT_FLOAT_IMPLS = {
-    ("+", 2): operator.add,
-    ("-", 2): operator.sub,
-    ("*", 2): operator.mul,
-    ("/", 2): operator.truediv,
-    ("-", 1): operator.neg,
-    ("abs", 1): abs,
-    ("sqrt", 1): math.sqrt,
-    ("<", 2): operator.lt,
-    ("<=", 2): operator.le,
-    (">", 2): operator.gt,
-    (">=", 2): operator.ge,
-    ("==", 2): operator.eq,
-    ("!=", 2): operator.ne,
-    ("bool", 1): bool,
-}
-
-# (name, arity) -> (numpy implementation, is_comparison, OpIdentity,
-#                   exact float twin or None)
-_REGISTRY = {}
-for _impls, _arity, _is_comparison in ((_BINARY_IMPLS, 2, False),
-                                       (_UNARY_IMPLS, 1, False),
-                                       (_COMPARISON_IMPLS, 2, True),
-                                       (_TRUTH_IMPLS, 1, True)):
-    for _name, _fn in _impls.items():
-        _REGISTRY[(_name, _arity)] = (_fn, _is_comparison, OpIdentity(_name, _arity),
-                                      _EXACT_FLOAT_IMPLS.get((_name, _arity)))
+_CAST = OpIdentity("cast", 1)
 
 
 def supported_operations() -> tuple:
@@ -114,7 +94,15 @@ class TrackedFloat:
     def __init__(self, value):
         if isinstance(value, TrackedFloat):
             value = value._value
-        object.__setattr__(self, "_value", type(self)._store(self._np_type(value)))
+        with np.errstate(all="ignore"):
+            cast = self._np_type(value)
+            source = np.float64(value) if math.isinf(cast) else None
+        object.__setattr__(self, "_value", type(self)._store(cast))
+        if source is not None and math.isfinite(source):
+            # too big for this width: an Inf is born in the cast
+            sess = current_session()
+            sess.ledger.record(EventKind.GEN, ValueClass.INF, _CAST, (source,), cast,
+                               trace=sess.traces.capture)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -289,62 +277,24 @@ def _unary(name):
     return method
 
 
-def _install_operators():
-    binary = [
-        ("__add__", "__radd__", "+"),
-        ("__sub__", "__rsub__", "-"),
-        ("__mul__", "__rmul__", "*"),
-        ("__truediv__", "__rtruediv__", "/"),
-        ("__pow__", "__rpow__", "pow"),
-    ]
-    comparisons = [
-        ("__lt__", "<"),
-        ("__le__", "<="),
-        ("__gt__", ">"),
-        ("__ge__", ">="),
-        ("__eq__", "=="),
-        ("__ne__", "!="),
-    ]
-    for dunder, rdunder, name in binary:
-        setattr(TrackedFloat, dunder, _forward(name))
-        setattr(TrackedFloat, rdunder, _reflected(name))
-    for dunder, name in comparisons:
-        setattr(TrackedFloat, dunder, _forward(name))
-    setattr(TrackedFloat, "__neg__", _unary("-"))
-    setattr(TrackedFloat, "__abs__", _unary("abs"))
-    setattr(TrackedFloat, "__bool__", _unary("bool"))
-
-
-_install_operators()
-
-
-def _unary_fn(name):
-    def fn(x, session=None):
-        return apply(name, (x,), session=session)
-    fn.__name__ = fn.__qualname__ = name if name.isidentifier() else "neg"
-    fn.__doc__ = f"Tracked {name}(x)."
-    return fn
-
-
-def _binary_fn(name, public):
-    def fn(x, y, session=None):
-        return apply(name, (x, y), session=session)
+def _public(name, arity, public):
+    if arity == 1:
+        def fn(x, session=None):
+            return apply(name, (x,), session=session)
+    else:
+        def fn(x, y, session=None):
+            return apply(name, (x, y), session=session)
     fn.__name__ = fn.__qualname__ = public
-    fn.__doc__ = f"Tracked {name}(x, y)."
+    fn.__doc__ = f"Tracked {name}({'x' if arity == 1 else 'x, y'})."
     return fn
 
 
-sqrt = _unary_fn("sqrt")
-exp = _unary_fn("exp")
-log = _unary_fn("log")
-sin = _unary_fn("sin")
-cos = _unary_fn("cos")
-tan = _unary_fn("tan")
-floor = _unary_fn("floor")
-ceil = _unary_fn("ceil")
-
-atan2 = _binary_fn("atan2", "atan2")
-hypot = _binary_fn("hypot", "hypot")
-rem = _binary_fn("rem", "rem")
-minimum = _binary_fn("min", "minimum")
-maximum = _binary_fn("max", "maximum")
+# The operator methods of TrackedFloat, and the public functions sqrt, exp,
+# log, sin, cos, tan, floor, ceil, atan2, hypot, rem, minimum and maximum.
+for _name, _arity, _, _, _methods in _NUMERIC + _COMPARISONS:
+    _makers = (_unary,) if _arity == 1 else (_forward, _reflected)
+    for _method, _make in zip(_methods.split(), _makers):
+        if _method.startswith("__"):
+            setattr(TrackedFloat, _method, _make(_name))
+        else:
+            globals()[_method] = _public(_name, _arity, _method)

@@ -142,17 +142,6 @@ class TestFlush:
         second = {k: p.read_bytes() for k, p in ledger.flush(tmp_path).items()}
         assert first == second
 
-    def test_streaming_mode_appends_on_record(self, tmp_path):
-        ledger = Ledger(stream_dir=tmp_path)
-        _record(ledger, kind=EventKind.GEN)
-        _record(ledger, kind=EventKind.KILL, operands=(NAN, 1.0), result=1.0)
-        # already on disk without a flush, and flush reproduces the same bytes
-        streamed = (tmp_path / "gen.jsonl").read_bytes()
-        assert len(parse_log(tmp_path / "gen.jsonl")) == 1
-        assert len(parse_log(tmp_path / "kill.jsonl")) == 1
-        ledger.flush(tmp_path)
-        assert (tmp_path / "gen.jsonl").read_bytes() == streamed
-
 
 class TestRenderHuman:
     def test_log_excerpt_block_layout(self):
