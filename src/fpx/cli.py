@@ -7,7 +7,8 @@ Subcommands:
   diff    diff two stack graphs (or logs) and emit polarity-colored DOT
   render  print a log in the human block format
 
-Exit codes: 0 success, 1 usage error, 2 I/O or file-format error.
+Exit codes: 0 success, 1 usage error, 2 I/O or file-format error (a
+malformed log, recording, graph document or trace file).
 """
 
 from __future__ import annotations
@@ -21,11 +22,9 @@ from pathlib import Path
 from . import fpbits, stackgraph
 from .classify import EventKind, ValueClass
 from .demos import demo_loop_kill, demo_max, demo_sim
-from .injector import (InjectionConfig, Injector, RecordingFormatError,
-                       load_recording, save_recording)
-from .ledger import LedgerConfig, LogFormatError, parse_log, render_human
+from .injector import InjectionConfig, Injector, load_recording, save_recording
+from .ledger import FormatError, LedgerConfig, parse_log, render_human
 from .session import explicit_session
-from .stackgraph import GraphFormatError
 
 
 class UsageError(Exception):
@@ -154,11 +153,15 @@ def _filter_class(events, value_class):
 
 
 def _load_graph_any(path, key_policy):
-    """A saved graph document, or a log/trace file coalesced on the fly."""
+    """A saved graph document, or a log/trace file coalesced on the fly. Only
+    a file that is not a graph document is coalesced: a broken one is an error."""
     try:
-        return stackgraph.load_graph(path)
-    except GraphFormatError:
-        return stackgraph.build(_load_traces(path), key_policy)
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError:
+        obj = None
+    if isinstance(obj, dict) and obj.get("format") == stackgraph.GRAPH_FORMAT:
+        return stackgraph.graph_from_json(obj)
+    return stackgraph.build(_load_traces(path), key_policy)
 
 
 def _emit(text, dest) -> None:
@@ -274,7 +277,7 @@ def cli_main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (LogFormatError, RecordingFormatError, GraphFormatError, OSError) as exc:
+    except (FormatError, UnicodeDecodeError, OSError) as exc:
         print(f"fpx: {exc}", file=sys.stderr)
         return 2
     except (UsageError, ValueError) as exc:

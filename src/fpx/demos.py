@@ -104,6 +104,8 @@ def demo_sim(steps=12, cells=16, blowup=False, session=None) -> SimDemoResult:
     """Explicit 1-D diffusion of a spike. A stable coefficient decays cleanly;
     an unstable one overflows to Inf and then cancels Inf against Inf into NaN,
     so the gen log shows Inf gens followed by NaN gens."""
+    if cells < 1:
+        raise ValueError("cells must be >= 1")
     sess = _session_or_fresh(session)
     scope = sess.traces.scope
     coefficient = TrackedFloat64(1.0e150 if blowup else 0.25)

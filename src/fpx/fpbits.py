@@ -14,8 +14,7 @@ import struct
 
 import numpy as np
 
-_FLOAT_DTYPE = {32: "<f4", 16: "<f2"}
-_UINT_DTYPE = {32: "<u4", 16: "<u2"}
+_UINT_TYPE = {32: np.uint32, 16: np.uint16}
 _HEX_DIGITS = {64: 16, 32: 8, 16: 4}
 _WIDTH_BY_HEX_DIGITS = {v: k for k, v in _HEX_DIGITS.items()}
 
@@ -44,14 +43,14 @@ def to_bits(x, width: int | None = None) -> int:
     if w == 64:
         return struct.unpack("<Q", struct.pack("<d", float(x)))[0]
     scalar = x if isinstance(x, NUMPY_TYPE[w]) else NUMPY_TYPE[w](float(x))
-    return int(np.array([scalar], dtype=_FLOAT_DTYPE[w]).view(_UINT_DTYPE[w])[0])
+    return int(scalar.view(_UINT_TYPE[w]))
 
 
 def from_bits(bits: int, width: int = 64):
     """Inverse of to_bits; 64-bit values come back as plain floats."""
     if width == 64:
         return struct.unpack("<d", struct.pack("<Q", bits))[0]
-    return np.array([bits], dtype=_UINT_DTYPE[width]).view(_FLOAT_DTYPE[width])[0]
+    return _UINT_TYPE[width](bits).view(NUMPY_TYPE[width])
 
 
 def hex_bits(x, width: int | None = None) -> str:
@@ -61,7 +60,7 @@ def hex_bits(x, width: int | None = None) -> str:
 
 def from_hex_bits(s: str):
     """Decode a hex bit pattern produced by hex_bits; width inferred from length."""
-    if not s.startswith("0x"):
+    if not isinstance(s, str) or not s.startswith("0x"):
         raise ValueError(f"bad hex bit pattern: {s!r}")
     digits = len(s) - 2
     try:

@@ -23,17 +23,14 @@ import numpy as np
 
 from . import fpbits
 from .classify import OpIdentity
+from .ledger import FormatError, read_json_lines
 from .traces import trace_fingerprint
 
 DRAW_BLOCK = 256    # fuzz variates drawn per call into the generator
 
 
-class RecordingFormatError(ValueError):
-    """A recording file line that cannot be parsed; carries the 1-based line number."""
-
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
+class RecordingFormatError(FormatError):
+    """A recording file line that cannot be parsed."""
 
 
 class ReplayDivergenceWarning(UserWarning):
@@ -116,35 +113,35 @@ class Injector:
     def replay(cls, recording: InjectionRecording) -> "Injector":
         return cls(InjectorMode.REPLAY, recording=recording)
 
-    def decide(self, op: OpIdentity, trace_thunk) -> float | None:
+    def decide(self, op: OpIdentity, capture) -> float | None:
         """Advance the op counter and return an injected value, or None.
 
         Called once per intercepted numeric operation, before the genuine
-        computation. `trace_thunk` is a memoized zero-argument capture; it is
-        only invoked when scope filters or a recording point require a trace.
+        computation. `capture` is a zero-argument trace capture, called at
+        most once per decision: only when scope filters, an injection or a
+        recorded point need the trace.
         """
         with self._lock:
             self.op_counter += 1
             if self.mode is InjectorMode.OFF:
                 return None
             if self.mode is InjectorMode.REPLAY:
-                return self._replay_decide(trace_thunk)
-            if not self._fuzz_wants_injection(trace_thunk):
-                return None
-            return self._record_injection(op, trace_thunk())
+                return self._replay_decide(capture)
+            return self._fuzz_decide(op, capture)
 
-    def _fuzz_wants_injection(self, trace_thunk) -> bool:
+    def _fuzz_decide(self, op: OpIdentity, capture) -> float | None:
         cfg = self.config
         if self.injected_so_far >= cfg.n_inject:
-            return False
+            return None
+        trace = None
         if cfg.functions or cfg.libraries:
-            trace = trace_thunk()
+            trace = capture()
             if cfg.functions and not any(
                 name in f.function for f in trace for name in cfg.functions
             ):
-                return False
+                return None
             if cfg.libraries and not any(f.file.startswith(cfg.libraries) for f in trace):
-                return False
+                return None
         # Out-of-scope operations never reach this draw, so they do not
         # consume randomness and scoped runs stay reproducible.
         draw = next(self._draws, None)
@@ -152,7 +149,9 @@ class Injector:
             self._draws = iter(self._rng.integers(
                 1, cfg.odds, endpoint=True, size=DRAW_BLOCK).tolist())
             draw = next(self._draws)
-        return draw == 1
+        if draw != 1:
+            return None
+        return self._record_injection(op, capture() if trace is None else trace)
 
     def _record_injection(self, op: OpIdentity, trace) -> float:
         value = float(self.config.value)
@@ -162,14 +161,14 @@ class Injector:
         self.injected_so_far += 1
         return value
 
-    def _replay_decide(self, trace_thunk) -> float | None:
+    def _replay_decide(self, capture) -> float | None:
         if not self._pending:
             return None
         point = self._pending[0]
         if point.op_counter != self.op_counter:
             return None
         self._pending.popleft()
-        fp = trace_fingerprint(trace_thunk())
+        fp = trace_fingerprint(capture())
         if fp != point.trace_fp:
             message = (
                 f"replay divergence at op {point.op_counter}: recorded trace "
@@ -200,28 +199,25 @@ def save_recording(recording: InjectionRecording, path) -> None:
 
 
 def load_recording(path) -> InjectionRecording:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    if not lines or not lines[0].strip():
-        raise RecordingFormatError("missing seed header", 1)
-    try:
-        header = json.loads(lines[0])
-        recording = InjectionRecording(seed=int(header["seed"]))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise RecordingFormatError(f"bad seed header: {exc}", 1) from exc
-    for line_number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    rows = read_json_lines(path, RecordingFormatError)
+    line_number, header = next(rows, (None, {}))
+    if line_number != 1 or type(header.get("seed")) is not int:
+        raise RecordingFormatError('missing seed header {"seed": <integer>}', 1)
+    recording = InjectionRecording(seed=header["seed"])
+    for line_number, obj in rows:
         try:
-            obj = json.loads(line)
             point = RecordedInjection(
-                op_counter=int(obj["op_counter"]),
+                op_counter=obj["op_counter"],
                 op=obj["op"],
                 value=float(fpbits.from_hex_bits(obj["value_hex"])),
                 trace_fp=obj["trace_fp"],
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise RecordingFormatError(f"bad injection point: {exc}", line_number) from exc
+        if (type(point.op_counter) is not int or not isinstance(point.op, str)
+                or not isinstance(point.trace_fp, str) or math.isfinite(point.value)):
+            raise RecordingFormatError("op_counter must be an integer, op and trace_fp "
+                                       "strings, value_hex a NaN or an Inf", line_number)
         if recording.points and point.op_counter <= recording.points[-1].op_counter:
             raise RecordingFormatError("op_counter not strictly increasing", line_number)
         recording.points.append(point)

@@ -5,7 +5,7 @@ gen.jsonl / prop.jsonl / kill.jsonl. The canonical line format dual-encodes
 every float as a decimal rendering plus an authoritative hex bit pattern, so
 NaN payloads and signed zeros round-trip exactly. A debugger-friendly human
 rendering (op header line, then one frame per line) is derived from the same
-records.
+records. FormatError and the JSON-lines reader here serve every fpx file format.
 """
 
 from __future__ import annotations
@@ -29,12 +29,32 @@ FILE_BY_KIND = {
 }
 
 
-class LogFormatError(ValueError):
-    """A log file line that cannot be parsed; carries the 1-based line number."""
+class FormatError(ValueError):
+    """A malformed log, recording, graph or trace file; line_number is 1-based, or None."""
 
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, message: str, line_number: int | None = None):
+        super().__init__(message if line_number is None else f"line {line_number}: {message}")
         self.line_number = line_number
+
+
+class LogFormatError(FormatError):
+    """A log file line that cannot be parsed."""
+
+
+def read_json_lines(path, error=FormatError):
+    """(line_number, object) per non-blank line of a JSON-lines file; a line
+    that is not a JSON object raises `error` naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"not valid JSON: {exc.msg}", line_number) from exc
+            if not isinstance(obj, dict):
+                raise error("record must be a JSON object", line_number)
+            yield line_number, obj
 
 
 @dataclass(frozen=True)
@@ -46,6 +66,8 @@ class LedgerConfig:
     def __post_init__(self):
         object.__setattr__(self, "log_kinds", frozenset(self.log_kinds))
         object.__setattr__(self, "exclude_stacktrace", frozenset(self.exclude_stacktrace))
+        if self.max_logs is not None and self.max_logs < 0:
+            raise ValueError("max_logs must be >= 0")
 
 
 def _scalar_key(x):
@@ -104,8 +126,9 @@ class Ledger:
                injected=False, trace=EMPTY_TRACE) -> bool:
         """Append one event; returns whether it was accepted.
 
-        `trace` may be a StackTrace or a zero-argument callable; capture is
-        deferred until the event is known to be stored with its trace.
+        `trace` may be a StackTrace or a zero-argument capture callable, such
+        as a trace provider's `capture`; it is called only once the event is
+        known to be stored with its trace.
         """
         cfg = self.config
         with self._lock:
@@ -169,13 +192,8 @@ def _scalar_to_json(x):
     return {"dec": fpbits.format_dec(x), "hex": fpbits.hex_bits(x)}
 
 
-def _scalar_from_json(obj, line_number):
-    if isinstance(obj, bool):
-        return obj
-    try:
-        return fpbits.from_hex_bits(obj["hex"])
-    except (TypeError, KeyError, ValueError) as exc:
-        raise LogFormatError(f"bad scalar encoding: {obj!r}", line_number) from exc
+def _scalar_from_json(obj):
+    return obj if isinstance(obj, bool) else fpbits.from_hex_bits(obj["hex"])
 
 
 def event_to_json(e: ExceptionEvent) -> dict:
@@ -196,39 +214,30 @@ def event_to_line(e: ExceptionEvent) -> str:
     return json.dumps(event_to_json(e), separators=(", ", ": ")) + "\n"
 
 
-def event_from_json(obj: dict, line_number: int = 0) -> ExceptionEvent:
+def event_from_json(obj: dict, line_number: int | None = None) -> ExceptionEvent:
     try:
-        return ExceptionEvent(
+        event = ExceptionEvent(
             seq=obj["seq"],
             kind=EventKind(obj["kind"]),
             value_class=ValueClass(obj["class"]),
             op=OpIdentity(obj["op"], obj["arity"]),
-            operands=tuple(_scalar_from_json(x, line_number) for x in obj["operands"]),
-            result=_scalar_from_json(obj["result"], line_number),
+            operands=tuple(_scalar_from_json(x) for x in obj["operands"]),
+            result=_scalar_from_json(obj["result"]),
             injected=obj["injected"],
             trace=tuple(Frame(f["fn"], f["file"], f["line"]) for f in obj["trace"]),
         )
-    except LogFormatError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise LogFormatError(f"bad event record: {exc}", line_number) from exc
+        raise LogFormatError(f"bad event record: {exc!r}", line_number) from exc
+    if (type(event.seq) is not int or type(event.op.arity) is not int
+            or not isinstance(event.op.name, str) or type(event.injected) is not bool):
+        raise LogFormatError(
+            "seq and arity must be integers, op a string, injected a boolean", line_number)
+    return event
 
 
 def parse_log(path) -> list:
     """Read one jsonl event stream back, bit-exactly. Unknown fields are ignored."""
-    events = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LogFormatError(f"not valid JSON: {exc.msg}", line_number) from exc
-            if not isinstance(obj, dict):
-                raise LogFormatError("event record must be a JSON object", line_number)
-            events.append(event_from_json(obj, line_number))
-    return events
+    return [event_from_json(obj, n) for n, obj in read_json_lines(path, LogFormatError)]
 
 
 def render_human(e: ExceptionEvent) -> str:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .ledger import FormatError
 from .traces import Frame, StackTrace
 
 GRAPH_FORMAT = "stackgraph-v1"
@@ -21,8 +22,8 @@ DIFF_FORMAT = "stackgraph-diff-v1"
 KEY_POLICIES = ("fine", "coarse")
 
 
-class GraphFormatError(ValueError):
-    pass
+class GraphFormatError(FormatError):
+    """A malformed graph document or plain-text trace file."""
 
 
 class KeyPolicyMismatch(ValueError):
@@ -91,43 +92,30 @@ def _quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def emit_dot(g: StackGraph) -> str:
-    if not g.nodes and not g.edges:
+def _dot(nodes, edges, attributes) -> str:
+    """DOT body: sorted nodes, then sorted edges whose pen width scales with
+    the weight's magnitude; `attributes(weight)` gives the label and colour."""
+    if not nodes and not edges:
         return "digraph G { }\n"
-    max_count = max(g.edges.values(), default=1)
+    max_mag = max(map(abs, edges.values()), default=1)
     lines = ["digraph G {", "  node [shape=box];"]
-    for node in sorted(g.nodes):
-        lines.append(f"  {_quote(node)};")
-    for (parent, child) in sorted(g.edges):
-        count = g.edges[(parent, child)]
-        width = 1.0 + 3.0 * count / max_count
-        lines.append(
-            f"  {_quote(parent)} -> {_quote(child)} "
-            f'[label="{count}", penwidth={width:.2f}];'
-        )
+    lines.extend(f"  {_quote(node)};" for node in sorted(nodes))
+    for (parent, child), weight in sorted(edges.items()):
+        width = 1.0 + 3.0 * abs(weight) / max_mag
+        lines.append(f"  {_quote(parent)} -> {_quote(child)} "
+                     f"[{attributes(weight)}, penwidth={width:.2f}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def emit_dot(g: StackGraph) -> str:
+    return _dot(g.nodes, g.edges, lambda count: f'label="{count}"')
 
 
 def emit_dot_diff(d: GraphDiff) -> str:
-    if not d.edges:
-        return "digraph G { }\n"
-    max_mag = max(abs(v) for v in d.edges.values())
-    nodes = sorted({k for edge in d.edges for k in edge})
-    lines = ["digraph G {", "  node [shape=box];"]
-    for node in nodes:
-        lines.append(f"  {_quote(node)};")
-    for (parent, child) in sorted(d.edges):
-        delta = d.edges[(parent, child)]
-        color = "green" if delta > 0 else "red"
-        label = f"+{delta}" if delta > 0 else str(delta)
-        width = 1.0 + 3.0 * abs(delta) / max_mag
-        lines.append(
-            f"  {_quote(parent)} -> {_quote(child)} "
-            f'[label="{label}", color="{color}", penwidth={width:.2f}];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot({k for edge in d.edges for k in edge}, d.edges,
+                lambda delta: f'label="+{delta}", color="green"' if delta > 0
+                else f'label="{delta}", color="red"')
 
 
 def graph_to_json(g: StackGraph) -> dict:
@@ -146,10 +134,19 @@ def graph_to_json(g: StackGraph) -> dict:
 def graph_from_json(obj: dict) -> StackGraph:
     if not isinstance(obj, dict) or obj.get("format") != GRAPH_FORMAT:
         raise GraphFormatError("not a stack-graph document")
-    g = StackGraph(key_policy=obj["key_policy"], trace_total=obj["trace_total"])
-    g.nodes = set(obj["nodes"])
-    for e in obj["edges"]:
-        g.edges[(e["parent"], e["child"])] = e["count"]
+    try:
+        g = StackGraph(key_policy=obj["key_policy"], trace_total=obj["trace_total"],
+                       nodes=set(obj["nodes"]),
+                       edges={(e["parent"], e["child"]): e["count"] for e in obj["edges"]})
+    except (KeyError, TypeError) as exc:
+        raise GraphFormatError(f"bad stack-graph document: {exc!r}") from exc
+    if g.key_policy not in KEY_POLICIES:
+        raise GraphFormatError(f"unknown key policy: {g.key_policy!r}")
+    if (type(g.trace_total) is not int
+            or not all(type(c) is int and c > 0 for c in g.edges.values())
+            or not all(isinstance(k, str) for k in g.nodes.union(*g.edges))):
+        raise GraphFormatError("bad stack-graph document: trace_total and edge counts "
+                               "must be integers, counts positive, node keys strings")
     return g
 
 
@@ -186,7 +183,7 @@ def parse_trace_text(text: str) -> list:
     innermost frame first, for interoperability with other collectors."""
     traces = []
     current = []
-    for raw in text.splitlines():
+    for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
         if not line:
             if current:
@@ -195,8 +192,8 @@ def parse_trace_text(text: str) -> list:
             continue
         function, _, location = line.partition("\t")
         file, _, lineno = location.rpartition(":")
-        if not function or not file or not lineno.isdigit():
-            raise GraphFormatError(f"bad trace line: {raw!r}")
+        if not function or not file or not lineno.isdecimal():
+            raise GraphFormatError(f"bad trace line: {raw!r}", line_number)
         current.append(Frame(function, file, int(lineno)))
     if current:
         traces.append(tuple(current))

@@ -177,17 +177,6 @@ def _wrap_result(cls, value):
     return t
 
 
-def _once(capture):
-    cell = []
-
-    def thunk():
-        if not cell:
-            cell.append(capture())
-        return cell[0]
-
-    return thunk
-
-
 def _all_finite_floats(values) -> bool:
     for v in values:
         if type(v) is not float or not math.isfinite(v):
@@ -213,9 +202,7 @@ def apply(name: str, operands, session=None):
         raise ValueError(f"unsupported operation: {name}/{len(operands)}") from None
     sess = session if session is not None else current_session()
     values = [o._value if isinstance(o, TrackedFloat) else o for o in operands]
-    thunk = _once(sess.traces.capture)
-
-    injected_value = None if is_comparison else sess.injector.decide(op, thunk)
+    injected_value = None if is_comparison else sess.injector.decide(op, sess.traces.capture)
     injected = injected_value is not None
     # Plain float values are float64-wide, so only a TrackedFloat64 result
     # gets here. An exception or a non-finite result redoes the op in numpy
@@ -247,7 +234,7 @@ def apply(name: str, operands, session=None):
         kind = classify(value_class, xs, result)
         if kind is not None:
             sess.ledger.record(kind, value_class, op, xs, result,
-                               injected=injected, trace=thunk)
+                               injected=injected, trace=sess.traces.capture)
     return bool(result) if is_comparison else _wrap_result(cls, result)
 
 

@@ -76,6 +76,18 @@ class TestRun:
         first = parse_log(tmp_path / "gen.jsonl")[0]
         assert first.injected and first.result == float("-inf")
 
+    def test_negative_max_logs_is_usage_error(self, tmp_path, capsys):
+        code, _, stderr = run_cli(capsys, "run", "sim", "--blowup", "--out", str(tmp_path),
+                                  "--max-logs", "-1")
+        assert code == 1
+        assert "max_logs" in stderr
+        assert not (tmp_path / "gen.jsonl").exists()
+
+    def test_zero_cells_is_usage_error(self, tmp_path, capsys):
+        code, _, stderr = run_cli(capsys, "run", "sim", "--cells", "0", "--out", str(tmp_path))
+        assert code == 1
+        assert "cells" in stderr
+
     def test_bad_fuzz_token(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "run", "sim", "--out", str(tmp_path),
                                   "--fuzz", "odds")
@@ -227,3 +239,69 @@ class TestRender:
         first_block = stdout.split("\n\n")[0].splitlines()
         assert first_block[0] == "<=([NaN, 5.0])"
         assert first_block[1] == "max1  demo/find_max.py:12"
+
+
+LOG_LINE = ('{"seq": 1, "kind": "gen", "class": "nan", "op": "-", "arity": 2, '
+            '"operands": [], "result": true, "injected": false, "trace": []}')
+GRAPH = {"format": "stackgraph-v1", "key_policy": "fine", "trace_total": 1,
+         "nodes": ["a x.py:1", "b y.py:2"],
+         "edges": [{"parent": "a x.py:1", "child": "b y.py:2", "count": 1}]}
+
+
+def _graph(**changes):
+    """GRAPH as a saved document, with fields changed; None removes a field."""
+    doc = {**GRAPH, **changes}
+    return json.dumps({k: v for k, v in doc.items() if v is not None}, indent=2) + "\n"
+
+
+# kind: (file content, the commands to feed it to, the bad line or None).
+# FILE stands for the malformed file, OUT for an output directory.
+MALFORMED = {
+    "log line": (LOG_LINE + "\n" + LOG_LINE.replace('"seq": 1', '"seq": "x"') + "\n",
+                 [["cstg", "FILE"], ["render", "FILE"], ["diff", "FILE", "FILE"]], 2),
+    "recording line": ('{"seed": 3}\n{"op_counter": 3.7, "op": "+", "value_hex": '
+                       '"0x7ff8000000000000", "trace_fp": "0000000000000000"}\n',
+                       [["replay", "FILE", "sim", "--out", "OUT"]], 2),
+    "graph missing key_policy": (_graph(key_policy=None),
+                                 [["diff", "FILE", "FILE"], ["cstg", "FILE"]], None),
+    "graph edge missing count": (_graph(edges=[{"parent": "a x.py:1", "child": "b y.py:2"}]),
+                                 [["diff", "FILE", "FILE"], ["cstg", "FILE"]], None),
+    "graph unknown key policy": (_graph(key_policy="bogus"),
+                                 [["diff", "FILE", "FILE"], ["cstg", "FILE"]], None),
+    "trace line": ("inner\ta.py:1\nouter\tb.py:2\n\ninner\ta.py:one\n",
+                   [["cstg", "FILE"], ["diff", "FILE", "FILE"]], 4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_malformed_file_is_format_error(kind, tmp_path, capsys):
+    """Every malformed input file exits 2 with a one-line message, never a
+    traceback; a line-based format names the bad line."""
+    content, commands, line = MALFORMED[kind]
+    bad = tmp_path / "bad"
+    bad.write_text(content, encoding="utf-8")
+    for command in commands:
+        argv = [{"FILE": str(bad), "OUT": str(tmp_path / "out")}.get(a, a) for a in command]
+        code, _, stderr = run_cli(capsys, *argv)
+        assert code == 2, (command, stderr)
+        assert "Traceback" not in stderr
+        assert stderr.startswith("fpx: ") and stderr.count("\n") == 1
+        if line is not None:
+            assert f"line {line}" in stderr, (command, stderr)
+
+
+def test_undecodable_file_is_format_error(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(LOG_LINE.encode() + b"\n\xff\xfe\n")
+    for command in (["cstg", str(bad)], ["render", str(bad)], ["diff", str(bad), str(bad)]):
+        code, _, stderr = run_cli(capsys, *command)
+        assert code == 2, (command, stderr)
+        assert "utf-8" in stderr
+
+
+def test_broken_graph_document_is_reported_as_one(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(_graph(key_policy="bogus"), encoding="utf-8")
+    code, _, stderr = run_cli(capsys, "diff", str(bad), str(bad))
+    assert code == 2
+    assert "unknown key policy: 'bogus'" in stderr

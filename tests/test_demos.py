@@ -115,6 +115,15 @@ class TestDemoSim:
         assert [fpbits.to_bits(x) for x in a.field] == \
                [fpbits.to_bits(x) for x in b.field]
 
+    @pytest.mark.parametrize("cells", [0, -3])
+    def test_no_cells_is_a_value_error(self, cells):
+        with pytest.raises(ValueError, match="cells"):
+            demo_sim(steps=2, cells=cells)
+
+    def test_one_and_two_cells_run(self):
+        assert len(demo_sim(steps=2, cells=1).field) == 1
+        assert len(demo_sim(steps=2, cells=2).field) == 2
+
     def test_disabled_logging_does_not_perturb(self):
         logged = demo_sim(steps=12, blowup=True)
         silent = demo_sim(steps=12, blowup=True,

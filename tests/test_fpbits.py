@@ -37,6 +37,31 @@ def test_hex_roundtrip(bits):
     assert fpbits.to_bits(fpbits.from_hex_bits(s)) == bits
 
 
+def test_bits_roundtrip_16_exhaustive():
+    """Every float16 bit pattern, signalling NaNs and payload NaNs included,
+    survives from_bits -> to_bits and the hex encoding unchanged."""
+    for bits in range(1 << 16):
+        value = fpbits.from_bits(bits, 16)
+        assert fpbits.to_bits(value) == bits
+        assert fpbits.to_bits(fpbits.from_hex_bits(fpbits.hex_bits(value))) == bits
+
+
+@pytest.mark.parametrize("bits", [
+    0x7F800001,   # smallest signalling NaN
+    0x7FBFFFFF,   # largest positive signalling NaN
+    0xFF800123,   # negative signalling NaN with a payload
+    0x7FC00001,   # quiet NaN, payload 1
+    0x7FC12345,   # quiet NaN with a payload
+    0xFFFFFFFF,   # negative quiet NaN, all payload bits set
+])
+def test_float32_nan_bits_survive(bits):
+    value = fpbits.from_bits(bits, 32)
+    assert isinstance(value, np.float32) and math.isnan(value)
+    assert fpbits.to_bits(value) == bits
+    assert fpbits.hex_bits(value) == f"0x{bits:08x}"
+    assert fpbits.to_bits(fpbits.from_hex_bits(fpbits.hex_bits(value))) == bits
+
+
 def test_hex_width_inference():
     assert fpbits.width_of(fpbits.from_hex_bits("0x7fc00000")) == 32
     assert fpbits.width_of(fpbits.from_hex_bits("0x7e00")) == 16
@@ -45,6 +70,12 @@ def test_hex_width_inference():
         fpbits.from_hex_bits("0x123")
     with pytest.raises(ValueError):
         fpbits.from_hex_bits("7fc00000")
+
+
+@pytest.mark.parametrize("encoded", [0x7FC00000, None, ["0x7e00"]])
+def test_from_hex_bits_rejects_non_strings(encoded):
+    with pytest.raises(ValueError, match="bad hex bit pattern"):
+        fpbits.from_hex_bits(encoded)
 
 
 def test_payload_helpers():

@@ -1,5 +1,6 @@
 """Injection decisions, recordings, and deterministic replay."""
 
+import json
 import math
 import random
 
@@ -109,6 +110,60 @@ class TestShouldInject:
             decisions_scoped.append(_fires(scoped, TRACE))
         assert decisions_plain == decisions_scoped
         assert any(decisions_plain) and not all(decisions_plain)
+
+
+def _counting(trace=TRACE):
+    """A capture callable that records each call in the returned list."""
+    calls = []
+
+    def capture():
+        calls.append(1)
+        return trace
+
+    return capture, calls
+
+
+class TestCaptureCalls:
+    """decide calls its capture callable at most once per decision, and only
+    when a scope filter, an injection or a recorded point needs the trace."""
+
+    def test_scoped_injection_captures_once(self):
+        inj = Injector.fuzz(InjectionConfig(odds=1, n_inject=1, functions=("momentum",)))
+        capture, calls = _counting()
+        assert math.isnan(inj.decide(OP, capture))
+        assert calls == [1]
+        assert inj.recording.points[0].trace_fp == trace_fingerprint(TRACE)
+
+    def test_scoped_miss_captures_once(self):
+        inj = Injector.fuzz(InjectionConfig(odds=2**40, n_inject=1, libraries=("SW/",)))
+        capture, calls = _counting()
+        for _ in range(20):
+            assert inj.decide(OP, capture) is None
+        assert len(calls) == 20
+
+    def test_unscoped_captures_only_to_inject(self):
+        inj = Injector.fuzz(InjectionConfig(odds=3, n_inject=100, seed=5))
+        capture, calls = _counting()
+        fired = sum(inj.decide(OP, capture) is not None for _ in range(60))
+        assert 0 < fired < 60
+        assert len(calls) == fired == len(inj.recording.points)
+
+    def test_off_and_exhausted_never_capture(self):
+        capture, calls = _counting()
+        Injector.off().decide(OP, capture)
+        spent = Injector.fuzz(InjectionConfig(odds=1, n_inject=0, functions=("momentum",)))
+        spent.decide(OP, capture)
+        assert calls == []
+
+    def test_replay_captures_only_at_recorded_points(self):
+        rec = InjectionRecording(seed=0, points=[
+            RecordedInjection(4, "+", NAN, trace_fingerprint(TRACE)),
+            RecordedInjection(17, "+", NAN, trace_fingerprint(TRACE))])
+        inj = Injector.replay(rec)
+        capture, calls = _counting()
+        for _ in range(30):
+            inj.decide(OP, capture)
+        assert len(calls) == 2 and inj.divergences == []
 
 
 class TestInjectAndRecord:
@@ -229,6 +284,36 @@ class TestRecordingFiles:
         path.write_text("", encoding="utf-8")
         with pytest.raises(RecordingFormatError):
             load_recording(path)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("op_counter", 3.7), ("op_counter", "5"), ("op_counter", True),
+        ("op_counter", None), ("op", 5), ("op", ["+"]),
+        ("trace_fp", 12), ("trace_fp", None), ("value_hex", 5),
+        ("value_hex", fpbits.hex_bits(1.0)), ("value_hex", fpbits.hex_bits(-0.0)),
+    ])
+    def test_ill_typed_point_names_its_line(self, tmp_path, field, bad):
+        """No coercion: 3.7 is not op 3 and "5" is not op 5; and only NaN or
+        Inf is injected, as InjectionConfig requires when fuzzing."""
+        point = {"op_counter": 0, "op": "+", "value_hex": fpbits.hex_bits(NAN),
+                 "trace_fp": "0" * 16}
+        path = tmp_path / "rec.jsonl"
+        good = json.dumps(point)
+        point.update({"op_counter": 9, field: bad})
+        path.write_text('{"seed": 1}\n' + good + "\n\n" + json.dumps(point) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(RecordingFormatError) as err:
+            load_recording(path)
+        assert err.value.line_number == 4
+        assert "line 4" in str(err.value)
+
+    @pytest.mark.parametrize("header", ['{"seed": "1"}', '{"seed": 1.5}', '{"seed": true}',
+                                        '{"sed": 1}', "[1]", "\n" + '{"seed": 1}'])
+    def test_bad_seed_header_is_line_one(self, tmp_path, header):
+        path = tmp_path / "rec.jsonl"
+        path.write_text(header + "\n", encoding="utf-8")
+        with pytest.raises(RecordingFormatError) as err:
+            load_recording(path)
+        assert err.value.line_number == 1
 
     def test_nan_value_survives_by_bits(self, tmp_path):
         payload_nan = fpbits.nan_with_payload(0x77)

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from fpx import fpbits
 from fpx.classify import EventKind, OpIdentity, ValueClass
-from fpx.ledger import (ExceptionEvent, Ledger, LedgerConfig, LogFormatError,
-                        event_from_json, event_to_json, parse_log,
-                        render_human)
+from fpx.injector import RecordingFormatError
+from fpx.ledger import (ExceptionEvent, FormatError, Ledger, LedgerConfig,
+                        LogFormatError, event_from_json, event_to_json,
+                        parse_log, read_json_lines, render_human)
+from fpx.stackgraph import GraphFormatError
 from fpx.traces import Frame
 
 NAN = float("nan")
@@ -222,6 +224,62 @@ def test_parse_log_names_bad_line(tmp_path):
         parse_log(path)
     assert err.value.line_number == 3
     assert "line 3" in str(err.value)
+
+
+GOOD_LINE = ('{"seq": 1, "kind": "gen", "class": "nan", "op": "-", "arity": 2, '
+             '"operands": [], "result": true, "injected": false, "trace": []}')
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("seq", '"x"'), ("seq", "1.0"), ("seq", "true"),
+    ("arity", '"2"'), ("arity", "false"),
+    ("injected", "5"), ("injected", '"yes"'),
+    ("op", "5"),
+    ("result", '{"dec": "1.0", "hex": 5}'),
+])
+def test_parse_log_rejects_ill_typed_field(tmp_path, field, bad):
+    """A field of the wrong JSON type is a numbered LogFormatError, not an
+    event that carries a string seq or a non-bool injected flag."""
+    obj = json.loads(GOOD_LINE)
+    obj[field] = json.loads(bad)
+    path = tmp_path / "gen.jsonl"
+    path.write_text(GOOD_LINE + "\n" + json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(LogFormatError) as err:
+        parse_log(path)
+    assert err.value.line_number == 2
+    assert "line 2" in str(err.value)
+
+
+class TestReadJsonLines:
+    def test_skips_blank_lines_and_numbers_from_one(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_text('\n{"a": 1}\n  \n{"b": [2]}\n', encoding="utf-8")
+        assert list(read_json_lines(path)) == [(2, {"a": 1}), (4, {"b": [2]})]
+
+    @pytest.mark.parametrize("line, message", [
+        ("{oops", "not valid JSON"), ("[1, 2]", "JSON object"), ("7", "JSON object"),
+    ])
+    def test_bad_line_raises_the_given_error(self, tmp_path, line, message):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": 1}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(RecordingFormatError, match=message) as err:
+            list(read_json_lines(path, RecordingFormatError))
+        assert err.value.line_number == 2
+        assert str(err.value).startswith("line 2: ")
+
+
+def test_every_format_error_shares_one_base():
+    for cls in (LogFormatError, RecordingFormatError, GraphFormatError):
+        assert issubclass(cls, FormatError) and issubclass(cls, ValueError)
+    assert str(FormatError("whole file")) == "whole file"
+    assert FormatError("whole file").line_number is None
+    assert str(LogFormatError("bad", 4)) == "line 4: bad"
+
+
+def test_negative_max_logs_rejected():
+    with pytest.raises(ValueError, match="max_logs"):
+        LedgerConfig(max_logs=-1)
+    assert LedgerConfig(max_logs=0).max_logs == 0
 
 
 def test_parse_log_ignores_unknown_fields(tmp_path):

@@ -155,6 +155,57 @@ class TestDot:
         assert '"we\\"ird a\\\\b.py:1";' in dot
 
 
+# A fixed graph for the full-byte goldens: counts 3 and 1, a single-frame
+# trace (a node with no edge), and a name that needs DOT escaping.
+QUOTED = (Frame('say "hi"', "a\\b.py", 7), Frame("main", "m.py", 1))
+DEEP = (Frame("leaf", "l.py", 2), Frame("mid", "m.py", 5), Frame("main", "m.py", 1))
+SOLO = (Frame("solo", "s.py", 9),)
+OTHER = (Frame("other", "o.py", 3), Frame("mid", "m.py", 5), Frame("main", "m.py", 1))
+
+DOT_GOLDEN = (
+    'digraph G {\n'
+    '  node [shape=box];\n'
+    '  "leaf l.py:2";\n'
+    '  "main m.py:1";\n'
+    '  "mid m.py:5";\n'
+    '  "say \\"hi\\" a\\\\b.py:7";\n'
+    '  "solo s.py:9";\n'
+    '  "main m.py:1" -> "mid m.py:5" [label="1", penwidth=2.00];\n'
+    '  "main m.py:1" -> "say \\"hi\\" a\\\\b.py:7" [label="3", penwidth=4.00];\n'
+    '  "mid m.py:5" -> "leaf l.py:2" [label="1", penwidth=2.00];\n'
+    '}\n'
+)
+
+DIFF_DOT_GOLDEN = (
+    'digraph G {\n'
+    '  node [shape=box];\n'
+    '  "leaf l.py:2";\n'
+    '  "main m.py:1";\n'
+    '  "mid m.py:5";\n'
+    '  "other o.py:3";\n'
+    '  "say \\"hi\\" a\\\\b.py:7";\n'
+    '  "main m.py:1" -> "mid m.py:5" [label="+2", color="green", penwidth=4.00];\n'
+    '  "main m.py:1" -> "say \\"hi\\" a\\\\b.py:7" [label="-2", color="red", penwidth=4.00];\n'
+    '  "mid m.py:5" -> "leaf l.py:2" [label="-1", color="red", penwidth=2.50];\n'
+    '  "mid m.py:5" -> "other o.py:3" [label="+1", color="green", penwidth=2.50];\n'
+    '}\n'
+)
+
+
+class TestDotGoldens:
+    """Every byte of both emitters on fixed inputs."""
+
+    def test_emit_dot_golden(self):
+        assert emit_dot(build([QUOTED, QUOTED, DEEP, SOLO, QUOTED])) == DOT_GOLDEN
+
+    def test_emit_dot_diff_golden(self):
+        before = build([QUOTED, QUOTED, DEEP, SOLO, QUOTED])
+        after = build([QUOTED, DEEP[1:], DEEP[1:], OTHER])
+        d = diff(before, after)
+        assert sorted(d.edges.values()) == [-2, -1, 1, 2]
+        assert emit_dot_diff(d) == DIFF_DOT_GOLDEN
+
+
 class TestSlice:
     def test_ceiling_split_examples(self):
         traces = [_trace("A")] * 10
@@ -211,3 +262,65 @@ class TestPortableFormats:
     def test_text_trace_bad_line(self):
         with pytest.raises(GraphFormatError):
             parse_trace_text("no_tab_here\n")
+
+    def test_text_trace_bad_line_is_numbered(self):
+        with pytest.raises(GraphFormatError) as err:
+            parse_trace_text("inner\ta.py:1\n\nouter\tb.py:x\n")
+        assert err.value.line_number == 3
+        assert str(err.value).startswith("line 3: ")
+
+    @pytest.mark.parametrize("line", ["f\ta.py:\u00b2", "f\ta.py:", "f\t:3", "\ta.py:3"])
+    def test_text_trace_bad_location_is_a_format_error(self, line):
+        with pytest.raises(GraphFormatError) as err:
+            parse_trace_text(line + "\n")
+        assert err.value.line_number == 1
+
+
+def _document(**changes):
+    doc = graph_to_json(build([QUOTED, QUOTED, DEEP]))
+    doc.update(changes)
+    return doc
+
+
+class TestGraphDocumentValidation:
+    """A malformed stackgraph-v1 document is a GraphFormatError, never a
+    KeyError, a TypeError or a silently accepted graph."""
+
+    def test_well_formed_document_loads(self):
+        g = graph_from_json(_document())
+        assert g.key_policy == "fine" and g.trace_total == 3 and len(g.edges) == 3
+
+    @pytest.mark.parametrize("field", ["key_policy", "trace_total", "nodes", "edges"])
+    def test_missing_field(self, field):
+        doc = _document()
+        del doc[field]
+        with pytest.raises(GraphFormatError, match=field):
+            graph_from_json(doc)
+
+    @pytest.mark.parametrize("field", ["parent", "child", "count"])
+    def test_edge_missing_field(self, field):
+        doc = _document()
+        del doc["edges"][0][field]
+        with pytest.raises(GraphFormatError, match=field):
+            graph_from_json(doc)
+
+    def test_unknown_key_policy(self):
+        with pytest.raises(GraphFormatError, match="unknown key policy"):
+            graph_from_json(_document(key_policy="bogus"))
+
+    @pytest.mark.parametrize("changes", [
+        {"trace_total": "3"},
+        {"trace_total": 3.0},
+        {"nodes": [["a"]]},
+        {"nodes": 5},
+        {"nodes": [1, 2]},
+        {"edges": [{"parent": "a", "child": "b", "count": "2"}]},
+        {"edges": [{"parent": "a", "child": "b", "count": True}]},
+        {"edges": [{"parent": "a", "child": "b", "count": 0}]},
+        {"edges": [{"parent": 1, "child": "b", "count": 2}]},
+        {"edges": [["a", "b", 2]]},
+        {"edges": 7},
+    ])
+    def test_ill_typed_fields(self, changes):
+        with pytest.raises(GraphFormatError):
+            graph_from_json(_document(**changes))
