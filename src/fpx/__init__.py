@@ -16,15 +16,14 @@ from .injector import (InjectionConfig, InjectionRecording, Injector,
 from .ledger import (ExceptionEvent, Ledger, LedgerConfig, LogFormatError,
                      parse_log, render_human)
 from .session import (TrackerSession, current_session, explicit_session,
-                      set_session, use_session)
+                      use_session)
 from .stackgraph import GraphDiff, StackGraph
 from .traces import (EMPTY_TRACE, ExplicitContextProvider, Frame,
-                     NativeTraceProvider, ScopeError, StackTrace,
-                     trace_fingerprint)
+                     NativeTraceProvider, StackTrace, trace_fingerprint)
 from .tracked import (TrackedFloat, TrackedFloat16, TrackedFloat32,
                       TrackedFloat64, apply, atan2, ceil, cos, exp, floor,
                       hypot, log, maximum, minimum, rem, sin, sqrt,
-                      supported_operations, tan, unwrap, wrap)
+                      supported_operations, tan, unwrap)
 
 __version__ = "0.1.0"
 
@@ -32,18 +31,17 @@ __all__ = [
     "EventKind", "OpIdentity", "ValueClass", "classify", "is_exceptional",
     "propagate_payload",
     "TrackedFloat", "TrackedFloat16", "TrackedFloat32", "TrackedFloat64",
-    "apply", "wrap", "unwrap", "supported_operations",
+    "apply", "unwrap", "supported_operations",
     "sqrt", "exp", "log", "sin", "cos", "tan", "floor", "ceil",
     "atan2", "hypot", "rem", "minimum", "maximum",
     "Frame", "StackTrace", "EMPTY_TRACE", "ExplicitContextProvider",
-    "NativeTraceProvider", "ScopeError", "trace_fingerprint",
+    "NativeTraceProvider", "trace_fingerprint",
     "ExceptionEvent", "Ledger", "LedgerConfig", "LogFormatError",
     "parse_log", "render_human",
     "InjectionConfig", "InjectionRecording", "Injector", "InjectorMode",
     "RecordedInjection", "RecordingFormatError", "ReplayDivergenceWarning",
     "load_recording", "save_recording",
-    "TrackerSession", "current_session", "explicit_session", "set_session",
-    "use_session",
+    "TrackerSession", "current_session", "explicit_session", "use_session",
     "StackGraph", "GraphDiff",
     "demo_max", "demo_loop_kill", "demo_sim",
 ]

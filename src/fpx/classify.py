@@ -63,14 +63,13 @@ def classify(value_class: ValueClass, inputs, output) -> EventKind | None:
     return EventKind.KILL if exn_in else None
 
 
-def propagate_payload(op: OpIdentity, operands, raw_result):
+def propagate_payload(operands, raw_result):
     """Give a NaN result the payload bits of the leftmost NaN operand.
 
     The sign and quiet bit of the computed result are kept, so pure bit
     operations like negation stay bit-transparent; only the provenance
     payload is pinned to the originating NaN.
     """
-    del op  # identity does not affect the rule
     if not math.isnan(float(raw_result)):
         return raw_result
     for x in operands:

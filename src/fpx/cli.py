@@ -17,12 +17,14 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import fpbits, stackgraph
 from .classify import EventKind, ValueClass
 from .demos import demo_loop_kill, demo_max, demo_sim
-from .injector import InjectionConfig, Injector, load_recording, save_recording
+from .injector import (InjectionConfig, Injector, ReplayDivergenceWarning,
+                       load_recording, save_recording)
 from .ledger import FormatError, LedgerConfig, parse_log, render_human
 from .session import explicit_session
 
@@ -36,27 +38,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _split_list(raw) -> tuple:
+    return tuple(raw.split(","))
+
+
+# --fuzz token key -> (InjectionConfig field, converter of the raw value)
+_FUZZ_KEYS = {
+    "odds": ("odds", int),
+    "n": ("n_inject", int),
+    "seed": ("seed", int),
+    "value": ("value", float),
+    "functions": ("functions", _split_list),
+    "libraries": ("libraries", _split_list),
+}
+
+
 def _parse_fuzz(tokens) -> InjectionConfig:
-    fields = {"odds": 10, "n_inject": 1, "seed": 0, "value": float("nan"),
-              "functions": (), "libraries": ()}
+    fields = {}
     for token in tokens:
         key, sep, raw = token.partition("=")
         if not sep:
             raise UsageError(f"--fuzz expects key=value tokens, got {token!r}")
-        if key == "odds":
-            fields["odds"] = int(raw)
-        elif key == "n":
-            fields["n_inject"] = int(raw)
-        elif key == "seed":
-            fields["seed"] = int(raw)
-        elif key == "value":
-            fields["value"] = float(raw)
-        elif key == "functions":
-            fields["functions"] = tuple(raw.split(","))
-        elif key == "libraries":
-            fields["libraries"] = tuple(raw.split(","))
-        else:
+        if key not in _FUZZ_KEYS:
             raise UsageError(f"unknown --fuzz key {key!r}")
+        field, convert = _FUZZ_KEYS[key]
+        fields[field] = convert(raw)
     try:
         return InjectionConfig(**fields)
     except ValueError as exc:
@@ -121,7 +127,10 @@ def cmd_run(args) -> int:
 def cmd_replay(args) -> int:
     recording = load_recording(args.recording)
     session = explicit_session(_ledger_config(args), Injector.replay(recording))
-    _run_and_flush(args, session)
+    with warnings.catch_warnings():
+        # each divergence is reported once, by the warning line below
+        warnings.simplefilter("ignore", ReplayDivergenceWarning)
+        _run_and_flush(args, session)
     for message in session.injector.divergences:
         print(f"warning: {message}", file=sys.stderr)
     pending = session.injector.unconsumed_points()
@@ -133,9 +142,20 @@ def cmd_replay(args) -> int:
     return 0
 
 
-def _load_traces(path, value_class=None) -> list:
-    """Ledger jsonl or plain-text trace blocks, detected from content."""
-    text = Path(path).read_text(encoding="utf-8")
+def _graph_document(text):
+    """The JSON object in text if it is a stack-graph document, else None.
+    The one content sniff that tells graph documents from logs and traces."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    is_graph = isinstance(obj, dict) and obj.get("format") == stackgraph.GRAPH_FORMAT
+    return obj if is_graph else None
+
+
+def _load_traces(path, text, value_class=None) -> list:
+    """Ledger jsonl or plain-text trace blocks (text is path's content),
+    detected from content."""
     head = text.lstrip()
     if not head:
         return []
@@ -155,13 +175,11 @@ def _filter_class(events, value_class):
 def _load_graph_any(path, key_policy):
     """A saved graph document, or a log/trace file coalesced on the fly. Only
     a file that is not a graph document is coalesced: a broken one is an error."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
-        obj = None
-    if isinstance(obj, dict) and obj.get("format") == stackgraph.GRAPH_FORMAT:
-        return stackgraph.graph_from_json(obj)
-    return stackgraph.build(_load_traces(path), key_policy)
+    text = Path(path).read_text(encoding="utf-8")
+    document = _graph_document(text)
+    if document is not None:
+        return stackgraph.graph_from_json(document)
+    return stackgraph.build(_load_traces(path, text), key_policy)
 
 
 def _emit(text, dest) -> None:
@@ -181,7 +199,11 @@ def _emit_diff(d, args) -> None:
 
 def cmd_cstg(args) -> int:
     key_policy = "coarse" if args.coarse else "fine"
-    traces = _load_traces(args.log, args.value_class)
+    text = Path(args.log).read_text(encoding="utf-8")
+    if _graph_document(text) is not None:
+        raise FormatError(f"{args.log} is a stack-graph document, not a log or trace "
+                          "file; fpx diff reads graph documents")
+    traces = _load_traces(args.log, text, args.value_class)
     if args.split is not None:
         head, tail = stackgraph.slice_traces(traces, args.split)
         _emit_diff(stackgraph.diff(stackgraph.build(head, key_policy),

@@ -232,6 +232,10 @@ def event_from_json(obj: dict, line_number: int | None = None) -> ExceptionEvent
             or not isinstance(event.op.name, str) or type(event.injected) is not bool):
         raise LogFormatError(
             "seq and arity must be integers, op a string, injected a boolean", line_number)
+    if not all(type(f.function) is str and type(f.file) is str and type(f.line) is int
+               for f in event.trace):
+        raise LogFormatError(
+            "a trace frame needs a string fn and file and an integer line", line_number)
     return event
 
 

@@ -1,12 +1,13 @@
 """The ambient tracking session: ledger + injector + trace provider.
 
 Operator overloads on tracked scalars need a place to send events, so one
-session is always current. The current session is context-local: a session
-installed in one thread (or asyncio task) is not seen by another, and every
-new thread starts on the default session. The default session logs
-everything, never injects, and captures native stack traces. Sessions are
-shareable across threads when passed explicitly; the ledger and injector
-synchronize internally.
+session is always current. The current session is context-local: it lives in
+a ContextVar that only a `use_session` block sets and resets, as explicit
+scopes do. A session installed in one thread (or asyncio task) is not seen by
+another, and every new thread starts on the default session. The default
+session logs everything, never injects, and captures native stack traces.
+Sessions are shareable across threads when passed explicitly; the ledger and
+injector synchronize internally.
 """
 
 from __future__ import annotations
@@ -42,13 +43,6 @@ _current = contextvars.ContextVar("fpx_session", default=TrackerSession())
 
 def current_session() -> TrackerSession:
     return _current.get()
-
-
-def set_session(session: TrackerSession) -> TrackerSession:
-    """Install a session in the current context; returns the one it replaced."""
-    previous = _current.get()
-    _current.set(session)
-    return previous
 
 
 @contextmanager

@@ -2,9 +2,14 @@
 native interpreter-stack provider.
 
 Traces are tuples of Frames, innermost frame first. The explicit provider is a
-pure function of its per-thread scope stack, which makes logs byte-stable
-across platforms; the native provider is best-effort and filters out frames
-that belong to this package.
+pure function of its scope stack, which makes logs byte-stable across
+platforms; the native provider is best-effort and filters out frames that
+belong to this package.
+
+Explicit scopes are context-local, like the current session: a provider keeps
+its trace in a ContextVar that only a `with scope(...)` block sets and resets.
+A new thread starts with no scopes, and an asyncio task starts from its
+creator's, so concurrent tasks never see each other's frames.
 
 The native provider memoizes per call site. A code object and an instruction
 offset fix a frame's function, file and line, so each provider keeps a table
@@ -17,10 +22,10 @@ exec or compile cannot grow it without bound.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import os
 import sys
-import threading
 from contextlib import contextmanager
 from typing import NamedTuple
 
@@ -37,41 +42,22 @@ EMPTY_TRACE: StackTrace = ()
 SENTINEL_FRAME = Frame("<unknown>", "<unknown>", 1)
 
 
-class ScopeError(RuntimeError):
-    """Raised on pop_scope with no pushed scope."""
-
-
 class ExplicitContextProvider:
-    """Scope stack maintained by instrumented code; one stack per thread."""
+    """Scope stack maintained by instrumented code; one stack per context."""
 
     def __init__(self):
-        self._local = threading.local()
-
-    def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def push_scope(self, function: str, file: str = "<scope>", line: int = 1) -> None:
-        self._stack().append(Frame(function, file, line))
-
-    def pop_scope(self) -> None:
-        stack = self._stack()
-        if not stack:
-            raise ScopeError("pop_scope on an empty scope stack")
-        stack.pop()
+        self._trace = contextvars.ContextVar("fpx_scopes", default=EMPTY_TRACE)
 
     @contextmanager
     def scope(self, function: str, file: str = "<scope>", line: int = 1):
-        self.push_scope(function, file, line)
+        token = self._trace.set((Frame(function, file, line),) + self._trace.get())
         try:
             yield
         finally:
-            self.pop_scope()
+            self._trace.reset(token)
 
     def capture(self) -> StackTrace:
-        return tuple(reversed(self._stack()))
+        return self._trace.get()
 
 
 SITE_TABLE_LIMIT = 4096

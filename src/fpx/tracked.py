@@ -148,13 +148,7 @@ class TrackedFloat16(TrackedFloat):
     _store = staticmethod(np.float16)
 
 
-_CLASS_BY_WIDTH = {64: TrackedFloat64, 32: TrackedFloat32, 16: TrackedFloat16}
-
 _OPERANDS = (TrackedFloat, int, float, np.floating, np.integer)
-
-
-def wrap(x, width: int = 64) -> TrackedFloat:
-    return _CLASS_BY_WIDTH[width](x)
 
 
 def unwrap(t):
@@ -228,7 +222,7 @@ def apply(name: str, operands, session=None):
         if all(map(math.isfinite, xs)) and (is_comparison or math.isfinite(result)):
             return bool(result) if is_comparison else _wrap_result(cls, result)
         if not is_comparison:
-            result = propagate_payload(op, xs, result)
+            result = propagate_payload(xs, result)
 
     for value_class in (ValueClass.NAN, ValueClass.INF):
         kind = classify(value_class, xs, result)

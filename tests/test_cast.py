@@ -10,7 +10,7 @@ import fpx
 from fpx.classify import EventKind, OpIdentity, ValueClass
 from fpx.ledger import parse_log
 from fpx.session import explicit_session, use_session
-from fpx.tracked import TrackedFloat16, TrackedFloat32, TrackedFloat64, wrap
+from fpx.tracked import TrackedFloat16, TrackedFloat32, TrackedFloat64
 
 CAST = OpIdentity("cast", 1)
 INF = float("inf")
@@ -19,7 +19,7 @@ OVERFLOWING = {
     "f16-int": lambda: TrackedFloat16(100000),
     "f32-float": lambda: TrackedFloat32(1e300),
     "f32-negative": lambda: TrackedFloat32(np.float64(-1e300)),
-    "f16-wrap": lambda: wrap(70000.0, 16),
+    "f16-float": lambda: TrackedFloat16(70000.0),
     "f16-from-tracked-f32": lambda: TrackedFloat16(TrackedFloat32(1e38)),
 }
 

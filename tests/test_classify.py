@@ -98,25 +98,25 @@ class TestPropagatePayload:
     def test_leftmost_nan_wins(self):
         p = fpbits.nan_with_payload(0x123)
         q = fpbits.nan_with_payload(0x456)
-        out = propagate_payload(OpIdentity("+", 2), [p, q], float("nan"))
+        out = propagate_payload([p, q], float("nan"))
         assert fpbits.nan_payload(out) == 0x123
-        out = propagate_payload(OpIdentity("+", 2), [1.0, q], float("nan"))
+        out = propagate_payload([1.0, q], float("nan"))
         assert fpbits.nan_payload(out) == 0x456
 
     def test_generated_nan_keeps_own_payload(self):
         raw = fpbits.nan_with_payload(0x7)
-        out = propagate_payload(OpIdentity("-", 2), [-INF, -INF], raw)
+        out = propagate_payload([-INF, -INF], raw)
         assert fpbits.to_bits(out) == fpbits.to_bits(raw)
 
     def test_non_nan_result_unchanged(self):
-        assert propagate_payload(OpIdentity("*", 2), [2.0, 3.0], 6.0) == 6.0
-        out = propagate_payload(OpIdentity("*", 2), [NAN, 0.0], INF)
+        assert propagate_payload([2.0, 3.0], 6.0) == 6.0
+        out = propagate_payload([NAN, 0.0], INF)
         assert out == INF
 
     def test_result_sign_and_quiet_bit_kept(self):
         # negation flips the result sign bit; the payload still points home
         p = fpbits.nan_with_payload(0x123)
         raw = fpbits.from_bits(fpbits.to_bits(p) | (1 << 63))
-        out = propagate_payload(OpIdentity("-", 1), [p], raw)
+        out = propagate_payload([p], raw)
         assert fpbits.to_bits(out) == fpbits.to_bits(raw)
         assert fpbits.nan_payload(out) == 0x123

@@ -2,11 +2,17 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fpx.cli import cli_main
+from fpx.cli import _parse_fuzz, cli_main
+from fpx.injector import InjectionConfig
 from fpx.ledger import parse_log
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +99,25 @@ class TestRun:
                                   "--fuzz", "odds")
         assert code == 1
 
+    @pytest.mark.parametrize("token, message", [
+        ("bogus=1", "unknown --fuzz key 'bogus'"),
+        ("odds=x", "invalid literal for int()"),
+        ("odds=1.5", "invalid literal for int()"),
+    ])
+    def test_bad_fuzz_value(self, tmp_path, capsys, token, message):
+        code, _, stderr = run_cli(capsys, "run", "sim", "--out", str(tmp_path),
+                                  "--fuzz", "seed=1", token)
+        assert code == 1
+        assert stderr.startswith("fpx: ") and message in stderr
+
+    def test_fuzz_tokens_set_only_the_given_fields(self):
+        # repr, because the default injection value is a NaN, unequal to itself
+        assert repr(_parse_fuzz(["seed=3"])) == repr(InjectionConfig(seed=3))
+        assert _parse_fuzz(["odds=4", "n=2", "seed=5", "value=-inf",
+                            "functions=f,g", "libraries=lib/"]) == InjectionConfig(
+            odds=4, n_inject=2, functions=("f", "g"), libraries=("lib/",),
+            value=float("-inf"), seed=5)
+
 
 class TestFuzzReplay:
     def test_replay_reproduces_fuzzed_ledger(self, tmp_path, capsys):
@@ -111,6 +136,23 @@ class TestFuzzReplay:
         for name in ("gen.jsonl", "prop.jsonl", "kill.jsonl"):
             original = (out0 / name).read_bytes()
             assert original == (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_replay_divergence_is_reported_once(self, tmp_path, capsys):
+        """The CLI's warning line is the only report of a divergence on stderr."""
+        rec = tmp_path / "rec.jsonl"
+        assert run_cli(capsys, "run", "sim", "--out", str(tmp_path / "orig"),
+                       "--fuzz", "odds=5", "n=1", "seed=42", "--record", str(rec))[0] == 0
+        header, point = rec.read_text(encoding="utf-8").splitlines()
+        rec.write_text(header + "\n" + json.dumps({**json.loads(point), "trace_fp": "0" * 16})
+                       + "\n", encoding="utf-8")
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "fpx.cli", "replay", str(rec), "sim",
+             "--out", str(tmp_path / "rep")],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr.count("replay divergence at op") == 1, out.stderr
+        assert out.stderr.startswith("warning: replay divergence at op")
 
     def test_replay_missing_recording_is_io_error(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "replay", str(tmp_path / "missing.jsonl"),
@@ -181,6 +223,14 @@ class TestGraphCommands:
                                   str(out2 / "gen.jsonl"))
         assert code == 0
         assert "green" in stdout or stdout == "digraph G { }\n"
+
+    def test_cstg_on_graph_document_points_to_diff(self, gen_log, tmp_path, capsys):
+        doc = tmp_path / "g.json"
+        assert run_cli(capsys, "cstg", str(gen_log), "--json", str(doc))[0] == 0
+        code, _, stderr = run_cli(capsys, "cstg", str(doc))
+        assert code == 2
+        assert stderr.startswith("fpx: ") and stderr.count("\n") == 1
+        assert "stack-graph document" in stderr and "fpx diff" in stderr
 
     def test_cstg_missing_file(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "cstg", str(tmp_path / "none.jsonl"))

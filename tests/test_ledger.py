@@ -236,6 +236,11 @@ GOOD_LINE = ('{"seq": 1, "kind": "gen", "class": "nan", "op": "-", "arity": 2, '
     ("injected", "5"), ("injected", '"yes"'),
     ("op", "5"),
     ("result", '{"dec": "1.0", "hex": 5}'),
+    ("trace", '[{"fn": "f", "file": "a.py", "line": "9"}]'),
+    ("trace", '[{"fn": "f", "file": "a.py", "line": true}]'),
+    ("trace", '[{"fn": "f", "file": "a.py", "line": 9.0}]'),
+    ("trace", '[{"fn": 5, "file": "a.py", "line": 9}]'),
+    ("trace", '[{"fn": "f", "file": null, "line": 9}]'),
 ])
 def test_parse_log_rejects_ill_typed_field(tmp_path, field, bad):
     """A field of the wrong JSON type is a numbered LogFormatError, not an

@@ -119,3 +119,12 @@ def test_public_function_names(public):
     assert fn is getattr(fpx.tracked, public)
     assert fn.__name__ == fn.__qualname__ == public
     assert public in fpx.__all__
+
+
+def test_every_exported_name_resolves():
+    """`fpx.__all__` names only what the package defines, so `import *` works."""
+    assert [name for name in fpx.__all__ if not hasattr(fpx, name)] == []
+    namespace = {}
+    exec("from fpx import *", namespace)
+    assert set(fpx.__all__) <= namespace.keys()
+    assert len(set(fpx.__all__)) == len(fpx.__all__)

@@ -3,7 +3,7 @@
 import threading
 
 from fpx.classify import EventKind, ValueClass
-from fpx.session import current_session, explicit_session, set_session, use_session
+from fpx.session import current_session, explicit_session, use_session
 from fpx.tracked import TrackedFloat64
 
 NAN = float("nan")
@@ -67,13 +67,3 @@ def test_new_thread_starts_on_default_session():
     assert seen == [default]
     assert current_session() is default
 
-
-def test_set_session_returns_previous():
-    default = current_session()
-    mine = explicit_session()
-    assert set_session(mine) is default
-    try:
-        assert current_session() is mine
-    finally:
-        assert set_session(default) is mine
-    assert current_session() is default

@@ -1,5 +1,8 @@
 """Stack-trace providers: explicit scopes and native capture."""
 
+import asyncio
+import contextlib
+import contextvars
 import sys
 import threading
 
@@ -7,45 +10,43 @@ import pytest
 
 import fpx
 from fpx import traces
+from fpx.session import explicit_session, use_session
 from fpx.traces import (ExplicitContextProvider, Frame, NativeTraceProvider,
-                        ScopeError, SENTINEL_FRAME, trace_fingerprint)
+                        SENTINEL_FRAME, trace_fingerprint)
+from fpx.tracked import TrackedFloat64
+
+NAN = float("nan")
 
 
 class TestExplicitProvider:
     def test_capture_innermost_first(self):
         p = ExplicitContextProvider()
-        p.push_scope("main", "app.py", 1)
-        p.push_scope("solve!", "solver.py", 40)
-        trace = p.capture()
+        with p.scope("main", "app.py", 1), p.scope("solve!", "solver.py", 40):
+            trace = p.capture()
         assert [f.function for f in trace] == ["solve!", "main"]
 
     def test_nested_ordering_matches_log_layout(self):
         p = ExplicitContextProvider()
-        for name in ("run_model", "time_integration", "rhs!", "momentum_u!"):
-            p.push_scope(name)
-        trace = p.capture()
+        with contextlib.ExitStack() as stack:
+            for name in ("run_model", "time_integration", "rhs!", "momentum_u!"):
+                stack.enter_context(p.scope(name))
+            trace = p.capture()
         assert trace[0].function == "momentum_u!"
         assert trace[-1].function == "run_model"
 
     def test_pop_restores(self):
         p = ExplicitContextProvider()
-        p.push_scope("a")
-        p.pop_scope()
-        p.push_scope("b")
-        assert [f.function for f in p.capture()] == ["b"]
-
-    def test_pop_empty_raises(self):
-        p = ExplicitContextProvider()
-        with pytest.raises(ScopeError):
-            p.pop_scope()
+        with p.scope("a"):
+            pass
+        with p.scope("b"):
+            assert [f.function for f in p.capture()] == ["b"]
 
     def test_capture_is_pure_function_of_stack(self):
         p, q = ExplicitContextProvider(), ExplicitContextProvider()
-        for prov in (p, q):
-            prov.push_scope("f", "x.py", 3)
-            prov.push_scope("g", "y.py", 9)
-        assert p.capture() == q.capture()
-        assert p.capture() == p.capture()
+        with p.scope("f", "x.py", 3), p.scope("g", "y.py", 9):
+            with q.scope("f", "x.py", 3), q.scope("g", "y.py", 9):
+                assert p.capture() == q.capture()
+                assert p.capture() == p.capture()
 
     def test_scope_context_manager(self):
         p = ExplicitContextProvider()
@@ -57,18 +58,53 @@ class TestExplicitProvider:
 
     def test_scopes_are_thread_local(self):
         p = ExplicitContextProvider()
-        p.push_scope("main_thread")
         seen = {}
 
         def worker():
-            p.push_scope("worker_thread")
-            seen["trace"] = p.capture()
+            with p.scope("worker_thread"):
+                seen["trace"] = p.capture()
 
-        t = threading.Thread(target=worker)
-        t.start()
-        t.join()
-        assert [f.function for f in seen["trace"]] == ["worker_thread"]
-        assert [f.function for f in p.capture()] == ["main_thread"]
+        with p.scope("main_thread"):
+            t = threading.Thread(target=worker)
+            t.start()
+            t.join()
+            assert [f.function for f in seen["trace"]] == ["worker_thread"]
+            assert [f.function for f in p.capture()] == ["main_thread"]
+
+    def test_scopes_are_task_local(self):
+        """Two asyncio tasks on one thread share one explicit session and
+        interleave awaits inside their own scopes; each event carries only
+        the scopes of the task that logged it."""
+        session = explicit_session()
+        scope = session.traces.scope
+
+        async def task(name, turns):
+            with use_session(session), scope(name, "tasks.py", 1):
+                for i in range(turns):
+                    with scope(f"{name}_step", "tasks.py", 2):
+                        await asyncio.sleep(0)
+                        TrackedFloat64(NAN) < 1.0
+                    await asyncio.sleep(0)
+
+        async def main():
+            with scope("main", "tasks.py", 9):
+                await asyncio.gather(task("task_a", 3), task("task_b", 2))
+
+        asyncio.run(main())
+        traces = [[f.function for f in e.trace] for e in session.ledger.events()]
+        assert sorted(traces) == ([["task_a_step", "task_a", "main"]] * 3
+                                  + [["task_b_step", "task_b", "main"]] * 2)
+        assert session.traces.capture() == ()
+
+    def test_scope_left_in_another_context_is_an_error(self):
+        """A scope must be left in the context that entered it; leaving it
+        elsewhere raises instead of popping someone else's frame."""
+        p = ExplicitContextProvider()
+        scope = p.scope("entered_elsewhere")
+        contextvars.copy_context().run(scope.__enter__)
+        with pytest.raises(ValueError):
+            scope.__exit__(None, None, None)
+        assert p.capture() == ()
 
 
 class TestNativeProvider:
