@@ -7,11 +7,15 @@ consulted. Fuzz draws come from it in fixed-size blocks, which yield the same
 sequence as one draw at a time. Replay keys on the global intercepted-operation
 counter and checks a stack-trace fingerprint at each injection point so
 divergence from the recorded run is detected rather than silently absorbed.
+Operations are numbered by an itertools.count, whose next() is atomic in
+CPython, so an OFF injector counts exactly without its lock, even when
+threads share it.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 import threading
@@ -92,7 +96,8 @@ class Injector:
                  recording: InjectionRecording | None = None):
         self.mode = mode
         self.config = config or InjectionConfig()
-        self.op_counter = 0
+        self._ops = itertools.count(1)
+        self.count_op = self._ops.__next__     # numbers one operation
         self.injected_so_far = 0
         self.recording = InjectionRecording(seed=self.config.seed)
         self._pending = deque(recording.points) if recording is not None else deque()
@@ -113,23 +118,33 @@ class Injector:
     def replay(cls, recording: InjectionRecording) -> "Injector":
         return cls(InjectorMode.REPLAY, recording=recording)
 
+    @property
+    def op_counter(self) -> int:
+        """Operations numbered so far: one less than the count's next value."""
+        return int(repr(self._ops)[len("count("):-1]) - 1
+
     def decide(self, op: OpIdentity, capture) -> float | None:
         """Advance the op counter and return an injected value, or None.
 
         Called once per intercepted numeric operation, before the genuine
-        computation. `capture` is a zero-argument trace capture, called at
-        most once per decision: only when scope filters, an injection or a
-        recorded point need the trace.
+        computation, except for the clean float64 operations that the tracked
+        operator methods finish inline under an OFF injector: those only call
+        count_op. OFF counts without the lock; FUZZ and REPLAY number the
+        operation under it, so each decision sees its own op number.
+        `capture` is a zero-argument trace capture, called at most once per
+        decision: only when scope filters, an injection or a recorded point
+        need the trace.
         """
+        if self.mode is InjectorMode.OFF:
+            self.count_op()
+            return None
         with self._lock:
-            self.op_counter += 1
-            if self.mode is InjectorMode.OFF:
-                return None
+            n = self.count_op()
             if self.mode is InjectorMode.REPLAY:
-                return self._replay_decide(capture)
-            return self._fuzz_decide(op, capture)
+                return self._replay_decide(n, capture)
+            return self._fuzz_decide(n, op, capture)
 
-    def _fuzz_decide(self, op: OpIdentity, capture) -> float | None:
+    def _fuzz_decide(self, n: int, op: OpIdentity, capture) -> float | None:
         cfg = self.config
         if self.injected_so_far >= cfg.n_inject:
             return None
@@ -151,21 +166,21 @@ class Injector:
             draw = next(self._draws)
         if draw != 1:
             return None
-        return self._record_injection(op, capture() if trace is None else trace)
+        return self._record_injection(n, op, capture() if trace is None else trace)
 
-    def _record_injection(self, op: OpIdentity, trace) -> float:
+    def _record_injection(self, n: int, op: OpIdentity, trace) -> float:
         value = float(self.config.value)
         self.recording.points.append(
-            RecordedInjection(self.op_counter, op.name, value, trace_fingerprint(trace))
+            RecordedInjection(n, op.name, value, trace_fingerprint(trace))
         )
         self.injected_so_far += 1
         return value
 
-    def _replay_decide(self, capture) -> float | None:
+    def _replay_decide(self, n: int, capture) -> float | None:
         if not self._pending:
             return None
         point = self._pending[0]
-        if point.op_counter != self.op_counter:
+        if point.op_counter != n:
             return None
         self._pending.popleft()
         fp = trace_fingerprint(capture())

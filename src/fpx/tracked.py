@@ -8,6 +8,10 @@ classify the event per value class, and re-wrap the result. The pipeline is
 written once, and an operation is one row of the table below: name, arity,
 numpy ufunc, exact Python float twin, and the operator methods or public
 function it backs. The registry, methods and functions are built from it.
+The operator methods of a row with a twin fuse the clean path: under an OFF
+injector, with finite float64 operands and result, they compute with the twin,
+count the op on the injector without its lock (comparisons count nothing) and
+wrap the result, never calling apply or Injector.decide. The rest goes to apply.
 
 Two substrates compute, with the same bits either way. Rows whose Python float
 operator is IEEE correctly rounded or exact (+ - * /, negation, abs, sqrt, the
@@ -24,10 +28,12 @@ from __future__ import annotations
 
 import math
 import operator
+from math import isfinite
 
 import numpy as np
 
 from .classify import EventKind, OpIdentity, ValueClass, classify, propagate_payload
+from .injector import InjectorMode
 from .session import current_session
 
 # One row per operation: name, arity, numpy ufunc, Python float twin, and the
@@ -76,6 +82,8 @@ _REGISTRY = {(name, arity): (impl, is_comparison, OpIdentity(name, arity), exact
              for name, arity, impl, exact, _ in rows}
 
 _CAST = OpIdentity("cast", 1)
+_OFF = InjectorMode.OFF
+_UNARY = object()       # the absent second operand of a one-operand op
 
 
 def supported_operations() -> tuple:
@@ -94,10 +102,15 @@ class TrackedFloat:
     def __init__(self, value):
         if isinstance(value, TrackedFloat):
             value = value._value
+        if type(value) in _PLAIN and self._width == 64:
+            # a float is kept; an int rounds to a finite float64 or raises
+            # OverflowError, so no Inf is born in this cast
+            _set_value(self, float(value))
+            return
         with np.errstate(all="ignore"):
             cast = self._np_type(value)
             source = np.float64(value) if math.isinf(cast) else None
-        object.__setattr__(self, "_value", type(self)._store(cast))
+        _set_value(self, type(self)._store(cast))
         if source is not None and math.isfinite(source):
             # too big for this width: an Inf is born in the cast
             sess = current_session()
@@ -149,6 +162,9 @@ class TrackedFloat16(TrackedFloat):
 
 
 _OPERANDS = (TrackedFloat, int, float, np.floating, np.integer)
+_PLAIN = (float, int)
+_new = object.__new__
+_set_value = TrackedFloat._value.__set__     # the slot, past the immutability guard
 
 
 def unwrap(t):
@@ -166,16 +182,26 @@ def _result_class(operands):
 
 def _wrap_result(cls, value):
     """Wrap a computed value of cls's width without __init__'s second conversion."""
-    t = object.__new__(cls)
-    object.__setattr__(t, "_value", cls._store(value))
+    t = _new(cls)
+    _set_value(t, cls._store(value))
     return t
 
 
-def _all_finite_floats(values) -> bool:
-    for v in values:
-        if type(v) is not float or not math.isfinite(v):
-            return False
-    return True
+def _clean(exact, x, y=_UNARY):
+    """The twin's result when every value and it are finite Python floats, else
+    None. Plain float values are float64-wide, and the twin rounds like the
+    ufunc there, so this is the ufunc's result and cannot be an event. On a
+    raise or a non-finite value the op is redone by the ufunc, which yields
+    the IEEE special value and classifies it."""
+    if type(x) is float and isfinite(x) and (
+            y is _UNARY or type(y) is float and isfinite(y)):
+        try:
+            result = exact(x) if y is _UNARY else exact(x, y)
+        except (ZeroDivisionError, ValueError):    # x/0, sqrt(-x)
+            return None
+        if isfinite(result):
+            return result
+    return None
 
 
 def apply(name: str, operands, session=None):
@@ -198,19 +224,10 @@ def apply(name: str, operands, session=None):
     values = [o._value if isinstance(o, TrackedFloat) else o for o in operands]
     injected_value = None if is_comparison else sess.injector.decide(op, sess.traces.capture)
     injected = injected_value is not None
-    # Plain float values are float64-wide, so only a TrackedFloat64 result
-    # gets here. An exception or a non-finite result redoes the op in numpy
-    # below, which yields the IEEE special value and classifies it.
-    if not injected and exact is not None and _all_finite_floats(values):
-        try:
-            result = exact(*values)
-        except (ZeroDivisionError, ValueError):    # x/0, sqrt(-x)
-            pass
-        else:
-            if is_comparison:
-                return result
-            if math.isfinite(result):
-                return _wrap_result(cls, result)
+    if not injected and exact is not None:
+        result = _clean(exact, *values)
+        if result is not None:
+            return result if is_comparison else _wrap_result(cls, result)
 
     np_type = cls._np_type
     # The cast runs under errstate too: a plain operand too big for a narrow
@@ -236,25 +253,29 @@ def _is_operand(x) -> bool:
     return isinstance(x, _OPERANDS)
 
 
-def _forward(name):
-    def method(self, other):
+def _operator_method(name, exact, counted, reflected):
+    """An operator method. Under an OFF injector, a row with a twin finishes a
+    clean float64 op here: a comparison returns its bool, a numeric op is
+    counted and wrapped. Anything else goes on to apply, looked up as a module
+    global, so a patched apply sees every call that falls through."""
+    def method(self, other=_UNARY):
+        session = current_session()
+        injector = session.injector
+        if exact is not None and injector.mode is _OFF:
+            if reflected:
+                x, y = other, self._value       # a tracked left operand is left to apply
+            else:
+                x, y = self._value, (other._value if isinstance(other, TrackedFloat) else other)
+            if (result := _clean(exact, x, y)) is not None:
+                if not counted:
+                    return result
+                injector.count_op()
+                return _wrap_result(type(self), result)
+        if other is _UNARY:
+            return apply(name, (self,), session)
         if not _is_operand(other):
             return NotImplemented
-        return apply(name, (self, other))
-    return method
-
-
-def _reflected(name):
-    def method(self, other):
-        if not _is_operand(other):
-            return NotImplemented
-        return apply(name, (other, self))
-    return method
-
-
-def _unary(name):
-    def method(self):
-        return apply(name, (self,))
+        return apply(name, (other, self) if reflected else (self, other), session)
     return method
 
 
@@ -272,10 +293,10 @@ def _public(name, arity, public):
 
 # The operator methods of TrackedFloat, and the public functions sqrt, exp,
 # log, sin, cos, tan, floor, ceil, atan2, hypot, rem, minimum and maximum.
-for _name, _arity, _, _, _methods in _NUMERIC + _COMPARISONS:
-    _makers = (_unary,) if _arity == 1 else (_forward, _reflected)
-    for _method, _make in zip(_methods.split(), _makers):
+for _name, _arity, _, _exact, _methods in _NUMERIC + _COMPARISONS:
+    _counted = not _REGISTRY[_name, _arity][1]
+    for _method, _reflected in zip(_methods.split(), (False, True)):
         if _method.startswith("__"):
-            setattr(TrackedFloat, _method, _make(_name))
+            setattr(TrackedFloat, _method, _operator_method(_name, _exact, _counted, _reflected))
         else:
             globals()[_method] = _public(_name, _arity, _method)

@@ -1,5 +1,6 @@
 """End-to-end demo behavior: results, event patterns, determinism."""
 
+import hashlib
 import math
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from fpx import fpbits, stackgraph
 from fpx.classify import EventKind, OpIdentity, ValueClass
 from fpx.demos import demo_loop_kill, demo_max, demo_sim, kill_events_at
-from fpx.ledger import LedgerConfig
+from fpx.ledger import FILE_BY_KIND, LedgerConfig
 from fpx.session import explicit_session
 
 NAN = float("nan")
@@ -107,6 +108,21 @@ class TestDemoSim:
                    if len(e.operands) == 2
                    and all(math.isinf(float(x)) for x in e.operands)]
         assert two_inf, "expected a NaN gen whose operands are two infinities"
+
+    def test_op_counts_and_blowup_log_digest(self, tmp_path):
+        """Every tracked op is counted once, fused clean path or not, and the
+        blowup logs keep their bytes (the benchmark pins the same digest)."""
+        clean = demo_sim(30, 64)
+        assert clean.session.ledger.events() == []
+        assert clean.session.injector.op_counter == 9300
+        blowup = demo_sim(24, 48, blowup=True)
+        assert blowup.session.injector.op_counter == 5520
+        paths = blowup.session.ledger.flush(tmp_path)
+        digest = hashlib.sha256()
+        for kind, filename in FILE_BY_KIND.items():
+            digest.update(filename.encode() + b"\0" + paths[kind].read_bytes() + b"\0")
+        assert digest.hexdigest() == (
+            "bbc301ee9a0c5f21e966893d9b5fb69feb28b67130371c5ec6d9375185b582ea")
 
     def test_runs_are_deterministic(self):
         a = demo_sim(steps=12, blowup=True)

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -10,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpx
-from fpx import fpbits
+from fpx import fpbits, tracked
 from fpx.classify import (EventKind, OpIdentity, ValueClass, classify,
                           propagate_payload)
+from fpx.injector import InjectionConfig, InjectionRecording, Injector
 from fpx.ledger import LedgerConfig
 from fpx.session import explicit_session, use_session
 from fpx.tracked import (_REGISTRY, TrackedFloat, TrackedFloat16,
@@ -482,3 +485,123 @@ def test_exact_float_rows_bit_transparent(name_arity):
             if name_arity in COMPARISONS:
                 assert type(apply(name_arity[0], operands, session=explicit_session())) is bool
             _check_against_reference(name_arity, operands, _result_np_type(operands))
+
+
+# Operator methods with a fused clean path, and the apply call each stands
+# for: a reflected method passes its operands swapped.
+FUSED = {
+    "__add__": "+", "__radd__": "+", "__sub__": "-", "__rsub__": "-",
+    "__mul__": "*", "__rmul__": "*", "__truediv__": "/", "__rtruediv__": "/",
+    "__neg__": "-", "__abs__": "abs", "__lt__": "<", "__le__": "<=",
+    "__gt__": ">", "__ge__": ">=", "__eq__": "==", "__ne__": "!=", "__bool__": "bool",
+}
+
+
+def _fused_cases(arity):
+    """(self, other) pairs, or (self,), over the pool of the bit-transparency
+    test: edges, overflow and x/0 pairs, x/inf, NaN and Inf operands, and
+    plain int, np.float64 and narrow tracked values on either side (a
+    reflected method puts a plain other on the left)."""
+    values = FLOAT64_EDGES + [NAN, INF, -INF, fpbits.nan_with_payload(0x77)]
+    if arity == 1:
+        return [(TrackedFloat64(v),) for v in values] + [
+            (TrackedFloat32(1.5),), (TrackedFloat16(-0.0),), (TrackedFloat32(INF),)]
+    pairs = [(a, b) for a in values for b in values]
+    pairs += FLOAT64_EDGE_PAIRS + [(b, a) for a, b in FLOAT64_EDGE_PAIRS]
+    pairs += [(1.0, INF), (-3.0, -INF), (0.0, INF)]
+    cases = [(TrackedFloat64(a), b) for a, b in pairs]
+    cases += [(TrackedFloat64(a), TrackedFloat64(b)) for a, b in pairs]
+    others = [np.float64(1.5), np.float64(FLOAT64_MAX), 3, 0, TrackedFloat32(1.5),
+              TrackedFloat32(0.0), TrackedFloat16(-2.0)]
+    for o in others:
+        for x in (0.1, FLOAT64_MAX, -0.0, NAN):
+            cases.append((TrackedFloat64(x), o))
+            if isinstance(o, TrackedFloat):
+                cases.append((o, TrackedFloat64(x)))
+    return cases + [(TrackedFloat32(1.5), 2.0), (TrackedFloat16(2.0), 0.5)]
+
+
+def _fused_run(calls, injector):
+    """Result bits and types, events, op count and recording of one program."""
+    session = explicit_session(injector=injector)
+    with use_session(session):
+        results = [call() for call in calls]
+    bits = [(type(r), _scalar_bits(unwrap(r))) for r in results]
+    return (bits, session.ledger.events(), session.injector.op_counter,
+            session.injector.recording.points)
+
+
+@pytest.mark.parametrize("dunder", sorted(FUSED))
+def test_fused_methods_match_apply(dunder):
+    """A fused operator method gives apply's result bits, events and op count
+    under an OFF injector, a fuzz injector that fires on every op, and a
+    replay of its recording: injections land on the same op numbers, so the
+    clean path never pre-empts an injector decision."""
+    name = FUSED[dunder]
+    arity = 1 if dunder in ("__neg__", "__abs__", "__bool__") else 2
+    cases = _fused_cases(arity)
+    fused = [lambda c=c: getattr(c[0], dunder)(*c[1:]) for c in cases]
+    operands = [c if arity == 1 or not dunder.startswith("__r") else c[::-1]
+                for c in cases]
+    applied = [lambda o=o: apply(name, o) for o in operands]
+    fuzz = InjectionConfig(odds=1, n_inject=len(cases) // 2, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for make in (Injector.off, lambda: Injector.fuzz(fuzz)):
+            expected = _fused_run(applied, make())
+            assert _fused_run(fused, make()) == expected, (dunder, make)
+        recording = InjectionRecording(seed=5, points=expected[3])
+        replayed = _fused_run(fused, Injector.replay(recording))
+        assert replayed == _fused_run(applied, Injector.replay(recording))
+        assert replayed[:3] == expected[:3]
+    if (name, arity) not in COMPARISONS:
+        assert expected[2] == len(cases) and len(expected[3]) == len(cases) // 2
+
+
+def test_threads_sharing_an_off_session_count_every_op():
+    """Fused ops count on the injector without its lock, fall-through ops
+    count in decide; with two threads switching often the total is exact."""
+    session = explicit_session()
+    n_clean, n_nan = 20000, 200
+
+    def worker():
+        a, one, nan = TrackedFloat64(1.5), TrackedFloat64(1.0), TrackedFloat64(NAN)
+        with use_session(session):
+            for i in range(n_clean):
+                a + one
+                if i % (n_clean // n_nan) == 0:
+                    nan * one
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert session.injector.op_counter == 2 * (n_clean + n_nan)
+    assert len(session.ledger.events()) == 2 * n_nan
+
+
+def test_clean_float64_ops_bypass_apply_and_decide(monkeypatch):
+    """The fused path is wired in: under an OFF injector a clean float64 op
+    reaches neither apply nor Injector.decide, yet is counted; an op with a
+    NaN operand goes through both."""
+    calls = []
+    real_apply, real_decide = tracked.apply, Injector.decide
+    monkeypatch.setattr(tracked, "apply", lambda *a, **k: calls.append("apply") or real_apply(*a, **k))
+    monkeypatch.setattr(Injector, "decide",
+                        lambda *a, **k: calls.append("decide") or real_decide(*a, **k))
+    session = explicit_session()
+    a, b = TrackedFloat64(1.5), TrackedFloat64(-2.0)
+    with use_session(session):
+        results = [a + b, 2.0 + a, a - b, 1.0 - a, a * b, 3.0 * a, a / b, 1.0 / a,
+                   -a, abs(b), a < b, a <= b, a > b, a >= b, a == b, a != b, bool(a)]
+        assert calls == [] and session.injector.op_counter == 10
+        assert [unwrap(r) for r in results[:10]] == [-0.5, 3.5, 3.5, -0.5, -3.0, 4.5,
+                                                    -0.75, 2.0 / 3.0, -1.5, 2.0]
+        TrackedFloat64(NAN) + a
+    assert calls == ["apply", "decide"] and session.injector.op_counter == 11
