@@ -60,21 +60,16 @@ def hex_bits(x, width: int | None = None) -> str:
 
 def from_hex_bits(s: str):
     """Decode a hex bit pattern produced by hex_bits; width inferred from length."""
-    if not isinstance(s, str) or not s.startswith("0x"):
+    is_hex = isinstance(s, str) and s.startswith("0x")
+    width = _WIDTH_BY_HEX_DIGITS.get(len(s) - 2) if is_hex else None
+    if width is None:
         raise ValueError(f"bad hex bit pattern: {s!r}")
-    digits = len(s) - 2
-    try:
-        width = _WIDTH_BY_HEX_DIGITS[digits]
-    except KeyError:
-        raise ValueError(f"bad hex bit pattern length: {s!r}") from None
     return from_bits(int(s, 16), width)
 
 
 def nan_payload(x) -> int:
     """Provenance payload bits of a NaN (zero for non-NaN values)."""
-    if not math.isnan(float(x)):
-        return 0
-    return to_bits(x) & PAYLOAD_MASK[width_of(x)]
+    return to_bits(x) & PAYLOAD_MASK[width_of(x)] if math.isnan(float(x)) else 0
 
 
 def nan_with_payload(payload: int, width: int = 64):
@@ -104,9 +99,7 @@ def format_dec(x) -> str:
     if math.isinf(f):
         return "Inf" if f > 0 else "-Inf"
     s = str(x) if isinstance(x, np.floating) else repr(f)
-    sign = ""
-    if s.startswith("-"):
-        sign, s = "-", s[1:]
+    sign, s = ("-", s[1:]) if s.startswith("-") else ("", s)
     if "e" in s:
         mantissa, _, exp = s.partition("e")
         return _sci(sign, mantissa, int(exp))

@@ -3,16 +3,20 @@
 Events accumulate in three in-memory streams (gen/prop/kill) and flush to
 gen.jsonl / prop.jsonl / kill.jsonl. The canonical line format dual-encodes
 every float as a decimal rendering plus an authoritative hex bit pattern, so
-NaN payloads and signed zeros round-trip exactly. A debugger-friendly human
-rendering (op header line, then one frame per line) is derived from the same
-records. FormatError and the JSON-lines reader here serve every fpx file format.
+NaN payloads and signed zeros round-trip exactly. One codec serves flush and
+parse_log; its caches live for one call. The encoder keeps one JSON fragment per
+op, trace and scalar (keyed by exact type and bit pattern, never by value); the
+decoder one object per op, trace and hex string, so events parsed from one file
+share immutable trace tuples and scalars. A debugger-friendly human rendering
+(op header line, then one frame per line) is derived from the same records.
+FormatError and the JSON-lines reader here serve every fpx file format.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -71,9 +75,7 @@ class LedgerConfig:
 
 
 def _scalar_key(x):
-    if isinstance(x, (bool, np.bool_)):
-        return ("bool", bool(x))
-    return ("float", fpbits.width_of(x), fpbits.to_bits(x))
+    return isinstance(x, (bool, np.bool_)), fpbits.width_of(x), fpbits.to_bits(x)
 
 
 @dataclass(eq=False)
@@ -90,16 +92,9 @@ class ExceptionEvent:
     trace: StackTrace = EMPTY_TRACE
 
     def _key(self):
-        return (
-            self.seq,
-            self.kind,
-            self.value_class,
-            self.op,
-            tuple(_scalar_key(x) for x in self.operands),
-            _scalar_key(self.result),
-            self.injected,
-            tuple(self.trace),
-        )
+        return (self.seq, self.kind, self.value_class, self.op,
+                tuple(map(_scalar_key, self.operands)), _scalar_key(self.result),
+                self.injected, tuple(self.trace))
 
     def __eq__(self, other):
         if not isinstance(other, ExceptionEvent):
@@ -112,9 +107,7 @@ class ExceptionEvent:
 
 class Ledger:
     """Thread-safe per-kind event streams with a global sequence counter.
-
-    Events are kept in memory; flush(output_dir) writes them out.
-    """
+    Events are kept in memory; flush(output_dir) writes them out."""
 
     def __init__(self, config: LedgerConfig | None = None):
         self.config = config or LedgerConfig()
@@ -138,30 +131,19 @@ class Ledger:
             if cfg.max_logs is not None and len(stream) >= cfg.max_logs:
                 return False
             if kind in cfg.exclude_stacktrace:
-                resolved = EMPTY_TRACE
-            else:
-                resolved = trace() if callable(trace) else tuple(trace)
+                trace = EMPTY_TRACE
+            trace = trace() if callable(trace) else tuple(trace)
             self._seq += 1
-            event = ExceptionEvent(
-                seq=self._seq,
-                kind=kind,
-                value_class=value_class,
-                op=op,
-                operands=tuple(operands),
-                result=bool(result) if isinstance(result, (bool, np.bool_)) else result,
-                injected=injected,
-                trace=resolved,
-            )
-            stream.append(event)
+            stream.append(ExceptionEvent(
+                self._seq, kind, value_class, op, tuple(operands),
+                bool(result) if isinstance(result, np.bool_) else result, injected, trace))
         return True
 
     def events(self, kind=None, value_class=None) -> list:
         """Stored events, optionally filtered, in seq order."""
         with self._lock:
-            if kind is not None:
-                selected = list(self._streams[kind])
-            else:
-                selected = [e for s in self._streams.values() for e in s]
+            streams = self._streams.values() if kind is None else [self._streams[kind]]
+            selected = [e for s in streams for e in s]
         if value_class is not None:
             selected = [e for e in selected if e.value_class is value_class]
         selected.sort(key=lambda e: e.seq)
@@ -175,78 +157,103 @@ class Ledger:
         """Write the three jsonl files; rewrites from scratch, so it is idempotent."""
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        paths = {}
         with self._lock:
             snapshot = {kind: list(stream) for kind, stream in self._streams.items()}
-        for kind, filename in FILE_BY_KIND.items():
-            path = out / filename
-            text = "".join(event_to_line(e) for e in snapshot[kind])
-            path.write_text(text, encoding="utf-8")
-            paths[kind] = path
+        encode = _encoder()
+        paths = {kind: out / filename for kind, filename in FILE_BY_KIND.items()}
+        for kind, path in paths.items():
+            path.write_text("".join(map(encode, snapshot[kind])), encoding="utf-8")
         return paths
 
 
-def _scalar_to_json(x):
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    return {"dec": fpbits.format_dec(x), "hex": fpbits.hex_bits(x)}
+_dumps = json.JSONEncoder(separators=(", ", ": ")).encode
+_LINE = ('{"seq": %d, "kind": "%s", "class": "%s", %s, "operands": [%s], '
+         '"result": %s, "injected": %s, "trace": %s}\n')
+_KINDS = {k.value: k for k in EventKind}
+_CLASSES = {c.value: c for c in ValueClass}
 
 
-def _scalar_from_json(obj):
-    return obj if isinstance(obj, bool) else fpbits.from_hex_bits(obj["hex"])
+def _encoder():
+    """The line encoder of one call; -0.0, NaN payloads and widths stay apart."""
+    ops, traces, scalars = {}, {}, {}
 
+    def scalar(x):
+        key = (type(x), fpbits.to_bits(x))
+        if key not in scalars:
+            scalars[key] = _dumps(bool(x) if isinstance(x, (bool, np.bool_)) else
+                                  {"dec": fpbits.format_dec(x), "hex": fpbits.hex_bits(x)})
+        return scalars[key]
 
-def event_to_json(e: ExceptionEvent) -> dict:
-    return {
-        "seq": e.seq,
-        "kind": e.kind.value,
-        "class": e.value_class.value,
-        "op": e.op.name,
-        "arity": e.op.arity,
-        "operands": [_scalar_to_json(x) for x in e.operands],
-        "result": _scalar_to_json(e.result),
-        "injected": e.injected,
-        "trace": [{"fn": f.function, "file": f.file, "line": f.line} for f in e.trace],
-    }
+    def encode(e: ExceptionEvent) -> str:
+        if e.op not in ops:
+            ops[e.op] = _dumps({"op": e.op.name, "arity": e.op.arity})[1:-1]
+        if e.trace not in traces:
+            traces[e.trace] = _dumps(
+                [{"fn": f.function, "file": f.file, "line": f.line} for f in e.trace])
+        return _LINE % (e.seq, e.kind.value, e.value_class.value, ops[e.op],
+                        ", ".join(map(scalar, e.operands)), scalar(e.result),
+                        "true" if e.injected else "false", traces[e.trace])
+    return encode
 
 
 def event_to_line(e: ExceptionEvent) -> str:
-    return json.dumps(event_to_json(e), separators=(", ", ": ")) + "\n"
+    return _encoder()(e)
+
+
+def _decoder():
+    """The record decoder of one call; a trace key holds each line's type, so a
+    9.0 or a true never reuses the Frames of a 9."""
+    ops, traces, scalars = {}, {}, {}
+
+    def scalar(obj):
+        if obj is True or obj is False:
+            return obj
+        hexed = obj["hex"]
+        if hexed not in scalars:
+            scalars[hexed] = fpbits.from_hex_bits(hexed)
+        return scalars[hexed]
+
+    def decode(obj: dict, line_number: int | None = None) -> ExceptionEvent:
+        try:
+            seq, name, arity, injected = obj["seq"], obj["op"], obj["arity"], obj["injected"]
+            operands, frames = obj["operands"], obj["trace"]
+            kind, value_class = _KINDS.get(obj["kind"]), _CLASSES.get(obj["class"])
+            if (type(seq) is not int or type(arity) is not int or type(name) is not str
+                    or type(injected) is not bool or type(operands) is not list
+                    or type(frames) is not list or kind is None or value_class is None):
+                raise LogFormatError(
+                    "seq and arity must be integers, op a string, injected a boolean, operands "
+                    "and trace arrays, kind gen/prop/kill and class nan/inf", line_number)
+            key = tuple((f["fn"], f["file"], f["line"], type(f["line"])) for f in frames)
+            if key not in traces:
+                if not all(type(fn) is str and type(file) is str and t is int
+                           for fn, file, _, t in key):
+                    raise LogFormatError("a trace frame needs a string fn and file and "
+                                         "an integer line", line_number)
+                traces[key] = tuple(Frame(fn, file, n) for fn, file, n, _ in key)
+            if (name, arity) not in ops:
+                ops[name, arity] = OpIdentity(name, arity)
+            return ExceptionEvent(seq, kind, value_class, ops[name, arity],
+                                  tuple(map(scalar, operands)),
+                                  scalar(obj["result"]), injected, traces[key])
+        except LogFormatError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LogFormatError(f"bad event record: {exc!r}", line_number) from exc
+    return decode
 
 
 def event_from_json(obj: dict, line_number: int | None = None) -> ExceptionEvent:
-    try:
-        event = ExceptionEvent(
-            seq=obj["seq"],
-            kind=EventKind(obj["kind"]),
-            value_class=ValueClass(obj["class"]),
-            op=OpIdentity(obj["op"], obj["arity"]),
-            operands=tuple(_scalar_from_json(x) for x in obj["operands"]),
-            result=_scalar_from_json(obj["result"]),
-            injected=obj["injected"],
-            trace=tuple(Frame(f["fn"], f["file"], f["line"]) for f in obj["trace"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise LogFormatError(f"bad event record: {exc!r}", line_number) from exc
-    if (type(event.seq) is not int or type(event.op.arity) is not int
-            or not isinstance(event.op.name, str) or type(event.injected) is not bool):
-        raise LogFormatError(
-            "seq and arity must be integers, op a string, injected a boolean", line_number)
-    if not all(type(f.function) is str and type(f.file) is str and type(f.line) is int
-               for f in event.trace):
-        raise LogFormatError(
-            "a trace frame needs a string fn and file and an integer line", line_number)
-    return event
+    return _decoder()(obj, line_number)
 
 
 def parse_log(path) -> list:
     """Read one jsonl event stream back, bit-exactly. Unknown fields are ignored."""
-    return [event_from_json(obj, n) for n, obj in read_json_lines(path, LogFormatError)]
+    decode = _decoder()
+    return [decode(obj, n) for n, obj in read_json_lines(path, LogFormatError)]
 
 
 def render_human(e: ExceptionEvent) -> str:
     """Log-excerpt style block: `op([args])` header, then `function  file:line` rows."""
     header = f"{e.op.name}([{', '.join(fpbits.format_dec(x) for x in e.operands)}])"
-    lines = [header]
-    lines.extend(f"{f.function}  {f.file}:{f.line}" for f in e.trace)
-    return "\n".join(lines)
+    return "\n".join([header, *(f"{f.function}  {f.file}:{f.line}" for f in e.trace)])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,17 +52,17 @@ class GraphDiff:
 
 
 def build(traces, key_policy: str = "fine") -> StackGraph:
-    """Coalesce traces (innermost-first) into a weighted caller->callee digraph."""
+    """Coalesce traces (innermost-first) into a weighted caller->callee digraph.
+    Equal traces are walked once and weighted by how often they occur."""
     if key_policy not in KEY_POLICIES:
         raise ValueError(f"unknown key policy: {key_policy!r}")
     g = StackGraph(key_policy=key_policy)
-    for trace in traces:
-        g.trace_total += 1
+    for trace, count in Counter(map(tuple, traces)).items():
+        g.trace_total += count
         keys = [frame_key(f, key_policy) for f in reversed(trace)]  # outermost first
         g.nodes.update(keys)
-        for parent, child in zip(keys, keys[1:]):
-            edge = (parent, child)
-            g.edges[edge] = g.edges.get(edge, 0) + 1
+        for edge in zip(keys, keys[1:]):
+            g.edges[edge] = g.edges.get(edge, 0) + count
     return g
 
 

@@ -26,7 +26,6 @@ import contextvars
 import hashlib
 import os
 import sys
-from contextlib import contextmanager
 from typing import NamedTuple
 
 
@@ -42,19 +41,32 @@ EMPTY_TRACE: StackTrace = ()
 SENTINEL_FRAME = Frame("<unknown>", "<unknown>", 1)
 
 
+class _Scope:
+    """One `with` block of an explicit scope: entering pushes its frame onto
+    the context's trace, leaving resets it. It can be entered only once."""
+
+    __slots__ = ("_trace", "_frame", "_token")
+
+    def __init__(self, trace, frame):
+        self._trace, self._frame, self._token = trace, frame, None
+
+    def __enter__(self):
+        if self._token is not None:
+            raise RuntimeError("a scope can be entered only once")
+        self._token = self._trace.set((self._frame,) + self._trace.get())
+
+    def __exit__(self, *exc_info):
+        self._trace.reset(self._token)
+
+
 class ExplicitContextProvider:
     """Scope stack maintained by instrumented code; one stack per context."""
 
     def __init__(self):
         self._trace = contextvars.ContextVar("fpx_scopes", default=EMPTY_TRACE)
 
-    @contextmanager
     def scope(self, function: str, file: str = "<scope>", line: int = 1):
-        token = self._trace.set((Frame(function, file, line),) + self._trace.get())
-        try:
-            yield
-        finally:
-            self._trace.reset(token)
+        return _Scope(self._trace, Frame(function, file, line))
 
     def capture(self) -> StackTrace:
         return self._trace.get()

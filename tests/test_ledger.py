@@ -3,6 +3,7 @@
 import json
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +12,9 @@ from fpx import fpbits
 from fpx.classify import EventKind, OpIdentity, ValueClass
 from fpx.injector import RecordingFormatError
 from fpx.ledger import (ExceptionEvent, FormatError, Ledger, LedgerConfig,
-                        LogFormatError, event_from_json, event_to_json,
-                        parse_log, read_json_lines, render_human)
+                        LogFormatError, event_from_json,
+                        event_to_line, parse_log, read_json_lines,
+                        render_human)
 from fpx.stackgraph import GraphFormatError
 from fpx.traces import Frame
 
@@ -201,7 +203,7 @@ _events = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(_events)
 def test_event_json_roundtrip(event):
-    assert event_from_json(event_to_json(event)) == event
+    assert event_from_json(json.loads(event_to_line(event))) == event
 
 
 def test_parse_log_roundtrip(tmp_path):
@@ -235,6 +237,8 @@ GOOD_LINE = ('{"seq": 1, "kind": "gen", "class": "nan", "op": "-", "arity": 2, '
     ("arity", '"2"'), ("arity", "false"),
     ("injected", "5"), ("injected", '"yes"'),
     ("op", "5"),
+    ("kind", '"x"'), ("kind", '["gen"]'), ("class", '"zz"'),
+    ("operands", "{}"), ("operands", '""'), ("trace", "{}"), ("trace", '""'),
     ("result", '{"dec": "1.0", "hex": 5}'),
     ("trace", '[{"fn": "f", "file": "a.py", "line": "9"}]'),
     ("trace", '[{"fn": "f", "file": "a.py", "line": true}]'),
@@ -295,3 +299,200 @@ def test_parse_log_ignores_unknown_fields(tmp_path):
     obj["future_field"] = {"nested": 1}
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
     assert parse_log(path) == ledger.events(kind=EventKind.GEN)
+
+
+# ------------------------------------------------------------------ codec
+
+# Frame names that json.dumps escapes: a quote, a backslash, non-ASCII.
+ODD = (Frame('say_"hi"', "C:\\src\\odd.py", 7), Frame("μ_step", "grid/Δ.py", 12))
+ONE = (Frame("solo", "one.py", 1),)
+NAN_123 = fpbits.nan_with_payload(0x123)
+F32_NAN = fpbits.from_bits(0x7FC00123, 32)
+F16_NAN = fpbits.nan_with_payload(5, 16)
+F32_SUB = fpbits.from_bits(1, 32)
+F16_SUB = fpbits.from_bits(1, 16)
+# (kind, class, op, operands, result, injected, trace). Traces and scalars
+# repeat across events and streams, so the flush hits its caches.
+GOLDEN_POOL = [
+    (EventKind.GEN, ValueClass.NAN, OpIdentity("-", 2), (INF, INF), NAN, False, ODD),
+    (EventKind.PROP, ValueClass.NAN, OpIdentity("*", 2), (NAN_123, 5e-324), NAN_123, False, ONE),
+    (EventKind.GEN, ValueClass.INF, OpIdentity("/", 2), (1.5, -0.0), -INF, True, ()),
+    (EventKind.KILL, ValueClass.NAN, OpIdentity("<", 2), (NAN_123, 0.0), False, False, ODD),
+    (EventKind.PROP, ValueClass.NAN, OpIdentity("*", 2), (F32_NAN, F32_SUB), F32_NAN, False, ONE),
+    (EventKind.GEN, ValueClass.INF, OpIdentity("+", 2), (np.float32(3e38), np.float32(3e38)), np.float32(INF), False, ODD),
+    (EventKind.PROP, ValueClass.NAN, OpIdentity("-", 1), (F16_NAN,), -F16_NAN, False, ()),
+    (EventKind.KILL, ValueClass.INF, OpIdentity(">", 2), (np.float16(-INF), F16_SUB), True, True, ONE),
+    (EventKind.PROP, ValueClass.NAN, OpIdentity("*", 2), (NAN_123, 5e-324), NAN_123, False, ONE),
+    (EventKind.GEN, ValueClass.NAN, OpIdentity("-", 2), (np.float64(INF), np.float64(INF)), np.float64(NAN), False, ODD),
+    (EventKind.KILL, ValueClass.NAN, OpIdentity("<", 2), (np.float32(-0.0), F32_NAN), False, False, ()),
+    (EventKind.PROP, ValueClass.INF, OpIdentity("+", 2), (-INF, 1.5), -INF, False, ODD),
+    (EventKind.KILL, ValueClass.INF, OpIdentity("<", 2), (np.float32(1.5), np.float32(-INF)), False, False, ODD),
+    (EventKind.PROP, ValueClass.INF, OpIdentity("*", 2), (INF, 1.0), INF, False, ONE),
+    (EventKind.KILL, ValueClass.NAN, OpIdentity("==", 2), (np.float16(1.0), F16_NAN), False, False, ()),
+]
+
+# Written by the uncached `event_to_line` of the encoder this file predates;
+# the cached encoder must reproduce every byte.
+FLUSH_GOLDEN = {
+    "gen.jsonl": (
+        '{"seq": 1, "kind": "gen", "class": "nan", "op": "-", "arity": 2, '
+        '"operands": [{"dec": "Inf", "hex": "0x7ff0000000000000"}, '
+        '{"dec": "Inf", "hex": "0x7ff0000000000000"}], '
+        '"result": {"dec": "NaN", "hex": "0x7ff8000000000000"}, '
+        '"injected": false, '
+        '"trace": [{"fn": "say_\\"hi\\"", "file": "C:\\\\src\\\\odd.py", "line": 7}, '
+        '{"fn": "\\u03bc_step", "file": "grid/\\u0394.py", "line": 12}]}\n'
+        '{"seq": 3, "kind": "gen", "class": "inf", "op": "/", "arity": 2, '
+        '"operands": [{"dec": "1.5", "hex": "0x3ff8000000000000"}, '
+        '{"dec": "-0.0", "hex": "0x8000000000000000"}], '
+        '"result": {"dec": "-Inf", "hex": "0xfff0000000000000"}, '
+        '"injected": true, '
+        '"trace": []}\n'
+        '{"seq": 6, "kind": "gen", "class": "inf", "op": "+", "arity": 2, '
+        '"operands": [{"dec": "3.0e38", "hex": "0x7f61b1e6"}, '
+        '{"dec": "3.0e38", "hex": "0x7f61b1e6"}], '
+        '"result": {"dec": "Inf", "hex": "0x7f800000"}, '
+        '"injected": false, '
+        '"trace": [{"fn": "say_\\"hi\\"", "file": "C:\\\\src\\\\odd.py", "line": 7}, '
+        '{"fn": "\\u03bc_step", "file": "grid/\\u0394.py", "line": 12}]}\n'
+        '{"seq": 10, "kind": "gen", "class": "nan", "op": "-", "arity": 2, '
+        '"operands": [{"dec": "Inf", "hex": "0x7ff0000000000000"}, '
+        '{"dec": "Inf", "hex": "0x7ff0000000000000"}], '
+        '"result": {"dec": "NaN", "hex": "0x7ff8000000000000"}, '
+        '"injected": false, '
+        '"trace": [{"fn": "say_\\"hi\\"", "file": "C:\\\\src\\\\odd.py", "line": 7}, '
+        '{"fn": "\\u03bc_step", "file": "grid/\\u0394.py", "line": 12}]}\n'
+    ),
+    "prop.jsonl": (
+        '{"seq": 2, "kind": "prop", "class": "nan", "op": "*", "arity": 2, '
+        '"operands": [{"dec": "NaN", "hex": "0x7ff8000000000123"}, '
+        '{"dec": "5.0e-324", "hex": "0x0000000000000001"}], '
+        '"result": {"dec": "NaN", "hex": "0x7ff8000000000123"}, '
+        '"injected": false, '
+        '"trace": [{"fn": "solo", "file": "one.py", "line": 1}]}\n'
+        '{"seq": 5, "kind": "prop", "class": "nan", "op": "*", "arity": 2, '
+        '"operands": [{"dec": "NaN", "hex": "0x7fc00123"}, '
+        '{"dec": "1.0e-45", "hex": "0x00000001"}], '
+        '"result": {"dec": "NaN", "hex": "0x7fc00123"}, '
+        '"injected": false, '
+        '"trace": [{"fn": "solo", "file": "one.py", "line": 1}]}\n'
+        '{"seq": 7, "kind": "prop", "class": "nan", "op": "-", "arity": 1, '
+        '"operands": [{"dec": "NaN", "hex": "0x7e05"}], '
+        '"result": {"dec": "NaN", "hex": "0xfe05"}, '
+        '"injected": false, '
+        '"trace": []}\n'
+        '{"seq": 9, "kind": "prop", "class": "nan", "op": "*", "arity": 2, '
+        '"operands": [{"dec": "NaN", "hex": "0x7ff8000000000123"}, '
+        '{"dec": "5.0e-324", "hex": "0x0000000000000001"}], '
+        '"result": {"dec": "NaN", "hex": "0x7ff8000000000123"}, '
+        '"injected": false, '
+        '"trace": [{"fn": "solo", "file": "one.py", "line": 1}]}\n'
+        '{"seq": 12, "kind": "prop", "class": "inf", "op": "+", "arity": 2, '
+        '"operands": [{"dec": "-Inf", "hex": "0xfff0000000000000"}, '
+        '{"dec": "1.5", "hex": "0x3ff8000000000000"}], '
+        '"result": {"dec": "-Inf", "hex": "0xfff0000000000000"}, '
+        '"injected": false, '
+        '"trace": [{"fn": "say_\\"hi\\"", "file": "C:\\\\src\\\\odd.py", "line": 7}, '
+        '{"fn": "\\u03bc_step", "file": "grid/\\u0394.py", "line": 12}]}\n'
+        '{"seq": 14, "kind": "prop", "class": "inf", "op": "*", "arity": 2, '
+        '"operands": [{"dec": "Inf", "hex": "0x7ff0000000000000"}, '
+        '{"dec": "1.0", "hex": "0x3ff0000000000000"}], '
+        '"result": {"dec": "Inf", "hex": "0x7ff0000000000000"}, '
+        '"injected": false, '
+        '"trace": [{"fn": "solo", "file": "one.py", "line": 1}]}\n'
+    ),
+    "kill.jsonl": (
+        '{"seq": 4, "kind": "kill", "class": "nan", "op": "<", "arity": 2, '
+        '"operands": [{"dec": "NaN", "hex": "0x7ff8000000000123"}, '
+        '{"dec": "0.0", "hex": "0x0000000000000000"}], '
+        '"result": false, '
+        '"injected": false, '
+        '"trace": [{"fn": "say_\\"hi\\"", "file": "C:\\\\src\\\\odd.py", "line": 7}, '
+        '{"fn": "\\u03bc_step", "file": "grid/\\u0394.py", "line": 12}]}\n'
+        '{"seq": 8, "kind": "kill", "class": "inf", "op": ">", "arity": 2, '
+        '"operands": [{"dec": "-Inf", "hex": "0xfc00"}, '
+        '{"dec": "6.0e-8", "hex": "0x0001"}], '
+        '"result": true, '
+        '"injected": true, '
+        '"trace": [{"fn": "solo", "file": "one.py", "line": 1}]}\n'
+        '{"seq": 11, "kind": "kill", "class": "nan", "op": "<", "arity": 2, '
+        '"operands": [{"dec": "-0.0", "hex": "0x80000000"}, '
+        '{"dec": "NaN", "hex": "0x7fc00123"}], '
+        '"result": false, '
+        '"injected": false, '
+        '"trace": []}\n'
+        '{"seq": 13, "kind": "kill", "class": "inf", "op": "<", "arity": 2, '
+        '"operands": [{"dec": "1.5", "hex": "0x3fc00000"}, '
+        '{"dec": "-Inf", "hex": "0xff800000"}], '
+        '"result": false, '
+        '"injected": false, '
+        '"trace": [{"fn": "say_\\"hi\\"", "file": "C:\\\\src\\\\odd.py", "line": 7}, '
+        '{"fn": "\\u03bc_step", "file": "grid/\\u0394.py", "line": 12}]}\n'
+        '{"seq": 15, "kind": "kill", "class": "nan", "op": "==", "arity": 2, '
+        '"operands": [{"dec": "1.0", "hex": "0x3c00"}, '
+        '{"dec": "NaN", "hex": "0x7e05"}], '
+        '"result": false, '
+        '"injected": false, '
+        '"trace": []}\n'
+    ),
+}
+
+
+def _golden_ledger():
+    ledger = Ledger()
+    for kind, value_class, op, operands, result, injected, trace in GOLDEN_POOL:
+        ledger.record(kind, value_class, op, operands, result,
+                      injected=injected, trace=trace)
+    return ledger
+
+
+def test_flush_bytes_golden(tmp_path):
+    ledger = _golden_ledger()
+    paths = ledger.flush(tmp_path)
+    for path in paths.values():
+        assert path.read_text(encoding="utf-8") == "".join(FLUSH_GOLDEN[path.name])
+        assert path.read_bytes().isascii()
+    assert [event_to_line(e) for e in ledger.events(kind=EventKind.KILL)] == (
+        "".join(FLUSH_GOLDEN["kill.jsonl"]).splitlines(keepends=True))
+    for kind, path in paths.items():
+        assert parse_log(path) == ledger.events(kind=kind)
+
+
+def test_parsed_events_share_traces_and_scalars(tmp_path):
+    path = _golden_ledger().flush(tmp_path)[EventKind.PROP]
+    first, _, third, fourth = parse_log(path)[:4]
+    assert first.trace is fourth.trace and first.op is fourth.op
+    assert first.operands[0] is first.result is fourth.operands[0]
+    assert third.trace == ()
+
+
+FRAME = '{"fn": "f", "file": "a.py", "line": 9}'
+HEX_ONE = '{"dec": "1.0", "hex": "0x3ff0000000000000"}'
+
+
+@pytest.mark.parametrize("field, good, bad", [
+    ("trace", FRAME, '{"fn": "f", "file": "a.py", "line": 9.0}'),
+    ("trace", FRAME, '{"fn": "f", "file": "a.py", "line": true}'),
+    ("trace", FRAME, '{"fn": "f", "file": "a.py", "line": "9"}'),
+    ("trace", FRAME.replace("9", "1"), '{"fn": "f", "file": "a.py", "line": true}'),
+    ("operands", HEX_ONE, '{"dec": "1.0", "hex": 5}'),
+    ("operands", HEX_ONE, '{"dec": "1.0", "hex": "0x3ff00000000000000"}'),
+    ("operands", HEX_ONE, '{"dec": "1.0", "hex": "0x03ff0000000000000"}'),
+    ("operands", HEX_ONE, '{"dec": "1.0", "hex": "0x3ff000000000000"}'),
+])
+def test_repeated_field_of_another_type_is_not_a_cache_hit(tmp_path, field, good, bad):
+    """Line 2 repeats line 1's trace frame or operand with a value that is
+    equal (or nearly so) but of the wrong type or width: a cache keyed by
+    value would hand it line 1's decoded object."""
+    def line(value):
+        obj = json.loads(GOOD_LINE)
+        obj[field] = [json.loads(value)]
+        return json.dumps(obj)
+
+    path = tmp_path / "gen.jsonl"
+    path.write_text(line(good) + "\n" + line(bad) + "\n", encoding="utf-8")
+    with pytest.raises(LogFormatError) as err:
+        parse_log(path)
+    assert err.value.line_number == 2
+    assert "line 2" in str(err.value)
+

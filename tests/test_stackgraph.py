@@ -86,6 +86,47 @@ def test_order_insensitivity(traces, rng):
     assert g1.nodes == g2.nodes and g1.edges == g2.edges
 
 
+def _reference_build(traces, key_policy):
+    """build() as one walk per trace, each adding 1 to its edges."""
+    nodes, edges = set(), {}
+    for trace in traces:
+        keys = [frame_key(f, key_policy) for f in reversed(trace)]
+        nodes.update(keys)
+        for edge in zip(keys, keys[1:]):
+            edges[edge] = edges.get(edge, 0) + 1
+    return nodes, edges, len(traces)
+
+
+def _copy(trace):
+    """An equal trace that shares no tuple with the original."""
+    return tuple(Frame(*f) for f in trace)
+
+
+_counted_traces = st.lists(
+    st.one_of(st.just(()), _trace_strategy,
+              st.sampled_from([_trace("alpha", "beta"), _trace("gamma"), ()])),
+    max_size=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_counted_traces, st.randoms(use_true_random=False),
+       st.sampled_from(stackgraph.KEY_POLICIES))
+def test_counted_build_equals_one_walk_per_trace(traces, rng, key_policy):
+    """Equal traces, whether or not they are one object, count once each."""
+    traces = [_copy(t) if rng.random() < 0.5 else t for t in traces]
+    g = build(traces, key_policy)
+    assert (g.nodes, g.edges, g.trace_total) == _reference_build(traces, key_policy)
+    assert g.key_policy == key_policy
+    for fraction in (0.1, 0.25, 0.5, 0.9):
+        head, tail = slice_traces(traces, fraction)
+        d = diff(build(head, key_policy), build(tail, key_policy))
+        ref_head = _reference_build(head, key_policy)[1]
+        ref_tail = _reference_build(tail, key_policy)[1]
+        expected = {e: ref_tail.get(e, 0) - ref_head.get(e, 0)
+                    for e in set(ref_head) | set(ref_tail)}
+        assert d.edges == {e: n for e, n in expected.items() if n}
+
+
 class TestDiff:
     def test_self_diff_empty(self):
         g = build([_trace("A", "B", "D")])

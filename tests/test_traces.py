@@ -106,6 +106,18 @@ class TestExplicitProvider:
             scope.__exit__(None, None, None)
         assert p.capture() == ()
 
+    def test_a_scope_is_entered_only_once(self):
+        p = ExplicitContextProvider()
+        scope = p.scope("once")
+        with scope:
+            with pytest.raises(RuntimeError, match="only once"):
+                scope.__enter__()
+            assert [f.function for f in p.capture()] == ["once"]
+        with pytest.raises(RuntimeError, match="only once"):
+            with scope:
+                pass
+        assert p.capture() == ()
+
 
 class TestNativeProvider:
     def test_capture_walks_call_stack(self):
