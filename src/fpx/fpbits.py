@@ -27,21 +27,29 @@ QNAN_BITS = {64: 0x7FF8 << 48, 32: 0x7FC0 << 16, 16: 0x7E00}
 NUMPY_TYPE = {64: np.float64, 32: np.float32, 16: np.float16}
 
 
+# Exact scalar type -> width, so the common types skip the isinstance chain.
+_WIDTH_BY_TYPE = {float: 64, np.float64: 64, bool: 64, int: 64, np.float32: 32, np.float16: 16}
+_FLOAT64_TYPES = frozenset((float, np.float64))
+_pack_double = struct.Struct("<d").pack
+_unpack_uint64 = struct.Struct("<Q").unpack
+
+
 def width_of(x) -> int:
     """Bit width of a scalar; plain Python floats count as 64-bit."""
-    if isinstance(x, np.float32):
-        return 32
-    if isinstance(x, np.float16):
-        return 16
-    return 64
+    width = _WIDTH_BY_TYPE.get(type(x))
+    if width is None:
+        width = 32 if isinstance(x, np.float32) else 16 if isinstance(x, np.float16) else 64
+    return width
 
 
 def to_bits(x, width: int | None = None) -> int:
     """Bit pattern of a scalar. Reinterpretation, never a float conversion,
     when x already has the requested width (NaN payloads survive)."""
+    if type(x) in _FLOAT64_TYPES and (width is None or width == 64):
+        return _unpack_uint64(_pack_double(x))[0]
     w = width_of(x) if width is None else width
     if w == 64:
-        return struct.unpack("<Q", struct.pack("<d", float(x)))[0]
+        return _unpack_uint64(_pack_double(float(x)))[0]
     scalar = x if isinstance(x, NUMPY_TYPE[w]) else NUMPY_TYPE[w](float(x))
     return int(scalar.view(_UINT_TYPE[w]))
 

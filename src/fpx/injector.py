@@ -9,7 +9,9 @@ counter and checks a stack-trace fingerprint at each injection point so
 divergence from the recorded run is detected rather than silently absorbed.
 Operations are numbered by an itertools.count, whose next() is atomic in
 CPython, so an OFF injector counts exactly without its lock, even when
-threads share it.
+threads share it. A replay keeps its points in a dict keyed by op number and
+pops each op's number from it, also atomic, so only an op at a recorded point
+takes the lock. A fuzz decision numbers its op and draws under the lock.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import json
 import math
 import threading
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,9 @@ class InjectorMode(enum.Enum):
     OFF = "off"
     FUZZ = "fuzz"
     REPLAY = "replay"
+
+
+_OFF, _REPLAY = InjectorMode.OFF, InjectorMode.REPLAY    # globals read faster than members
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,10 @@ class Injector:
         self.count_op = self._ops.__next__     # numbers one operation
         self.injected_so_far = 0
         self.recording = InjectionRecording(seed=self.config.seed)
-        self._pending = deque(recording.points) if recording is not None else deque()
+        points = recording.points if recording is not None else []
+        if any(a.op_counter >= b.op_counter for a, b in zip(points, points[1:])):
+            raise ValueError("recording op_counter values not strictly increasing")
+        self._pending = {p.op_counter: p for p in points}    # op number -> point
         self.divergences: list[str] = []
         self._rng = np.random.Generator(np.random.PCG64(self.config.seed))
         self._draws = iter(())
@@ -126,23 +133,28 @@ class Injector:
     def decide(self, op: OpIdentity, capture) -> float | None:
         """Advance the op counter and return an injected value, or None.
 
-        Called once per intercepted numeric operation, before the genuine
-        computation, except for the clean float64 operations that the tracked
-        operator methods finish inline under an OFF injector: those only call
-        count_op. OFF counts without the lock; FUZZ and REPLAY number the
-        operation under it, so each decision sees its own op number.
-        `capture` is a zero-argument trace capture, called at most once per
-        decision: only when scope filters, an injection or a recorded point
-        need the trace.
+        A clean float64 operation under an OFF injector never calls it: its
+        operator method only calls count_op. Under FUZZ and REPLAY every
+        intercepted numeric operation calls it once, a clean float64 one from
+        its operator method after the twin computed, any other from apply
+        before the computation. OFF and REPLAY number the operation without
+        the lock: a replay pops its number from a dict of the recorded
+        points, and takes the lock only at a recorded point, to fingerprint
+        it and count the injection. FUZZ numbers the operation and draws
+        under the lock, so op numbers and draws stay in one order. `capture`
+        is a zero-argument trace capture, called at most once per decision:
+        only when scope filters, an injection or a recorded point need the
+        trace.
         """
-        if self.mode is InjectorMode.OFF:
+        mode = self.mode
+        if mode is _OFF:
             self.count_op()
             return None
+        if mode is _REPLAY:
+            point = self._pending.pop(self.count_op(), None)
+            return None if point is None else self._replay_inject(point, capture)
         with self._lock:
-            n = self.count_op()
-            if self.mode is InjectorMode.REPLAY:
-                return self._replay_decide(n, capture)
-            return self._fuzz_decide(n, op, capture)
+            return self._fuzz_decide(self.count_op(), op, capture)
 
     def _fuzz_decide(self, n: int, op: OpIdentity, capture) -> float | None:
         cfg = self.config
@@ -176,27 +188,22 @@ class Injector:
         self.injected_so_far += 1
         return value
 
-    def _replay_decide(self, n: int, capture) -> float | None:
-        if not self._pending:
-            return None
-        point = self._pending[0]
-        if point.op_counter != n:
-            return None
-        self._pending.popleft()
-        fp = trace_fingerprint(capture())
-        if fp != point.trace_fp:
-            message = (
-                f"replay divergence at op {point.op_counter}: recorded trace "
-                f"{point.trace_fp}, current {fp}; injecting anyway"
-            )
-            self.divergences.append(message)
-            warnings.warn(message, ReplayDivergenceWarning)
-        self.injected_so_far += 1
+    def _replay_inject(self, point: RecordedInjection, capture) -> float:
+        with self._lock:
+            fp = trace_fingerprint(capture())
+            if fp != point.trace_fp:
+                message = (
+                    f"replay divergence at op {point.op_counter}: recorded trace "
+                    f"{point.trace_fp}, current {fp}; injecting anyway"
+                )
+                self.divergences.append(message)
+                warnings.warn(message, ReplayDivergenceWarning)
+            self.injected_so_far += 1
         return point.value
 
     def unconsumed_points(self) -> list:
         """Recording points never reached; nonempty after replay means divergence."""
-        return list(self._pending)
+        return list(self._pending.values())
 
 
 def save_recording(recording: InjectionRecording, path) -> None:

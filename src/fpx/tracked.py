@@ -8,10 +8,13 @@ classify the event per value class, and re-wrap the result. The pipeline is
 written once, and an operation is one row of the table below: name, arity,
 numpy ufunc, exact Python float twin, and the operator methods or public
 function it backs. The registry, methods and functions are built from it.
-The operator methods of a row with a twin fuse the clean path: under an OFF
-injector, with finite float64 operands and result, they compute with the twin,
-count the op on the injector without its lock (comparisons count nothing) and
-wrap the result, never calling apply or Injector.decide. The rest goes to apply.
+The operator methods of a row with a twin fuse the clean path. With finite
+float64 operands and result they compute with the twin first. A comparison
+then returns its bool in every mode. A numeric op under an OFF injector is
+counted without the injector's lock and wrapped; under FUZZ or REPLAY it takes
+its Injector.decide call in the method and is wrapped unless a value is
+injected, which the tail that apply shares then logs. Neither calls apply. An
+op that is not clean goes to apply, which makes its decision.
 
 Two substrates compute, with the same bits either way. Rows whose Python float
 operator is IEEE correctly rounded or exact (+ - * /, negation, abs, sqrt, the
@@ -217,18 +220,25 @@ def apply(name: str, operands, session=None):
     if cls is None:
         raise TypeError("apply requires at least one tracked operand")
     try:
-        impl, is_comparison, op, exact = _REGISTRY[(name, len(operands))]
+        row = _REGISTRY[(name, len(operands))]
     except KeyError:
         raise ValueError(f"unsupported operation: {name}/{len(operands)}") from None
+    _, is_comparison, op, exact = row
     sess = session if session is not None else current_session()
     values = [o._value if isinstance(o, TrackedFloat) else o for o in operands]
     injected_value = None if is_comparison else sess.injector.decide(op, sess.traces.capture)
-    injected = injected_value is not None
-    if not injected and exact is not None:
+    if injected_value is None and exact is not None:
         result = _clean(exact, *values)
         if result is not None:
             return result if is_comparison else _wrap_result(cls, result)
+    return _finish(sess, cls, row, values, injected_value)
 
+
+def _finish(sess, cls, row, values, injected_value):
+    """The op after its injector decision, unless it was clean: compute (or
+    substitute the injected value), pin NaN payloads, classify and log."""
+    impl, is_comparison, op, _ = row
+    injected = injected_value is not None
     np_type = cls._np_type
     # The cast runs under errstate too: a plain operand too big for a narrow
     # width becomes Inf without a RuntimeWarning, and is classified as one.
@@ -253,29 +263,41 @@ def _is_operand(x) -> bool:
     return isinstance(x, _OPERANDS)
 
 
-def _operator_method(name, exact, counted, reflected):
-    """An operator method. Under an OFF injector, a row with a twin finishes a
-    clean float64 op here: a comparison returns its bool, a numeric op is
-    counted and wrapped. Anything else goes on to apply, looked up as a module
-    global, so a patched apply sees every call that falls through."""
+def _operator_method(name, arity, reflected):
+    """An operator method. A row with a twin computes a clean float64 op here
+    first. A comparison returns its bool in any mode: it takes no decision.
+    Under an OFF injector a numeric op is counted and wrapped; under FUZZ or
+    REPLAY it takes its injector decision here and is wrapped unless a value
+    is injected, which _finish then logs as apply would. An op that is not
+    clean goes on to apply, looked up as a module global, so a patched apply
+    sees every call that falls through, and apply decides for it."""
+    row = _REGISTRY[name, arity]
+    _, is_comparison, op, exact = row
+
     def method(self, other=_UNARY):
-        session = current_session()
-        injector = session.injector
-        if exact is not None and injector.mode is _OFF:
+        if exact is not None:
             if reflected:
                 x, y = other, self._value       # a tracked left operand is left to apply
             else:
                 x, y = self._value, (other._value if isinstance(other, TrackedFloat) else other)
             if (result := _clean(exact, x, y)) is not None:
-                if not counted:
+                if is_comparison:
                     return result
-                injector.count_op()
-                return _wrap_result(type(self), result)
+                session = current_session()
+                injector = session.injector
+                if injector.mode is _OFF:
+                    injector.count_op()
+                    return _wrap_result(type(self), result)
+                injected = injector.decide(op, session.traces.capture)
+                if injected is None:
+                    return _wrap_result(type(self), result)
+                return _finish(session, type(self), row,
+                               (x,) if y is _UNARY else (x, y), injected)
         if other is _UNARY:
-            return apply(name, (self,), session)
+            return apply(name, (self,))
         if not _is_operand(other):
             return NotImplemented
-        return apply(name, (other, self) if reflected else (self, other), session)
+        return apply(name, (other, self) if reflected else (self, other))
     return method
 
 
@@ -293,10 +315,9 @@ def _public(name, arity, public):
 
 # The operator methods of TrackedFloat, and the public functions sqrt, exp,
 # log, sin, cos, tan, floor, ceil, atan2, hypot, rem, minimum and maximum.
-for _name, _arity, _, _exact, _methods in _NUMERIC + _COMPARISONS:
-    _counted = not _REGISTRY[_name, _arity][1]
+for _name, _arity, _, _, _methods in _NUMERIC + _COMPARISONS:
     for _method, _reflected in zip(_methods.split(), (False, True)):
         if _method.startswith("__"):
-            setattr(TrackedFloat, _method, _operator_method(_name, _exact, _counted, _reflected))
+            setattr(TrackedFloat, _method, _operator_method(_name, _arity, _reflected))
         else:
             globals()[_method] = _public(_name, _arity, _method)

@@ -1,6 +1,7 @@
 """Bit packing, payload surgery, and decimal rendering."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -60,6 +61,41 @@ def test_float32_nan_bits_survive(bits):
     assert fpbits.to_bits(value) == bits
     assert fpbits.hex_bits(value) == f"0x{bits:08x}"
     assert fpbits.to_bits(fpbits.from_hex_bits(fpbits.hex_bits(value))) == bits
+
+
+class _Float32Subclass(np.float32):
+    pass
+
+
+def _reference_width(x):
+    return 32 if isinstance(x, np.float32) else 16 if isinstance(x, np.float16) else 64
+
+
+def _reference_bits(x, width):
+    """to_bits by a float conversion or a numpy view, with no type dispatch."""
+    if width == 64:
+        return struct.unpack("<Q", struct.pack("<d", float(x)))[0]
+    np_type, uint = {32: (np.float32, np.uint32), 16: (np.float16, np.uint16)}[width]
+    return int((x if isinstance(x, np_type) else np_type(float(x))).view(uint))
+
+
+@pytest.mark.parametrize("value", [
+    1.5, -0.0, 0.0, float("inf"), -float("inf"), float("nan"), 5e-324,
+    fpbits.from_bits(0xFFF8000000000077), fpbits.from_bits(0x7FF0000000000001),
+    np.float64(-0.0), np.float64(2.5), np.float64(fpbits.from_bits(0x7FF8000000012345)),
+    np.float32(-0.0), np.float32(0.1), fpbits.from_bits(0x7FC12345, 32),
+    fpbits.from_bits(0xFF800123, 32), np.float16(-0.0), np.float16(0.1),
+    fpbits.from_bits(0x7E23, 16), True, False, 3, -(2**60), _Float32Subclass(1.25),
+], ids=repr)
+def test_bits_and_width_by_exact_type_match_reference(value):
+    """Dispatch on the exact type gives the bits and width that a float
+    conversion or a numpy view gives, NaN payloads and -0.0 included, at
+    the value's own width and at every other width."""
+    assert fpbits.width_of(value) == _reference_width(value)
+    assert fpbits.to_bits(value) == _reference_bits(value, _reference_width(value))
+    for width in (64, 32, 16):
+        with np.errstate(all="ignore"):
+            assert fpbits.to_bits(value, width) == _reference_bits(value, width)
 
 
 def test_hex_width_inference():

@@ -348,6 +348,15 @@ class TestReplay:
         assert math.isnan(value)
         assert len(inj.divergences) == 1
 
+    @pytest.mark.parametrize("counters", [(5, 5), (9, 5), (3, 7, 7), (3, 8, 7)])
+    def test_points_must_be_strictly_increasing(self, counters):
+        """The rule load_recording enforces; a duplicate point would otherwise
+        collapse into one, and one out of order would never fire."""
+        rec = InjectionRecording(seed=0, points=[
+            RecordedInjection(n, "+", NAN, "x" * 16) for n in counters])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Injector.replay(rec)
+
     def test_unconsumed_points_reported(self):
         rec = InjectionRecording(seed=0, points=[
             RecordedInjection(5, "+", NAN, "x" * 16),

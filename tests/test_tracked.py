@@ -15,9 +15,10 @@ import fpx
 from fpx import fpbits, tracked
 from fpx.classify import (EventKind, OpIdentity, ValueClass, classify,
                           propagate_payload)
-from fpx.injector import InjectionConfig, InjectionRecording, Injector
+from fpx.injector import InjectionConfig, InjectionRecording, Injector, RecordedInjection
 from fpx.ledger import LedgerConfig
 from fpx.session import explicit_session, use_session
+from fpx.traces import trace_fingerprint
 from fpx.tracked import (_REGISTRY, TrackedFloat, TrackedFloat16,
                          TrackedFloat32, TrackedFloat64, apply, maximum, minimum,
                          unwrap)
@@ -534,9 +535,9 @@ def _fused_run(calls, injector):
 @pytest.mark.parametrize("dunder", sorted(FUSED))
 def test_fused_methods_match_apply(dunder):
     """A fused operator method gives apply's result bits, events and op count
-    under an OFF injector, a fuzz injector that fires on every op, and a
-    replay of its recording: injections land on the same op numbers, so the
-    clean path never pre-empts an injector decision."""
+    under an OFF injector, fuzz injectors that fire on every op or on some,
+    and replays of their recordings: injections land on the same op numbers,
+    so the clean path never pre-empts an injector decision."""
     name = FUSED[dunder]
     arity = 1 if dunder in ("__neg__", "__abs__", "__bool__") else 2
     cases = _fused_cases(arity)
@@ -544,18 +545,24 @@ def test_fused_methods_match_apply(dunder):
     operands = [c if arity == 1 or not dunder.startswith("__r") else c[::-1]
                 for c in cases]
     applied = [lambda o=o: apply(name, o) for o in operands]
-    fuzz = InjectionConfig(odds=1, n_inject=len(cases) // 2, seed=5)
+    # odds=1 fires on every op until its budget ends; odds=3 fires on some
+    fuzzes = (InjectionConfig(odds=1, n_inject=len(cases) // 2, seed=5),
+              InjectionConfig(odds=3, n_inject=len(cases), seed=7))
+    points = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for make in (Injector.off, lambda: Injector.fuzz(fuzz)):
-            expected = _fused_run(applied, make())
-            assert _fused_run(fused, make()) == expected, (dunder, make)
-        recording = InjectionRecording(seed=5, points=expected[3])
-        replayed = _fused_run(fused, Injector.replay(recording))
-        assert replayed == _fused_run(applied, Injector.replay(recording))
-        assert replayed[:3] == expected[:3]
+        assert _fused_run(fused, Injector.off()) == _fused_run(applied, Injector.off())
+        for fuzz in fuzzes:
+            expected = _fused_run(applied, Injector.fuzz(fuzz))
+            assert _fused_run(fused, Injector.fuzz(fuzz)) == expected, (dunder, fuzz)
+            recording = InjectionRecording(seed=fuzz.seed, points=expected[3])
+            replayed = _fused_run(fused, Injector.replay(recording))
+            assert replayed == _fused_run(applied, Injector.replay(recording))
+            assert replayed[:3] == expected[:3]
+            points.append(len(expected[3]))
     if (name, arity) not in COMPARISONS:
-        assert expected[2] == len(cases) and len(expected[3]) == len(cases) // 2
+        assert expected[2] == len(cases)
+        assert points[0] == len(cases) // 2 and 0 < points[1] < len(cases)
 
 
 def test_threads_sharing_an_off_session_count_every_op():
@@ -586,15 +593,69 @@ def test_threads_sharing_an_off_session_count_every_op():
     assert len(session.ledger.events()) == 2 * n_nan
 
 
-def test_clean_float64_ops_bypass_apply_and_decide(monkeypatch):
-    """The fused path is wired in: under an OFF injector a clean float64 op
-    reaches neither apply nor Injector.decide, yet is counted; an op with a
-    NaN operand goes through both."""
+def test_threads_sharing_a_replay_session_fire_every_point_once():
+    """Replay decisions pop their op number without the lock; with two
+    threads switching often, points fall on both threads' ops and each one
+    fires exactly once."""
+    n_clean, n_nan = 20000, 200
+    points = [RecordedInjection(n, "+", NAN, trace_fingerprint(()))
+              for n in range(5, 2 * (n_clean + n_nan), 97)]
+    session = explicit_session(injector=Injector.replay(
+        InjectionRecording(seed=0, points=points)))
+    injected_by_thread = []
+
+    def worker():
+        a, one, nan = TrackedFloat64(1.5), TrackedFloat64(1.0), TrackedFloat64(NAN)
+        injected = 0
+        with use_session(session):
+            for i in range(n_clean):
+                injected += math.isnan(unwrap(a + one))
+                if i % (n_clean // n_nan) == 0:
+                    nan * one
+        injected_by_thread.append(injected)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    injector = session.injector
+    assert not any(t.is_alive() for t in threads)
+    assert injector.op_counter == 2 * (n_clean + n_nan)
+    assert injector.unconsumed_points() == [] and injector.divergences == []
+    assert injector.injected_so_far == len(points)
+    assert sum(e.injected for e in session.ledger.events()) == len(points)
+    assert all(injected_by_thread)
+
+
+def _watch_apply_and_decide(monkeypatch):
+    """A list that each later call of tracked.apply or Injector.decide appends
+    its name to."""
     calls = []
     real_apply, real_decide = tracked.apply, Injector.decide
     monkeypatch.setattr(tracked, "apply", lambda *a, **k: calls.append("apply") or real_apply(*a, **k))
     monkeypatch.setattr(Injector, "decide",
                         lambda *a, **k: calls.append("decide") or real_decide(*a, **k))
+    return calls
+
+
+# Injectors of each mode that never inject.
+QUIET_INJECTORS = {
+    "off": Injector.off,
+    "fuzz": lambda: Injector.fuzz(InjectionConfig(odds=1, n_inject=0)),
+    "replay": lambda: Injector.replay(InjectionRecording()),
+}
+
+
+def test_clean_float64_ops_bypass_apply_and_decide(monkeypatch):
+    """The fused path is wired in: under an OFF injector a clean float64 op
+    reaches neither apply nor Injector.decide, yet is counted; an op with a
+    NaN operand goes through both."""
+    calls = _watch_apply_and_decide(monkeypatch)
     session = explicit_session()
     a, b = TrackedFloat64(1.5), TrackedFloat64(-2.0)
     with use_session(session):
@@ -605,3 +666,59 @@ def test_clean_float64_ops_bypass_apply_and_decide(monkeypatch):
                                                     -0.75, 2.0 / 3.0, -1.5, 2.0]
         TrackedFloat64(NAN) + a
     assert calls == ["apply", "decide"] and session.injector.op_counter == 11
+
+
+@pytest.mark.parametrize("mode", ["fuzz", "replay"])
+def test_clean_float64_ops_decide_in_their_method(monkeypatch, mode):
+    """Under FUZZ and REPLAY a clean float64 op calls Injector.decide once
+    and never apply, and an injected one is finished and logged there too;
+    an op with a NaN operand goes through apply, which decides."""
+    calls = _watch_apply_and_decide(monkeypatch)
+    session = explicit_session(injector=QUIET_INJECTORS[mode]())
+    a, b = TrackedFloat64(1.5), TrackedFloat64(-2.0)
+    ops = [lambda: a + b, lambda: 2.0 + a, lambda: a - b, lambda: 1.0 - a,
+           lambda: a * b, lambda: 3.0 * a, lambda: a / b, lambda: 1.0 / a,
+           lambda: -a, lambda: abs(b)]
+    with use_session(session):
+        for op in ops:
+            calls.clear()
+            op()
+            assert calls == ["decide"]
+        calls.clear()
+        TrackedFloat64(NAN) + a
+    assert calls == ["apply", "decide"] and session.injector.op_counter == len(ops) + 1
+
+    injector = (Injector.fuzz(InjectionConfig(odds=1, n_inject=1)) if mode == "fuzz" else
+                Injector.replay(InjectionRecording(points=[
+                    RecordedInjection(1, "*", NAN, trace_fingerprint(()))])))
+    session = explicit_session(injector=injector)
+    with use_session(session):
+        calls.clear()
+        result = a * b
+    assert calls == ["decide"] and math.isnan(unwrap(result))
+    [event] = session.ledger.events()
+    assert (event.kind, event.value_class, event.op, event.injected) == (
+        EventKind.GEN, ValueClass.NAN, OpIdentity("*", 2), True)
+
+
+@pytest.mark.parametrize("mode", sorted(QUIET_INJECTORS))
+def test_clean_comparisons_call_neither_apply_nor_decide(monkeypatch, mode):
+    calls = _watch_apply_and_decide(monkeypatch)
+    session = explicit_session(injector=QUIET_INJECTORS[mode]())
+    a, b, zero = TrackedFloat64(1.5), TrackedFloat64(-2.0), TrackedFloat64(-0.0)
+    with use_session(session):
+        results = [a < b, a <= 2.0, a > b, 3.0 >= a, a == b, a != b, bool(a), bool(zero)]
+    assert results == [False, True, True, True, False, True, True, False]
+    assert calls == [] and session.injector.op_counter == 0
+
+
+def test_unsupported_operand_under_fuzz_counts_nothing():
+    """An operand of another type is NotImplemented before any decision, so
+    the op number is not spent."""
+    session = explicit_session(injector=Injector.fuzz(InjectionConfig(odds=1, n_inject=10)))
+    x = TrackedFloat64(1.5)
+    with use_session(session):
+        for op in (lambda: x + "s", lambda: "s" + x, lambda: x * [1], lambda: x / None):
+            with pytest.raises(TypeError):
+                op()
+    assert session.injector.op_counter == 0 and session.injector.recording.points == []
