@@ -37,7 +37,7 @@ def main() -> int:
     print(f"\nfirst NaN (seq {nan_gens[0].seq}):")
     print(render_human(nan_gens[0]))
 
-    traces = stackgraph.traces_from_events(gens)
+    traces = [e.trace for e in gens]
     graph = stackgraph.build(traces)
     (out / "gen.dot").write_text(stackgraph.emit_dot(graph), encoding="utf-8")
 

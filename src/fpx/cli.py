@@ -155,13 +155,14 @@ def _graph_document(text):
 
 def _load_traces(path, text, value_class=None) -> list:
     """Ledger jsonl or plain-text trace blocks (text is path's content),
-    detected from content."""
+    detected from content. Only log events carry a value class to filter on."""
     head = text.lstrip()
     if not head:
         return []
     if head.startswith("{"):
-        events = _filter_class(parse_log(path), value_class)
-        return stackgraph.traces_from_events(events)
+        return [e.trace for e in _filter_class(parse_log(path), value_class)]
+    if value_class is not None:
+        raise UsageError("--value-class applies to ledger logs, not plain-text traces")
     return stackgraph.parse_trace_text(text)
 
 

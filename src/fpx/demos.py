@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .classify import EventKind, ValueClass
 from .session import TrackerSession, explicit_session, use_session
 from .tracked import TrackedFloat64, maximum, unwrap
 
@@ -122,9 +121,3 @@ def demo_sim(steps=12, cells=16, blowup=False, session=None) -> SimDemoResult:
                         nxt[i] = u[i] + coefficient * curvature
                 u = nxt
     return SimDemoResult([unwrap(x) for x in u], sess)
-
-
-def kill_events_at(session, function_name) -> list:
-    """NaN kills whose innermost frame is the named scope (demo assertions)."""
-    events = session.ledger.events(kind=EventKind.KILL, value_class=ValueClass.NAN)
-    return [e for e in events if e.trace and e.trace[0].function == function_name]

@@ -61,8 +61,14 @@ class InjectionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "functions", tuple(self.functions))
-        object.__setattr__(self, "libraries", tuple(self.libraries))
+        for name in ("functions", "libraries"):
+            entries = getattr(self, name)
+            if isinstance(entries, str):    # it would split into one-letter filters
+                raise ValueError(f"{name} must be a sequence of strings, not a string")
+            entries = tuple(entries)
+            if not all(isinstance(e, str) and e for e in entries):
+                raise ValueError(f"{name} entries must be non-empty strings")
+            object.__setattr__(self, name, entries)
         if self.odds < 1:
             raise ValueError("odds must be >= 1")
         if self.n_inject < 0:

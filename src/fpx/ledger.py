@@ -1,9 +1,12 @@
 """Event records, logging configuration, and serialization.
 
 Events accumulate in three in-memory streams (gen/prop/kill) and flush to
-gen.jsonl / prop.jsonl / kill.jsonl. The canonical line format dual-encodes
-every float as a decimal rendering plus an authoritative hex bit pattern, so
-NaN payloads and signed zeros round-trip exactly. One codec serves flush and
+gen.jsonl / prop.jsonl / kill.jsonl. Tracked operations record into the ledger
+of the current session, which a `use_session` block selects. LedgerConfig sets
+a per-kind cap and the kinds to log; every stored event keeps its trace. The
+canonical line format dual-encodes every float as a decimal rendering plus an
+authoritative hex bit pattern, so NaN payloads and signed zeros round-trip
+exactly. One codec serves flush and
 parse_log; its caches live for one call. The encoder keeps one JSON fragment per
 op, trace and scalar (keyed by exact type and bit pattern, never by value); the
 decoder one object per op, trace and hex string, so events parsed from one file
@@ -65,11 +68,9 @@ def read_json_lines(path, error=FormatError):
 class LedgerConfig:
     max_logs: int | None = None                      # per-kind bound; None = unbounded
     log_kinds: frozenset = ALL_KINDS
-    exclude_stacktrace: frozenset = frozenset()
 
     def __post_init__(self):
         object.__setattr__(self, "log_kinds", frozenset(self.log_kinds))
-        object.__setattr__(self, "exclude_stacktrace", frozenset(self.exclude_stacktrace))
         if self.max_logs is not None and self.max_logs < 0:
             raise ValueError("max_logs must be >= 0")
 
@@ -121,7 +122,7 @@ class Ledger:
 
         `trace` may be a StackTrace or a zero-argument capture callable, such
         as a trace provider's `capture`; it is called only once the event is
-        known to be stored with its trace.
+        known to be stored.
         """
         cfg = self.config
         with self._lock:
@@ -130,8 +131,6 @@ class Ledger:
             stream = self._streams[kind]
             if cfg.max_logs is not None and len(stream) >= cfg.max_logs:
                 return False
-            if kind in cfg.exclude_stacktrace:
-                trace = EMPTY_TRACE
             trace = trace() if callable(trace) else tuple(trace)
             self._seq += 1
             stream.append(ExceptionEvent(
@@ -241,10 +240,6 @@ def _decoder():
         except (KeyError, TypeError, ValueError) as exc:
             raise LogFormatError(f"bad event record: {exc!r}", line_number) from exc
     return decode
-
-
-def event_from_json(obj: dict, line_number: int | None = None) -> ExceptionEvent:
-    return _decoder()(obj, line_number)
 
 
 def parse_log(path) -> list:

@@ -3,8 +3,12 @@
 Many stack traces collapse into one weighted digraph: frames become nodes
 (keyed by function+file:line, or function only under the coarse policy) and
 each caller->callee adjacency adds one to its edge count. Diffs subtract edge
-counts between two graphs built with the same key policy; DOT output is
-deterministic so renders and golden files are stable.
+counts between two graphs built with the same key policy; a policy mismatch is
+a ValueError. DOT output is deterministic so renders and golden files are
+stable. build takes traces: `[e.trace for e in events]` of ledger events (those
+of the session a `use_session` block selected), or parse_trace_text's blocks.
+save_graph writes a graph document and graph_from_json reads its parsed JSON
+back; a malformed document is a GraphFormatError.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .ledger import FormatError
-from .traces import Frame, StackTrace
+from .traces import Frame
 
 GRAPH_FORMAT = "stackgraph-v1"
 DIFF_FORMAT = "stackgraph-diff-v1"
@@ -25,10 +29,6 @@ KEY_POLICIES = ("fine", "coarse")
 
 class GraphFormatError(FormatError):
     """A malformed graph document or plain-text trace file."""
-
-
-class KeyPolicyMismatch(ValueError):
-    pass
 
 
 def frame_key(frame: Frame, key_policy: str = "fine") -> str:
@@ -69,7 +69,7 @@ def build(traces, key_policy: str = "fine") -> StackGraph:
 def diff(before: StackGraph, after: StackGraph) -> GraphDiff:
     """Per-edge count deltas (after - before); zero deltas are dropped."""
     if before.key_policy != after.key_policy:
-        raise KeyPolicyMismatch(
+        raise ValueError(
             f"cannot diff {before.key_policy!r} graph against {after.key_policy!r} graph"
         )
     d = GraphDiff(key_policy=before.key_policy)
@@ -136,18 +136,22 @@ def graph_from_json(obj: dict) -> StackGraph:
     if not isinstance(obj, dict) or obj.get("format") != GRAPH_FORMAT:
         raise GraphFormatError("not a stack-graph document")
     try:
+        nodes, edges = obj["nodes"], obj["edges"]
         g = StackGraph(key_policy=obj["key_policy"], trace_total=obj["trace_total"],
-                       nodes=set(obj["nodes"]),
-                       edges={(e["parent"], e["child"]): e["count"] for e in obj["edges"]})
+                       nodes=set(nodes),
+                       edges={(e["parent"], e["child"]): e["count"] for e in edges})
     except (KeyError, TypeError) as exc:
         raise GraphFormatError(f"bad stack-graph document: {exc!r}") from exc
     if g.key_policy not in KEY_POLICIES:
         raise GraphFormatError(f"unknown key policy: {g.key_policy!r}")
-    if (type(g.trace_total) is not int
+    if (type(nodes) is not list or type(edges) is not list or len(g.edges) != len(edges)
+            or type(g.trace_total) is not int or g.trace_total < 0
             or not all(type(c) is int and c > 0 for c in g.edges.values())
             or not all(isinstance(k, str) for k in g.nodes.union(*g.edges))):
-        raise GraphFormatError("bad stack-graph document: trace_total and edge counts "
-                               "must be integers, counts positive, node keys strings")
+        raise GraphFormatError("bad stack-graph document: nodes and edges must be arrays "
+                               "listing each (parent, child) edge once, trace_total a "
+                               "non-negative integer, counts positive integers and node "
+                               "keys strings")
     return g
 
 
@@ -164,19 +168,6 @@ def diff_to_json(d: GraphDiff) -> dict:
 
 def save_graph(g: StackGraph, path) -> None:
     Path(path).write_text(json.dumps(graph_to_json(g), indent=2) + "\n", encoding="utf-8")
-
-
-def load_graph(path) -> StackGraph:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"not valid JSON: {exc.msg}") from exc
-    return graph_from_json(obj)
-
-
-def traces_from_events(events) -> list:
-    """The stack traces of a sequence of ledger events, in ledger order."""
-    return [e.trace for e in events]
 
 
 def parse_trace_text(text: str) -> list:
@@ -199,10 +190,3 @@ def parse_trace_text(text: str) -> list:
     if current:
         traces.append(tuple(current))
     return traces
-
-
-def format_trace_text(traces) -> str:
-    blocks = []
-    for trace in traces:
-        blocks.append("\n".join(f"{f.function}\t{f.file}:{f.line}" for f in trace))
-    return "\n\n".join(blocks) + ("\n" if blocks else "")

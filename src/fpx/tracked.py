@@ -8,6 +8,8 @@ classify the event per value class, and re-wrap the result. The pipeline is
 written once, and an operation is one row of the table below: name, arity,
 numpy ufunc, exact Python float twin, and the operator methods or public
 function it backs. The registry, methods and functions are built from it.
+Every operation runs in the current session; a `use_session` block is how a
+caller picks the session for apply, the operators and the public functions.
 The operator methods of a row with a twin fuse the clean path. With finite
 float64 operands and result they compute with the twin first. A comparison
 then returns its bool in every mode. A numeric op under an OFF injector is
@@ -25,6 +27,8 @@ traps suppressed, so 0/0, log(0), overflow, and friends yield IEEE results
 instead of raising. With injection off, unwrapped results are bit-identical
 to the same computation over plain numpy scalars. A number too big for the
 width of a tracked value being constructed becomes Inf, logged as a cast gen.
+Formatting a tracked value formats the wrapped one; it is a visible text exit,
+so it logs no event and counts no op.
 """
 
 from __future__ import annotations
@@ -133,6 +137,9 @@ class TrackedFloat:
     def __str__(self):
         return str(self._value)
 
+    def __format__(self, spec):
+        return format(self._value, spec)
+
     def __int__(self):
         return int(self._value)
 
@@ -207,8 +214,9 @@ def _clean(exact, x, y=_UNARY):
     return None
 
 
-def apply(name: str, operands, session=None):
-    """Run one intercepted operation over tracked (or mixed) operands.
+def apply(name: str, operands):
+    """Run one intercepted operation over tracked (or mixed) operands in the
+    current session, which a `use_session` block selects.
 
     Returns a tracked scalar at the widest tracked operand width, or a plain
     bool for comparisons. One event is recorded per value class whose
@@ -224,7 +232,7 @@ def apply(name: str, operands, session=None):
     except KeyError:
         raise ValueError(f"unsupported operation: {name}/{len(operands)}") from None
     _, is_comparison, op, exact = row
-    sess = session if session is not None else current_session()
+    sess = current_session()
     values = [o._value if isinstance(o, TrackedFloat) else o for o in operands]
     injected_value = None if is_comparison else sess.injector.decide(op, sess.traces.capture)
     if injected_value is None and exact is not None:
@@ -303,11 +311,11 @@ def _operator_method(name, arity, reflected):
 
 def _public(name, arity, public):
     if arity == 1:
-        def fn(x, session=None):
-            return apply(name, (x,), session=session)
+        def fn(x):
+            return apply(name, (x,))
     else:
-        def fn(x, y, session=None):
-            return apply(name, (x, y), session=session)
+        def fn(x, y):
+            return apply(name, (x, y))
     fn.__name__ = fn.__qualname__ = public
     fn.__doc__ = f"Tracked {name}({'x' if arity == 1 else 'x, y'})."
     return fn

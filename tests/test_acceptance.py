@@ -97,7 +97,8 @@ def test_criterion_2_max_demo():
 @criterion(3, "-Inf minus -Inf is one NaN gen plus one Inf kill")
 def test_criterion_3_dual_class():
     session = explicit_session()
-    apply("-", (TrackedFloat64(-INF), TrackedFloat64(-INF)), session=session)
+    with use_session(session):
+        apply("-", (TrackedFloat64(-INF), TrackedFloat64(-INF)))
     events = session.ledger.events()
     assert len(events) == 2
     assert {(e.value_class, e.kind) for e in events} == {
@@ -240,8 +241,9 @@ def _eval_plain(leaves, program, width):
 def _eval_tracked(leaves, program, width, session):
     cls = _TRACKED_CLS[width]
     values = [cls(x) for x in leaves]
-    for (name, _), args in program:
-        values.append(apply(name, tuple(values[i] for i in args), session=session))
+    with use_session(session):
+        for (name, _), args in program:
+            values.append(apply(name, tuple(values[i] for i in args)))
     return [unwrap(v) for v in values]
 
 
@@ -267,14 +269,15 @@ def test_criterion_9_payload_conservation():
         payload = rng.randrange(1, 1 << 51)
         session = explicit_session()
         value = TrackedFloat64(fpbits.nan_with_payload(payload))
-        for _ in range(20):
-            name, arity = _OPS[rng.randrange(len(_OPS))]
-            if arity == 1:
-                value = apply(name, (value,), session=session)
-            else:
-                other = TrackedFloat64(rng.uniform(-100.0, 100.0))
-                pair = (value, other) if rng.random() < 0.5 else (other, value)
-                value = apply(name, pair, session=session)
+        with use_session(session):
+            for _ in range(20):
+                name, arity = _OPS[rng.randrange(len(_OPS))]
+                if arity == 1:
+                    value = apply(name, (value,))
+                else:
+                    other = TrackedFloat64(rng.uniform(-100.0, 100.0))
+                    pair = (value, other) if rng.random() < 0.5 else (other, value)
+                    value = apply(name, pair)
         result = unwrap(value)
         new_sources = session.ledger.events(kind=EventKind.GEN,
                                             value_class=ValueClass.NAN)
@@ -295,8 +298,7 @@ def test_criterion_10_format_stability(tmp_path):
         rec_path = tmp_path / f"rec-{tag}.jsonl"
         save_recording(session.injector.recording, rec_path)
         gens = session.ledger.events(kind=EventKind.GEN)
-        dot = stackgraph.emit_dot(stackgraph.build(
-            stackgraph.traces_from_events(gens)))
+        dot = stackgraph.emit_dot(stackgraph.build([e.trace for e in gens]))
         return log_bytes, rec_path.read_bytes(), dot
 
     first = one_run("first")

@@ -110,6 +110,14 @@ class TestRun:
         assert code == 1
         assert stderr.startswith("fpx: ") and message in stderr
 
+    @pytest.mark.parametrize("token", ["functions=", "libraries=a,,b", "functions=f,"])
+    def test_empty_fuzz_scope_entry_is_usage_error(self, tmp_path, capsys, token):
+        code, stdout, stderr = run_cli(capsys, "run", "sim", "--out", str(tmp_path),
+                                       "--fuzz", "seed=1", token)
+        assert code == 1
+        assert stderr.startswith("fpx: ") and token.partition("=")[0] in stderr
+        assert stdout == "" and not list(tmp_path.iterdir())
+
     def test_fuzz_tokens_set_only_the_given_fields(self):
         # repr, because the default injection value is a NaN, unequal to itself
         assert repr(_parse_fuzz(["seed=3"])) == repr(InjectionConfig(seed=3))
@@ -251,6 +259,14 @@ class TestGraphCommands:
         assert code == 0
         assert 'label="2"' in stdout
 
+    def test_cstg_value_class_on_plain_text_traces_is_usage_error(self, tmp_path, capsys):
+        txt = tmp_path / "traces.txt"
+        txt.write_text("inner\ta.py:1\nouter\tb.py:2\n", encoding="utf-8")
+        code, stdout, stderr = run_cli(capsys, "cstg", str(txt), "--value-class", "nan")
+        assert code == 1
+        assert stderr.startswith("fpx: ") and "--value-class" in stderr
+        assert stdout == ""
+
     def test_cstg_value_class_filter(self, gen_log, tmp_path, capsys):
         full = tmp_path / "full.json"
         only_inf = tmp_path / "inf.json"
@@ -318,6 +334,9 @@ MALFORMED = {
                                  [["diff", "FILE", "FILE"], ["cstg", "FILE"]], None),
     "graph unknown key policy": (_graph(key_policy="bogus"),
                                  [["diff", "FILE", "FILE"], ["cstg", "FILE"]], None),
+    "graph nodes a string": (_graph(nodes="ab"), [["diff", "FILE", "FILE"]], None),
+    "graph duplicate edge": (_graph(edges=GRAPH["edges"] * 2), [["diff", "FILE", "FILE"]], None),
+    "graph negative trace_total": (_graph(trace_total=-1), [["diff", "FILE", "FILE"]], None),
     "trace line": ("inner\ta.py:1\nouter\tb.py:2\n\ninner\ta.py:one\n",
                    [["cstg", "FILE"], ["diff", "FILE", "FILE"]], 4),
 }

@@ -7,7 +7,7 @@ import pytest
 
 from fpx import fpbits, stackgraph
 from fpx.classify import EventKind, OpIdentity, ValueClass
-from fpx.demos import demo_loop_kill, demo_max, demo_sim, kill_events_at
+from fpx.demos import demo_loop_kill, demo_max, demo_sim
 from fpx.ledger import FILE_BY_KIND, LedgerConfig
 from fpx.session import explicit_session
 
@@ -83,12 +83,14 @@ class TestDemoLoopKill:
     def test_kill_graph_has_single_dominant_path(self):
         result = demo_loop_kill(inject_tdir=True, max_iters=50)
         kills = result.session.ledger.events(kind=EventKind.KILL)
-        g = stackgraph.build(stackgraph.traces_from_events(kills))
+        g = stackgraph.build([e.trace for e in kills])
         # every kill trace is the same path ending at the guard frame
         assert len(g.edges) == len(kills[0].trace) - 1
         assert all(count == 50 for count in g.edges.values())
         assert kills[0].trace[0].function == "loop_guard"
-        assert kill_events_at(result.session, "loop_guard")
+        nan_kills = result.session.ledger.events(kind=EventKind.KILL,
+                                                 value_class=ValueClass.NAN)
+        assert [e for e in nan_kills if e.trace and e.trace[0].function == "loop_guard"]
 
 
 class TestDemoSim:

@@ -37,6 +37,19 @@ class TestConfig:
             InjectionConfig(value=1.0)
         InjectionConfig(value=float("-inf"))  # infinities are allowed
 
+    @pytest.mark.parametrize("field", ["functions", "libraries"])
+    @pytest.mark.parametrize("bad", ["solver", "/usr/lib", ("",), ("a", "", "b"),
+                                     ("a", 5), [None]])
+    def test_scope_filter_must_be_non_empty_strings(self, field, bad):
+        """A bare string is not split into one-letter filters, and an empty or
+        non-string entry is refused: each would match almost every frame."""
+        with pytest.raises(ValueError, match=field):
+            InjectionConfig(**{field: bad})
+
+    def test_scope_filters_accept_string_sequences(self):
+        cfg = InjectionConfig(functions=["solve", "rhs"], libraries=("ODE/",))
+        assert (cfg.functions, cfg.libraries) == (("solve", "rhs"), ("ODE/",))
+
 
 def _fires(inj, trace=TRACE):
     """One decide call: True when it injected (and so returned a value)."""

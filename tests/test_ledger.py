@@ -12,8 +12,7 @@ from fpx import fpbits
 from fpx.classify import EventKind, OpIdentity, ValueClass
 from fpx.injector import RecordingFormatError
 from fpx.ledger import (ExceptionEvent, FormatError, Ledger, LedgerConfig,
-                        LogFormatError, event_from_json,
-                        event_to_line, parse_log, read_json_lines,
+                        LogFormatError, event_to_line, parse_log, read_json_lines,
                         render_human)
 from fpx.stackgraph import GraphFormatError
 from fpx.traces import Frame
@@ -64,15 +63,6 @@ class TestRecord:
         assert _record(ledger, kind=EventKind.KILL)
         assert _record(ledger, kind=EventKind.GEN) is False
 
-    def test_exclude_stacktrace(self):
-        cfg = LedgerConfig(exclude_stacktrace=frozenset({EventKind.GEN}))
-        ledger = Ledger(cfg)
-        _record(ledger)
-        _record(ledger, kind=EventKind.KILL, result=2.0, operands=(NAN, 2.0))
-        gen, kill = ledger.events()
-        assert gen.trace == ()
-        assert kill.trace == TRACE
-
     def test_lazy_capture_thunk(self):
         calls = []
 
@@ -80,15 +70,15 @@ class TestRecord:
             calls.append(1)
             return TRACE
 
-        cfg = LedgerConfig(log_kinds=frozenset({EventKind.KILL}),
-                           exclude_stacktrace=frozenset({EventKind.KILL}))
+        cfg = LedgerConfig(max_logs=0, log_kinds=frozenset({EventKind.KILL}))
         ledger = Ledger(cfg)
         ledger.record(EventKind.GEN, ValueClass.NAN, OP_SUB, (1.0,), NAN, trace=thunk)
         ledger.record(EventKind.KILL, ValueClass.NAN, OP_SUB, (NAN,), 1.0, trace=thunk)
-        assert calls == []  # rejected or trace-excluded: never captured
+        assert calls == []  # rejected by kind or by the cap: never captured
         ledger2 = Ledger()
         ledger2.record(EventKind.GEN, ValueClass.NAN, OP_SUB, (1.0,), NAN, trace=thunk)
         assert calls == [1]
+        assert ledger2.events()[0].trace == TRACE
 
     def test_seq_strictly_increases_across_kinds(self):
         ledger = Ledger()
@@ -201,9 +191,11 @@ _events = st.builds(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_events)
-def test_event_json_roundtrip(event):
-    assert event_from_json(json.loads(event_to_line(event))) == event
+@given(event=_events)
+def test_event_json_roundtrip(tmp_path_factory, event):
+    path = tmp_path_factory.mktemp("roundtrip") / "gen.jsonl"
+    path.write_text(event_to_line(event), encoding="utf-8")
+    assert parse_log(path) == [event]
 
 
 def test_parse_log_roundtrip(tmp_path):

@@ -6,6 +6,8 @@ in tracked.py, so a row whose methods name the wrong operation, or a
 reflected method that passes its operands unswapped, fails.
 """
 
+import dataclasses
+import inspect
 import operator
 
 import numpy as np
@@ -64,7 +66,7 @@ def _outcome(compute):
     """Result bits and (op, operand bits, result bits, kind, class) per event."""
     session = explicit_session()
     with use_session(session):
-        result = compute(session)
+        result = compute()
     if not isinstance(result, bool):
         assert isinstance(result, fpx.TrackedFloat)
     events = [(e.op, tuple(map(_bits, e.operands)), _bits(e.result), e.kind,
@@ -97,8 +99,8 @@ def test_operator_methods_match_apply(name_arity, width):
         if name in MIRRORED and not isinstance(operands[0], fpx.TrackedFloat):
             reached, args = MIRRORED[name], operands[::-1]
         # a reflected arithmetic method keeps the plain left operand first
-        expected = _outcome(lambda s: apply(reached, args, session=s))
-        assert _outcome(lambda s: python_op(*operands)) == expected, (name_arity, operands)
+        expected = _outcome(lambda: apply(reached, args))
+        assert _outcome(lambda: python_op(*operands)) == expected, (name_arity, operands)
 
 
 @pytest.mark.parametrize("width", range(len(WIDTHS)), ids=("f64", "f32", "f16"))
@@ -108,9 +110,8 @@ def test_public_functions_match_apply(name_arity, width):
     cls, np_type = WIDTHS[width]
     fn = getattr(fpx, PUBLIC[name_arity])
     for operands in _cases(arity, cls, np_type):
-        expected = _outcome(lambda s: apply(name, operands, session=s))
-        assert _outcome(lambda s: fn(*operands)) == expected, (name_arity, operands)
-        assert _outcome(lambda s: fn(*operands, session=s)) == expected, (name_arity, operands)
+        expected = _outcome(lambda: apply(name, operands))
+        assert _outcome(lambda: fn(*operands)) == expected, (name_arity, operands)
 
 
 @pytest.mark.parametrize("public", sorted(PUBLIC.values()))
@@ -128,3 +129,31 @@ def test_every_exported_name_resolves():
     exec("from fpx import *", namespace)
     assert set(fpx.__all__) <= namespace.keys()
     assert len(set(fpx.__all__)) == len(fpx.__all__)
+
+
+def test_public_surface_is_pinned():
+    """Every export, config option and operation parameter is listed here, so a
+    new one must change this test in the same change that adds it."""
+    assert sorted(fpx.__all__) == [
+        "EMPTY_TRACE", "EventKind", "ExceptionEvent", "ExplicitContextProvider",
+        "Frame", "GraphDiff", "InjectionConfig", "InjectionRecording", "Injector",
+        "InjectorMode", "Ledger", "LedgerConfig", "LogFormatError",
+        "NativeTraceProvider", "OpIdentity", "RecordedInjection",
+        "RecordingFormatError", "ReplayDivergenceWarning", "StackGraph",
+        "StackTrace", "TrackedFloat", "TrackedFloat16", "TrackedFloat32",
+        "TrackedFloat64", "TrackerSession", "ValueClass", "apply", "atan2", "ceil",
+        "classify", "cos", "current_session", "demo_loop_kill", "demo_max",
+        "demo_sim", "exp", "explicit_session", "floor", "hypot", "is_exceptional",
+        "load_recording", "log", "maximum", "minimum", "parse_log",
+        "propagate_payload", "rem", "render_human", "save_recording", "sin",
+        "sqrt", "supported_operations", "tan", "trace_fingerprint", "unwrap",
+        "use_session"]
+    assert [f.name for f in dataclasses.fields(fpx.LedgerConfig)] == [
+        "max_logs", "log_kinds"]
+    assert [f.name for f in dataclasses.fields(fpx.InjectionConfig)] == [
+        "odds", "n_inject", "functions", "libraries", "value", "seed"]
+    # the session of an operation is the one a use_session block selects
+    assert list(inspect.signature(fpx.apply).parameters) == ["name", "operands"]
+    for (_, arity), public in PUBLIC.items():
+        assert list(inspect.signature(getattr(fpx, public)).parameters) == (
+            ["x"] if arity == 1 else ["x", "y"])

@@ -62,8 +62,9 @@ def plain_eval(leaves, program, np_type):
 def tracked_eval(leaves, program, cls):
     session = explicit_session(LedgerConfig(log_kinds=frozenset()))
     values = [cls(x) for x in leaves]
-    for (name, _), arg_indexes in program:
-        values.append(apply(name, tuple(values[i] for i in arg_indexes), session=session))
+    with use_session(session):
+        for (name, _), arg_indexes in program:
+            values.append(apply(name, tuple(values[i] for i in arg_indexes)))
     return [unwrap(v) for v in values]
 
 
@@ -223,6 +224,23 @@ def test_truth_of_exceptional_value_is_a_kill(width):
         assert session.injector.op_counter == 0
 
 
+@pytest.mark.parametrize("width", sorted(WIDTHS))
+def test_format_is_the_wrapped_value_and_logs_nothing(width):
+    """format() and f-strings format the wrapped value, a visible text exit:
+    no event, no injector decision, no op counted, even when exceptional."""
+    cls = WIDTHS[width][0]
+    session = explicit_session(injector=Injector.fuzz(InjectionConfig(odds=1, n_inject=9)))
+    with use_session(session):
+        for value in (2.5, -0.1, 0.0, NAN, INF, -INF):
+            x = cls(value)
+            for spec in ("", ".2f", ">12.3e", "g", "+.1%"):
+                assert format(x, spec) == format(unwrap(x), spec), (value, spec)
+            assert f"{x:.2f}" == f"{unwrap(x):.2f}"
+    assert session.ledger.events() == []
+    assert session.injector.op_counter == 0
+    assert session.injector.recording.points == []
+
+
 def test_numpy_does_not_absorb_tracked(session):
     with use_session(session):
         r = np.float64(2.0) * TrackedFloat64(3.0)
@@ -252,14 +270,15 @@ def test_payload_conservation_chain(data):
     payload = data.draw(st.integers(1, (1 << 51) - 1))
     session = explicit_session()
     value = TrackedFloat64(fpbits.nan_with_payload(payload))
-    for _ in range(20):
-        name, arity = NUMERIC_OPS[rng.randrange(len(NUMERIC_OPS))]
-        if arity == 1:
-            value = apply(name, (value,), session=session)
-        else:
-            other = TrackedFloat64(rng.uniform(-10.0, 10.0))
-            operands = (value, other) if rng.random() < 0.5 else (other, value)
-            value = apply(name, operands, session=session)
+    with use_session(session):
+        for _ in range(20):
+            name, arity = NUMERIC_OPS[rng.randrange(len(NUMERIC_OPS))]
+            if arity == 1:
+                value = apply(name, (value,))
+            else:
+                other = TrackedFloat64(rng.uniform(-10.0, 10.0))
+                operands = (value, other) if rng.random() < 0.5 else (other, value)
+                value = apply(name, operands)
     result = unwrap(value)
     gens = session.ledger.events(kind=EventKind.GEN, value_class=ValueClass.NAN)
     if math.isnan(result) and not gens:
@@ -293,8 +312,9 @@ def test_concurrent_apply_serializes_events():
     one = TrackedFloat64(1.0)
 
     def worker():
-        for _ in range(100):
-            apply("+", (nan, one), session=session)
+        with use_session(session):
+            for _ in range(100):
+                apply("+", (nan, one))
 
     threads = [threading.Thread(target=worker) for _ in range(4)]
     for t in threads:
@@ -330,7 +350,8 @@ def _predicted(name_arity, operands, np_type):
 
 def _observed(name_arity, operands):
     session = explicit_session()
-    result = apply(name_arity[0], operands, session=session)
+    with use_session(session):
+        result = apply(name_arity[0], operands)
     if not isinstance(result, bool):
         assert type(result._value) is type(result)._store
     events = [(e.kind, e.value_class, e.op, tuple(map(_scalar_bits, e.operands)),
@@ -484,7 +505,8 @@ def test_exact_float_rows_bit_transparent(name_arity):
         warnings.simplefilter("error", RuntimeWarning)
         for operands in cases:
             if name_arity in COMPARISONS:
-                assert type(apply(name_arity[0], operands, session=explicit_session())) is bool
+                with use_session(explicit_session()):
+                    assert type(apply(name_arity[0], operands)) is bool
             _check_against_reference(name_arity, operands, _result_np_type(operands))
 
 
