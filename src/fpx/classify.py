@@ -24,15 +24,18 @@ import numpy as np
 from . import fpbits
 
 
+# Members are singletons, so they hash by identity, not by Enum's Python-level hash.
 class ValueClass(enum.Enum):
     NAN = "nan"
     INF = "inf"
+    __hash__ = object.__hash__
 
 
 class EventKind(enum.Enum):
     GEN = "gen"
     PROP = "prop"
     KILL = "kill"
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)

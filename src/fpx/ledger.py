@@ -3,21 +3,23 @@
 Events accumulate in three in-memory streams (gen/prop/kill) and flush to
 gen.jsonl / prop.jsonl / kill.jsonl. Tracked operations record into the ledger
 of the current session, which a `use_session` block selects. LedgerConfig sets
-a per-kind cap and the kinds to log; every stored event keeps its trace. The
-canonical line format dual-encodes every float as a decimal rendering plus an
-authoritative hex bit pattern, so NaN payloads and signed zeros round-trip
-exactly. One codec serves flush and
-parse_log; its caches live for one call. The encoder keeps one JSON fragment per
-op, trace and scalar (keyed by exact type and bit pattern, never by value); the
-decoder one object per op, trace and hex string, so events parsed from one file
-share immutable trace tuples and scalars. A debugger-friendly human rendering
-(op header line, then one frame per line) is derived from the same records.
-FormatError and the JSON-lines reader here serve every fpx file format.
+a per-kind cap and the kinds to log; every stored event keeps its trace, and
+every rejected one is counted by kind and class. The canonical line format
+dual-encodes every float as a decimal rendering plus an authoritative hex bit
+pattern, so NaN payloads and signed zeros round-trip exactly. One codec serves
+flush and parse_log; its caches live for one call. The encoder keeps one JSON
+fragment per op (keyed by the op object), trace and scalar (keyed by exact
+type and bit pattern, never by value); the decoder one object per op, trace
+and hex string, so events parsed from one file share immutable trace tuples
+and scalars. A debugger-friendly human rendering (op header line, then one
+frame per line) is derived from the same records. FormatError and the
+JSON-lines reader here serve every fpx file format.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,6 +50,21 @@ class LogFormatError(FormatError):
     """A log file line that cannot be parsed."""
 
 
+_JSON_SPACE = " \t\n\r"
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _loads(line):
+    """json.loads(line) by the C scanner; json.loads redoes a line it fails on."""
+    try:
+        obj, end = _scan_once(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+        if not line[end:].strip(_JSON_SPACE):
+            return obj
+    except (StopIteration, ValueError):
+        pass
+    return json.loads(line)
+
+
 def read_json_lines(path, error=FormatError):
     """(line_number, object) per non-blank line of a JSON-lines file; a line
     that is not a JSON object raises `error` naming it."""
@@ -56,7 +73,7 @@ def read_json_lines(path, error=FormatError):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = _loads(line)
             except json.JSONDecodeError as exc:
                 raise error(f"not valid JSON: {exc.msg}", line_number) from exc
             if not isinstance(obj, dict):
@@ -79,7 +96,7 @@ def _scalar_key(x):
     return isinstance(x, (bool, np.bool_)), fpbits.width_of(x), fpbits.to_bits(x)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ExceptionEvent:
     """One gen/prop/kill occurrence, bit-exact in its operands and result."""
 
@@ -111,32 +128,40 @@ class Ledger:
     Events are kept in memory; flush(output_dir) writes them out."""
 
     def __init__(self, config: LedgerConfig | None = None):
-        self.config = config or LedgerConfig()
+        self.config = cfg = config or LedgerConfig()
         self._streams = {kind: [] for kind in EventKind}
+        self._kept = {kind: self._streams[kind] for kind in cfg.log_kinds}
+        self._cap = float("inf") if cfg.max_logs is None else cfg.max_logs
+        self._dropped = {}
         self._seq = 0
         self._lock = threading.Lock()
 
     def record(self, kind, value_class, op, operands, result, *,
                injected=False, trace=EMPTY_TRACE) -> bool:
-        """Append one event; returns whether it was accepted.
+        """Append one event; returns whether it was accepted. An event that
+        `max_logs` or `log_kinds` rejects is only counted, in `dropped`.
 
         `trace` may be a StackTrace or a zero-argument capture callable, such
         as a trace provider's `capture`; it is called only once the event is
         known to be stored.
         """
-        cfg = self.config
         with self._lock:
-            if kind not in cfg.log_kinds:
+            stream = self._kept.get(kind)
+            if stream is None or len(stream) >= self._cap:
+                key = kind, value_class
+                self._dropped[key] = self._dropped.get(key, 0) + 1
                 return False
-            stream = self._streams[kind]
-            if cfg.max_logs is not None and len(stream) >= cfg.max_logs:
-                return False
-            trace = trace() if callable(trace) else tuple(trace)
             self._seq += 1
             stream.append(ExceptionEvent(
                 self._seq, kind, value_class, op, tuple(operands),
-                bool(result) if isinstance(result, np.bool_) else result, injected, trace))
+                bool(result) if isinstance(result, np.bool_) else result, injected,
+                trace() if callable(trace) else tuple(trace)))
         return True
+
+    def dropped(self) -> dict:
+        """Events the caps and filters rejected: (kind, value class) -> count."""
+        with self._lock:
+            return dict(self._dropped)
 
     def events(self, kind=None, value_class=None) -> list:
         """Stored events, optionally filtered, in seq order."""
@@ -170,6 +195,7 @@ _LINE = ('{"seq": %d, "kind": "%s", "class": "%s", %s, "operands": [%s], '
          '"result": %s, "injected": %s, "trace": %s}\n')
 _KINDS = {k.value: k for k in EventKind}
 _CLASSES = {c.value: c for c in ValueClass}
+_pack_double = struct.Struct("<d").pack
 
 
 def _encoder():
@@ -177,19 +203,23 @@ def _encoder():
     ops, traces, scalars = {}, {}, {}
 
     def scalar(x):
-        key = (type(x), fpbits.to_bits(x))
-        if key not in scalars:
-            scalars[key] = _dumps(bool(x) if isinstance(x, (bool, np.bool_)) else
-                                  {"dec": fpbits.format_dec(x), "hex": fpbits.hex_bits(x)})
-        return scalars[key]
+        # a float is keyed by its packed bytes, any other type by type and bits
+        key = _pack_double(x) if type(x) is float else (type(x), fpbits.to_bits(x))
+        fragment = scalars.get(key)
+        if fragment is None:
+            fragment = scalars[key] = _dumps(
+                bool(x) if isinstance(x, (bool, np.bool_)) else
+                {"dec": fpbits.format_dec(x), "hex": fpbits.hex_bits(x)})
+        return fragment
 
     def encode(e: ExceptionEvent) -> str:
-        if e.op not in ops:
-            ops[e.op] = _dumps({"op": e.op.name, "arity": e.op.arity})[1:-1]
+        op = ops.get(id(e.op))      # events hold their op, so its id is not reused
+        if op is None:
+            op = ops[id(e.op)] = _dumps({"op": e.op.name, "arity": e.op.arity})[1:-1]
         if e.trace not in traces:
             traces[e.trace] = _dumps(
                 [{"fn": f.function, "file": f.file, "line": f.line} for f in e.trace])
-        return _LINE % (e.seq, e.kind.value, e.value_class.value, ops[e.op],
+        return _LINE % (e.seq, e.kind._value_, e.value_class._value_, op,
                         ", ".join(map(scalar, e.operands)), scalar(e.result),
                         "true" if e.injected else "false", traces[e.trace])
     return encode

@@ -145,13 +145,14 @@ def graph_from_json(obj: dict) -> StackGraph:
     if g.key_policy not in KEY_POLICIES:
         raise GraphFormatError(f"unknown key policy: {g.key_policy!r}")
     if (type(nodes) is not list or type(edges) is not list or len(g.edges) != len(edges)
+            or len(g.nodes) != len(nodes) or g.nodes.union(*g.edges) != g.nodes
             or type(g.trace_total) is not int or g.trace_total < 0
             or not all(type(c) is int and c > 0 for c in g.edges.values())
-            or not all(isinstance(k, str) for k in g.nodes.union(*g.edges))):
+            or not all(isinstance(k, str) for k in g.nodes)):
         raise GraphFormatError("bad stack-graph document: nodes and edges must be arrays "
-                               "listing each (parent, child) edge once, trace_total a "
-                               "non-negative integer, counts positive integers and node "
-                               "keys strings")
+                               "listing each node and each (parent, child) edge once, "
+                               "edges between listed nodes, trace_total a non-negative "
+                               "integer, counts positive integers and node keys strings")
     return g
 
 

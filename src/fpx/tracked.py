@@ -1,45 +1,44 @@
 """Tracked floating-point scalars and the operation intercept pipeline.
 
-Every operation on a tracked value consults the injector, then computes (or
-substitutes the injected value). A clean operation, one whose operands and
-result are all finite, cannot be an event, so it stops there and re-wraps the
-result. Any other operation goes on to pin NaN payloads to their source,
-classify the event per value class, and re-wrap the result. The pipeline is
-written once, and an operation is one row of the table below: name, arity,
-numpy ufunc, exact Python float twin, and the operator methods or public
-function it backs. The registry, methods and functions are built from it.
-Every operation runs in the current session; a `use_session` block is how a
-caller picks the session for apply, the operators and the public functions.
-The operator methods of a row with a twin fuse the clean path. With finite
-float64 operands and result they compute with the twin first. A comparison
-then returns its bool in every mode. A numeric op under an OFF injector is
-counted without the injector's lock and wrapped; under FUZZ or REPLAY it takes
-its Injector.decide call in the method and is wrapped unless a value is
-injected, which the tail that apply shares then logs. Neither calls apply. An
-op that is not clean goes to apply, which makes its decision.
+Every operation on a tracked value consults the injector, computes (or
+substitutes the injected value), pins NaN payloads to their source, logs one
+event per value class whose exceptional status it touched, and re-wraps the
+result. An operation is one row of the table below: name, arity, numpy ufunc,
+exact Python float twin, and the operator methods or public function it
+backs; the registry, methods and functions are built from it. Every operation
+runs in the current session, which a `use_session` block picks. The operator
+methods of a row with a twin fuse the clean path: with finite float64
+operands and result they compute with the twin. A comparison then returns its
+bool. A numeric op is counted without a lock under an OFF injector, or takes
+its Injector.decide call in the method under FUZZ or REPLAY, and is wrapped
+unless a value is injected, which _finish, the tail apply shares, then logs.
+An op that is not clean goes to apply, which makes its decision.
 
-Two substrates compute, with the same bits either way. Rows whose Python float
-operator is IEEE correctly rounded or exact (+ - * /, negation, abs, sqrt, the
-comparisons and truth) compute over finite float64 operands in Python floats;
-if that raises or gives a non-finite result, the operation is redone by the
-ufunc. Everything else is delegated to numpy scalar ufuncs with floating-point
-traps suppressed, so 0/0, log(0), overflow, and friends yield IEEE results
-instead of raising. With injection off, unwrapped results are bit-identical
-to the same computation over plain numpy scalars. A number too big for the
-width of a tracked value being constructed becomes Inf, logged as a cast gen.
-Formatting a tracked value formats the wrapped one; it is a visible text exit,
-so it logs no event and counts no op.
+Two substrates compute, with the same bits either way. A twin (+ - * /,
+negation, abs, sqrt, the comparisons and truth) is IEEE correctly rounded or
+exact, so over Python float operands it gives the ufunc's bits, NaN and Inf
+included, except that with two NaN operands the ufunc keeps the first one's
+sign and the compiled operator may keep the second's. Those, a twin that
+raises (x/0, sqrt of a negative), narrow widths, numpy scalar or int operands
+and rows without a twin take numpy scalar ufuncs with floating-point traps
+suppressed, so 0/0, log(0) and overflow yield IEEE results instead of
+raising. With injection off, unwrapped results are bit-identical to the same
+computation over plain numpy scalars. A number too big for the width of a
+tracked value being constructed becomes Inf, logged as a cast gen. Formatting
+a tracked value formats the wrapped one: a text exit that logs nothing.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import struct
 from math import isfinite
 
 import numpy as np
 
 from .classify import EventKind, OpIdentity, ValueClass, classify, propagate_payload
+from .fpbits import PAYLOAD_MASK
 from .injector import InjectorMode
 from .session import current_session
 
@@ -89,6 +88,17 @@ _REGISTRY = {(name, arity): (impl, is_comparison, OpIdentity(name, arity), exact
              for name, arity, impl, exact, _ in rows}
 
 _CAST = OpIdentity("cast", 1)
+
+# (kind, class) events by operand status (bit 1: a NaN, bit 2: an Inf) and
+# result status (0 finite or a bool, 1 NaN, 2 Inf), NaN class first; read off
+# classify, the reference, so the hot path reads no enum and hashes none.
+_EVENTS = tuple(tuple(tuple((kind, vc) for vc in ValueClass
+                            if (kind := classify(vc, ins, out)) is not None)
+                      for out in (0.0, math.nan, math.inf))
+                for ins in ((), (math.nan,), (math.inf,), (math.nan, math.inf)))
+_pack_dd, _unpack_qq = struct.Struct("<dd").pack, struct.Struct("<QQ").unpack
+_pack_q, _unpack_d = struct.Struct("<Q").pack, struct.Struct("<d").unpack
+_PAYLOAD = PAYLOAD_MASK[64]
 _OFF = InjectorMode.OFF
 _UNARY = object()       # the absent second operand of a one-operand op
 
@@ -182,36 +192,11 @@ def unwrap(t):
     return t._value if isinstance(t, TrackedFloat) else t
 
 
-def _result_class(operands):
-    cls = None
-    for o in operands:
-        if isinstance(o, TrackedFloat) and (cls is None or o._width > cls._width):
-            cls = type(o)
-    return cls
-
-
 def _wrap_result(cls, value):
     """Wrap a computed value of cls's width without __init__'s second conversion."""
     t = _new(cls)
     _set_value(t, cls._store(value))
     return t
-
-
-def _clean(exact, x, y=_UNARY):
-    """The twin's result when every value and it are finite Python floats, else
-    None. Plain float values are float64-wide, and the twin rounds like the
-    ufunc there, so this is the ufunc's result and cannot be an event. On a
-    raise or a non-finite value the op is redone by the ufunc, which yields
-    the IEEE special value and classifies it."""
-    if type(x) is float and isfinite(x) and (
-            y is _UNARY or type(y) is float and isfinite(y)):
-        try:
-            result = exact(x) if y is _UNARY else exact(x, y)
-        except (ZeroDivisionError, ValueError):    # x/0, sqrt(-x)
-            return None
-        if isfinite(result):
-            return result
-    return None
 
 
 def apply(name: str, operands):
@@ -222,48 +207,61 @@ def apply(name: str, operands):
     bool for comparisons. One event is recorded per value class whose
     exceptional status changed or persisted across the operation; an
     uninjected operation with finite operands and a finite (or boolean)
-    result records none, so it returns without classifying.
+    result records none.
     """
-    cls = _result_class(operands)
+    cls = None                          # the widest tracked operand's class
+    for o in operands:
+        if isinstance(o, TrackedFloat) and (cls is None or o._width > cls._width):
+            cls = type(o)
     if cls is None:
         raise TypeError("apply requires at least one tracked operand")
     try:
         row = _REGISTRY[(name, len(operands))]
     except KeyError:
         raise ValueError(f"unsupported operation: {name}/{len(operands)}") from None
-    _, is_comparison, op, exact = row
+    _, is_comparison, op, _ = row
     sess = current_session()
     values = [o._value if isinstance(o, TrackedFloat) else o for o in operands]
     injected_value = None if is_comparison else sess.injector.decide(op, sess.traces.capture)
-    if injected_value is None and exact is not None:
-        result = _clean(exact, *values)
-        if result is not None:
-            return result if is_comparison else _wrap_result(cls, result)
     return _finish(sess, cls, row, values, injected_value)
 
 
 def _finish(sess, cls, row, values, injected_value):
-    """The op after its injector decision, unless it was clean: compute (or
-    substitute the injected value), pin NaN payloads, classify and log."""
-    impl, is_comparison, op, _ = row
+    """The op after its injector decision: compute with the substrate the
+    module docstring names (or substitute the injected value), pin NaN
+    payloads, then classify both value classes in one pass and log."""
+    impl, is_comparison, op, exact = row
     injected = injected_value is not None
-    np_type = cls._np_type
-    # The cast runs under errstate too: a plain operand too big for a narrow
-    # width becomes Inf without a RuntimeWarning, and is classified as one.
-    with np.errstate(all="ignore"):
-        xs = tuple(map(np_type, values))
-        result = np_type(injected_value) if injected else impl(*xs)
-    if not injected:
-        if all(map(math.isfinite, xs)) and (is_comparison or math.isfinite(result)):
-            return bool(result) if is_comparison else _wrap_result(cls, result)
-        if not is_comparison:
-            result = propagate_payload(xs, result)
+    xs, result = values, injected_value
+    if type(xs[0]) is not float or type(xs[-1]) is not float:   # arity <= 2
+        # under errstate, a plain operand too big for a narrow width is a quiet Inf
+        with np.errstate(all="ignore"):
+            xs = tuple(map(cls._np_type, xs))
+            result = cls._np_type(injected_value) if injected else None
+    elif not injected and exact is not None and (
+            len(xs) == 1 or xs[0] == xs[0] or xs[1] == xs[1]):
+        try:
+            result = exact(*xs)
+        except (ZeroDivisionError, ValueError):    # x/0, sqrt(-x)
+            pass
+    if result is None:
+        with np.errstate(all="ignore"):
+            result = impl(*xs)
 
-    for value_class in (ValueClass.NAN, ValueClass.INF):
-        kind = classify(value_class, xs, result)
-        if kind is not None:
-            sess.ledger.record(kind, value_class, op, xs, result,
-                               injected=injected, trace=sess.traces.capture)
+    status = 0                  # bit 1: a NaN operand, bit 2: an Inf one, as in _EVENTS
+    for x in xs:
+        if not isfinite(x):
+            status |= 1 if x != x else 2
+    result_status = 0 if is_comparison or isfinite(result) else 2 if result == result else 1
+    if result_status == 1 and status & 1 and not injected:   # pin the leftmost NaN's payload
+        if cls._width == 64:
+            bits, source = _unpack_qq(_pack_dd(result, xs[0] if xs[0] != xs[0] else xs[-1]))
+            result = _unpack_d(_pack_q(bits & ~_PAYLOAD | source & _PAYLOAD))[0]
+        else:
+            result = propagate_payload(xs, result)
+    for kind, value_class in _EVENTS[status][result_status]:
+        sess.ledger.record(kind, value_class, op, xs, result,
+                           injected=injected, trace=sess.traces.capture)
     return bool(result) if is_comparison else _wrap_result(cls, result)
 
 
@@ -272,13 +270,9 @@ def _is_operand(x) -> bool:
 
 
 def _operator_method(name, arity, reflected):
-    """An operator method. A row with a twin computes a clean float64 op here
-    first. A comparison returns its bool in any mode: it takes no decision.
-    Under an OFF injector a numeric op is counted and wrapped; under FUZZ or
-    REPLAY it takes its injector decision here and is wrapped unless a value
-    is injected, which _finish then logs as apply would. An op that is not
-    clean goes on to apply, looked up as a module global, so a patched apply
-    sees every call that falls through, and apply decides for it."""
+    """An operator method, with the fused clean path of the module docstring.
+    An op that is not clean goes on to apply, looked up as a module global, so
+    a patched apply sees every call that falls through, and apply decides."""
     row = _REGISTRY[name, arity]
     _, is_comparison, op, exact = row
 
@@ -288,19 +282,27 @@ def _operator_method(name, arity, reflected):
                 x, y = other, self._value       # a tracked left operand is left to apply
             else:
                 x, y = self._value, (other._value if isinstance(other, TrackedFloat) else other)
-            if (result := _clean(exact, x, y)) is not None:
+            # Finite Python floats are float64-wide, and the twin rounds like the
+            # ufunc there: a finite result is the ufunc's, and cannot be an event.
+            if type(x) is float and isfinite(x) and (
+                    y is _UNARY or type(y) is float and isfinite(y)):
+                try:
+                    result = exact(x) if y is _UNARY else exact(x, y)
+                except (ZeroDivisionError, ValueError):    # x/0, sqrt(-x): not clean
+                    result = math.inf
                 if is_comparison:
                     return result
-                session = current_session()
-                injector = session.injector
-                if injector.mode is _OFF:
-                    injector.count_op()
-                    return _wrap_result(type(self), result)
-                injected = injector.decide(op, session.traces.capture)
-                if injected is None:
-                    return _wrap_result(type(self), result)
-                return _finish(session, type(self), row,
-                               (x,) if y is _UNARY else (x, y), injected)
+                if isfinite(result):
+                    session = current_session()
+                    injector = session.injector
+                    if injector.mode is _OFF:
+                        injector.count_op()
+                        return _wrap_result(type(self), result)
+                    injected = injector.decide(op, session.traces.capture)
+                    if injected is None:
+                        return _wrap_result(type(self), result)
+                    return _finish(session, type(self), row,
+                                   (x,) if y is _UNARY else (x, y), injected)
         if other is _UNARY:
             return apply(name, (self,))
         if not _is_operand(other):

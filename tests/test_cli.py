@@ -286,6 +286,16 @@ class TestGraphCommands:
                              "--out", str(tmp_path))
         assert code == 1
 
+    def test_diff_of_a_graph_with_an_unlisted_node_exits_2(self, gen_log, tmp_path, capsys):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        assert run_cli(capsys, "cstg", str(gen_log), "--json", str(good))[0] == 0
+        doc = json.loads(good.read_text(encoding="utf-8"))
+        doc["nodes"] = doc["nodes"][1:]
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code, stdout, stderr = run_cli(capsys, "diff", str(good), str(bad))
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("fpx: ") and "bad stack-graph document" in stderr
+
     def test_diff_policy_mismatch_is_usage_error(self, gen_log, tmp_path, capsys):
         fine, coarse = tmp_path / "fine.json", tmp_path / "coarse.json"
         assert run_cli(capsys, "cstg", str(gen_log), "--json", str(fine))[0] == 0

@@ -156,3 +156,20 @@ def test_format_dec_narrow_widths():
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_format_dec_roundtrips(x):
     assert float(fpbits.format_dec(x)) == x
+
+
+def test_python_float_and_float64_render_alike():
+    """Events store float64 operands as Python floats or np.float64, so both
+    must log the same bytes: over random bit patterns, the edges of the
+    e-notation switch and the subnormals."""
+    rng = np.random.default_rng(12)
+    patterns = rng.integers(0, 2**64, size=20000, dtype=np.uint64).tolist()
+    edges = [1e6, 1e16, 1e-4, 1e-5, 999999.9999999999, 1e6 - 1, 1e16 - 2, 9.999999999999999e-5,
+             0.0001000000000001, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+             1.5e-310, 0.0, 123456.789, 1.7976931348623157e308]
+    values = [fpbits.from_bits(b, 64) for b in patterns]
+    values += [sign * x for x in edges for sign in (1.0, -1.0)]
+    for x in values:
+        assert type(x) is float
+        assert fpbits.format_dec(x) == fpbits.format_dec(np.float64(x)), x
+        assert fpbits.hex_bits(x) == fpbits.hex_bits(np.float64(x)), x

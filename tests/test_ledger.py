@@ -14,8 +14,10 @@ from fpx.injector import RecordingFormatError
 from fpx.ledger import (ExceptionEvent, FormatError, Ledger, LedgerConfig,
                         LogFormatError, event_to_line, parse_log, read_json_lines,
                         render_human)
+from fpx.session import TrackerSession, use_session
 from fpx.stackgraph import GraphFormatError
 from fpx.traces import Frame
+from fpx.tracked import TrackedFloat64
 
 NAN = float("nan")
 INF = float("inf")
@@ -110,6 +112,58 @@ class TestRecord:
         events = ledger.events()
         assert len(events) == 800
         assert len({e.seq for e in events}) == 800
+
+
+class _SpyProvider:
+    """A trace provider that counts its captures."""
+
+    def __init__(self):
+        self.captures = 0
+
+    def capture(self):
+        self.captures += 1
+        return TRACE
+
+
+def _nan_and_inf_chain(config):
+    """Five NaN props, four NaN kills and three Inf props, under config."""
+    provider = _SpyProvider()
+    session = TrackerSession(ledger=Ledger(config), traces=provider)
+    with use_session(session):
+        x, inf = TrackedFloat64(NAN), TrackedFloat64(INF)
+        for _ in range(5):
+            x = x + 1.0
+        for _ in range(4):
+            assert not x < 1.0
+        for _ in range(3):
+            inf = inf * 2.0
+    return session.ledger, provider
+
+
+class TestDropped:
+    def test_capped_chain_counts_each_drop(self):
+        ledger, provider = _nan_and_inf_chain(LedgerConfig(max_logs=2))
+        assert ledger.dropped() == {(EventKind.PROP, ValueClass.NAN): 3,
+                                    (EventKind.KILL, ValueClass.NAN): 2,
+                                    (EventKind.PROP, ValueClass.INF): 3}
+        assert ledger.counts() == {EventKind.GEN: 0, EventKind.PROP: 2, EventKind.KILL: 2}
+        assert provider.captures == 4
+
+    def test_excluded_kind_is_counted(self):
+        ledger, provider = _nan_and_inf_chain(
+            LedgerConfig(log_kinds=frozenset({EventKind.KILL})))
+        assert ledger.dropped() == {(EventKind.PROP, ValueClass.NAN): 5,
+                                    (EventKind.PROP, ValueClass.INF): 3}
+        assert ledger.counts()[EventKind.KILL] == 4 == provider.captures
+
+    def test_dropped_event_never_captures_a_trace(self):
+        ledger, provider = _nan_and_inf_chain(LedgerConfig(max_logs=0))
+        assert sum(ledger.dropped().values()) == 12
+        assert provider.captures == 0 and ledger.events() == []
+
+    def test_nothing_dropped_reads_empty(self):
+        ledger, provider = _nan_and_inf_chain(LedgerConfig())
+        assert ledger.dropped() == {} and len(ledger.events()) == 12 == provider.captures
 
 
 class TestFlush:
@@ -267,6 +321,49 @@ class TestReadJsonLines:
             list(read_json_lines(path, RecordingFormatError))
         assert err.value.line_number == 2
         assert str(err.value).startswith("line 2: ")
+
+
+def _reference_read_json_lines(path, error):
+    """The reader written with one json.loads per line."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"not valid JSON: {exc.msg}", line_number) from exc
+            if not isinstance(obj, dict):
+                raise error("record must be a JSON object", line_number)
+            rows.append((line_number, obj))
+    return rows
+
+
+def _outcome(read, path):
+    try:
+        return repr(list(read(path, RecordingFormatError)))
+    except RecordingFormatError as exc:
+        return type(exc), str(exc), exc.line_number
+
+
+@pytest.mark.parametrize("text", [
+    '  {"a": 1}\n\t{"b": 2}\n',                  # leading whitespace
+    '{"a": 1}  \t\r\n{"b": [2, 3]}   \n',        # trailing whitespace
+    '\ufeff{"a": 1}\n{"b": 2}\n',                 # a BOM on line 1
+    '{"a": 1}\n{"b": 2}x\n',                       # trailing garbage
+    '{"a": 1}\n{"b": 2} {"c": 3}\n',               # a second object
+    '{"a": 1}\n{"b": 2}\x0c\n',                    # not JSON whitespace
+    '\xa0{"a": 1}\n',                              # nor is a no-break space
+    '{"a": 1\n',                                    # unterminated
+    ' [1]\n',                                       # not an object
+    '{"a": NaN, "b": -Infinity, "c": "\\u00e9", "d": {"e": null}}\n',
+], ids=["leading-space", "trailing-space", "bom", "garbage", "two-objects",
+        "form-feed", "no-break-space", "unterminated", "array", "constants"])
+def test_read_json_lines_matches_one_json_loads_per_line(tmp_path, text):
+    path = tmp_path / "x.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(read_json_lines, path) == _outcome(_reference_read_json_lines, path)
 
 
 def test_every_format_error_shares_one_base():

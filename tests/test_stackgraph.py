@@ -377,3 +377,23 @@ class TestGraphDocumentValidation:
         not keep its last count, and no graph holds fewer than zero traces."""
         with pytest.raises(GraphFormatError, match="bad stack-graph document"):
             graph_from_json(_document(**changes))
+
+    @pytest.mark.parametrize("change", ["repeat-node", "unlisted-parent", "unlisted-child"])
+    def test_document_must_agree_with_itself(self, change):
+        """Each node is listed once, and every edge joins two listed nodes."""
+        doc = _document()
+        if change == "repeat-node":
+            doc["nodes"].append(doc["nodes"][0])
+        else:
+            doc["edges"][0]["parent" if change == "unlisted-parent" else "child"] = "x y.py:9"
+        with pytest.raises(GraphFormatError, match="bad stack-graph document"):
+            graph_from_json(doc)
+
+    def test_recursion_counts_an_edge_past_the_trace_total(self):
+        """One trace b->a->b->a crosses the edge b->a twice: a document may
+        hold an edge count above its trace_total, and it round-trips."""
+        g = build([_trace("b", "a", "b", "a")])
+        a, b = _keys("a", "b")
+        assert g.trace_total == 1 and g.edges[(b, a)] == 2
+        loaded = graph_from_json(json.loads(json.dumps(graph_to_json(g))))
+        assert (loaded.nodes, loaded.edges, loaded.trace_total) == (g.nodes, g.edges, 1)

@@ -587,6 +587,85 @@ def test_fused_methods_match_apply(dunder):
         assert points[0] == len(cases) // 2 and 0 < points[1] < len(cases)
 
 
+# NaN and Inf operands for the substrate rule: two NaNs of opposite signs and
+# different payloads, a signalling NaN (quiet bit clear), both infinities, and
+# finite values including both zeros, for x/0 and x/-0.
+SPECIAL_FLOAT64 = [fpbits.nan_with_payload(0x123), fpbits.from_bits(0xFFF800000000BEEF),
+                   fpbits.from_bits(0x7FF0000000000ABC), INF, -INF,
+                   1.5, -2.0, 0.0, -0.0, 5e-324, FLOAT64_MAX]
+_DUNDERS = {}
+for _dunder, _name in FUSED.items():
+    _DUNDERS.setdefault((_name, 1 if _dunder in ("__neg__", "__abs__", "__bool__") else 2),
+                        []).append(_dunder)
+
+
+def _special_cases(arity, shapes):
+    if arity == 1:
+        return [(TrackedFloat64(a),) for a in SPECIAL_FLOAT64]
+    pairs = [(a, b) for a in SPECIAL_FLOAT64 for b in SPECIAL_FLOAT64]
+    return [shape(a, b) for a, b in pairs for shape in shapes]
+
+
+@pytest.mark.parametrize("name_arity", sorted(_REGISTRY, key=str), ids=str)
+def test_nan_and_inf_operands_match_the_bare_ufunc(name_arity):
+    """Every row over NaN, Inf and zero-divisor operands, through apply and,
+    for a row with a fused method, through that method: the result is the
+    bare ufunc's after payload pinning, bit for bit, and the events are what
+    classify predicts. All of it runs under a caller's np.seterr(all="raise"),
+    which no op trips and every op leaves in place."""
+    shapes = [lambda a, b: (TrackedFloat64(a), TrackedFloat64(b))]
+    if _REGISTRY[name_arity][3] is not None:
+        shapes += [lambda a, b: (TrackedFloat64(a), b), lambda a, b: (a, TrackedFloat64(b))]
+    cases = _special_cases(name_arity[1], shapes)
+    caller = np.seterr(all="raise")
+    try:
+        raising = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for operands in cases:
+                _check_against_reference(name_arity, operands, np.float64)
+                assert np.geterr() == raising
+                for dunder in _DUNDERS.get(name_arity, ()):
+                    self, *other = operands[::-1] if dunder.startswith("__r") else operands
+                    if not isinstance(self, TrackedFloat):
+                        continue
+                    expected, expected_events = _predicted(name_arity, operands, np.float64)
+                    session = explicit_session()
+                    with use_session(session):
+                        result = getattr(self, dunder)(*other)
+                    assert np.geterr() == raising
+                    assert _scalar_bits(unwrap(result)) == _scalar_bits(expected), (
+                        dunder, operands)
+                    assert [(e.kind, e.value_class, e.op, tuple(map(_scalar_bits, e.operands)),
+                             _scalar_bits(e.result)) for e in session.ledger.events()
+                            ] == expected_events, (dunder, operands)
+    finally:
+        np.seterr(**caller)
+
+
+@pytest.mark.parametrize("width, name_arity, slot, payloads", [
+    (64, ("+", 2), 3, (None, 0x5A)), (64, ("+", 2), 0, (0x5A, 0x3C)),
+    (64, ("exp", 1), 0, (0x5A,)), (32, ("+", 2), 0, (0x5A, 0x3C))],
+    ids=["float64-twin", "float64-two-nans", "float64-no-twin", "float32"])
+def test_nan_result_takes_the_leftmost_nan_operand_payload(monkeypatch, width, name_arity,
+                                                          slot, payloads):
+    """Whichever substrate computes, a NaN result gets the payload of the
+    leftmost NaN operand and keeps its own sign and quiet bit, also when the
+    substrate returns a NaN that carries no payload."""
+    cls, np_type = WIDTHS[width]
+    bare_bits = fpbits.to_bits(np_type(-NAN)) & ~fpbits.PAYLOAD_MASK[width]
+    bare = fpbits.from_bits(bare_bits, width)
+    row = list(_REGISTRY[name_arity])
+    row[slot] = lambda *xs: bare
+    monkeypatch.setitem(_REGISTRY, name_arity, tuple(row))
+    operands = [cls(1.5 if p is None else fpbits.nan_with_payload(p, width)) for p in payloads]
+    session = explicit_session()
+    with use_session(session):
+        result = apply(name_arity[0], operands)
+    assert fpbits.to_bits(unwrap(result)) == bare_bits | 0x5A
+    assert fpbits.to_bits(session.ledger.events()[0].result) == bare_bits | 0x5A
+
+
 def test_threads_sharing_an_off_session_count_every_op():
     """Fused ops count on the injector without its lock, fall-through ops
     count in decide; with two threads switching often the total is exact."""
