@@ -19,6 +19,7 @@ from .tracked import TrackedFloat64, maximum, unwrap
 _MAX_FILE = "demo/find_max.py"
 _LOOP_FILE = "demo/integrate.py"
 _SIM_FILE = "demo/heat1d.py"
+_LOOP_T0, _LOOP_STOP, _LOOP_STEP = 0.0, 10.0, 1.0
 
 
 @dataclass
@@ -42,14 +43,10 @@ class SimDemoResult:
     session: TrackerSession
 
 
-def _session_or_fresh(session):
-    return session if session is not None else explicit_session()
-
-
 def demo_max(values=(1.0, 5.0, float("nan"), 4.0), session=None) -> MaxDemoResult:
     """Two ways to find a maximum: a `not (x <= best)` scan that kills NaNs
     versus a fold over the propagating max."""
-    sess = _session_or_fresh(session)
+    sess = session or explicit_session()
     scope = sess.traces.scope
     xs = [TrackedFloat64(v) for v in values]
     with use_session(sess), scope("demo_max", _MAX_FILE, 5):
@@ -64,21 +61,21 @@ def demo_max(values=(1.0, 5.0, float("nan"), 4.0), session=None) -> MaxDemoResul
     return MaxDemoResult(float(unwrap(best)), float(unwrap(folded)), sess)
 
 
-def demo_loop_kill(t0=0.0, stop=10.0, step=1.0, inject_tdir=False,
-                   max_iters=100, session=None) -> LoopDemoResult:
-    """Time-stepping loop whose guard is `tdir * t < next_stop`.
+def demo_loop_kill(inject_tdir=False, max_iters=100, session=None) -> LoopDemoResult:
+    """Time-stepping loop from t = 0 to 10 in unit steps, whose guard is
+    `tdir * t < next_stop`.
 
     With tdir NaN'd, the multiplication props and the `<` kills on every
     evaluation, the guard is permanently false, and the loop makes no
     progress; the harness stops after max_iters guard evaluations and flags
     the livelock.
     """
-    sess = _session_or_fresh(session)
+    sess = session or explicit_session()
     scope = sess.traces.scope
     tdir = TrackedFloat64(float("nan") if inject_tdir else 1.0)
-    t = TrackedFloat64(t0)
-    dt = TrackedFloat64(step)
-    time_stops = [float(stop)]
+    t = TrackedFloat64(_LOOP_T0)
+    dt = TrackedFloat64(_LOOP_STEP)
+    time_stops = [_LOOP_STOP]
     work_iterations = 0
     guard_evaluations = 0
     livelocked = False
@@ -105,7 +102,7 @@ def demo_sim(steps=12, cells=16, blowup=False, session=None) -> SimDemoResult:
     so the gen log shows Inf gens followed by NaN gens."""
     if cells < 1:
         raise ValueError("cells must be >= 1")
-    sess = _session_or_fresh(session)
+    sess = session or explicit_session()
     scope = sess.traces.scope
     coefficient = TrackedFloat64(1.0e150 if blowup else 0.25)
     two = TrackedFloat64(2.0)

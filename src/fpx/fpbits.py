@@ -61,8 +61,9 @@ def from_bits(bits: int, width: int = 64):
     return _UINT_TYPE[width](bits).view(NUMPY_TYPE[width])
 
 
-def hex_bits(x, width: int | None = None) -> str:
-    w = width_of(x) if width is None else width
+def hex_bits(x) -> str:
+    """The bit pattern of x in hex, with the digit count of its width."""
+    w = width_of(x)
     return "0x{0:0{1}x}".format(to_bits(x, w), _HEX_DIGITS[w])
 
 

@@ -1,6 +1,7 @@
 """Fault injection: decide per intercepted operation whether to replace the
 result with an exceptional value, record every injection, and replay a
-recording deterministically.
+recording deterministically. An Injector's mode follows from its inputs: a
+recording replays it, else a config fuzzes with it, else it is off.
 
 The injector owns a seeded PCG64 generator; ambient randomness is never
 consulted. Fuzz draws come from it in fixed-size blocks, which yield the same
@@ -69,10 +70,9 @@ class InjectionConfig:
             if not all(isinstance(e, str) and e for e in entries):
                 raise ValueError(f"{name} entries must be non-empty strings")
             object.__setattr__(self, name, entries)
-        if self.odds < 1:
-            raise ValueError("odds must be >= 1")
-        if self.n_inject < 0:
-            raise ValueError("n_inject must be >= 0")
+        for name, low in (("odds", 1), ("n_inject", 0), ("seed", 0)):
+            if type(getattr(self, name)) is not int or getattr(self, name) < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
         if math.isfinite(float(self.value)):
             raise ValueError("injection value must be NaN, +Inf, or -Inf")
 
@@ -100,11 +100,12 @@ class InjectionRecording:
 
 
 class Injector:
-    """Per-operation injection decisions in one of three modes: off, fuzz, replay."""
+    """Per-operation injection decisions: OFF, FUZZ with a config, or REPLAY of a recording."""
 
-    def __init__(self, mode: InjectorMode, config: InjectionConfig | None = None,
+    def __init__(self, config: InjectionConfig | None = None,
                  recording: InjectionRecording | None = None):
-        self.mode = mode
+        self.mode = (InjectorMode.REPLAY if recording is not None else
+                     InjectorMode.FUZZ if config is not None else InjectorMode.OFF)
         self.config = config or InjectionConfig()
         self._ops = itertools.count(1)
         self.count_op = self._ops.__next__     # numbers one operation
@@ -121,15 +122,15 @@ class Injector:
 
     @classmethod
     def off(cls) -> "Injector":
-        return cls(InjectorMode.OFF)
+        return cls()
 
     @classmethod
     def fuzz(cls, config: InjectionConfig) -> "Injector":
-        return cls(InjectorMode.FUZZ, config)
+        return cls(config)
 
     @classmethod
     def replay(cls, recording: InjectionRecording) -> "Injector":
-        return cls(InjectorMode.REPLAY, recording=recording)
+        return cls(recording=recording)
 
     @property
     def op_counter(self) -> int:

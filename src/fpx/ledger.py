@@ -2,9 +2,10 @@
 
 Events accumulate in three in-memory streams (gen/prop/kill) and flush to
 gen.jsonl / prop.jsonl / kill.jsonl. Tracked operations record into the ledger
-of the current session, which a `use_session` block selects. LedgerConfig sets
-a per-kind cap and the kinds to log; every stored event keeps its trace, and
-every rejected one is counted by kind and class. The canonical line format
+of the current session, which a `use_session` block selects, passing its trace
+provider's capture. LedgerConfig sets a per-kind cap and the kinds to log;
+every stored event keeps its captured trace, and every rejected one is counted
+by kind and class, its trace never captured. The canonical line format
 dual-encodes every float as a decimal rendering plus an authoritative hex bit
 pattern, so NaN payloads and signed zeros round-trip exactly. One codec serves
 flush and parse_log; its caches live for one call. The encoder keeps one JSON
@@ -88,8 +89,8 @@ class LedgerConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "log_kinds", frozenset(self.log_kinds))
-        if self.max_logs is not None and self.max_logs < 0:
-            raise ValueError("max_logs must be >= 0")
+        if self.max_logs is not None and (type(self.max_logs) is not int or self.max_logs < 0):
+            raise ValueError("max_logs must be None or an integer >= 0")
 
 
 def _scalar_key(x):
@@ -136,14 +137,13 @@ class Ledger:
         self._seq = 0
         self._lock = threading.Lock()
 
-    def record(self, kind, value_class, op, operands, result, *,
-               injected=False, trace=EMPTY_TRACE) -> bool:
+    def record(self, kind, value_class, op, operands, result, injected, capture) -> bool:
         """Append one event; returns whether it was accepted. An event that
         `max_logs` or `log_kinds` rejects is only counted, in `dropped`.
 
-        `trace` may be a StackTrace or a zero-argument capture callable, such
-        as a trace provider's `capture`; it is called only once the event is
-        known to be stored.
+        `capture` is a trace provider's zero-argument `capture`; it is called
+        only once the event is known to be stored. A comparison's `result` is
+        a Python bool.
         """
         with self._lock:
             stream = self._kept.get(kind)
@@ -152,10 +152,8 @@ class Ledger:
                 self._dropped[key] = self._dropped.get(key, 0) + 1
                 return False
             self._seq += 1
-            stream.append(ExceptionEvent(
-                self._seq, kind, value_class, op, tuple(operands),
-                bool(result) if isinstance(result, np.bool_) else result, injected,
-                trace() if callable(trace) else tuple(trace)))
+            stream.append(ExceptionEvent(self._seq, kind, value_class, op, tuple(operands),
+                                         result, injected, capture()))
         return True
 
     def dropped(self) -> dict:
@@ -163,13 +161,11 @@ class Ledger:
         with self._lock:
             return dict(self._dropped)
 
-    def events(self, kind=None, value_class=None) -> list:
-        """Stored events, optionally filtered, in seq order."""
+    def events(self, kind=None) -> list:
+        """Stored events, of one kind or all, in seq order."""
         with self._lock:
             streams = self._streams.values() if kind is None else [self._streams[kind]]
             selected = [e for s in streams for e in s]
-        if value_class is not None:
-            selected = [e for e in selected if e.value_class is value_class]
         selected.sort(key=lambda e: e.seq)
         return selected
 

@@ -3,8 +3,9 @@ native interpreter-stack provider.
 
 Traces are tuples of Frames, innermost frame first. The explicit provider is a
 pure function of its scope stack, which makes logs byte-stable across
-platforms; the native provider is best-effort and filters out frames that
-belong to this package.
+platforms; the native provider is best-effort and drops every frame whose
+file lies under SKIP_PREFIX, this package's own directory. Neither provider
+takes an option.
 
 Explicit scopes are context-local, like the current session: a provider keeps
 its trace in a ContextVar that only a `with scope(...)` block sets and resets.
@@ -73,15 +74,13 @@ class ExplicitContextProvider:
 
 
 SITE_TABLE_LIMIT = 4096
+SKIP_PREFIX = os.path.dirname(os.path.abspath(__file__))    # this package's frames
 
 
 class NativeTraceProvider:
     """Map the live interpreter stack to Frames, dropping this package's own frames."""
 
-    def __init__(self, skip_prefixes=None):
-        if skip_prefixes is None:
-            skip_prefixes = (os.path.dirname(os.path.abspath(__file__)),)
-        self._skip = tuple(skip_prefixes)
+    def __init__(self):
         self._sites = {}    # (id(code), f_lasti) -> (code, Frame or None if skipped)
 
     def capture(self) -> StackTrace:
@@ -95,7 +94,7 @@ class NativeTraceProvider:
                 site = sites.get(key)
                 if site is None or site[0] is not code:
                     path = code.co_filename
-                    if path.startswith(self._skip):
+                    if path.startswith(SKIP_PREFIX):
                         site = (code, None)
                     else:
                         site = (code, Frame(code.co_name, path, frame.f_lineno))

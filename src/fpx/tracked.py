@@ -132,7 +132,7 @@ class TrackedFloat:
             # too big for this width: an Inf is born in the cast
             sess = current_session()
             sess.ledger.record(EventKind.GEN, ValueClass.INF, _CAST, (source,), cast,
-                               trace=sess.traces.capture)
+                               False, sess.traces.capture)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -203,16 +203,21 @@ def apply(name: str, operands):
     """Run one intercepted operation over tracked (or mixed) operands in the
     current session, which a `use_session` block selects.
 
-    Returns a tracked scalar at the widest tracked operand width, or a plain
-    bool for comparisons. One event is recorded per value class whose
-    exceptional status changed or persisted across the operation; an
-    uninjected operation with finite operands and a finite (or boolean)
-    result records none.
+    Operands are tracked values, Python or numpy floats and ints, at least one
+    tracked; any other raises TypeError before the op is numbered. Returns a
+    tracked scalar at the widest tracked operand width, or a plain bool for
+    comparisons. One event is recorded per value class whose exceptional
+    status changed or persisted across the operation; an uninjected
+    operation with finite operands and a finite (or boolean) result records
+    none.
     """
     cls = None                          # the widest tracked operand's class
     for o in operands:
-        if isinstance(o, TrackedFloat) and (cls is None or o._width > cls._width):
-            cls = type(o)
+        if isinstance(o, TrackedFloat):
+            if cls is None or o._width > cls._width:
+                cls = type(o)
+        elif not isinstance(o, _OPERANDS):
+            raise TypeError(f"unsupported operand type for {name}: {type(o).__name__}")
     if cls is None:
         raise TypeError("apply requires at least one tracked operand")
     try:
@@ -252,6 +257,8 @@ def _finish(sess, cls, row, values, injected_value):
     for x in xs:
         if not isfinite(x):
             status |= 1 if x != x else 2
+    if is_comparison:
+        result = bool(result)       # what the ledger stores and the caller gets
     result_status = 0 if is_comparison or isfinite(result) else 2 if result == result else 1
     if result_status == 1 and status & 1 and not injected:   # pin the leftmost NaN's payload
         if cls._width == 64:
@@ -260,13 +267,8 @@ def _finish(sess, cls, row, values, injected_value):
         else:
             result = propagate_payload(xs, result)
     for kind, value_class in _EVENTS[status][result_status]:
-        sess.ledger.record(kind, value_class, op, xs, result,
-                           injected=injected, trace=sess.traces.capture)
-    return bool(result) if is_comparison else _wrap_result(cls, result)
-
-
-def _is_operand(x) -> bool:
-    return isinstance(x, _OPERANDS)
+        sess.ledger.record(kind, value_class, op, xs, result, injected, sess.traces.capture)
+    return result if is_comparison else _wrap_result(cls, result)
 
 
 def _operator_method(name, arity, reflected):
@@ -305,7 +307,7 @@ def _operator_method(name, arity, reflected):
                                    (x,) if y is _UNARY else (x, y), injected)
         if other is _UNARY:
             return apply(name, (self,))
-        if not _is_operand(other):
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
         return apply(name, (other, self) if reflected else (self, other))
     return method

@@ -114,7 +114,8 @@ def test_criterion_4_livelock():
     bad = demo_loop_kill(inject_tdir=True, max_iters=max_iters)
     assert bad.work_iterations == 0
     assert bad.livelocked is True
-    kills = bad.session.ledger.events(kind=EventKind.KILL, value_class=ValueClass.NAN)
+    kills = [e for e in bad.session.ledger.events(kind=EventKind.KILL)
+             if e.value_class is ValueClass.NAN]
     assert len(kills) >= max_iters
     assert all(e.op == OpIdentity("<", 2) for e in kills)
     good = demo_loop_kill(inject_tdir=False)
@@ -279,8 +280,8 @@ def test_criterion_9_payload_conservation():
                     pair = (value, other) if rng.random() < 0.5 else (other, value)
                     value = apply(name, pair)
         result = unwrap(value)
-        new_sources = session.ledger.events(kind=EventKind.GEN,
-                                            value_class=ValueClass.NAN)
+        new_sources = [e for e in session.ledger.events(kind=EventKind.GEN)
+                       if e.value_class is ValueClass.NAN]
         if math.isnan(result) and not new_sources:
             assert fpbits.nan_payload(result) == payload
             verified += 1

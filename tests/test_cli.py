@@ -103,6 +103,7 @@ class TestRun:
         ("bogus=1", "unknown --fuzz key 'bogus'"),
         ("odds=x", "invalid literal for int()"),
         ("odds=1.5", "invalid literal for int()"),
+        ("seed=-1", "seed must be an integer >= 0"),
     ])
     def test_bad_fuzz_value(self, tmp_path, capsys, token, message):
         code, _, stderr = run_cli(capsys, "run", "sim", "--out", str(tmp_path),
@@ -166,6 +167,16 @@ class TestFuzzReplay:
         code, _, _ = run_cli(capsys, "replay", str(tmp_path / "missing.jsonl"),
                              "sim", "--out", str(tmp_path))
         assert code == 2
+
+    def test_replay_of_a_decreasing_op_counter_is_a_format_error(self, tmp_path, capsys):
+        rec = tmp_path / "rec.jsonl"
+        point = '{"op_counter": %d, "op": "+", "value_hex": "0x7ff8000000000000", ' \
+                '"trace_fp": "aaaaaaaaaaaaaaaa"}\n'
+        rec.write_text('{"seed": 1}\n' + point % 9 + point % 4, encoding="utf-8")
+        code, stdout, stderr = run_cli(capsys, "replay", str(rec), "max",
+                                       "--out", str(tmp_path / "out"))
+        assert code == 2 and stdout == ""
+        assert stderr == "fpx: line 3: op_counter not strictly increasing\n"
 
     def test_replay_reports_unconsumed_points(self, tmp_path, capsys):
         rec = tmp_path / "rec.jsonl"

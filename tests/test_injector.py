@@ -15,6 +15,7 @@ from fpx.injector import (InjectionConfig, InjectionRecording, Injector,
                           InjectorMode, RecordedInjection,
                           RecordingFormatError, ReplayDivergenceWarning,
                           load_recording, save_recording)
+from fpx.ledger import LedgerConfig
 from fpx.traces import Frame, trace_fingerprint
 
 NAN = float("nan")
@@ -46,6 +47,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             InjectionConfig(**{field: bad})
 
+    @pytest.mark.parametrize("config, name, bad", [
+        (InjectionConfig, "odds", 2.5), (InjectionConfig, "odds", True),
+        (InjectionConfig, "odds", "3"), (InjectionConfig, "n_inject", 2.5),
+        (InjectionConfig, "n_inject", False), (InjectionConfig, "seed", -1),
+        (InjectionConfig, "seed", 1.0), (InjectionConfig, "seed", True),
+        (LedgerConfig, "max_logs", 1.5), (LedgerConfig, "max_logs", True),
+        (LedgerConfig, "max_logs", "2"),
+    ])
+    def test_integer_fields_take_only_ints(self, config, name, bad):
+        """2.5 is not rounded into a draw range or a cap, a bool is not a count,
+        and a negative seed fails here rather than inside the generator."""
+        with pytest.raises(ValueError, match=name):
+            config(**{name: bad})
+
     def test_scope_filters_accept_string_sequences(self):
         cfg = InjectionConfig(functions=["solve", "rhs"], libraries=("ODE/",))
         assert (cfg.functions, cfg.libraries) == (("solve", "rhs"), ("ODE/",))
@@ -64,11 +79,13 @@ class TestShouldInject:
         assert math.isnan(inj.decide(OP, _thunk()))
         assert inj.op_counter == 1
 
-    def test_inactive_never_fires(self):
-        # an injector not in fuzz mode ignores an armed config
-        inj = Injector(InjectorMode.OFF, InjectionConfig(odds=1, n_inject=5))
-        assert not any(_fires(inj) for _ in range(50))
-        assert inj.recording.points == []
+    def test_mode_is_derived_from_the_inputs(self):
+        """A recording means replay, else a config means fuzz, else off."""
+        cfg, rec = InjectionConfig(odds=1), InjectionRecording()
+        assert Injector().mode is Injector.off().mode is InjectorMode.OFF
+        assert Injector(cfg).mode is Injector.fuzz(cfg).mode is InjectorMode.FUZZ
+        assert Injector(recording=rec).mode is Injector.replay(rec).mode is InjectorMode.REPLAY
+        assert Injector(cfg, rec).mode is InjectorMode.REPLAY
 
     def test_off_mode_never_fires(self):
         inj = Injector.off()
@@ -327,6 +344,22 @@ class TestRecordingFiles:
         with pytest.raises(RecordingFormatError) as err:
             load_recording(path)
         assert err.value.line_number == 1
+
+    @pytest.mark.parametrize("counters", [(5, 5), (9, 5), (3, 7, 6)])
+    def test_op_counter_must_increase_names_its_line(self, tmp_path, counters):
+        path = tmp_path / "rec.jsonl"
+        path.write_text('{"seed": 1}\n' + "".join(json.dumps(
+            {"op_counter": n, "op": "+", "value_hex": fpbits.hex_bits(NAN),
+             "trace_fp": "0" * 16}) + "\n" for n in counters), encoding="utf-8")
+        line = len(counters) + 1
+        with pytest.raises(RecordingFormatError, match="strictly increasing") as err:
+            load_recording(path)
+        assert err.value.line_number == line and f"line {line}" in str(err.value)
+
+    def test_point_compared_with_another_type_is_not_implemented(self):
+        point = RecordedInjection(1, "+", NAN, "0" * 16)
+        assert point.__eq__(point._key()) is NotImplemented
+        assert point != point._key() and point != 1
 
     def test_nan_value_survives_by_bits(self, tmp_path):
         payload_nan = fpbits.nan_with_payload(0x77)

@@ -30,7 +30,7 @@ TRACE = (Frame("momentum_u!", "SW/rhs.jl", 246),
 
 def _record(ledger, kind=EventKind.GEN, value_class=ValueClass.NAN,
             operands=(-INF, -INF), result=NAN, trace=TRACE):
-    return ledger.record(kind, value_class, OP_SUB, operands, result, trace=trace)
+    return ledger.record(kind, value_class, OP_SUB, operands, result, False, lambda: trace)
 
 
 class TestRecord:
@@ -74,11 +74,11 @@ class TestRecord:
 
         cfg = LedgerConfig(max_logs=0, log_kinds=frozenset({EventKind.KILL}))
         ledger = Ledger(cfg)
-        ledger.record(EventKind.GEN, ValueClass.NAN, OP_SUB, (1.0,), NAN, trace=thunk)
-        ledger.record(EventKind.KILL, ValueClass.NAN, OP_SUB, (NAN,), 1.0, trace=thunk)
+        ledger.record(EventKind.GEN, ValueClass.NAN, OP_SUB, (1.0,), NAN, False, thunk)
+        ledger.record(EventKind.KILL, ValueClass.NAN, OP_SUB, (NAN,), 1.0, False, thunk)
         assert calls == []  # rejected by kind or by the cap: never captured
         ledger2 = Ledger()
-        ledger2.record(EventKind.GEN, ValueClass.NAN, OP_SUB, (1.0,), NAN, trace=thunk)
+        ledger2.record(EventKind.GEN, ValueClass.NAN, OP_SUB, (1.0,), NAN, False, thunk)
         assert calls == [1]
         assert ledger2.events()[0].trace == TRACE
 
@@ -530,8 +530,7 @@ FLUSH_GOLDEN = {
 def _golden_ledger():
     ledger = Ledger()
     for kind, value_class, op, operands, result, injected, trace in GOLDEN_POOL:
-        ledger.record(kind, value_class, op, operands, result,
-                      injected=injected, trace=trace)
+        ledger.record(kind, value_class, op, operands, result, injected, lambda: trace)
     return ledger
 
 
@@ -553,6 +552,25 @@ def test_parsed_events_share_traces_and_scalars(tmp_path):
     assert first.trace is fourth.trace and first.op is fourth.op
     assert first.operands[0] is first.result is fourth.operands[0]
     assert third.trace == ()
+
+
+def test_parsed_events_hash_like_the_recorded_ones(tmp_path):
+    """Events read back hash equal to the originals, NaN payload and -0.0
+    operands included, so a set of either finds the other."""
+    ledger = _golden_ledger()
+    for kind, path in ledger.flush(tmp_path).items():
+        recorded, parsed = ledger.events(kind=kind), parse_log(path)
+        assert [hash(e) for e in parsed] == [hash(e) for e in recorded]
+        assert set(parsed) == set(recorded)
+    operands = [x for e in ledger.events() for x in e.operands]
+    assert any(fpbits.nan_payload(x) for x in operands)
+    assert any(x == 0 and np.signbit(x) for x in operands)
+
+
+def test_event_compared_with_another_type_is_not_implemented():
+    event = ExceptionEvent(1, EventKind.GEN, ValueClass.NAN, OP_SUB, (-INF, -INF), NAN)
+    assert event.__eq__(event._key()) is NotImplemented
+    assert event != event._key() and event != "gen"
 
 
 FRAME = '{"fn": "f", "file": "a.py", "line": 9}'

@@ -157,3 +157,14 @@ def test_public_surface_is_pinned():
     for (_, arity), public in PUBLIC.items():
         assert list(inspect.signature(getattr(fpx, public)).parameters) == (
             ["x"] if arity == 1 else ["x", "y"])
+    # no parameter that only tests would set; the injector derives its mode
+    for fn, params in [
+        (fpx.NativeTraceProvider, []),
+        (fpx.Ledger.record, ["self", "kind", "value_class", "op", "operands", "result",
+                             "injected", "capture"]),
+        (fpx.Ledger.events, ["self", "kind"]),
+        (fpx.Injector.__init__, ["self", "config", "recording"]),
+        (fpx.demo_loop_kill, ["inject_tdir", "max_iters", "session"]),
+        (fpbits.hex_bits, ["x"]),
+    ]:
+        assert list(inspect.signature(fn).parameters) == params, fn

@@ -156,13 +156,13 @@ class TestNativeProvider:
         assert p.capture() == (SENTINEL_FRAME,)
 
 
-def _reference_capture(skip):
+def _reference_capture():
     """NativeTraceProvider.capture without its call-site table: a fresh walk."""
     frame = sys._getframe(1)
     frames = []
     while frame is not None:
         path = frame.f_code.co_filename
-        if not path.startswith(skip):
+        if not path.startswith(traces.SKIP_PREFIX):
             frames.append(Frame(frame.f_code.co_name, path, frame.f_lineno))
         frame = frame.f_back
     return tuple(frames) if frames else (SENTINEL_FRAME,)
@@ -170,7 +170,7 @@ def _reference_capture(skip):
 
 def _both(p):
     """The memoized and the reference capture of one stack (same caller line)."""
-    return p.capture(), _reference_capture(p._skip)
+    return p.capture(), _reference_capture()
 
 
 class TestNativeCallSiteTable:
@@ -262,8 +262,9 @@ class TestNativeCallSiteTable:
 
     @pytest.mark.parametrize("skip", [(__file__,), ("/nonexistent-prefix",),
                                       (__file__, threading.__file__)])
-    def test_custom_skip_prefixes(self, skip):
-        p = NativeTraceProvider(skip_prefixes=skip)
+    def test_custom_skip_prefixes(self, skip, monkeypatch):
+        monkeypatch.setattr(traces, "SKIP_PREFIX", skip)
+        p = NativeTraceProvider()
 
         def call():
             return _both(p)
@@ -274,8 +275,9 @@ class TestNativeCallSiteTable:
         assert all(not f.file.startswith(skip) for f in memo)
         assert (memo[0].function == "_both") == (skip == ("/nonexistent-prefix",))
 
-    def test_every_frame_skipped_gives_sentinel(self):
-        p = NativeTraceProvider(skip_prefixes=("",))
+    def test_every_frame_skipped_gives_sentinel(self, monkeypatch):
+        monkeypatch.setattr(traces, "SKIP_PREFIX", "")
+        p = NativeTraceProvider()
 
         def call():
             return _both(p)

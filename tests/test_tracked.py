@@ -280,7 +280,8 @@ def test_payload_conservation_chain(data):
                 operands = (value, other) if rng.random() < 0.5 else (other, value)
                 value = apply(name, operands)
     result = unwrap(value)
-    gens = session.ledger.events(kind=EventKind.GEN, value_class=ValueClass.NAN)
+    gens = [e for e in session.ledger.events(kind=EventKind.GEN)
+            if e.value_class is ValueClass.NAN]
     if math.isnan(result) and not gens:
         assert fpbits.nan_payload(result) == payload
 
@@ -814,12 +815,32 @@ def test_clean_comparisons_call_neither_apply_nor_decide(monkeypatch, mode):
 
 
 def test_unsupported_operand_under_fuzz_counts_nothing():
-    """An operand of another type is NotImplemented before any decision, so
-    the op number is not spent."""
+    """An operand of another type raises TypeError before any decision, from
+    an operator (NotImplemented), a public function or apply, so the op
+    number is not spent and nothing is logged: "inf" and None make no Inf
+    or NaN, and "4" adds to nothing."""
     session = explicit_session(injector=Injector.fuzz(InjectionConfig(odds=1, n_inject=10)))
     x = TrackedFloat64(1.5)
+    ops = [lambda: x + "s", lambda: "s" + x, lambda: x * [1], lambda: x / None]
+    for bad in ("4", "inf", None, [1.0]):
+        ops += [lambda bad=bad: maximum(x, bad), lambda bad=bad: fpx.hypot(bad, x),
+                lambda bad=bad: apply("+", (x, bad)), lambda bad=bad: apply("<", (bad, x))]
     with use_session(session):
-        for op in (lambda: x + "s", lambda: "s" + x, lambda: x * [1], lambda: x / None):
+        for op in ops:
             with pytest.raises(TypeError):
                 op()
     assert session.injector.op_counter == 0 and session.injector.recording.points == []
+    assert session.ledger.events() == [] and session.ledger.dropped() == {}
+
+
+def test_str_and_unary_plus_log_nothing_and_count_nothing():
+    """str formats the wrapped value and +t is t: neither is an operation."""
+    session = explicit_session(injector=Injector.fuzz(InjectionConfig(odds=1, n_inject=10)))
+    values = [TrackedFloat64(NAN), TrackedFloat64(-0.0), TrackedFloat32(-INF),
+              TrackedFloat16(2.5)]
+    with use_session(session):
+        for t in values:
+            assert str(t) == str(unwrap(t))
+            assert +t is t
+    assert session.injector.op_counter == 0 and session.injector.recording.points == []
+    assert session.ledger.events() == [] and session.ledger.dropped() == {}
