@@ -67,15 +67,12 @@ def classify(value_class: ValueClass, inputs, output) -> EventKind | None:
 
 
 def propagate_payload(operands, raw_result):
-    """Give a NaN result the payload bits of the leftmost NaN operand.
-
-    The sign and quiet bit of the computed result are kept, so pure bit
-    operations like negation stay bit-transparent; only the provenance
-    payload is pinned to the originating NaN.
-    """
-    if not math.isnan(float(raw_result)):
+    """The one NaN payload pin of every width: a NaN result takes the payload
+    bits of the leftmost NaN operand and keeps its own sign and quiet bit, so
+    pure bit operations like negation stay bit-transparent."""
+    if raw_result == raw_result:        # not a NaN
         return raw_result
     for x in operands:
-        if math.isnan(float(x)):
+        if x != x:
             return fpbits.transfer_payload(raw_result, x)
     return raw_result

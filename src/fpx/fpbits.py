@@ -30,8 +30,9 @@ NUMPY_TYPE = {64: np.float64, 32: np.float32, 16: np.float16}
 # Exact scalar type -> width, so the common types skip the isinstance chain.
 _WIDTH_BY_TYPE = {float: 64, np.float64: 64, bool: 64, int: 64, np.float32: 32, np.float16: 16}
 _FLOAT64_TYPES = frozenset((float, np.float64))
-_pack_double = struct.Struct("<d").pack
-_unpack_uint64 = struct.Struct("<Q").unpack
+_pack_double, _unpack_double = struct.Struct("<d").pack, struct.Struct("<d").unpack
+_pack_uint64, _unpack_uint64 = struct.Struct("<Q").pack, struct.Struct("<Q").unpack
+_pack_dd, _unpack_qq = struct.Struct("<dd").pack, struct.Struct("<QQ").unpack
 
 
 def width_of(x) -> int:
@@ -57,7 +58,7 @@ def to_bits(x, width: int | None = None) -> int:
 def from_bits(bits: int, width: int = 64):
     """Inverse of to_bits; 64-bit values come back as plain floats."""
     if width == 64:
-        return struct.unpack("<d", struct.pack("<Q", bits))[0]
+        return _unpack_double(_pack_uint64(bits))[0]
     return _UINT_TYPE[width](bits).view(NUMPY_TYPE[width])
 
 
@@ -87,11 +88,14 @@ def nan_with_payload(payload: int, width: int = 64):
 
 
 def transfer_payload(raw_result, source_nan):
-    """Copy source_nan's payload bits into raw_result, keeping its sign and quiet bit."""
+    """Copy source_nan's payload bits into raw_result, keeping its sign and
+    quiet bit, at raw_result's width; a float64 result comes back a plain float."""
     w = width_of(raw_result)
     mask = PAYLOAD_MASK[w]
-    bits = (to_bits(raw_result) & ~mask) | (to_bits(source_nan, w) & mask)
-    return from_bits(bits, w)
+    if w == 64:         # both bit patterns in one unpack, the result in one pack
+        bits, source = _unpack_qq(_pack_dd(raw_result, source_nan))
+        return _unpack_double(_pack_uint64(bits & ~mask | source & mask))[0]
+    return from_bits(to_bits(raw_result) & ~mask | to_bits(source_nan, w) & mask, w)
 
 
 def _sci(sign: str, mantissa: str, exponent: int) -> str:

@@ -215,7 +215,9 @@ class Injector:
 
 def save_recording(recording: InjectionRecording, path) -> None:
     """Header line with the seed, then one JSON object per injection point."""
-    lines = [json.dumps({"seed": recording.seed & (2**64 - 1)}) + "\n"]
+    if type(recording.seed) is not int or recording.seed < 0:
+        raise ValueError("seed must be an integer >= 0")
+    lines = [json.dumps({"seed": recording.seed}) + "\n"]
     for p in recording.points:
         lines.append(json.dumps({
             "op_counter": p.op_counter,
@@ -230,9 +232,9 @@ def save_recording(recording: InjectionRecording, path) -> None:
 def load_recording(path) -> InjectionRecording:
     rows = read_json_lines(path, RecordingFormatError)
     line_number, header = next(rows, (None, {}))
-    if line_number != 1 or type(header.get("seed")) is not int:
-        raise RecordingFormatError('missing seed header {"seed": <integer>}', 1)
-    recording = InjectionRecording(seed=header["seed"])
+    if line_number != 1 or type(seed := header.get("seed")) is not int or seed < 0:
+        raise RecordingFormatError('missing seed header {"seed": <integer >= 0>}', 1)
+    recording = InjectionRecording(seed=seed)
     for line_number, obj in rows:
         try:
             point = RecordedInjection(

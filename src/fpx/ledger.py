@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fpbits
 from .classify import EventKind, OpIdentity, ValueClass
-from .traces import EMPTY_TRACE, Frame, StackTrace
+from .traces import Frame, StackTrace
 
 ALL_KINDS = frozenset(EventKind)
 FILE_BY_KIND = {
@@ -89,6 +89,8 @@ class LedgerConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "log_kinds", frozenset(self.log_kinds))
+        if not all(isinstance(k, EventKind) for k in self.log_kinds):   # a bare str: letters
+            raise ValueError("log_kinds must be a collection of EventKind members")
         if self.max_logs is not None and (type(self.max_logs) is not int or self.max_logs < 0):
             raise ValueError("max_logs must be None or an integer >= 0")
 
@@ -107,8 +109,8 @@ class ExceptionEvent:
     op: OpIdentity
     operands: tuple
     result: object                 # scalar, or bool for comparisons
-    injected: bool = False
-    trace: StackTrace = EMPTY_TRACE
+    injected: bool
+    trace: StackTrace
 
     def _key(self):
         return (self.seq, self.kind, self.value_class, self.op,

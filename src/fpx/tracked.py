@@ -23,22 +23,22 @@ raises (x/0, sqrt of a negative), narrow widths, numpy scalar or int operands
 and rows without a twin take numpy scalar ufuncs with floating-point traps
 suppressed, so 0/0, log(0) and overflow yield IEEE results instead of
 raising. With injection off, unwrapped results are bit-identical to the same
-computation over plain numpy scalars. A number too big for the width of a
-tracked value being constructed becomes Inf, logged as a cast gen. Formatting
-a tracked value formats the wrapped one: a text exit that logs nothing.
+computation over plain numpy scalars. One cast serves construction and ops:
+a plain operand too big for the op's width becomes Inf, logged as a cast gen
+before the op's events, and an operand that cannot convert raises before the
+op is numbered. One pin, propagate_payload, serves every width. Formatting a
+tracked value formats the wrapped one: a text exit that logs nothing.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import struct
 from math import isfinite
 
 import numpy as np
 
 from .classify import EventKind, OpIdentity, ValueClass, classify, propagate_payload
-from .fpbits import PAYLOAD_MASK
 from .injector import InjectorMode
 from .session import current_session
 
@@ -96,9 +96,6 @@ _EVENTS = tuple(tuple(tuple((kind, vc) for vc in ValueClass
                             if (kind := classify(vc, ins, out)) is not None)
                       for out in (0.0, math.nan, math.inf))
                 for ins in ((), (math.nan,), (math.inf,), (math.nan, math.inf)))
-_pack_dd, _unpack_qq = struct.Struct("<dd").pack, struct.Struct("<QQ").unpack
-_pack_q, _unpack_d = struct.Struct("<Q").pack, struct.Struct("<d").unpack
-_PAYLOAD = PAYLOAD_MASK[64]
 _OFF = InjectorMode.OFF
 _UNARY = object()       # the absent second operand of a one-operand op
 
@@ -119,20 +116,10 @@ class TrackedFloat:
     def __init__(self, value):
         if isinstance(value, TrackedFloat):
             value = value._value
-        if type(value) in _PLAIN and self._width == 64:
-            # a float is kept; an int rounds to a finite float64 or raises
-            # OverflowError, so no Inf is born in this cast
-            _set_value(self, float(value))
-            return
-        with np.errstate(all="ignore"):
-            cast = self._np_type(value)
-            source = np.float64(value) if math.isinf(cast) else None
-        _set_value(self, type(self)._store(cast))
-        if source is not None and math.isfinite(source):
-            # too big for this width: an Inf is born in the cast
-            sess = current_session()
-            sess.ledger.record(EventKind.GEN, ValueClass.INF, _CAST, (source,), cast,
-                               False, sess.traces.capture)
+        # at float64 a float is kept and an int rounds to a finite float64 or
+        # raises OverflowError, so no Inf is born there; the rest take _cast
+        _set_value(self, float(value) if type(value) in _PLAIN and self._width == 64
+                   else type(self)._store(_cast(type(self), (value,))[0]))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -192,6 +179,19 @@ def unwrap(t):
     return t._value if isinstance(t, TrackedFloat) else t
 
 
+def _cast(cls, values):
+    """values at cls's width; a finite number too big for it becomes Inf, an
+    Inf gen of the cast, logged in operand order once every value converted."""
+    with np.errstate(all="ignore"):
+        casts = tuple(map(cls._np_type, values))
+        for v, cast in zip(values, casts):
+            if math.isinf(cast) and math.isfinite(source := np.float64(v)):
+                sess = current_session()
+                sess.ledger.record(EventKind.GEN, ValueClass.INF, _CAST, (source,), cast,
+                                   False, sess.traces.capture)
+    return casts
+
+
 def _wrap_result(cls, value):
     """Wrap a computed value of cls's width without __init__'s second conversion."""
     t = _new(cls)
@@ -204,12 +204,13 @@ def apply(name: str, operands):
     current session, which a `use_session` block selects.
 
     Operands are tracked values, Python or numpy floats and ints, at least one
-    tracked; any other raises TypeError before the op is numbered. Returns a
-    tracked scalar at the widest tracked operand width, or a plain bool for
-    comparisons. One event is recorded per value class whose exceptional
-    status changed or persisted across the operation; an uninjected
-    operation with finite operands and a finite (or boolean) result records
-    none.
+    tracked; any other raises TypeError, and an int past float64 raises
+    OverflowError, before the op is numbered. Returns a tracked scalar at the
+    widest tracked operand width, or a plain bool for comparisons. An operand
+    too big for that width logs a cast gen first; then one event is recorded
+    per value class whose exceptional status changed or persisted across the
+    operation, and an uninjected operation with finite operands and a finite
+    (or boolean) result records none.
     """
     cls = None                          # the widest tracked operand's class
     for o in operands:
@@ -227,23 +228,21 @@ def apply(name: str, operands):
     _, is_comparison, op, _ = row
     sess = current_session()
     values = [o._value if isinstance(o, TrackedFloat) else o for o in operands]
+    if type(values[0]) is not float or type(values[-1]) is not float:   # arity <= 2
+        values = _cast(cls, values)
     injected_value = None if is_comparison else sess.injector.decide(op, sess.traces.capture)
     return _finish(sess, cls, row, values, injected_value)
 
 
-def _finish(sess, cls, row, values, injected_value):
-    """The op after its injector decision: compute with the substrate the
-    module docstring names (or substitute the injected value), pin NaN
-    payloads, then classify both value classes in one pass and log."""
+def _finish(sess, cls, row, xs, injected_value):
+    """The op after its injector decision, over operands already at cls's
+    width: compute with the substrate the module docstring names (or store
+    the injected value at that width), pin a NaN result's payload with
+    propagate_payload, then classify both value classes in one pass and log."""
     impl, is_comparison, op, exact = row
     injected = injected_value is not None
-    xs, result = values, injected_value
-    if type(xs[0]) is not float or type(xs[-1]) is not float:   # arity <= 2
-        # under errstate, a plain operand too big for a narrow width is a quiet Inf
-        with np.errstate(all="ignore"):
-            xs = tuple(map(cls._np_type, xs))
-            result = cls._np_type(injected_value) if injected else None
-    elif not injected and exact is not None and (
+    result = cls._store(injected_value) if injected else None
+    if not injected and exact is not None and type(xs[0]) is type(xs[-1]) is float and (
             len(xs) == 1 or xs[0] == xs[0] or xs[1] == xs[1]):
         try:
             result = exact(*xs)
@@ -261,11 +260,7 @@ def _finish(sess, cls, row, values, injected_value):
         result = bool(result)       # what the ledger stores and the caller gets
     result_status = 0 if is_comparison or isfinite(result) else 2 if result == result else 1
     if result_status == 1 and status & 1 and not injected:   # pin the leftmost NaN's payload
-        if cls._width == 64:
-            bits, source = _unpack_qq(_pack_dd(result, xs[0] if xs[0] != xs[0] else xs[-1]))
-            result = _unpack_d(_pack_q(bits & ~_PAYLOAD | source & _PAYLOAD))[0]
-        else:
-            result = propagate_payload(xs, result)
+        result = propagate_payload(xs, result)
     for kind, value_class in _EVENTS[status][result_status]:
         sess.ledger.record(kind, value_class, op, xs, result, injected, sess.traces.capture)
     return result if is_comparison else _wrap_result(cls, result)

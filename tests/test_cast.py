@@ -1,4 +1,5 @@
-"""Constructing a tracked value: a number too big for the width is an Inf gen."""
+"""The one cast to a tracked width, in construction and in every op: a number
+too big for the width is an Inf gen, and one that cannot convert raises."""
 
 import math
 import warnings
@@ -8,6 +9,7 @@ import pytest
 
 import fpx
 from fpx.classify import EventKind, OpIdentity, ValueClass
+from fpx.injector import InjectionConfig, Injector
 from fpx.ledger import parse_log
 from fpx.session import explicit_session, use_session
 from fpx.tracked import TrackedFloat16, TrackedFloat32, TrackedFloat64
@@ -64,3 +66,44 @@ def test_cast_is_not_a_registry_row():
     ops = fpx.supported_operations()
     assert len(ops) == 27
     assert CAST not in ops
+
+
+# A plain operand too big for the op's width: (op, finite source, result, op's event).
+OVERFLOWING_OPERANDS = {
+    "f16-add-int": (lambda: TrackedFloat16(1.0) + 100000, 100000.0, INF, EventKind.PROP),
+    "f16-reflected-sub": (lambda: 100000 - TrackedFloat16(1.0), 100000.0, INF, EventKind.PROP),
+    "f16-less": (lambda: TrackedFloat16(1.0) < 70000.0, 70000.0, True, EventKind.KILL),
+    "f16-maximum": (lambda: fpx.maximum(TrackedFloat16(1.0), 1e6), 1e6, INF, EventKind.PROP),
+    "f32-mul": (lambda: TrackedFloat32(2.0) * 1e300, 1e300, INF, EventKind.PROP),
+}
+
+
+@pytest.mark.parametrize("make, source, result, kind", OVERFLOWING_OPERANDS.values(),
+                         ids=OVERFLOWING_OPERANDS.keys())
+def test_overflowing_plain_operand_is_a_cast_gen_before_the_op(make, source, result, kind):
+    """The op casts its operand as construction does: the Inf is born in the
+    cast, a gen whose operand is the finite source, then flows into the op."""
+    value, session = _construct(make)
+    assert (value if type(value) is bool else value.value) == result
+    gen, event = session.ledger.events()
+    assert (gen.kind, gen.value_class, gen.op) == (EventKind.GEN, ValueClass.INF, CAST)
+    assert gen.operands == (source,) and gen.result == INF
+    assert (event.kind, event.value_class) == (kind, ValueClass.INF)
+    assert INF in event.operands and gen.seq < event.seq
+    assert [f.function for f in gen.trace] == [f.function for f in event.trace] == ["build"]
+
+
+@pytest.mark.parametrize("cls", [TrackedFloat64, TrackedFloat16])
+def test_operand_that_cannot_convert_raises_before_the_op_is_numbered(cls):
+    """An int past float64 raises OverflowError before the injector decides:
+    no op number, no injection point spent, no event."""
+    session = explicit_session(injector=Injector(InjectionConfig(odds=1)))
+    x = cls(1.0)
+    with use_session(session), pytest.raises(OverflowError):
+        x + 10**400
+    assert session.injector.op_counter == 0
+    assert session.injector.recording.points == []
+    assert session.ledger.events() == []
+    with use_session(session):
+        assert math.isnan((x + 1.0).value)      # the injection is still unspent
+    assert [p.op_counter for p in session.injector.recording.points] == [1]

@@ -178,6 +178,14 @@ class TestFuzzReplay:
         assert code == 2 and stdout == ""
         assert stderr == "fpx: line 3: op_counter not strictly increasing\n"
 
+    def test_replay_of_a_negative_seed_is_a_format_error(self, tmp_path, capsys):
+        rec = tmp_path / "rec.jsonl"
+        rec.write_text('{"seed": -3}\n', encoding="utf-8")
+        code, stdout, stderr = run_cli(capsys, "replay", str(rec), "max",
+                                       "--out", str(tmp_path / "out"))
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("fpx: line 1: missing seed header")
+
     def test_replay_reports_unconsumed_points(self, tmp_path, capsys):
         rec = tmp_path / "rec.jsonl"
         rec.write_text('{"seed": 1}\n'

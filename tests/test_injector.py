@@ -65,6 +65,17 @@ class TestConfig:
         cfg = InjectionConfig(functions=["solve", "rhs"], libraries=("ODE/",))
         assert (cfg.functions, cfg.libraries) == (("solve", "rhs"), ("ODE/",))
 
+    @pytest.mark.parametrize("bad", ["prop", {"gen"}, [EventKind.GEN, "kill"], ["prop"]])
+    def test_log_kinds_take_only_event_kinds(self, bad):
+        """A bare string is not split into letters, and a kind's name is not
+        the kind: each is refused here, not as a KeyError inside Ledger."""
+        with pytest.raises(ValueError, match="log_kinds"):
+            LedgerConfig(log_kinds=bad)
+
+    def test_log_kinds_accept_event_kind_collections(self):
+        assert LedgerConfig(log_kinds=[EventKind.GEN]).log_kinds == {EventKind.GEN}
+        assert LedgerConfig(log_kinds=()).log_kinds == frozenset()
+
 
 def _fires(inj, trace=TRACE):
     """One decide call: True when it injected (and so returned a value)."""
@@ -302,6 +313,22 @@ class TestRecordingFiles:
         loaded = load_recording(path)
         assert loaded.seed == 7 and loaded.points == []
 
+    def test_seed_past_64_bits_round_trips(self, tmp_path):
+        """The header keeps the seed the run used; it is not masked to 64 bits."""
+        inj = Injector.fuzz(InjectionConfig(odds=1, seed=2**64 + 5))
+        inj.decide(OP, _thunk())
+        path = tmp_path / "rec.jsonl"
+        save_recording(inj.recording, path)
+        assert json.loads(path.read_text().splitlines()[0]) == {"seed": 2**64 + 5}
+        assert load_recording(path) == inj.recording
+
+    @pytest.mark.parametrize("seed", [-3, True, 1.0, None])
+    def test_save_refuses_a_seed_the_config_refuses(self, tmp_path, seed):
+        path = tmp_path / "rec.jsonl"
+        with pytest.raises(ValueError, match="seed"):
+            save_recording(InjectionRecording(seed=seed), path)
+        assert not path.exists()
+
     def test_truncated_file_errors(self, tmp_path):
         path = tmp_path / "rec.jsonl"
         path.write_text('{"seed": 1}\n{"op_counter": 5, "op"\n', encoding="utf-8")
@@ -337,7 +364,8 @@ class TestRecordingFiles:
         assert "line 4" in str(err.value)
 
     @pytest.mark.parametrize("header", ['{"seed": "1"}', '{"seed": 1.5}', '{"seed": true}',
-                                        '{"sed": 1}', "[1]", "\n" + '{"seed": 1}'])
+                                        '{"seed": -3}', '{"sed": 1}', "[1]",
+                                        "\n" + '{"seed": 1}'])
     def test_bad_seed_header_is_line_one(self, tmp_path, header):
         path = tmp_path / "rec.jsonl"
         path.write_text(header + "\n", encoding="utf-8")

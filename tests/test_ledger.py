@@ -16,7 +16,7 @@ from fpx.ledger import (ExceptionEvent, FormatError, Ledger, LedgerConfig,
                         render_human)
 from fpx.session import TrackerSession, use_session
 from fpx.stackgraph import GraphFormatError
-from fpx.traces import Frame
+from fpx.traces import EMPTY_TRACE, Frame
 from fpx.tracked import TrackedFloat64
 
 NAN = float("nan")
@@ -194,7 +194,7 @@ class TestFlush:
 class TestRenderHuman:
     def test_log_excerpt_block_layout(self):
         event = ExceptionEvent(1, EventKind.GEN, ValueClass.NAN, OP_SUB,
-                               (-INF, -INF), NAN, trace=TRACE)
+                               (-INF, -INF), NAN, False, TRACE)
         block = render_human(event).splitlines()
         assert block[0] == "-([-Inf, -Inf])"
         assert block[1] == "momentum_u!  SW/rhs.jl:246"
@@ -202,12 +202,12 @@ class TestRenderHuman:
 
     def test_comparison_header(self):
         event = ExceptionEvent(1, EventKind.KILL, ValueClass.NAN,
-                               OpIdentity("<", 2), (NAN, 3.0e6), False)
+                               OpIdentity("<", 2), (NAN, 3.0e6), False, False, EMPTY_TRACE)
         assert render_human(event).splitlines()[0] == "<([NaN, 3.0e6])"
 
     def test_empty_trace_is_header_only(self):
         event = ExceptionEvent(1, EventKind.GEN, ValueClass.NAN, OP_SUB,
-                               (-INF, -INF), NAN)
+                               (-INF, -INF), NAN, False, EMPTY_TRACE)
         assert render_human(event) == "-([-Inf, -Inf])"
 
 
@@ -568,7 +568,8 @@ def test_parsed_events_hash_like_the_recorded_ones(tmp_path):
 
 
 def test_event_compared_with_another_type_is_not_implemented():
-    event = ExceptionEvent(1, EventKind.GEN, ValueClass.NAN, OP_SUB, (-INF, -INF), NAN)
+    event = ExceptionEvent(1, EventKind.GEN, ValueClass.NAN, OP_SUB, (-INF, -INF), NAN,
+                           False, EMPTY_TRACE)
     assert event.__eq__(event._key()) is NotImplemented
     assert event != event._key() and event != "gen"
 

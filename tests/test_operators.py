@@ -152,6 +152,10 @@ def test_public_surface_is_pinned():
         "max_logs", "log_kinds"]
     assert [f.name for f in dataclasses.fields(fpx.InjectionConfig)] == [
         "odds", "n_inject", "functions", "libraries", "value", "seed"]
+    # every event field is given by the ledger or the log decoder; none defaults
+    assert [f.name for f in dataclasses.fields(fpx.ExceptionEvent)] == [
+        "seq", "kind", "value_class", "op", "operands", "result", "injected", "trace"]
+    assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(fpx.ExceptionEvent))
     # the session of an operation is the one a use_session block selects
     assert list(inspect.signature(fpx.apply).parameters) == ["name", "operands"]
     for (_, arity), public in PUBLIC.items():

@@ -335,7 +335,8 @@ def _scalar_bits(x):
 
 def _predicted(name_arity, operands, np_type):
     """Bare-ufunc result, NaN payload pinned to its source as the pipeline
-    does, and the (kind, class) events classify predicts for it."""
+    does, and the (kind, class) events classify predicts for it, after an Inf
+    gen of the cast for each finite operand too big for the width."""
     impl = REFERENCE[name_arity]
     with np.errstate(all="ignore"):
         xs = tuple(np_type(unwrap(o)) for o in operands)
@@ -343,9 +344,13 @@ def _predicted(name_arity, operands, np_type):
     op = OpIdentity(*name_arity)
     if name_arity not in COMPARISONS:
         raw = propagate_payload(xs, raw)
-    events = [(kind, vc, op, tuple(map(_scalar_bits, xs)), _scalar_bits(raw))
-              for vc in (ValueClass.NAN, ValueClass.INF)
-              if (kind := classify(vc, xs, raw)) is not None]
+    events = [(EventKind.GEN, ValueClass.INF, OpIdentity("cast", 1),
+               (_scalar_bits(np.float64(unwrap(o))),), _scalar_bits(x))
+              for o, x in zip(operands, xs)
+              if math.isinf(x) and math.isfinite(np.float64(unwrap(o)))]
+    events += [(kind, vc, op, tuple(map(_scalar_bits, xs)), _scalar_bits(raw))
+               for vc in (ValueClass.NAN, ValueClass.INF)
+               if (kind := classify(vc, xs, raw)) is not None]
     return raw, events
 
 
@@ -420,8 +425,10 @@ def test_fast_path_boundary_events(width):
         (("<", 2), (cls(1.0), cls(2.0))): [],
     }
     if width == 16:
-        # a plain int that overflows the tracked width is an Inf operand
-        cases[(("+", 2), (cls(1.0), 100000))] = [(EventKind.PROP, ValueClass.INF)]
+        # a plain int that overflows the tracked width is an Inf gen of the
+        # cast, then an Inf operand
+        cases[(("+", 2), (cls(1.0), 100000))] = [(EventKind.GEN, ValueClass.INF),
+                                                  (EventKind.PROP, ValueClass.INF)]
     for (name_arity, operands), expected in cases.items():
         events = _check_against_reference(name_arity, operands, np_type)
         assert [(kind, vc) for kind, vc, *_ in events] == expected, (name_arity, width)
@@ -429,7 +436,8 @@ def test_fast_path_boundary_events(width):
 
 def test_plain_operand_overflowing_the_width_warns_nothing():
     """A plain operand too big for a narrow tracked width becomes Inf inside
-    the pipeline: logged as an Inf prop, with no numpy cast warning escaping."""
+    the pipeline: logged as an Inf gen of the cast, then an Inf prop, with no
+    numpy cast warning escaping."""
     session = explicit_session()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -437,7 +445,25 @@ def test_plain_operand_overflowing_the_width_warns_nothing():
             results = [TrackedFloat32(1.0) + 1e300, TrackedFloat16(1.0) + 100000]
     assert [r.value for r in results] == [INF, INF]
     assert [(e.kind, e.value_class) for e in session.ledger.events()] == [
-        (EventKind.PROP, ValueClass.INF)] * 2
+        (EventKind.GEN, ValueClass.INF), (EventKind.PROP, ValueClass.INF)] * 2
+
+
+@pytest.mark.parametrize("width", [64, 16])
+def test_every_nan_result_is_pinned_by_propagate_payload(monkeypatch, width):
+    """One pin serves every width: a NaN op calls propagate_payload once."""
+    cls, _ = WIDTHS[width]
+    calls = []
+
+    def spy(operands, raw_result):
+        calls.append(raw_result)
+        return propagate_payload(operands, raw_result)
+
+    monkeypatch.setattr(tracked, "propagate_payload", spy)
+    nan = cls(fpbits.nan_with_payload(0x5A, width))
+    with use_session(explicit_session()):
+        result = nan + 1.0
+    assert len(calls) == 1
+    assert fpbits.nan_payload(result.value) == 0x5A
 
 
 EXACT_ROWS = sorted((key for key, row in _REGISTRY.items() if row[3] is not None), key=str)
