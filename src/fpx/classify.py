@@ -19,8 +19,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import fpbits
 
 
@@ -60,7 +58,7 @@ def is_exceptional(value_class: ValueClass, x) -> bool:
 def classify(value_class: ValueClass, inputs, output) -> EventKind | None:
     member = _MEMBERSHIP[value_class]
     exn_in = any(map(member, inputs))
-    exn_out = not isinstance(output, (bool, np.bool_)) and member(output)
+    exn_out = member(output)            # False for a comparison's bool
     if exn_out:
         return EventKind.PROP if exn_in else EventKind.GEN
     return EventKind.KILL if exn_in else None

@@ -2,9 +2,10 @@
 
 All serialization of floating-point values goes through the functions here so
 that NaN payloads, signed zeros, and infinities survive round trips exactly.
-Values are dual-rendered: a human decimal (shortest digits that round-trip,
-with e-notation for large/small magnitudes) and an authoritative hex bit
-pattern whose digit count encodes the width (16/8/4 digits for 64/32/16 bits).
+Values are dual-rendered: a human decimal (shortest digits that round-trip at
+the value's width, see format_dec) and an authoritative hex bit pattern of
+exactly width // 4 hex digits (16/8/4 for 64/32/16 bits), which is how a
+reader tells the width.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import struct
 import numpy as np
 
 _UINT_TYPE = {32: np.uint32, 16: np.uint16}
-_HEX_DIGITS = {64: 16, 32: 8, 16: 4}
-_WIDTH_BY_HEX_DIGITS = {v: k for k, v in _HEX_DIGITS.items()}
+_HEX_CHARS = frozenset("0123456789abcdefABCDEF")
 
 # Low significand bits below the quiet-NaN bit; the provenance-carrying part.
 PAYLOAD_MASK = {64: (1 << 51) - 1, 32: (1 << 22) - 1, 16: (1 << 9) - 1}
@@ -65,14 +65,14 @@ def from_bits(bits: int, width: int = 64):
 def hex_bits(x) -> str:
     """The bit pattern of x in hex, with the digit count of its width."""
     w = width_of(x)
-    return "0x{0:0{1}x}".format(to_bits(x, w), _HEX_DIGITS[w])
+    return "0x{0:0{1}x}".format(to_bits(x, w), w // 4)
 
 
 def from_hex_bits(s: str):
-    """Decode a hex bit pattern produced by hex_bits; width inferred from length."""
-    is_hex = isinstance(s, str) and s.startswith("0x")
-    width = _WIDTH_BY_HEX_DIGITS.get(len(s) - 2) if is_hex else None
-    if width is None:
+    """Decode hex_bits output: "0x" then exactly 4, 8 or 16 hex digits, their count the width."""
+    is_hex = isinstance(s, str) and s.startswith("0x") and _HEX_CHARS.issuperset(s[2:])
+    width = (len(s) - 2) * 4 if is_hex else None
+    if width not in NUMPY_TYPE:
         raise ValueError(f"bad hex bit pattern: {s!r}")
     return from_bits(int(s, 16), width)
 
@@ -98,31 +98,15 @@ def transfer_payload(raw_result, source_nan):
     return from_bits(to_bits(raw_result) & ~mask | to_bits(source_nan, w) & mask, w)
 
 
-def _sci(sign: str, mantissa: str, exponent: int) -> str:
-    if "." not in mantissa:
-        mantissa += ".0"
-    return f"{sign}{mantissa}e{exponent}"
-
-
 def format_dec(x) -> str:
-    """Shortest round-trip decimal; NaN/Inf spelled out, e-notation past 1e6/1e-4."""
+    """Shortest round-trip decimal at x's width: NaN/Inf spelled out, else the
+    repr of float(x) or the str of a numpy scalar, unless that uses e-notation
+    (numpy's str does at narrow widths: np.float16(1910.0)) or its exponent is
+    >= 6 or <= -5; then numpy's unique e-notation without "+" (1e6 -> "1.0e6")."""
     f = float(x)
-    if math.isnan(f):
-        return "NaN"
-    if math.isinf(f):
-        return "Inf" if f > 0 else "-Inf"
-    s = str(x) if isinstance(x, np.floating) else repr(f)
-    sign, s = ("-", s[1:]) if s.startswith("-") else ("", s)
-    if "e" in s:
-        mantissa, _, exp = s.partition("e")
-        return _sci(sign, mantissa, int(exp))
-    intpart, _, fracpart = s.partition(".")
-    if intpart != "0":
-        exponent = len(intpart) - 1
-    else:
-        stripped = fracpart.lstrip("0")
-        exponent = -(len(fracpart) - len(stripped) + 1) if stripped else 0
-    if exponent >= 6 or exponent <= -5:
-        digits = (intpart + fracpart).strip("0") or "0"
-        return _sci(sign, digits[0] + "." + (digits[1:] or "0"), exponent)
-    return sign + s
+    if not math.isfinite(f):
+        return "NaN" if f != f else "Inf" if f > 0 else "-Inf"
+    x = x if isinstance(x, np.floating) else f      # a bool or an int renders as its float
+    s = str(x)
+    sci = np.format_float_scientific(x, unique=True, trim="0", exp_digits=1).replace("+", "")
+    return sci if "e" in s or not -5 < int(sci.partition("e")[2]) < 6 else s

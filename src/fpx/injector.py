@@ -240,15 +240,16 @@ def load_recording(path) -> InjectionRecording:
             point = RecordedInjection(
                 op_counter=obj["op_counter"],
                 op=obj["op"],
-                value=float(fpbits.from_hex_bits(obj["value_hex"])),
+                value=fpbits.from_hex_bits(obj["value_hex"]),
                 trace_fp=obj["trace_fp"],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise RecordingFormatError(f"bad injection point: {exc}", line_number) from exc
         if (type(point.op_counter) is not int or not isinstance(point.op, str)
-                or not isinstance(point.trace_fp, str) or math.isfinite(point.value)):
+                or not isinstance(point.trace_fp, str) or type(point.value) is not float
+                or math.isfinite(point.value)):
             raise RecordingFormatError("op_counter must be an integer, op and trace_fp "
-                                       "strings, value_hex a NaN or an Inf", line_number)
+                                       "strings, value_hex a 64-bit NaN or Inf", line_number)
         if recording.points and point.op_counter <= recording.points[-1].op_counter:
             raise RecordingFormatError("op_counter not strictly increasing", line_number)
         recording.points.append(point)

@@ -1,20 +1,20 @@
 """Event records, logging configuration, and serialization.
 
-Events accumulate in three in-memory streams (gen/prop/kill) and flush to
-gen.jsonl / prop.jsonl / kill.jsonl. Tracked operations record into the ledger
-of the current session, which a `use_session` block selects, passing its trace
-provider's capture. LedgerConfig sets a per-kind cap and the kinds to log;
-every stored event keeps its captured trace, and every rejected one is counted
-by kind and class, its trace never captured. The canonical line format
-dual-encodes every float as a decimal rendering plus an authoritative hex bit
-pattern, so NaN payloads and signed zeros round-trip exactly. One codec serves
-flush and parse_log; its caches live for one call. The encoder keeps one JSON
-fragment per op (keyed by the op object), trace and scalar (keyed by exact
-type and bit pattern, never by value); the decoder one object per op, trace
-and hex string, so events parsed from one file share immutable trace tuples
-and scalars. A debugger-friendly human rendering (op header line, then one
-frame per line) is derived from the same records. FormatError and the
-JSON-lines reader here serve every fpx file format.
+Events accumulate in one in-memory list, each seq its 1-based position, and
+flush to one file per kind: gen.jsonl / prop.jsonl / kill.jsonl. Tracked
+operations record into the ledger of the current session, which a `use_session`
+block selects, passing its trace provider's capture. LedgerConfig sets a
+per-kind cap and the kinds to log; every stored event keeps its captured trace,
+and every rejected one is counted by kind and class, its trace never captured.
+The canonical line format dual-encodes every float as a decimal rendering plus
+an authoritative hex bit pattern, so NaN payloads and signed zeros round-trip
+exactly. One codec serves flush and parse_log; its caches live for one call.
+The encoder keeps one JSON fragment per op (keyed by the op object), trace and
+scalar (keyed by exact type and bit pattern, never by value); the decoder one
+object per op, trace and hex string, so events parsed from one file share
+immutable trace tuples and scalars. A debugger-friendly human rendering (op
+header line, then one frame per line) is derived from the same records.
+FormatError and the JSON-lines reader here serve every fpx file format.
 """
 
 from __future__ import annotations
@@ -32,11 +32,7 @@ from .classify import EventKind, OpIdentity, ValueClass
 from .traces import Frame, StackTrace
 
 ALL_KINDS = frozenset(EventKind)
-FILE_BY_KIND = {
-    EventKind.GEN: "gen.jsonl",
-    EventKind.PROP: "prop.jsonl",
-    EventKind.KILL: "kill.jsonl",
-}
+FILE_BY_KIND = {kind: f"{kind.value}.jsonl" for kind in EventKind}
 
 
 class FormatError(ValueError):
@@ -127,16 +123,15 @@ class ExceptionEvent:
 
 
 class Ledger:
-    """Thread-safe per-kind event streams with a global sequence counter.
-    Events are kept in memory; flush(output_dir) writes them out."""
+    """Thread-safe event list in seq order, with a stored count per kept kind
+    for the cap. Events are kept in memory; flush(output_dir) writes them out."""
 
     def __init__(self, config: LedgerConfig | None = None):
         self.config = cfg = config or LedgerConfig()
-        self._streams = {kind: [] for kind in EventKind}
-        self._kept = {kind: self._streams[kind] for kind in cfg.log_kinds}
+        self._events = []
+        self._kept = dict.fromkeys(cfg.log_kinds, 0)
         self._cap = float("inf") if cfg.max_logs is None else cfg.max_logs
         self._dropped = {}
-        self._seq = 0
         self._lock = threading.Lock()
 
     def record(self, kind, value_class, op, operands, result, injected, capture) -> bool:
@@ -148,14 +143,14 @@ class Ledger:
         a Python bool.
         """
         with self._lock:
-            stream = self._kept.get(kind)
-            if stream is None or len(stream) >= self._cap:
+            stored = self._kept.get(kind)
+            if stored is None or stored >= self._cap:
                 key = kind, value_class
                 self._dropped[key] = self._dropped.get(key, 0) + 1
                 return False
-            self._seq += 1
-            stream.append(ExceptionEvent(self._seq, kind, value_class, op, tuple(operands),
-                                         result, injected, capture()))
+            self._events.append(ExceptionEvent(len(self._events) + 1, kind, value_class, op,
+                                               tuple(operands), result, injected, capture()))
+            self._kept[kind] = stored + 1
         return True
 
     def dropped(self) -> dict:
@@ -164,27 +159,26 @@ class Ledger:
             return dict(self._dropped)
 
     def events(self, kind=None) -> list:
-        """Stored events, of one kind or all, in seq order."""
+        """Stored events, of one EventKind or all, in seq order."""
+        if kind is not None and kind not in ALL_KINDS:
+            raise KeyError(kind)
         with self._lock:
-            streams = self._streams.values() if kind is None else [self._streams[kind]]
-            selected = [e for s in streams for e in s]
-        selected.sort(key=lambda e: e.seq)
-        return selected
+            return [e for e in self._events if kind is None or e.kind is kind]
 
     def counts(self) -> dict:
         with self._lock:
-            return {kind: len(stream) for kind, stream in self._streams.items()}
+            return {kind: self._kept.get(kind, 0) for kind in EventKind}
 
     def flush(self, output_dir) -> dict:
         """Write the three jsonl files; rewrites from scratch, so it is idempotent."""
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
         with self._lock:
-            snapshot = {kind: list(stream) for kind, stream in self._streams.items()}
+            snapshot = self._events[:]
         encode = _encoder()
         paths = {kind: out / filename for kind, filename in FILE_BY_KIND.items()}
         for kind, path in paths.items():
-            path.write_text("".join(map(encode, snapshot[kind])), encoding="utf-8")
+            path.write_text("".join([encode(e) for e in snapshot if e.kind is kind]), "utf-8")
         return paths
 
 

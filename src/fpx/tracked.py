@@ -181,14 +181,18 @@ def unwrap(t):
 
 def _cast(cls, values):
     """values at cls's width; a finite number too big for it becomes Inf, an
-    Inf gen of the cast, logged in operand order once every value converted."""
+    Inf gen of the cast, logged in operand order once every value converted,
+    unless one past float64 (an int, a np.longdouble) raised OverflowError."""
     with np.errstate(all="ignore"):
         casts = tuple(map(cls._np_type, values))
-        for v, cast in zip(values, casts):
-            if math.isinf(cast) and math.isfinite(source := np.float64(v)):
-                sess = current_session()
-                sess.ledger.record(EventKind.GEN, ValueClass.INF, _CAST, (source,), cast,
-                                   False, sess.traces.capture)
+        born = [(np.float64(v), cast) for v, cast in zip(values, casts)
+                if math.isinf(cast) and np.isfinite(np.longdouble(v))]
+    if any(math.isinf(source) for source, _ in born):      # finite only past float64
+        raise OverflowError("number too large to convert to float64")
+    for source, cast in born:
+        sess = current_session()
+        sess.ledger.record(EventKind.GEN, ValueClass.INF, _CAST, (source,), cast, False,
+                           sess.traces.capture)
     return casts
 
 
@@ -204,7 +208,7 @@ def apply(name: str, operands):
     current session, which a `use_session` block selects.
 
     Operands are tracked values, Python or numpy floats and ints, at least one
-    tracked; any other raises TypeError, and an int past float64 raises
+    tracked; any other raises TypeError, and a number past float64 raises
     OverflowError, before the op is numbered. Returns a tracked scalar at the
     widest tracked operand width, or a plain bool for comparisons. An operand
     too big for that width logs a cast gen first; then one event is recorded

@@ -19,6 +19,7 @@ INF = float("inf")
 
 OVERFLOWING = {
     "f16-int": lambda: TrackedFloat16(100000),
+    "f16-int-past-int64": lambda: TrackedFloat16(10**30),
     "f32-float": lambda: TrackedFloat32(1e300),
     "f32-negative": lambda: TrackedFloat32(np.float64(-1e300)),
     "f16-float": lambda: TrackedFloat16(70000.0),
@@ -93,17 +94,34 @@ def test_overflowing_plain_operand_is_a_cast_gen_before_the_op(make, source, res
     assert [f.function for f in gen.trace] == [f.function for f in event.trace] == ["build"]
 
 
+# Numbers float64 cannot hold; a np.longdouble only where it is wider than float64.
+LONGDOUBLE_IS_WIDER = np.finfo(np.longdouble).max > np.finfo(np.float64).max
+PAST_FLOAT64 = [10**400] + ([np.longdouble("1e400")] if LONGDOUBLE_IS_WIDER else [])
+
+
 @pytest.mark.parametrize("cls", [TrackedFloat64, TrackedFloat16])
 def test_operand_that_cannot_convert_raises_before_the_op_is_numbered(cls):
-    """An int past float64 raises OverflowError before the injector decides:
-    no op number, no injection point spent, no event."""
-    session = explicit_session(injector=Injector(InjectionConfig(odds=1)))
-    x = cls(1.0)
+    """An int or a np.longdouble past float64 raises OverflowError before the
+    injector decides: no op number, no injection point spent, no event."""
+    for operand in PAST_FLOAT64:
+        session = explicit_session(injector=Injector(InjectionConfig(odds=1)))
+        x = cls(1.0)
+        with use_session(session), pytest.raises(OverflowError):
+            x + operand
+        assert session.injector.op_counter == 0
+        assert session.injector.recording.points == []
+        assert session.ledger.events() == []
+        with use_session(session):
+            assert math.isnan((x + 1.0).value)      # the injection is still unspent
+        assert [p.op_counter for p in session.injector.recording.points] == [1]
+
+
+@pytest.mark.skipif(not LONGDOUBLE_IS_WIDER, reason="np.longdouble is float64 here")
+@pytest.mark.parametrize("cls", [TrackedFloat64, TrackedFloat32, TrackedFloat16])
+def test_longdouble_past_float64_does_not_construct(cls):
+    """A finite np.longdouble past float64 raises, as an int past it does,
+    instead of becoming an Inf that no event explains."""
+    session = explicit_session()
     with use_session(session), pytest.raises(OverflowError):
-        x + 10**400
-    assert session.injector.op_counter == 0
-    assert session.injector.recording.points == []
+        cls(np.longdouble("-1e400"))
     assert session.ledger.events() == []
-    with use_session(session):
-        assert math.isnan((x + 1.0).value)      # the injection is still unspent
-    assert [p.op_counter for p in session.injector.recording.points] == [1]

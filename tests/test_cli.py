@@ -357,6 +357,15 @@ MALFORMED = {
     "recording line": ('{"seed": 3}\n{"op_counter": 3.7, "op": "+", "value_hex": '
                        '"0x7ff8000000000000", "trace_fp": "0000000000000000"}\n',
                        [["replay", "FILE", "sim", "--out", "OUT"]], 2),
+    "log hex with an underscore": (LOG_LINE + "\n" + LOG_LINE.replace(
+        '"operands": []', '"operands": [{"dec": "Inf", "hex": "0x7ff0_00000000000"}]') + "\n",
+        [["render", "FILE"], ["cstg", "FILE"]], 2),
+    "recording float32 value": ('{"seed": 3}\n{"op_counter": 3, "op": "+", "value_hex": '
+                                '"0x7fc00001", "trace_fp": "0000000000000000"}\n',
+                                [["replay", "FILE", "sim", "--out", "OUT"]], 2),
+    "recording hex with a space": ('{"seed": 3}\n{"op_counter": 3, "op": "+", "value_hex": '
+                                   '"0x7ff800000000000 ", "trace_fp": "0000000000000000"}\n',
+                                   [["replay", "FILE", "sim", "--out", "OUT"]], 2),
     "graph missing key_policy": (_graph(key_policy=None),
                                  [["diff", "FILE", "FILE"], ["cstg", "FILE"]], None),
     "graph edge missing count": (_graph(edges=[{"parent": "a x.py:1", "child": "b y.py:2"}]),

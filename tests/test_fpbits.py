@@ -114,6 +114,20 @@ def test_from_hex_bits_rejects_non_strings(encoded):
         fpbits.from_hex_bits(encoded)
 
 
+@pytest.mark.parametrize("encoded", [
+    "0x7ff0_00000000000",     # int() reads an underscore as a separator
+    "0x7ff000000000000 ",     # and strips surrounding whitespace
+    " 0x7ff000000000000",
+    "0x+7ff000000000000",     # a sign
+    "0x7fc0000g",
+    "0x7e0\u0663",            # a non-ASCII digit
+    "0x7ff00000000000000000",  # 20 digits: no such width
+])
+def test_from_hex_bits_rejects_malformed_digits(encoded):
+    with pytest.raises(ValueError, match="bad hex bit pattern"):
+        fpbits.from_hex_bits(encoded)
+
+
 def test_payload_helpers():
     p = fpbits.nan_with_payload(0x123)
     assert math.isnan(p)
@@ -151,6 +165,57 @@ def test_format_dec_narrow_widths():
     assert fpbits.format_dec(np.float32(3e6)) == "3.0e6"
     assert fpbits.format_dec(np.float32("nan")) == "NaN"
     assert fpbits.format_dec(np.float16(0.1)) == "0.1"
+    assert fpbits.format_dec(np.float16(1910.0)) == "1.91e3"    # numpy's own switch
+    assert fpbits.format_dec(np.float32(1e-4)) == "1.0e-4"
+
+
+def _reference_sci(sign, mantissa, exponent):
+    if "." not in mantissa:
+        mantissa += ".0"
+    return f"{sign}{mantissa}e{exponent}"
+
+
+def _reference_format_dec(x):
+    """format_dec by slicing the digits and the exponent out of repr or str."""
+    f = float(x)
+    if math.isnan(f):
+        return "NaN"
+    if math.isinf(f):
+        return "Inf" if f > 0 else "-Inf"
+    s = str(x) if isinstance(x, np.floating) else repr(f)
+    sign, s = ("-", s[1:]) if s.startswith("-") else ("", s)
+    if "e" in s:
+        mantissa, _, exp = s.partition("e")
+        return _reference_sci(sign, mantissa, int(exp))
+    intpart, _, fracpart = s.partition(".")
+    if intpart != "0":
+        exponent = len(intpart) - 1
+    else:
+        stripped = fracpart.lstrip("0")
+        exponent = -(len(fracpart) - len(stripped) + 1) if stripped else 0
+    if exponent >= 6 or exponent <= -5:
+        digits = (intpart + fracpart).strip("0") or "0"
+        return _reference_sci(sign, digits[0] + "." + (digits[1:] or "0"), exponent)
+    return sign + s
+
+
+def test_format_dec_matches_reference():
+    """numpy's e-notation gives the bytes of the digit slicing it replaced:
+    every float16 pattern, seeded float32 and float64 patterns, decade sweeps
+    at every width, and the bools, ints, zeros and subnormals a log holds."""
+    rng = np.random.default_rng(15)
+    values = [fpbits.from_bits(b, 16) for b in range(1 << 16)]
+    values += [fpbits.from_bits(b, 32) for b in rng.integers(0, 2**32, 15000).tolist()]
+    values += [fpbits.from_bits(b, 64) for b in rng.integers(0, 2**64, 15000, np.uint64).tolist()]
+    decades = [sign * m * 10.0 ** e for e in range(-330, 309) for m in (1.0, 9.99, 1.5)
+               for sign in (1.0, -1.0)]
+    with np.errstate(all="ignore"):
+        for np_type in (float, np.float64, np.float32, np.float16):
+            values += [np_type(d) for d in decades]
+    values += [True, False, 0, -7, 10**6, 2**60, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+               np.float32(1e-45), np.float16(6e-8), 999999.9999999999, 9.999999999999999e-5]
+    for x in values:
+        assert fpbits.format_dec(x) == _reference_format_dec(x), (type(x), fpbits.hex_bits(x))
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

@@ -347,10 +347,13 @@ class TestRecordingFiles:
         ("op_counter", None), ("op", 5), ("op", ["+"]),
         ("trace_fp", 12), ("trace_fp", None), ("value_hex", 5),
         ("value_hex", fpbits.hex_bits(1.0)), ("value_hex", fpbits.hex_bits(-0.0)),
+        ("value_hex", "0x7fc00001"), ("value_hex", "0x7ff0_00000000000"),
+        ("value_hex", "0x7ff000000000000 "),
     ])
     def test_ill_typed_point_names_its_line(self, tmp_path, field, bad):
-        """No coercion: 3.7 is not op 3 and "5" is not op 5; and only NaN or
-        Inf is injected, as InjectionConfig requires when fuzzing."""
+        """No coercion: 3.7 is not op 3, "5" is not op 5, and a float32 NaN or
+        a hex string int() would read is not a float64; and only NaN or Inf is
+        injected, as InjectionConfig requires when fuzzing."""
         point = {"op_counter": 0, "op": "+", "value_hex": fpbits.hex_bits(NAN),
                  "trace_fp": "0" * 16}
         path = tmp_path / "rec.jsonl"

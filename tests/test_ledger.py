@@ -1,6 +1,7 @@
 """Ledger behavior: bounds, streams, serialization, human rendering."""
 
 import json
+import sys
 import threading
 
 import numpy as np
@@ -83,12 +84,23 @@ class TestRecord:
         assert ledger2.events()[0].trace == TRACE
 
     def test_seq_strictly_increases_across_kinds(self):
-        ledger = Ledger()
-        _record(ledger, kind=EventKind.GEN)
+        """An event's seq is its position among stored events of every kind;
+        an event the cap rejects takes none."""
+        ledger = Ledger(LedgerConfig(max_logs=1))
+        assert _record(ledger, kind=EventKind.GEN)
+        assert not _record(ledger, kind=EventKind.GEN)
         _record(ledger, kind=EventKind.KILL, operands=(NAN, 1.0), result=1.0)
         _record(ledger, kind=EventKind.PROP, operands=(NAN, 1.0), result=NAN)
-        seqs = [e.seq for e in ledger.events()]
-        assert seqs == sorted(seqs) and len(set(seqs)) == 3
+        events = ledger.events()
+        assert [e.seq for e in events] == [1, 2, 3]
+        assert [e.kind for e in events] == [EventKind.GEN, EventKind.KILL, EventKind.PROP]
+        assert [e.seq for e in ledger.events(EventKind.KILL)] == [2]
+
+    def test_events_of_a_kind_that_is_not_an_event_kind_raises(self):
+        ledger = Ledger()
+        _record(ledger, kind=EventKind.GEN)
+        with pytest.raises(KeyError):
+            ledger.events("gen")
 
     def test_stream_separation(self):
         ledger = Ledger()
@@ -98,20 +110,28 @@ class TestRecord:
             assert all(e.kind is kind for e in ledger.events(kind=kind))
 
     def test_concurrent_records_lose_nothing(self):
+        """A seq is a position in the one list, so a lost or doubled append
+        shows as a gap, a repeat, or a count that disagrees with the list."""
         ledger = Ledger()
 
-        def worker():
+        def worker(kind):
             for _ in range(200):
-                _record(ledger)
+                _record(ledger, kind=kind)
 
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        events = ledger.events()
-        assert len(events) == 800
-        assert len({e.seq for e in events}) == 800
+        kinds = (EventKind.GEN, EventKind.PROP, EventKind.KILL, EventKind.GEN)
+        threads = [threading.Thread(target=worker, args=(kind,)) for kind in kinds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [e.seq for e in ledger.events()] == list(range(1, 801))
+        assert ledger.counts() == {EventKind.GEN: 400, EventKind.PROP: 200, EventKind.KILL: 200}
 
 
 class _SpyProvider:
@@ -286,6 +306,8 @@ GOOD_LINE = ('{"seq": 1, "kind": "gen", "class": "nan", "op": "-", "arity": 2, '
     ("kind", '"x"'), ("kind", '["gen"]'), ("class", '"zz"'),
     ("operands", "{}"), ("operands", '""'), ("trace", "{}"), ("trace", '""'),
     ("result", '{"dec": "1.0", "hex": 5}'),
+    ("operands", '[{"dec": "Inf", "hex": "0x7ff0_00000000000"}]'),
+    ("result", '{"dec": "Inf", "hex": "0x7ff000000000000 "}'),
     ("trace", '[{"fn": "f", "file": "a.py", "line": "9"}]'),
     ("trace", '[{"fn": "f", "file": "a.py", "line": true}]'),
     ("trace", '[{"fn": "f", "file": "a.py", "line": 9.0}]'),
