@@ -22,8 +22,8 @@ from .traces import (EMPTY_TRACE, ExplicitContextProvider, Frame,
                      NativeTraceProvider, StackTrace, trace_fingerprint)
 from .tracked import (TrackedFloat, TrackedFloat16, TrackedFloat32,
                       TrackedFloat64, apply, atan2, ceil, cos, exp, floor,
-                      hypot, log, maximum, minimum, rem, sin, sqrt,
-                      supported_operations, tan, unwrap)
+                      hypot, log, maximum, minimum, rem, sin, sqrt, tan,
+                      unwrap)
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,7 @@ __all__ = [
     "EventKind", "OpIdentity", "ValueClass", "classify", "is_exceptional",
     "propagate_payload",
     "TrackedFloat", "TrackedFloat16", "TrackedFloat32", "TrackedFloat64",
-    "apply", "unwrap", "supported_operations",
+    "apply", "unwrap",
     "sqrt", "exp", "log", "sin", "cos", "tan", "floor", "ceil",
     "atan2", "hypot", "rem", "minimum", "maximum",
     "Frame", "StackTrace", "EMPTY_TRACE", "ExplicitContextProvider",

@@ -115,7 +115,7 @@ def _run_and_flush(args, session) -> None:
 def cmd_run(args) -> int:
     if args.record and not args.fuzz:
         raise UsageError("--record requires --fuzz")
-    injector = Injector.fuzz(_parse_fuzz(args.fuzz)) if args.fuzz else Injector.off()
+    injector = Injector(_parse_fuzz(args.fuzz) if args.fuzz else None)
     session = explicit_session(_ledger_config(args), injector)
     _run_and_flush(args, session)
     if args.record:

@@ -90,7 +90,7 @@ def nan_with_payload(payload: int, width: int = 64):
 def transfer_payload(raw_result, source_nan):
     """Copy source_nan's payload bits into raw_result, keeping its sign and
     quiet bit, at raw_result's width; a float64 result comes back a plain float."""
-    w = width_of(raw_result)
+    w = 64 if type(raw_result) in _FLOAT64_TYPES else width_of(raw_result)
     mask = PAYLOAD_MASK[w]
     if w == 64:         # both bit patterns in one unpack, the result in one pack
         bits, source = _unpack_qq(_pack_dd(raw_result, source_nan))

@@ -121,10 +121,6 @@ class Injector:
         self._lock = threading.Lock()
 
     @classmethod
-    def off(cls) -> "Injector":
-        return cls()
-
-    @classmethod
     def fuzz(cls, config: InjectionConfig) -> "Injector":
         return cls(config)
 

@@ -24,7 +24,7 @@ from .traces import ExplicitContextProvider, NativeTraceProvider
 @dataclass
 class TrackerSession:
     ledger: Ledger = field(default_factory=Ledger)
-    injector: Injector = field(default_factory=Injector.off)
+    injector: Injector = field(default_factory=Injector)
     traces: object = field(default_factory=NativeTraceProvider)
 
 
@@ -33,7 +33,7 @@ def explicit_session(ledger_config: LedgerConfig | None = None,
     """A fresh session with deterministic explicit-scope traces (test/demo substrate)."""
     return TrackerSession(
         ledger=Ledger(ledger_config),
-        injector=injector or Injector.off(),
+        injector=injector or Injector(),
         traces=ExplicitContextProvider(),
     )
 

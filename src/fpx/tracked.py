@@ -19,15 +19,17 @@ negation, abs, sqrt, the comparisons and truth) is IEEE correctly rounded or
 exact, so over Python float operands it gives the ufunc's bits, NaN and Inf
 included, except that with two NaN operands the ufunc keeps the first one's
 sign and the compiled operator may keep the second's. Those, a twin that
-raises (x/0, sqrt of a negative), narrow widths, numpy scalar or int operands
-and rows without a twin take numpy scalar ufuncs with floating-point traps
-suppressed, so 0/0, log(0) and overflow yield IEEE results instead of
-raising. With injection off, unwrapped results are bit-identical to the same
-computation over plain numpy scalars. One cast serves construction and ops:
-a plain operand too big for the op's width becomes Inf, logged as a cast gen
-before the op's events, and an operand that cannot convert raises before the
-op is numbered. One pin, propagate_payload, serves every width. Formatting a
-tracked value formats the wrapped one: a text exit that logs nothing.
+raises (x/0, sqrt of a negative), narrow widths and rows without a twin take
+numpy scalar ufuncs with floating-point traps suppressed, so 0/0, log(0) and
+overflow yield IEEE results instead of raising. With injection off, unwrapped
+results are bit-identical to the same computation over plain numpy scalars.
+Construction and ops share one operand rule and one cast: a value that is not
+a number is a TypeError before any event; at float64 every value becomes a
+Python float, so int and numpy scalar operands take the twin; a number too
+big for a narrow width becomes Inf, logged as a cast gen before the op's
+events; and one that cannot convert raises before the op is numbered. One
+pin, propagate_payload, serves every width. Formatting a tracked value
+formats the wrapped one: a text exit that logs nothing.
 """
 
 from __future__ import annotations
@@ -100,26 +102,21 @@ _OFF = InjectorMode.OFF
 _UNARY = object()       # the absent second operand of a one-operand op
 
 
-def supported_operations() -> tuple:
-    return tuple(sorted((row[2] for row in _REGISTRY.values()), key=str))
-
-
 class TrackedFloat:
     """Immutable scalar wrapper; all arithmetic goes through the intercept pipeline."""
 
     __slots__ = ("_value",)
     __array_ufunc__ = None      # keep numpy from absorbing mixed expressions
     _width = 0
-    _np_type = None
     _store = None
 
     def __init__(self, value):
         if isinstance(value, TrackedFloat):
             value = value._value
-        # at float64 a float is kept and an int rounds to a finite float64 or
-        # raises OverflowError, so no Inf is born there; the rest take _cast
-        _set_value(self, float(value) if type(value) in _PLAIN and self._width == 64
-                   else type(self)._store(_cast(type(self), (value,))[0]))
+        elif not isinstance(value, _OPERANDS):
+            raise TypeError(f"unsupported operand type for {type(self).__name__}: "
+                            f"{type(value).__name__}")
+        _set_value(self, _cast(type(self), (value,))[0])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -150,26 +147,22 @@ class TrackedFloat:
 class TrackedFloat64(TrackedFloat):
     __slots__ = ()
     _width = 64
-    _np_type = np.float64
     _store = staticmethod(float)
 
 
 class TrackedFloat32(TrackedFloat):
     __slots__ = ()
     _width = 32
-    _np_type = np.float32
     _store = staticmethod(np.float32)
 
 
 class TrackedFloat16(TrackedFloat):
     __slots__ = ()
     _width = 16
-    _np_type = np.float16
     _store = staticmethod(np.float16)
 
 
 _OPERANDS = (TrackedFloat, int, float, np.floating, np.integer)
-_PLAIN = (float, int)
 _new = object.__new__
 _set_value = TrackedFloat._value.__set__     # the slot, past the immutability guard
 
@@ -180,11 +173,16 @@ def unwrap(t):
 
 
 def _cast(cls, values):
-    """values at cls's width; a finite number too big for it becomes Inf, an
-    Inf gen of the cast, logged in operand order once every value converted,
-    unless one past float64 (an int, a np.longdouble) raised OverflowError."""
+    """values at cls's width, each of the type cls stores: how every value
+    reaches a width. At float64, float() rounds as np.float64 does and raises
+    OverflowError past float64. A np.longdouble, whose float() is a silent Inf
+    there, and the narrow widths take numpy: a finite number too big for the
+    width becomes Inf, an Inf gen of the cast, logged in operand order once
+    every value converted, unless one past float64 raised OverflowError."""
+    if cls._width == 64 and np.longdouble not in map(type, values):
+        return tuple(map(float, values))
     with np.errstate(all="ignore"):
-        casts = tuple(map(cls._np_type, values))
+        casts = tuple(map(cls._store, values))
         born = [(np.float64(v), cast) for v, cast in zip(values, casts)
                 if math.isinf(cast) and np.isfinite(np.longdouble(v))]
     if any(math.isinf(source) for source, _ in born):      # finite only past float64
@@ -197,7 +195,7 @@ def _cast(cls, values):
 
 
 def _wrap_result(cls, value):
-    """Wrap a computed value of cls's width without __init__'s second conversion."""
+    """Wrap a value computed at cls's width, past __init__'s operand check and cast."""
     t = _new(cls)
     _set_value(t, cls._store(value))
     return t

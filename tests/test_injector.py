@@ -93,13 +93,13 @@ class TestShouldInject:
     def test_mode_is_derived_from_the_inputs(self):
         """A recording means replay, else a config means fuzz, else off."""
         cfg, rec = InjectionConfig(odds=1), InjectionRecording()
-        assert Injector().mode is Injector.off().mode is InjectorMode.OFF
+        assert Injector().mode is InjectorMode.OFF
         assert Injector(cfg).mode is Injector.fuzz(cfg).mode is InjectorMode.FUZZ
         assert Injector(recording=rec).mode is Injector.replay(rec).mode is InjectorMode.REPLAY
         assert Injector(cfg, rec).mode is InjectorMode.REPLAY
 
     def test_off_mode_never_fires(self):
-        inj = Injector.off()
+        inj = Injector()
         assert not any(_fires(inj) for _ in range(50))
         assert inj.op_counter == 50
 
@@ -191,7 +191,7 @@ class TestCaptureCalls:
 
     def test_off_and_exhausted_never_capture(self):
         capture, calls = _counting()
-        Injector.off().decide(OP, capture)
+        Injector().decide(OP, capture)
         spent = Injector.fuzz(InjectionConfig(odds=1, n_inject=0, functions=("momentum",)))
         spent.decide(OP, capture)
         assert calls == []

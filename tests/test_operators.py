@@ -15,6 +15,7 @@ import pytest
 
 import fpx
 from fpx import fpbits
+from fpx.injector import InjectionConfig, InjectionRecording, Injector
 from fpx.session import explicit_session, use_session
 from fpx.tracked import (_REGISTRY, TrackedFloat16, TrackedFloat32,
                          TrackedFloat64, apply, unwrap)
@@ -43,10 +44,13 @@ PUBLIC = {
 
 WIDTHS = ((TrackedFloat64, np.float64), (TrackedFloat32, np.float32),
           (TrackedFloat16, np.float16))
-# Plain operands, exact at every width, on either side of a tracked one: with
-# a plain number on the left, a reflected method that swapped its operands
-# would compute 1.5 - 3.0 for 3.0 - 1.5.
-PLAIN = (3.0, -0.5, 2, INF)
+# Plain operands on either side of a tracked one: with a plain number on the
+# left, a reflected method that swapped its operands would compute 1.5 - 3.0
+# for 3.0 - 1.5. Ints past 2**53 round at float64 and overflow the narrow
+# widths, 10**400 raises before the op is numbered, and a numpy scalar of any
+# width is cast to the tracked operand's.
+PLAIN = (3.0, -0.5, 2, INF, 0, 1, -1, 2**53, -2**53, 2**53 + 1, 10**400,
+         np.float64(2.5), np.float32(-0.75), np.float16(3.0), np.int32(7))
 
 
 def _bits(x):
@@ -62,16 +66,38 @@ def _tracked_pool(cls, np_type):
     return [cls(v) for v in values]
 
 
-def _outcome(compute):
-    """Result bits and (op, operand bits, result bits, kind, class) per event."""
-    session = explicit_session()
+def _run(calls, injector):
+    """Result bits, or the OverflowError raised, per call, then the events,
+    op count and injection points of the whole program."""
+    session = explicit_session(injector=injector)
+    outcomes = []
     with use_session(session):
-        result = compute()
-    if not isinstance(result, bool):
-        assert isinstance(result, fpx.TrackedFloat)
-    events = [(e.op, tuple(map(_bits, e.operands)), _bits(e.result), e.kind,
-               e.value_class) for e in session.ledger.events()]
-    return _bits(unwrap(result)), events
+        for call in calls:
+            try:
+                result = call()
+            except OverflowError as e:
+                outcomes.append(("raises", str(e)))
+                continue
+            if not isinstance(result, bool):
+                assert isinstance(result, fpx.TrackedFloat)
+            outcomes.append(_bits(unwrap(result)))
+    events = [(e.seq, e.op, tuple(map(_bits, e.operands)), _bits(e.result), e.kind,
+               e.value_class, e.injected) for e in session.ledger.events()]
+    return outcomes, events, session.injector.op_counter, session.injector.recording.points
+
+
+def _assert_matches_apply(calls, applied):
+    """The calls give the results, events, op numbers and injection points of
+    the apply calls they stand for, with injection off, under a fuzz injector
+    that fires on some ops, and under replay of its recording."""
+    assert _run(calls, Injector()) == _run(applied, Injector())
+    fuzz = InjectionConfig(odds=3, n_inject=len(calls), seed=16)
+    expected = _run(applied, Injector(fuzz))
+    assert _run(calls, Injector(fuzz)) == expected
+    recording = InjectionRecording(seed=fuzz.seed, points=expected[3])
+    replayed = _run(calls, Injector(recording=recording))
+    assert replayed == _run(applied, Injector(recording=recording))
+    assert replayed[:3] == expected[:3]
 
 
 def _cases(arity, cls, np_type):
@@ -94,13 +120,15 @@ def test_operator_methods_match_apply(name_arity, width):
     name, arity = name_arity
     cls, np_type = WIDTHS[width]
     python_op = OPERATORS[name_arity]
+    calls, applied = [], []
     for operands in _cases(arity, cls, np_type):
         reached, args = name, operands
         if name in MIRRORED and not isinstance(operands[0], fpx.TrackedFloat):
             reached, args = MIRRORED[name], operands[::-1]
         # a reflected arithmetic method keeps the plain left operand first
-        expected = _outcome(lambda: apply(reached, args))
-        assert _outcome(lambda: python_op(*operands)) == expected, (name_arity, operands)
+        calls.append(lambda o=operands: python_op(*o))
+        applied.append(lambda r=reached, a=args: apply(r, a))
+    _assert_matches_apply(calls, applied)
 
 
 @pytest.mark.parametrize("width", range(len(WIDTHS)), ids=("f64", "f32", "f16"))
@@ -109,9 +137,9 @@ def test_public_functions_match_apply(name_arity, width):
     name, arity = name_arity
     cls, np_type = WIDTHS[width]
     fn = getattr(fpx, PUBLIC[name_arity])
-    for operands in _cases(arity, cls, np_type):
-        expected = _outcome(lambda: apply(name, operands))
-        assert _outcome(lambda: fn(*operands)) == expected, (name_arity, operands)
+    cases = _cases(arity, cls, np_type)
+    _assert_matches_apply([lambda o=o: fn(*o) for o in cases],
+                          [lambda o=o: apply(name, o) for o in cases])
 
 
 @pytest.mark.parametrize("public", sorted(PUBLIC.values()))
@@ -146,12 +174,14 @@ def test_public_surface_is_pinned():
         "demo_sim", "exp", "explicit_session", "floor", "hypot", "is_exceptional",
         "load_recording", "log", "maximum", "minimum", "parse_log",
         "propagate_payload", "rem", "render_human", "save_recording", "sin",
-        "sqrt", "supported_operations", "tan", "trace_fingerprint", "unwrap",
-        "use_session"]
+        "sqrt", "tan", "trace_fingerprint", "unwrap", "use_session"]
     assert [f.name for f in dataclasses.fields(fpx.LedgerConfig)] == [
         "max_logs", "log_kinds"]
     assert [f.name for f in dataclasses.fields(fpx.InjectionConfig)] == [
         "odds", "n_inject", "functions", "libraries", "value", "seed"]
+    # Injector() is the off injector; fuzz and replay are the other spellings
+    assert [name for name, attr in vars(fpx.Injector).items()
+            if isinstance(attr, classmethod)] == ["fuzz", "replay"]
     # every event field is given by the ledger or the log decoder; none defaults
     assert [f.name for f in dataclasses.fields(fpx.ExceptionEvent)] == [
         "seq", "kind", "value_class", "op", "operands", "result", "injected", "trace"]

@@ -297,7 +297,7 @@ def test_tracked_float16_round_trip():
 
 
 def test_supported_operations_table():
-    ops = fpx.supported_operations()
+    ops = [row[2] for row in _REGISTRY.values()]
     assert OpIdentity("+", 2) in ops
     assert OpIdentity("-", 1) in ops
     assert OpIdentity("<", 2) in ops
@@ -550,8 +550,9 @@ FUSED = {
 def _fused_cases(arity):
     """(self, other) pairs, or (self,), over the pool of the bit-transparency
     test: edges, overflow and x/0 pairs, x/inf, NaN and Inf operands, and
-    plain int, np.float64 and narrow tracked values on either side (a
-    reflected method puts a plain other on the left)."""
+    plain ints (past 2**53, and 10**400, which raises before the op is
+    numbered), numpy scalars of each width and narrow tracked values on
+    either side (a reflected method puts a plain other on the left)."""
     values = FLOAT64_EDGES + [NAN, INF, -INF, fpbits.nan_with_payload(0x77)]
     if arity == 1:
         return [(TrackedFloat64(v),) for v in values] + [
@@ -561,22 +562,32 @@ def _fused_cases(arity):
     pairs += [(1.0, INF), (-3.0, -INF), (0.0, INF)]
     cases = [(TrackedFloat64(a), b) for a, b in pairs]
     cases += [(TrackedFloat64(a), TrackedFloat64(b)) for a, b in pairs]
-    others = [np.float64(1.5), np.float64(FLOAT64_MAX), 3, 0, TrackedFloat32(1.5),
-              TrackedFloat32(0.0), TrackedFloat16(-2.0)]
+    others = [np.float64(1.5), np.float64(FLOAT64_MAX), 3, 0, 1, -1, 2**53, -2**53,
+              2**53 + 1, 10**400, np.float32(-0.75), fpbits.from_bits(0x7FC00123, 32),
+              np.float16(3.0), np.float16(-INF), TrackedFloat32(1.5), TrackedFloat32(0.0),
+              TrackedFloat16(-2.0)]
     for o in others:
         for x in (0.1, FLOAT64_MAX, -0.0, NAN):
             cases.append((TrackedFloat64(x), o))
             if isinstance(o, TrackedFloat):
                 cases.append((o, TrackedFloat64(x)))
-    return cases + [(TrackedFloat32(1.5), 2.0), (TrackedFloat16(2.0), 0.5)]
+    return cases + [(TrackedFloat32(1.5), 2.0), (TrackedFloat16(2.0), 0.5),
+                    (TrackedFloat16(2.0), 2**53 + 1), (TrackedFloat32(1.5), np.float16(3.0))]
 
 
 def _fused_run(calls, injector):
-    """Result bits and types, events, op count and recording of one program."""
+    """Result bits and types, or the OverflowError raised, then the events, op
+    count and recording of one program."""
     session = explicit_session(injector=injector)
+    bits = []
     with use_session(session):
-        results = [call() for call in calls]
-    bits = [(type(r), _scalar_bits(unwrap(r))) for r in results]
+        for call in calls:
+            try:
+                r = call()
+            except OverflowError as e:
+                bits.append((OverflowError, str(e)))
+            else:
+                bits.append((type(r), _scalar_bits(unwrap(r))))
     return (bits, session.ledger.events(), session.injector.op_counter,
             session.injector.recording.points)
 
@@ -600,7 +611,7 @@ def test_fused_methods_match_apply(dunder):
     points = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert _fused_run(fused, Injector.off()) == _fused_run(applied, Injector.off())
+        assert _fused_run(fused, Injector()) == _fused_run(applied, Injector())
         for fuzz in fuzzes:
             expected = _fused_run(applied, Injector.fuzz(fuzz))
             assert _fused_run(fused, Injector.fuzz(fuzz)) == expected, (dunder, fuzz)
@@ -610,7 +621,9 @@ def test_fused_methods_match_apply(dunder):
             assert replayed[:3] == expected[:3]
             points.append(len(expected[3]))
     if (name, arity) not in COMPARISONS:
-        assert expected[2] == len(cases)
+        raised = sum(r[0] is OverflowError for r in expected[0])
+        assert raised == (4 if arity == 2 else 0)        # 10**400 after each of 4 values
+        assert expected[2] == len(cases) - raised
         assert points[0] == len(cases) // 2 and 0 < points[1] < len(cases)
 
 
@@ -773,7 +786,7 @@ def _watch_apply_and_decide(monkeypatch):
 
 # Injectors of each mode that never inject.
 QUIET_INJECTORS = {
-    "off": Injector.off,
+    "off": Injector,
     "fuzz": lambda: Injector.fuzz(InjectionConfig(odds=1, n_inject=0)),
     "replay": lambda: Injector.replay(InjectionRecording()),
 }
