@@ -3,13 +3,13 @@
 Tracked scalar types classify every arithmetic event in an exceptional
 value's lifetime (gen, prop, kill), log those events with call-stack context,
 and can fuzz code by injecting NaN/Inf results with deterministic replay.
-A companion stack-graph toolkit coalesces the logged traces into weighted
-digraphs, diffs them, and emits DOT.
+A companion stack-graph toolkit, fpx.stackgraph, coalesces the logged traces
+into weighted digraphs, diffs them, and emits DOT; fpx.demos holds the demo
+programs. `import fpx` loads neither, only the tracker.
 """
 
 from .classify import (EventKind, OpIdentity, ValueClass, classify,
                        is_exceptional, propagate_payload)
-from .demos import demo_loop_kill, demo_max, demo_sim
 from .injector import (InjectionConfig, InjectionRecording, Injector,
                        InjectorMode, RecordedInjection, RecordingFormatError,
                        ReplayDivergenceWarning, load_recording, save_recording)
@@ -17,7 +17,6 @@ from .ledger import (ExceptionEvent, Ledger, LedgerConfig, LogFormatError,
                      parse_log, render_human)
 from .session import (TrackerSession, current_session, explicit_session,
                       use_session)
-from .stackgraph import GraphDiff, StackGraph
 from .traces import (EMPTY_TRACE, ExplicitContextProvider, Frame,
                      NativeTraceProvider, StackTrace, trace_fingerprint)
 from .tracked import (TrackedFloat, TrackedFloat16, TrackedFloat32,
@@ -42,6 +41,4 @@ __all__ = [
     "RecordedInjection", "RecordingFormatError", "ReplayDivergenceWarning",
     "load_recording", "save_recording",
     "TrackerSession", "current_session", "explicit_session", "use_session",
-    "StackGraph", "GraphDiff",
-    "demo_max", "demo_loop_kill", "demo_sim",
 ]

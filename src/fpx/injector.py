@@ -3,16 +3,20 @@ result with an exceptional value, record every injection, and replay a
 recording deterministically. An Injector's mode follows from its inputs: a
 recording replays it, else a config fuzzes with it, else it is off.
 
-The injector owns a seeded PCG64 generator; ambient randomness is never
-consulted. Fuzz draws come from it in fixed-size blocks, which yield the same
-sequence as one draw at a time. Replay keys on the global intercepted-operation
-counter and checks a stack-trace fingerprint at each injection point so
-divergence from the recorded run is detected rather than silently absorbed.
-Operations are numbered by an itertools.count, whose next() is atomic in
-CPython, so an OFF injector counts exactly without its lock, even when
-threads share it. A replay keeps its points in a dict keyed by op number and
-pops each op's number from it, also atomic, so only an op at a recorded point
-takes the lock. A fuzz decision numbers its op and draws under the lock.
+Fuzz draws come from a PCG64 generator seeded by the config; ambient
+randomness is never consulted. The draws are one lazy stream: blocks of
+DRAW_BLOCK integers, flattened, which yield the same sequence as one draw at
+a time. Only a FUZZ injector has the stream, and its generator, with
+numpy.random, is built at the first draw, so OFF and REPLAY never build one.
+Replay keys on the global intercepted-operation counter and checks a
+stack-trace fingerprint at each injection point so divergence from the
+recorded run is detected rather than silently absorbed. Operations are
+numbered by an itertools.count, whose next() is atomic in CPython. An OFF
+injector decides as a replay of no points: each decision numbers its op and
+pops that number from an empty dict of pending points, both atomic, so OFF
+and REPLAY count exactly without the lock, even when threads share the
+injector, and only an op at a recorded point takes it. A fuzz decision
+numbers its op and draws under the lock.
 """
 
 from __future__ import annotations
@@ -35,6 +39,13 @@ from .traces import trace_fingerprint
 DRAW_BLOCK = 256    # fuzz variates drawn per call into the generator
 
 
+def _draw_blocks(seed: int, odds: int):
+    """Blocks of fuzz draws in [1, odds]; the generator is built at the first."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    while True:
+        yield rng.integers(1, odds, endpoint=True, size=DRAW_BLOCK).tolist()
+
+
 class RecordingFormatError(FormatError):
     """A recording file line that cannot be parsed."""
 
@@ -49,16 +60,13 @@ class InjectorMode(enum.Enum):
     REPLAY = "replay"
 
 
-_OFF, _REPLAY = InjectorMode.OFF, InjectorMode.REPLAY    # globals read faster than members
-
-
 @dataclass(frozen=True)
 class InjectionConfig:
     odds: int = 10                     # inject when a draw from [1, odds] lands on 1
     n_inject: int = 1                  # upper bound on injections per run
     functions: tuple = ()              # substring match on frame function names
     libraries: tuple = ()              # prefix match on frame file paths
-    value: float = float("nan")        # NaN, +Inf, or -Inf
+    value: float = float("nan")        # a float NaN, +Inf, or -Inf
     seed: int = 0
 
     def __post_init__(self):
@@ -73,8 +81,8 @@ class InjectionConfig:
         for name, low in (("odds", 1), ("n_inject", 0), ("seed", 0)):
             if type(getattr(self, name)) is not int or getattr(self, name) < low:
                 raise ValueError(f"{name} must be an integer >= {low}")
-        if math.isfinite(float(self.value)):
-            raise ValueError("injection value must be NaN, +Inf, or -Inf")
+        if type(self.value) is not float or math.isfinite(self.value):
+            raise ValueError("injection value must be a float NaN, +Inf, or -Inf")
 
 
 @dataclass(eq=False)
@@ -106,18 +114,18 @@ class Injector:
                  recording: InjectionRecording | None = None):
         self.mode = (InjectorMode.REPLAY if recording is not None else
                      InjectorMode.FUZZ if config is not None else InjectorMode.OFF)
-        self.config = config or InjectionConfig()
+        self.config = cfg = config or InjectionConfig()
         self._ops = itertools.count(1)
         self.count_op = self._ops.__next__     # numbers one operation
         self.injected_so_far = 0
-        self.recording = InjectionRecording(seed=self.config.seed)
+        self.recording = InjectionRecording(seed=cfg.seed)
         points = recording.points if recording is not None else []
         if any(a.op_counter >= b.op_counter for a, b in zip(points, points[1:])):
             raise ValueError("recording op_counter values not strictly increasing")
         self._pending = {p.op_counter: p for p in points}    # op number -> point
         self.divergences: list[str] = []
-        self._rng = np.random.Generator(np.random.PCG64(self.config.seed))
-        self._draws = iter(())
+        self._draws = (itertools.chain.from_iterable(_draw_blocks(cfg.seed, cfg.odds))
+                       if self.mode is InjectorMode.FUZZ else None)
         self._lock = threading.Lock()
 
     @classmethod
@@ -137,27 +145,22 @@ class Injector:
         """Advance the op counter and return an injected value, or None.
 
         A clean float64 operation under an OFF injector never calls it: its
-        operator method only calls count_op. Under FUZZ and REPLAY every
-        intercepted numeric operation calls it once, a clean float64 one from
-        its operator method after the twin computed, any other from apply
-        before the computation. OFF and REPLAY number the operation without
-        the lock: a replay pops its number from a dict of the recorded
-        points, and takes the lock only at a recorded point, to fingerprint
-        it and count the injection. FUZZ numbers the operation and draws
-        under the lock, so op numbers and draws stay in one order. `capture`
-        is a zero-argument trace capture, called at most once per decision:
-        only when scope filters, an injection or a recorded point need the
-        trace.
+        operator method only calls count_op. Every other intercepted numeric
+        operation calls it once, a clean float64 one from its operator method
+        after the twin computed, any other from apply before the computation.
+        FUZZ numbers the operation and draws under the lock, so op numbers
+        and draws stay in one order. OFF and REPLAY number the operation
+        without the lock and pop its number from the dict of pending points,
+        which OFF holds empty; only a recorded point takes the lock, to
+        fingerprint it and count the injection. `capture` is a zero-argument
+        trace capture, called at most once per decision: only when scope
+        filters, an injection or a recorded point need the trace.
         """
-        mode = self.mode
-        if mode is _OFF:
-            self.count_op()
-            return None
-        if mode is _REPLAY:
-            point = self._pending.pop(self.count_op(), None)
-            return None if point is None else self._replay_inject(point, capture)
-        with self._lock:
-            return self._fuzz_decide(self.count_op(), op, capture)
+        if self._draws is not None:    # FUZZ: cheaper to test than an enum member
+            with self._lock:
+                return self._fuzz_decide(self.count_op(), op, capture)
+        point = self._pending.pop(self.count_op(), None)
+        return None if point is None else self._replay_inject(point, capture)
 
     def _fuzz_decide(self, n: int, op: OpIdentity, capture) -> float | None:
         cfg = self.config
@@ -174,22 +177,12 @@ class Injector:
                 return None
         # Out-of-scope operations never reach this draw, so they do not
         # consume randomness and scoped runs stay reproducible.
-        draw = next(self._draws, None)
-        if draw is None:
-            self._draws = iter(self._rng.integers(
-                1, cfg.odds, endpoint=True, size=DRAW_BLOCK).tolist())
-            draw = next(self._draws)
-        if draw != 1:
+        if next(self._draws) != 1:
             return None
-        return self._record_injection(n, op, capture() if trace is None else trace)
-
-    def _record_injection(self, n: int, op: OpIdentity, trace) -> float:
-        value = float(self.config.value)
-        self.recording.points.append(
-            RecordedInjection(n, op.name, value, trace_fingerprint(trace))
-        )
+        fp = trace_fingerprint(capture() if trace is None else trace)
+        self.recording.points.append(RecordedInjection(n, op.name, cfg.value, fp))
         self.injected_so_far += 1
-        return value
+        return cfg.value
 
     def _replay_inject(self, point: RecordedInjection, capture) -> float:
         with self._lock:

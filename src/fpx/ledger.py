@@ -25,8 +25,6 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import fpbits
 from .classify import EventKind, OpIdentity, ValueClass
 from .traces import Frame, StackTrace
@@ -92,7 +90,7 @@ class LedgerConfig:
 
 
 def _scalar_key(x):
-    return isinstance(x, (bool, np.bool_)), fpbits.width_of(x), fpbits.to_bits(x)
+    return type(x) is bool, fpbits.width_of(x), fpbits.to_bits(x)
 
 
 @dataclass(eq=False, slots=True)
@@ -200,7 +198,7 @@ def _encoder():
         fragment = scalars.get(key)
         if fragment is None:
             fragment = scalars[key] = _dumps(
-                bool(x) if isinstance(x, (bool, np.bool_)) else
+                x if type(x) is bool else
                 {"dec": fpbits.format_dec(x), "hex": fpbits.hex_bits(x)})
         return fragment
 

@@ -24,7 +24,6 @@ exec or compile cannot grow it without bound.
 from __future__ import annotations
 
 import contextvars
-import hashlib
 import os
 import sys
 from typing import NamedTuple
@@ -110,6 +109,9 @@ class NativeTraceProvider:
 
 
 def trace_fingerprint(trace: StackTrace) -> str:
-    """Stable 64-bit hex digest of a trace; used to spot replay divergence."""
+    """Stable 64-bit hex digest of a trace; used to spot replay divergence.
+    Only fuzz and replay take one, so hashlib loads at the first."""
+    import hashlib
+
     text = "\n".join(f"{f.function}|{f.file}|{f.line}" for f in trace)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

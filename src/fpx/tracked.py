@@ -108,7 +108,12 @@ class TrackedFloat:
     __slots__ = ("_value",)
     __array_ufunc__ = None      # keep numpy from absorbing mixed expressions
     _width = 0
-    _store = None
+
+    @staticmethod
+    def _store(value):
+        """The base class has no width, so constructing it raises at its first cast."""
+        raise TypeError("TrackedFloat has no width; construct TrackedFloat64, "
+                        "TrackedFloat32 or TrackedFloat16")
 
     def __init__(self, value):
         if isinstance(value, TrackedFloat):

@@ -154,6 +154,19 @@ def test_construction_refuses_what_apply_refuses(cls, value):
     assert session.injector.op_counter == 0
 
 
+@pytest.mark.parametrize("value", [1.0, 1e300, np.float64(70000.0), float("nan"), 2,
+                                   TrackedFloat16(1.0)])
+def test_base_class_refuses_construction(value):
+    """The base class has no width: constructing it names the width classes,
+    before any cast or event, whatever the value would do at a width."""
+    session = explicit_session(injector=Injector(InjectionConfig(odds=1)))
+    with use_session(session), pytest.raises(
+            TypeError, match="TrackedFloat64, TrackedFloat32 or TrackedFloat16"):
+        fpx.TrackedFloat(value)
+    assert session.ledger.events() == []
+    assert session.injector.op_counter == 0
+
+
 def _ints():
     """Python ints of every bit length up to 1023 and both signs, the rounding
     edges of float64, and the extremes of every numpy integer type."""

@@ -38,6 +38,13 @@ class TestConfig:
             InjectionConfig(value=1.0)
         InjectionConfig(value=float("-inf"))  # infinities are allowed
 
+    @pytest.mark.parametrize("bad", ["nan", "-inf", np.float32("nan"), np.float64("inf")])
+    def test_value_takes_only_a_float(self, bad):
+        """A string or a numpy scalar is refused, not kept to be converted at
+        the first injection; the CLI converts `value=nan` before it gets here."""
+        with pytest.raises(ValueError, match="value"):
+            InjectionConfig(value=bad)
+
     @pytest.mark.parametrize("field", ["functions", "libraries"])
     @pytest.mark.parametrize("bad", ["solver", "/usr/lib", ("",), ("a", "", "b"),
                                      ("a", 5), [None]])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import fpx
-from fpx import fpbits
+from fpx import demos, fpbits
 from fpx.injector import InjectionConfig, InjectionRecording, Injector
 from fpx.session import explicit_session, use_session
 from fpx.tracked import (_REGISTRY, TrackedFloat16, TrackedFloat32,
@@ -164,17 +164,15 @@ def test_public_surface_is_pinned():
     new one must change this test in the same change that adds it."""
     assert sorted(fpx.__all__) == [
         "EMPTY_TRACE", "EventKind", "ExceptionEvent", "ExplicitContextProvider",
-        "Frame", "GraphDiff", "InjectionConfig", "InjectionRecording", "Injector",
-        "InjectorMode", "Ledger", "LedgerConfig", "LogFormatError",
-        "NativeTraceProvider", "OpIdentity", "RecordedInjection",
-        "RecordingFormatError", "ReplayDivergenceWarning", "StackGraph",
+        "Frame", "InjectionConfig", "InjectionRecording", "Injector", "InjectorMode",
+        "Ledger", "LedgerConfig", "LogFormatError", "NativeTraceProvider", "OpIdentity",
+        "RecordedInjection", "RecordingFormatError", "ReplayDivergenceWarning",
         "StackTrace", "TrackedFloat", "TrackedFloat16", "TrackedFloat32",
         "TrackedFloat64", "TrackerSession", "ValueClass", "apply", "atan2", "ceil",
-        "classify", "cos", "current_session", "demo_loop_kill", "demo_max",
-        "demo_sim", "exp", "explicit_session", "floor", "hypot", "is_exceptional",
-        "load_recording", "log", "maximum", "minimum", "parse_log",
-        "propagate_payload", "rem", "render_human", "save_recording", "sin",
-        "sqrt", "tan", "trace_fingerprint", "unwrap", "use_session"]
+        "classify", "cos", "current_session", "exp", "explicit_session", "floor",
+        "hypot", "is_exceptional", "load_recording", "log", "maximum", "minimum",
+        "parse_log", "propagate_payload", "rem", "render_human", "save_recording",
+        "sin", "sqrt", "tan", "trace_fingerprint", "unwrap", "use_session"]
     assert [f.name for f in dataclasses.fields(fpx.LedgerConfig)] == [
         "max_logs", "log_kinds"]
     assert [f.name for f in dataclasses.fields(fpx.InjectionConfig)] == [
@@ -198,7 +196,7 @@ def test_public_surface_is_pinned():
                              "injected", "capture"]),
         (fpx.Ledger.events, ["self", "kind"]),
         (fpx.Injector.__init__, ["self", "config", "recording"]),
-        (fpx.demo_loop_kill, ["inject_tdir", "max_iters", "session"]),
+        (demos.demo_loop_kill, ["inject_tdir", "max_iters", "session"]),
         (fpbits.hex_bits, ["x"]),
     ]:
         assert list(inspect.signature(fn).parameters) == params, fn
