@@ -62,7 +62,10 @@ def _parse_fuzz(tokens) -> InjectionConfig:
         if key not in _FUZZ_KEYS:
             raise UsageError(f"unknown --fuzz key {key!r}")
         field, convert = _FUZZ_KEYS[key]
-        fields[field] = convert(raw)
+        try:
+            fields[field] = convert(raw)
+        except ValueError as exc:
+            raise UsageError(f"--fuzz {key}: {exc}") from exc
     try:
         return InjectionConfig(**fields)
     except ValueError as exc:
@@ -149,6 +152,8 @@ def _graph_document(text):
         obj = json.loads(text)
     except json.JSONDecodeError:
         return None
+    except ValueError as exc:       # an int longer than int() reads
+        raise FormatError(f"not valid JSON: {exc}") from exc
     is_graph = isinstance(obj, dict) and obj.get("format") == stackgraph.GRAPH_FORMAT
     return obj if is_graph else None
 

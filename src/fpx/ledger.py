@@ -12,14 +12,17 @@ exactly. One codec serves flush and parse_log; its caches live for one call.
 The encoder keeps one JSON fragment per op (keyed by the op object), trace and
 scalar (keyed by exact type and bit pattern, never by value); the decoder one
 object per op, trace and hex string, so events parsed from one file share
-immutable trace tuples and scalars. A debugger-friendly human rendering (op
-header line, then one frame per line) is derived from the same records.
+immutable trace tuples and scalars; lines that differ only in seq decode once
+per call, and the repeats share that line's fields. A debugger-friendly human
+rendering (op header line, then one frame per line) is derived from the same
+records.
 FormatError and the JSON-lines reader here serve every fpx file format.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import struct
 import threading
 from dataclasses import dataclass
@@ -60,20 +63,30 @@ def _loads(line):
     return json.loads(line)
 
 
+def _text_lines(path):
+    """(line_number, line) per non-blank line of a UTF-8 text file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_number, line in enumerate(fh, start=1):
+            if line.strip():
+                yield line_number, line
+
+
+def _json_object(line, line_number, error):
+    """The JSON object one line holds; anything else raises `error` naming the line."""
+    try:
+        obj = _loads(line)
+    except ValueError as exc:       # a JSONDecodeError, or an int past the digit limit
+        raise error(f"not valid JSON: {getattr(exc, 'msg', exc)}", line_number) from exc
+    if not isinstance(obj, dict):
+        raise error("record must be a JSON object", line_number)
+    return obj
+
+
 def read_json_lines(path, error=FormatError):
     """(line_number, object) per non-blank line of a JSON-lines file; a line
     that is not a JSON object raises `error` naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = _loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"not valid JSON: {exc.msg}", line_number) from exc
-            if not isinstance(obj, dict):
-                raise error("record must be a JSON object", line_number)
-            yield line_number, obj
+    for line_number, line in _text_lines(path):
+        yield line_number, _json_object(line, line_number, error)
 
 
 @dataclass(frozen=True)
@@ -262,10 +275,38 @@ def _decoder():
     return decode
 
 
+# A canonical head, the one `_LINE` writes for a seq >= 1, within any int digit limit.
+_SEQ_HEAD = re.compile(r'\{"seq": ([1-9][0-9]{0,17})')
+
+
+def _holds_no_seq_key(text):
+    """Whether no JSON key in `text` can decode to "seq": the text holds no "seq"
+    and no \\u00XX escape, which could spell one of its letters. The one-character
+    tests clear most lines."""
+    return (("q" not in text or '"seq"' not in text)
+            and ("\\" not in text or "\\u00" not in text))
+
+
 def parse_log(path) -> list:
-    """Read one jsonl event stream back, bit-exactly. Unknown fields are ignored."""
-    decode = _decoder()
-    return [decode(obj, n) for n, obj in read_json_lines(path, LogFormatError)]
+    """Read one jsonl event stream back, bit-exactly. Unknown fields are ignored.
+    A line that repeats an earlier line's text after a canonical seq head takes
+    that line's other fields, with no JSON scan or record decode."""
+    decode, events = _decoder(), []
+    decoded = {}    # the text after a line's first comma -> the fields it decoded to
+    for line_number, line in _text_lines(path):
+        cut = line.find(",")
+        rest = line[cut:]
+        fields = decoded.get(rest)
+        if fields is not None and (head := _SEQ_HEAD.fullmatch(line, 0, cut)):
+            events.append(ExceptionEvent(int(head[1]), *fields))
+            continue
+        e = decode(_json_object(line, line_number, LogFormatError), line_number)
+        events.append(e)
+        # Decoded with no seq key after its first comma, the line has one before it.
+        if _holds_no_seq_key(rest):
+            decoded[rest] = (e.kind, e.value_class, e.op, e.operands, e.result,
+                             e.injected, e.trace)
+    return events
 
 
 def render_human(e: ExceptionEvent) -> str:

@@ -103,6 +103,7 @@ class TestRun:
         ("bogus=1", "unknown --fuzz key 'bogus'"),
         ("odds=x", "invalid literal for int()"),
         ("odds=1.5", "invalid literal for int()"),
+        ("value=nonsense", "could not convert string to float"),
         ("seed=-1", "seed must be an integer >= 0"),
     ])
     def test_bad_fuzz_value(self, tmp_path, capsys, token, message):
@@ -110,6 +111,7 @@ class TestRun:
                                   "--fuzz", "seed=1", token)
         assert code == 1
         assert stderr.startswith("fpx: ") and message in stderr
+        assert token.partition("=")[0] in stderr
 
     @pytest.mark.parametrize("token", ["functions=", "libraries=a,,b", "functions=f,"])
     def test_empty_fuzz_scope_entry_is_usage_error(self, tmp_path, capsys, token):
@@ -338,6 +340,8 @@ class TestRender:
 
 LOG_LINE = ('{"seq": 1, "kind": "gen", "class": "nan", "op": "-", "arity": 2, '
             '"operands": [], "result": true, "injected": false, "trace": []}')
+LONG_INT = "9" * 5000          # past the 4300 digits int() reads by default
+LONG_SEQ_LINE = LOG_LINE.replace('"seq": 1', '"seq": ' + LONG_INT)
 GRAPH = {"format": "stackgraph-v1", "key_policy": "fine", "trace_total": 1,
          "nodes": ["a x.py:1", "b y.py:2"],
          "edges": [{"parent": "a x.py:1", "child": "b y.py:2", "count": 1}]}
@@ -366,6 +370,17 @@ MALFORMED = {
     "recording hex with a space": ('{"seed": 3}\n{"op_counter": 3, "op": "+", "value_hex": '
                                    '"0x7ff800000000000 ", "trace_fp": "0000000000000000"}\n',
                                    [["replay", "FILE", "sim", "--out", "OUT"]], 2),
+    "log over-long seq": (LOG_LINE + "\n" + LONG_SEQ_LINE + "\n",
+                          [["cstg", "FILE"], ["render", "FILE"], ["diff", "FILE", "FILE"]], 2),
+    "log over-long seq on line 1": (LONG_SEQ_LINE + "\n", [["render", "FILE"]], 1),
+    "log over-long seq on line 1, sniffed": (LONG_SEQ_LINE + "\n", [["cstg", "FILE"],
+                                                                   ["diff", "FILE", "FILE"]], None),
+    "graph over-long trace_total": (_graph().replace('"trace_total": 1', '"trace_total": '
+                                                     + LONG_INT),
+                                    [["diff", "FILE", "FILE"], ["cstg", "FILE"]], None),
+    "recording over-long op_counter": ('{"seed": 3}\n{"op_counter": %s, "op": "+", "value_hex": '
+                                       '"0x7ff8000000000000", "trace_fp": "0000000000000000"}\n'
+                                       % LONG_INT, [["replay", "FILE", "sim", "--out", "OUT"]], 2),
     "graph missing key_policy": (_graph(key_policy=None),
                                  [["diff", "FILE", "FILE"], ["cstg", "FILE"]], None),
     "graph edge missing count": (_graph(edges=[{"parent": "a x.py:1", "child": "b y.py:2"}]),

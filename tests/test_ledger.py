@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpx import fpbits
+from fpx import fpbits, ledger
 from fpx.classify import EventKind, OpIdentity, ValueClass
 from fpx.injector import RecordingFormatError
 from fpx.ledger import (ExceptionEvent, FormatError, Ledger, LedgerConfig,
@@ -356,6 +356,8 @@ def _reference_read_json_lines(path, error):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise error(f"not valid JSON: {exc.msg}", line_number) from exc
+            except ValueError as exc:       # an int longer than int() reads
+                raise error(f"not valid JSON: {exc}", line_number) from exc
             if not isinstance(obj, dict):
                 raise error("record must be a JSON object", line_number)
             rows.append((line_number, obj))
@@ -380,12 +382,81 @@ def _outcome(read, path):
     '{"a": 1\n',                                    # unterminated
     ' [1]\n',                                       # not an object
     '{"a": NaN, "b": -Infinity, "c": "\\u00e9", "d": {"e": null}}\n',
+    '{"a": 1}\n{"b": %s}\n' % ("9" * 5000),          # an int past the digit limit
 ], ids=["leading-space", "trailing-space", "bom", "garbage", "two-objects",
-        "form-feed", "no-break-space", "unterminated", "array", "constants"])
+        "form-feed", "no-break-space", "unterminated", "array", "constants", "long-int"])
 def test_read_json_lines_matches_one_json_loads_per_line(tmp_path, text):
     path = tmp_path / "x.jsonl"
     path.write_text(text, encoding="utf-8")
     assert _outcome(read_json_lines, path) == _outcome(_reference_read_json_lines, path)
+
+
+def _reference_parse_log(path):
+    """parse_log written as the reference reader and one record decode per line."""
+    decode = ledger._decoder()
+    return [decode(obj, n) for n, obj in _reference_read_json_lines(path, LogFormatError)]
+
+
+def _log_outcome(parse, path):
+    try:
+        return [e._key() for e in parse(path)]
+    except LogFormatError as exc:
+        return type(exc), str(exc), exc.line_number
+
+
+def _seq_line(seq, trace=TRACE, head=None, tail=""):
+    """One event line under seq, its head replaced by `head` and `tail` added
+    as the last fields, if given."""
+    line = event_to_line(ExceptionEvent(seq, EventKind.PROP, ValueClass.NAN, OP_SUB,
+                                        (NAN, 1.0), NAN, False, trace))
+    if head is not None:
+        line = line.replace(f'{{"seq": {seq}', head, 1)
+    return line[:-2] + tail + "}\n"
+
+
+def _seq_lines(seqs, **fields):
+    return "".join(_seq_line(n, **fields) for n in seqs)
+
+
+DUP_SEQ = ', "seq": 9'
+ESCAPED_SEQ = ', "s\\u0065q": 9'
+ODD_NAMES = (Frame("f", 'a"seq".py', 3), Frame("seq", "seq.py", 4), Frame("g", "qu\\ux.py", 5))
+
+
+@pytest.mark.parametrize("text", [
+    _seq_lines(range(1, 6)) + _seq_line(6, trace=()) + _seq_line(7),
+    _seq_line(1, tail=DUP_SEQ) + _seq_line(2, tail=DUP_SEQ) + _seq_line(3, tail=DUP_SEQ),
+    _seq_line(1, tail=ESCAPED_SEQ) + _seq_line(2, tail=ESCAPED_SEQ),
+    _seq_line(1) + _seq_line(2, tail=DUP_SEQ),
+    _seq_line(1) + _seq_line(2, head='{"seq": 007'),
+    _seq_line(1) + _seq_line(2, head='{"seq": -1'),
+    _seq_line(1) + _seq_line(2, head='{"seq": 1_0'),
+    _seq_line(1) + _seq_line(2, head='{"seq": \u0661'),
+    _seq_line(1) + _seq_line(2, head='{"seq":1'),
+    _seq_line(1) + _seq_line(2, head='{"seq": 1 '),
+    _seq_line(1) + _seq_line(2, head='{"seq": 0'),
+    _seq_line(1) + _seq_line(2, head='{"seq": ' + "9" * 5000),
+    _seq_line(1) + _seq_line(2, head='{"seq": ' + "9" * 19),
+    _seq_line(1, head='{ "seq": 1') + _seq_line(2) + _seq_line(3, head=' {"seq": 3'),
+    _seq_lines(range(1, 4), trace=ODD_NAMES),
+    _seq_lines(range(1, 4))[:-1],
+    _seq_lines(range(1, 4)).replace("\n", "\r\n"),
+    _seq_line(1) + "\n  \n" + _seq_line(2) + "\t\n" + _seq_line(3),
+    "\ufeff" + _seq_lines(range(1, 4)),
+    _seq_lines(range(1, 502)) + '{"seq": 502, "kind": \n',
+    _seq_line(1) + _seq_line(2).replace('"injected": false', '"injected": 5'),
+    _seq_line(1) + _seq_line(2).replace('"op": "-"', '"op": 5'),
+], ids=["seq-only-repeats", "duplicate-seq-key", "escaped-seq-key", "duplicate-after-seen",
+        "leading-zero", "negative", "underscore", "arabic-indic-digit", "no-space",
+        "space-before-comma", "zero", "long-int", "past-18-digits", "spaced-heads",
+        "seq-in-trace-names", "no-final-newline", "crlf", "blank-lines", "bom",
+        "bad-line-after-500-hits", "ill-typed-injected", "ill-typed-op"])
+def test_parse_log_matches_one_decode_per_line(tmp_path, text):
+    """Lines that repeat a text after their seq take the fields decoded from
+    the first of them; every outcome, events or error, is one decode per line."""
+    path = tmp_path / "prop.jsonl"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _log_outcome(parse_log, path) == _log_outcome(_reference_parse_log, path)
 
 
 def test_every_format_error_shares_one_base():
@@ -574,6 +645,11 @@ def test_parsed_events_share_traces_and_scalars(tmp_path):
     assert first.trace is fourth.trace and first.op is fourth.op
     assert first.operands[0] is first.result is fourth.operands[0]
     assert third.trace == ()
+    repeats = tmp_path / "repeats.jsonl"       # lines that differ only in seq
+    repeats.write_text(_seq_lines(range(1, 5)), encoding="utf-8")
+    first, *rest = parse_log(repeats)
+    assert [e.seq for e in rest] == [2, 3, 4]
+    assert all(e.trace is first.trace and e.op is first.op for e in rest)
 
 
 def test_parsed_events_hash_like_the_recorded_ones(tmp_path):
