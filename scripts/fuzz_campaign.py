@@ -30,9 +30,9 @@ def main() -> int:
     failures = 0
     for seed in range(n_seeds):
         config = InjectionConfig(odds=odds, n_inject=n_inject, seed=seed)
-        fuzzed = run_once(Injector.fuzz(config))
+        fuzzed = run_once(Injector(config))
         recording = fuzzed.injector.recording
-        replayed = run_once(Injector.replay(recording))
+        replayed = run_once(Injector(recording=recording))
         ok = (fuzzed.ledger.events() == replayed.ledger.events()
               and not replayed.injector.unconsumed_points())
         counts = fuzzed.ledger.counts()

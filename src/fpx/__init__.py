@@ -8,8 +8,8 @@ into weighted digraphs, diffs them, and emits DOT; fpx.demos holds the demo
 programs. `import fpx` loads neither, only the tracker.
 """
 
-from .classify import (EventKind, OpIdentity, ValueClass, classify,
-                       is_exceptional, propagate_payload)
+from .classify import (EventKind, OpIdentity, ValueClass, is_exceptional,
+                       propagate_payload)
 from .injector import (InjectionConfig, InjectionRecording, Injector,
                        InjectorMode, RecordedInjection, RecordingFormatError,
                        ReplayDivergenceWarning, load_recording, save_recording)
@@ -27,8 +27,7 @@ from .tracked import (TrackedFloat, TrackedFloat16, TrackedFloat32,
 __version__ = "0.1.0"
 
 __all__ = [
-    "EventKind", "OpIdentity", "ValueClass", "classify", "is_exceptional",
-    "propagate_payload",
+    "EventKind", "OpIdentity", "ValueClass", "is_exceptional", "propagate_payload",
     "TrackedFloat", "TrackedFloat16", "TrackedFloat32", "TrackedFloat64",
     "apply", "unwrap",
     "sqrt", "exp", "log", "sin", "cos", "tan", "floor", "ceil",

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands:
-  run     execute a demo (optionally fuzzing) and write gen/prop/kill logs
-  replay  re-run a demo against a saved injection recording
+  run     execute a demo and write gen/prop/kill logs; --fuzz injects NaN/Inf
+          results and --record saves them, --replay re-fires a saved
+          recording's injections: fpx run sim --replay rec.jsonl
   cstg    coalesce a log (or plain-text traces) into a stack graph / DOT
   diff    diff two stack graphs (or logs) and emit polarity-colored DOT
   render  print a log in the human block format
@@ -105,38 +106,29 @@ def _run_demo(name, args, session):
     return result
 
 
-def _run_and_flush(args, session) -> None:
-    """Run the demo, print its event counts, and write its logs."""
-    _run_demo(args.demo, args, session)
+def cmd_run(args) -> int:
+    if args.record and not args.fuzz:
+        raise UsageError("--record requires --fuzz")
+    if args.replay and args.fuzz:
+        raise UsageError("--replay takes no --fuzz: the recording decides every injection")
+    injector = Injector(_parse_fuzz(args.fuzz) if args.fuzz else None,
+                        load_recording(args.replay) if args.replay else None)
+    session = explicit_session(_ledger_config(args), injector)
+    with warnings.catch_warnings():
+        # each divergence is reported once, by the warning line below
+        warnings.simplefilter("ignore", ReplayDivergenceWarning)
+        _run_demo(args.demo, args, session)
     counts = session.ledger.counts()
     print("events: " + " ".join(f"{k.value}={counts[k]}" for k in EventKind))
     out = _out_dir(args)
     session.ledger.flush(out)
     print(f"logs written to {out}")
-
-
-def cmd_run(args) -> int:
-    if args.record and not args.fuzz:
-        raise UsageError("--record requires --fuzz")
-    injector = Injector(_parse_fuzz(args.fuzz) if args.fuzz else None)
-    session = explicit_session(_ledger_config(args), injector)
-    _run_and_flush(args, session)
     if args.record:
-        save_recording(session.injector.recording, args.record)
+        save_recording(injector.recording, args.record)
         print(f"recording written to {args.record}")
-    return 0
-
-
-def cmd_replay(args) -> int:
-    recording = load_recording(args.recording)
-    session = explicit_session(_ledger_config(args), Injector.replay(recording))
-    with warnings.catch_warnings():
-        # each divergence is reported once, by the warning line below
-        warnings.simplefilter("ignore", ReplayDivergenceWarning)
-        _run_and_flush(args, session)
-    for message in session.injector.divergences:
+    for message in injector.divergences:
         print(f"warning: {message}", file=sys.stderr)
-    pending = session.injector.unconsumed_points()
+    pending = injector.unconsumed_points()
     if pending:
         print(f"replay divergence: {len(pending)} unconsumed injection point(s):",
               file=sys.stderr)
@@ -236,40 +228,33 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _add_demo_arguments(parser):
-    parser.add_argument("demo", help="max | loop | sim")
-    parser.add_argument("--out", help="log output directory (default $FPX_OUT_DIR or fpx-logs)")
-    parser.add_argument("--max-logs", type=int, default=None,
-                        help="per-kind cap on stored events")
-    parser.add_argument("--no-prop", action="store_true", help="do not log prop events")
-    parser.add_argument("--values", default="1,5,NaN,4", help="max demo input list")
-    parser.add_argument("--inject", action="store_true",
-                        help="loop demo: seed the loop direction with NaN")
-    parser.add_argument("--max-iters", type=int, default=100,
-                        help="loop demo: guard-evaluation bound")
-    parser.add_argument("--steps", type=int, default=12, help="sim demo: time steps")
-    parser.add_argument("--cells", type=int, default=16, help="sim demo: grid cells")
-    parser.add_argument("--blowup", action="store_true",
-                        help="sim demo: use an unstable coefficient")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="fpx", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a demo and write logs")
-    _add_demo_arguments(p_run)
+    p_run.add_argument("demo", help="max | loop | sim")
+    p_run.add_argument("--out", help="log output directory (default $FPX_OUT_DIR or fpx-logs)")
+    p_run.add_argument("--max-logs", type=int, default=None,
+                       help="per-kind cap on stored events")
+    p_run.add_argument("--no-prop", action="store_true", help="do not log prop events")
+    p_run.add_argument("--values", default="1,5,NaN,4", help="max demo input list")
+    p_run.add_argument("--inject", action="store_true",
+                       help="loop demo: seed the loop direction with NaN")
+    p_run.add_argument("--max-iters", type=int, default=100,
+                       help="loop demo: guard-evaluation bound")
+    p_run.add_argument("--steps", type=int, default=12, help="sim demo: time steps")
+    p_run.add_argument("--cells", type=int, default=16, help="sim demo: grid cells")
+    p_run.add_argument("--blowup", action="store_true",
+                       help="sim demo: use an unstable coefficient")
     p_run.add_argument("--fuzz", nargs="+", metavar="KEY=VALUE",
                        help="fuzz parameters: odds=N n=K seed=S "
                             "[value=nan|inf|-inf] [functions=a,b] [libraries=p,q]")
     p_run.add_argument("--record", help="save the injection recording to this path")
+    p_run.add_argument("--replay", metavar="REC",
+                       help="re-fire the injections of a recording from --record")
     p_run.set_defaults(func=cmd_run)
-
-    p_replay = sub.add_parser("replay", help="replay a recording against a demo")
-    p_replay.add_argument("recording", help="recording file from run --record")
-    _add_demo_arguments(p_replay)
-    p_replay.set_defaults(func=cmd_replay)
 
     p_cstg = sub.add_parser("cstg", help="coalesce a log into a stack graph")
     p_cstg.add_argument("log", help="ledger jsonl or plain-text trace file")
@@ -277,7 +262,8 @@ def build_parser() -> _Parser:
     p_cstg.add_argument("--value-class", choices=("nan", "inf"), default=None,
                         help="only events of this class (ledger inputs)")
     p_cstg.add_argument("--dot", help="write DOT here instead of stdout")
-    p_cstg.add_argument("--json", help="also write the portable graph document")
+    p_cstg.add_argument("--json", help="also write the portable graph document "
+                                       "(the diff document under --split)")
     p_cstg.add_argument("--split", type=float, default=None,
                         help="diff the first FRACTION of traces against the rest")
     p_cstg.set_defaults(func=cmd_cstg)

@@ -187,7 +187,10 @@ def parse_trace_text(text: str) -> list:
         file, _, lineno = location.rpartition(":")
         if not function or not file or not lineno.isdecimal():
             raise GraphFormatError(f"bad trace line: {raw!r}", line_number)
-        current.append(Frame(function, file, int(lineno)))
+        try:
+            current.append(Frame(function, file, int(lineno)))
+        except ValueError as exc:       # more digits than int() reads
+            raise GraphFormatError(f"bad trace line number: {exc}", line_number) from exc
     if current:
         traces.append(tuple(current))
     return traces

@@ -140,7 +140,7 @@ class TestFuzzReplay:
         assert code == 0
         assert rec.exists()
         for out in (out1, out2):
-            code, _, stderr = run_cli(capsys, "replay", str(rec), "sim",
+            code, _, stderr = run_cli(capsys, "run", "sim", "--replay", str(rec),
                                       "--steps", "20", "--out", str(out))
             assert code == 0
             assert "divergence" not in stderr
@@ -158,7 +158,7 @@ class TestFuzzReplay:
                        + "\n", encoding="utf-8")
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
-            [sys.executable, "-m", "fpx.cli", "replay", str(rec), "sim",
+            [sys.executable, "-m", "fpx.cli", "run", "sim", "--replay", str(rec),
              "--out", str(tmp_path / "rep")],
             env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
@@ -166,8 +166,8 @@ class TestFuzzReplay:
         assert out.stderr.startswith("warning: replay divergence at op")
 
     def test_replay_missing_recording_is_io_error(self, tmp_path, capsys):
-        code, _, _ = run_cli(capsys, "replay", str(tmp_path / "missing.jsonl"),
-                             "sim", "--out", str(tmp_path))
+        code, _, _ = run_cli(capsys, "run", "sim", "--replay", str(tmp_path / "missing.jsonl"),
+                             "--out", str(tmp_path))
         assert code == 2
 
     def test_replay_of_a_decreasing_op_counter_is_a_format_error(self, tmp_path, capsys):
@@ -175,7 +175,7 @@ class TestFuzzReplay:
         point = '{"op_counter": %d, "op": "+", "value_hex": "0x7ff8000000000000", ' \
                 '"trace_fp": "aaaaaaaaaaaaaaaa"}\n'
         rec.write_text('{"seed": 1}\n' + point % 9 + point % 4, encoding="utf-8")
-        code, stdout, stderr = run_cli(capsys, "replay", str(rec), "max",
+        code, stdout, stderr = run_cli(capsys, "run", "max", "--replay", str(rec),
                                        "--out", str(tmp_path / "out"))
         assert code == 2 and stdout == ""
         assert stderr == "fpx: line 3: op_counter not strictly increasing\n"
@@ -183,7 +183,7 @@ class TestFuzzReplay:
     def test_replay_of_a_negative_seed_is_a_format_error(self, tmp_path, capsys):
         rec = tmp_path / "rec.jsonl"
         rec.write_text('{"seed": -3}\n', encoding="utf-8")
-        code, stdout, stderr = run_cli(capsys, "replay", str(rec), "max",
+        code, stdout, stderr = run_cli(capsys, "run", "max", "--replay", str(rec),
                                        "--out", str(tmp_path / "out"))
         assert code == 2 and stdout == ""
         assert stderr.startswith("fpx: line 1: missing seed header")
@@ -194,10 +194,29 @@ class TestFuzzReplay:
                        '{"op_counter": 999999, "op": "+", '
                        '"value_hex": "0x7ff8000000000000", "trace_fp": "aaaaaaaaaaaaaaaa"}\n',
                        encoding="utf-8")
-        code, _, stderr = run_cli(capsys, "replay", str(rec), "max",
+        code, _, stderr = run_cli(capsys, "run", "max", "--replay", str(rec),
                                   "--out", str(tmp_path / "out"))
         assert code == 0
         assert "unconsumed" in stderr
+
+    def test_replay_is_an_option_of_run(self, tmp_path, capsys):
+        """`fpx replay` is no command, and `run --replay` takes neither --fuzz
+        (the recording decides every injection) nor --record."""
+        rec = tmp_path / "rec.jsonl"
+        rec.write_text('{"seed": 1}\n', encoding="utf-8")
+        for argv, message in [
+            (["replay", str(rec), "sim"], "invalid choice: 'replay'"),
+            (["run", "sim", "--replay", str(rec), "--fuzz", "seed=1"],
+             "--replay takes no --fuzz"),
+            (["run", "sim", "--replay", str(rec), "--fuzz", "seed=1",
+              "--record", str(tmp_path / "again.jsonl")], "--replay takes no --fuzz"),
+            (["run", "sim", "--replay", str(rec), "--record", str(tmp_path / "again.jsonl")],
+             "--record requires --fuzz"),
+        ]:
+            code, stdout, stderr = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+            assert code == 1 and stdout == "", argv
+            assert stderr.startswith("fpx: ") and message in stderr, (argv, stderr)
+        assert sorted(tmp_path.iterdir()) == [rec]
 
 
 class TestGraphCommands:
@@ -279,6 +298,44 @@ class TestGraphCommands:
         code, stdout, _ = run_cli(capsys, "cstg", str(txt))
         assert code == 0
         assert 'label="2"' in stdout
+        # an empty or blank file holds no traces: an empty graph and an empty diff
+        empty, blank = tmp_path / "empty.txt", tmp_path / "blank.txt"
+        empty.write_text("", encoding="utf-8")
+        blank.write_text(" \n\n\t\n", encoding="utf-8")
+        for argv in (["cstg", str(empty)], ["cstg", str(blank)],
+                     ["diff", str(empty), str(blank)]):
+            assert run_cli(capsys, *argv) == (0, "digraph G { }\n", ""), argv
+
+    def test_diff_document_golden(self, tmp_path, capsys):
+        """`cstg --split --json` and `diff --json` of the same two halves write
+        the same stackgraph-diff-v1 bytes, and the same DOT."""
+        block = {"inner": "inner\ta.py:1\nmid\tm.py:5\nouter\tb.py:2\n",
+                 "leaf": "leaf\tc.py:3\nmid\tm.py:5\nouter\tb.py:2\n"}
+        head, tail = [block["inner"]] * 2, [block["leaf"]] * 3
+        files = {}
+        for name, blocks in (("all", head + tail), ("head", head), ("tail", tail)):
+            files[name] = tmp_path / f"{name}.txt"
+            files[name].write_text("\n".join(blocks), encoding="utf-8")
+        for argv in (["cstg", str(files["all"]), "--split", "0.4"],
+                     ["diff", str(files["head"]), str(files["tail"])]):
+            doc, dot = tmp_path / "d.json", tmp_path / "d.dot"
+            assert run_cli(capsys, *argv, "--json", str(doc), "--dot", str(dot)) == (0, "", "")
+            assert doc.read_bytes() == (
+                b'{\n  "format": "stackgraph-diff-v1",\n  "key_policy": "fine",\n'
+                b'  "edges": [\n'
+                b'    {\n      "parent": "mid m.py:5",\n      "child": "inner a.py:1",\n'
+                b'      "delta": -2\n    },\n'
+                b'    {\n      "parent": "mid m.py:5",\n      "child": "leaf c.py:3",\n'
+                b'      "delta": 3\n    },\n'
+                b'    {\n      "parent": "outer b.py:2",\n      "child": "mid m.py:5",\n'
+                b'      "delta": 1\n    }\n  ]\n}\n'), argv
+            assert dot.read_bytes() == (
+                b'digraph G {\n  node [shape=box];\n'
+                b'  "inner a.py:1";\n  "leaf c.py:3";\n  "mid m.py:5";\n  "outer b.py:2";\n'
+                b'  "mid m.py:5" -> "inner a.py:1" [label="-2", color="red", penwidth=3.00];\n'
+                b'  "mid m.py:5" -> "leaf c.py:3" [label="+3", color="green", penwidth=4.00];\n'
+                b'  "outer b.py:2" -> "mid m.py:5" [label="+1", color="green", penwidth=2.00];\n'
+                b'}\n'), argv
 
     def test_cstg_value_class_on_plain_text_traces_is_usage_error(self, tmp_path, capsys):
         txt = tmp_path / "traces.txt"
@@ -360,16 +417,16 @@ MALFORMED = {
                  [["cstg", "FILE"], ["render", "FILE"], ["diff", "FILE", "FILE"]], 2),
     "recording line": ('{"seed": 3}\n{"op_counter": 3.7, "op": "+", "value_hex": '
                        '"0x7ff8000000000000", "trace_fp": "0000000000000000"}\n',
-                       [["replay", "FILE", "sim", "--out", "OUT"]], 2),
+                       [["run", "sim", "--replay", "FILE", "--out", "OUT"]], 2),
     "log hex with an underscore": (LOG_LINE + "\n" + LOG_LINE.replace(
         '"operands": []', '"operands": [{"dec": "Inf", "hex": "0x7ff0_00000000000"}]') + "\n",
         [["render", "FILE"], ["cstg", "FILE"]], 2),
     "recording float32 value": ('{"seed": 3}\n{"op_counter": 3, "op": "+", "value_hex": '
                                 '"0x7fc00001", "trace_fp": "0000000000000000"}\n',
-                                [["replay", "FILE", "sim", "--out", "OUT"]], 2),
+                                [["run", "sim", "--replay", "FILE", "--out", "OUT"]], 2),
     "recording hex with a space": ('{"seed": 3}\n{"op_counter": 3, "op": "+", "value_hex": '
                                    '"0x7ff800000000000 ", "trace_fp": "0000000000000000"}\n',
-                                   [["replay", "FILE", "sim", "--out", "OUT"]], 2),
+                                   [["run", "sim", "--replay", "FILE", "--out", "OUT"]], 2),
     "log over-long seq": (LOG_LINE + "\n" + LONG_SEQ_LINE + "\n",
                           [["cstg", "FILE"], ["render", "FILE"], ["diff", "FILE", "FILE"]], 2),
     "log over-long seq on line 1": (LONG_SEQ_LINE + "\n", [["render", "FILE"]], 1),
@@ -380,7 +437,8 @@ MALFORMED = {
                                     [["diff", "FILE", "FILE"], ["cstg", "FILE"]], None),
     "recording over-long op_counter": ('{"seed": 3}\n{"op_counter": %s, "op": "+", "value_hex": '
                                        '"0x7ff8000000000000", "trace_fp": "0000000000000000"}\n'
-                                       % LONG_INT, [["replay", "FILE", "sim", "--out", "OUT"]], 2),
+                                       % LONG_INT,
+                                       [["run", "sim", "--replay", "FILE", "--out", "OUT"]], 2),
     "graph missing key_policy": (_graph(key_policy=None),
                                  [["diff", "FILE", "FILE"], ["cstg", "FILE"]], None),
     "graph edge missing count": (_graph(edges=[{"parent": "a x.py:1", "child": "b y.py:2"}]),
@@ -392,6 +450,8 @@ MALFORMED = {
     "graph negative trace_total": (_graph(trace_total=-1), [["diff", "FILE", "FILE"]], None),
     "trace line": ("inner\ta.py:1\nouter\tb.py:2\n\ninner\ta.py:one\n",
                    [["cstg", "FILE"], ["diff", "FILE", "FILE"]], 4),
+    "trace line number over-long": ("inner\ta.py:1\n\ninner\ta.py:" + LONG_INT + "\n",
+                                    [["cstg", "FILE"], ["diff", "FILE", "FILE"]], 3),
 }
 
 

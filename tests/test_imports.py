@@ -73,3 +73,14 @@ def test_tracking_loads_no_fuzzer_fingerprint_or_tool_modules():
             if m in NOT_FOR_TRACKING or m.startswith("numpy.random.")] == []
     assert "fpx.tracked" in probe["tracking"]
     assert probe["fuzz_loaded"]
+
+
+def test_fpx_classify_is_the_module():
+    """The package exports no name that shadows its submodule `fpx.classify`."""
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import fpx.classify; "
+             "assert fpx.classify is sys.modules['fpx.classify'], fpx.classify; "
+             "print(fpx.classify.ValueClass.NAN.value, fpx.classify.classify.__name__)")
+    out = subprocess.run([sys.executable, "-c", probe, str(SRC)],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "nan classify\n"

@@ -169,7 +169,7 @@ def test_public_surface_is_pinned():
         "RecordedInjection", "RecordingFormatError", "ReplayDivergenceWarning",
         "StackTrace", "TrackedFloat", "TrackedFloat16", "TrackedFloat32",
         "TrackedFloat64", "TrackerSession", "ValueClass", "apply", "atan2", "ceil",
-        "classify", "cos", "current_session", "exp", "explicit_session", "floor",
+        "cos", "current_session", "exp", "explicit_session", "floor",
         "hypot", "is_exceptional", "load_recording", "log", "maximum", "minimum",
         "parse_log", "propagate_payload", "rem", "render_human", "save_recording",
         "sin", "sqrt", "tan", "trace_fingerprint", "unwrap", "use_session"]

@@ -310,7 +310,9 @@ class TestPortableFormats:
         assert err.value.line_number == 3
         assert str(err.value).startswith("line 3: ")
 
-    @pytest.mark.parametrize("line", ["f\ta.py:\u00b2", "f\ta.py:", "f\t:3", "\ta.py:3"])
+    @pytest.mark.parametrize("line", [
+        "f\ta.py:\u00b2", "f\ta.py:", "f\t:3", "\ta.py:3",
+        pytest.param("f\ta.py:" + "9" * 5000, id="more digits than int() reads")])
     def test_text_trace_bad_location_is_a_format_error(self, line):
         with pytest.raises(GraphFormatError) as err:
             parse_trace_text(line + "\n")
