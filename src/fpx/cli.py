@@ -26,7 +26,8 @@ from .classify import EventKind, ValueClass
 from .demos import demo_loop_kill, demo_max, demo_sim
 from .injector import (InjectionConfig, Injector, ReplayDivergenceWarning,
                        load_recording, save_recording)
-from .ledger import FormatError, LedgerConfig, parse_log, render_human
+from .ledger import (FormatError, LedgerConfig, _parse_lines, _split_lines, parse_log,
+                     render_human)
 from .session import explicit_session
 
 
@@ -106,11 +107,23 @@ def _run_demo(name, args, session):
     return result
 
 
+def _check_writable(path) -> None:
+    """Raise the OSError that writing path would, before any work: an existing
+    file is left as it was, and a new one is not kept."""
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def cmd_run(args) -> int:
     if args.record and not args.fuzz:
         raise UsageError("--record requires --fuzz")
     if args.replay and args.fuzz:
         raise UsageError("--replay takes no --fuzz: the recording decides every injection")
+    if args.record:
+        _check_writable(args.record)     # a run whose recording is lost cannot be replayed
     injector = Injector(_parse_fuzz(args.fuzz) if args.fuzz else None,
                         load_recording(args.replay) if args.replay else None)
     session = explicit_session(_ledger_config(args), injector)
@@ -137,27 +150,32 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _graph_document(text):
-    """The JSON object in text if it is a stack-graph document, else None.
-    The one content sniff that tells graph documents from logs and traces."""
+def _graph_document(path, text):
+    """The JSON object in text (path's content) if it is a stack-graph
+    document, else None; a diff document is an error. The one content sniff
+    that tells graph and diff documents from logs and traces."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError:
         return None
     except ValueError as exc:       # an int longer than int() reads
         raise FormatError(f"not valid JSON: {exc}") from exc
-    is_graph = isinstance(obj, dict) and obj.get("format") == stackgraph.GRAPH_FORMAT
-    return obj if is_graph else None
+    document_format = obj.get("format") if isinstance(obj, dict) else None
+    if document_format == stackgraph.DIFF_FORMAT:
+        raise FormatError(f"{path} is a stack-graph diff document, which fpx writes "
+                          "but does not read")
+    return obj if document_format == stackgraph.GRAPH_FORMAT else None
 
 
-def _load_traces(path, text, value_class=None) -> list:
-    """Ledger jsonl or plain-text trace blocks (text is path's content),
-    detected from content. Only log events carry a value class to filter on."""
+def _load_traces(text, value_class=None) -> list:
+    """The traces of ledger jsonl or plain-text trace blocks, detected from
+    content. Only log events carry a value class to filter on."""
     head = text.lstrip()
     if not head:
         return []
     if head.startswith("{"):
-        return [e.trace for e in _filter_class(parse_log(path), value_class)]
+        events = _parse_lines(_split_lines(text))
+        return [e.trace for e in _filter_class(events, value_class)]
     if value_class is not None:
         raise UsageError("--value-class applies to ledger logs, not plain-text traces")
     return stackgraph.parse_trace_text(text)
@@ -174,10 +192,10 @@ def _load_graph_any(path, key_policy):
     """A saved graph document, or a log/trace file coalesced on the fly. Only
     a file that is not a graph document is coalesced: a broken one is an error."""
     text = Path(path).read_text(encoding="utf-8")
-    document = _graph_document(text)
+    document = _graph_document(path, text)
     if document is not None:
         return stackgraph.graph_from_json(document)
-    return stackgraph.build(_load_traces(path, text), key_policy)
+    return stackgraph.build(_load_traces(text), key_policy)
 
 
 def _emit(text, dest) -> None:
@@ -198,10 +216,10 @@ def _emit_diff(d, args) -> None:
 def cmd_cstg(args) -> int:
     key_policy = "coarse" if args.coarse else "fine"
     text = Path(args.log).read_text(encoding="utf-8")
-    if _graph_document(text) is not None:
+    if _graph_document(args.log, text) is not None:
         raise FormatError(f"{args.log} is a stack-graph document, not a log or trace "
                           "file; fpx diff reads graph documents")
-    traces = _load_traces(args.log, text, args.value_class)
+    traces = _load_traces(text, args.value_class)
     if args.split is not None:
         head, tail = stackgraph.slice_traces(traces, args.split)
         _emit_diff(stackgraph.diff(stackgraph.build(head, key_policy),

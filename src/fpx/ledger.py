@@ -12,8 +12,10 @@ exactly. One codec serves flush and parse_log; its caches live for one call.
 The encoder keeps one JSON fragment per op (keyed by the op object), trace and
 scalar (keyed by exact type and bit pattern, never by value); the decoder one
 object per op, trace and hex string, so events parsed from one file share
-immutable trace tuples and scalars; lines that differ only in seq decode once
-per call, and the repeats share that line's fields. A debugger-friendly human
+immutable trace tuples and scalars. Events, and lines, that differ only in seq
+encode, and decode, once per call: a repeat is its seq head and the first
+one's encoded tail, or shares the first one's fields. Both line tables are
+cleared when they outgrow LINE_TABLE_LIMIT. A debugger-friendly human
 rendering (op header line, then one frame per line) is derived from the same
 records.
 FormatError and the JSON-lines reader here serve every fpx file format.
@@ -63,12 +65,12 @@ def _loads(line):
     return json.loads(line)
 
 
-def _text_lines(path):
-    """(line_number, line) per non-blank line of a UTF-8 text file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if line.strip():
-                yield line_number, line
+def _numbered(lines):
+    """(line_number, line) per non-blank line of text lines, such as a UTF-8
+    text file's."""
+    for line_number, line in enumerate(lines, start=1):
+        if line.strip():
+            yield line_number, line
 
 
 def _json_object(line, line_number, error):
@@ -85,8 +87,9 @@ def _json_object(line, line_number, error):
 def read_json_lines(path, error=FormatError):
     """(line_number, object) per non-blank line of a JSON-lines file; a line
     that is not a JSON object raises `error` naming it."""
-    for line_number, line in _text_lines(path):
-        yield line_number, _json_object(line, line_number, error)
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_number, line in _numbered(fh):
+            yield line_number, _json_object(line, line_number, error)
 
 
 @dataclass(frozen=True)
@@ -194,37 +197,53 @@ class Ledger:
 
 
 _dumps = json.JSONEncoder(separators=(", ", ": ")).encode
-_LINE = ('{"seq": %d, "kind": "%s", "class": "%s", %s, "operands": [%s], '
+# A line is its seq head then its tail, the rest of the record.
+_HEAD = '{"seq": %d'
+_TAIL = (', "kind": "%s", "class": "%s", %s, "operands": [%s], '
          '"result": %s, "injected": %s, "trace": %s}\n')
 _KINDS = {k.value: k for k in EventKind}
 _CLASSES = {c.value: c for c in ValueClass}
 _pack_double = struct.Struct("<d").pack
+LINE_TABLE_LIMIT = 1024     # entries of a per-call line table before it is cleared
+
+
+def _scalar_code(x):
+    """What tells scalars apart in a line: a float's packed bytes, any other's
+    type and bits, so -0.0, NaN payloads and widths stay apart."""
+    return _pack_double(x) if type(x) is float else (type(x), fpbits.to_bits(x))
 
 
 def _encoder():
-    """The line encoder of one call; -0.0, NaN payloads and widths stay apart."""
-    ops, traces, scalars = {}, {}, {}
+    """The line encoder of one call. Events that differ only in seq share one
+    encoded tail, so a repeat costs its key, one dict lookup and the seq head."""
+    ops, traces, scalars, tails = {}, {}, {}, {}
 
-    def scalar(x):
-        # a float is keyed by its packed bytes, any other type by type and bits
-        key = _pack_double(x) if type(x) is float else (type(x), fpbits.to_bits(x))
-        fragment = scalars.get(key)
+    def scalar(x, code):
+        fragment = scalars.get(code)
         if fragment is None:
-            fragment = scalars[key] = _dumps(
+            fragment = scalars[code] = _dumps(
                 x if type(x) is bool else
                 {"dec": fpbits.format_dec(x), "hex": fpbits.hex_bits(x)})
         return fragment
 
     def encode(e: ExceptionEvent) -> str:
-        op = ops.get(id(e.op))      # events hold their op, so its id is not reused
-        if op is None:
-            op = ops[id(e.op)] = _dumps({"op": e.op.name, "arity": e.op.arity})[1:-1]
-        if e.trace not in traces:
-            traces[e.trace] = _dumps(
-                [{"fn": f.function, "file": f.file, "line": f.line} for f in e.trace])
-        return _LINE % (e.seq, e.kind._value_, e.value_class._value_, op,
-                        ", ".join(map(scalar, e.operands)), scalar(e.result),
-                        "true" if e.injected else "false", traces[e.trace])
+        codes = (*map(_scalar_code, e.operands), _scalar_code(e.result))
+        key = (e.kind, e.value_class, id(e.op), e.injected, e.trace, codes)
+        tail = tails.get(key)
+        if tail is None:
+            op = ops.get(id(e.op))      # events hold their op, so its id is not reused
+            if op is None:
+                op = ops[id(e.op)] = _dumps({"op": e.op.name, "arity": e.op.arity})[1:-1]
+            if e.trace not in traces:
+                traces[e.trace] = _dumps(
+                    [{"fn": f.function, "file": f.file, "line": f.line} for f in e.trace])
+            *operands, result = map(scalar, (*e.operands, e.result), codes)
+            if len(tails) >= LINE_TABLE_LIMIT:
+                tails.clear()
+            tail = tails[key] = _TAIL % (e.kind._value_, e.value_class._value_, op,
+                                         ", ".join(operands), result,
+                                         "true" if e.injected else "false", traces[e.trace])
+        return _HEAD % e.seq + tail
     return encode
 
 
@@ -275,7 +294,7 @@ def _decoder():
     return decode
 
 
-# A canonical head, the one `_LINE` writes for a seq >= 1, within any int digit limit.
+# A canonical head, the one `_HEAD` writes for a seq >= 1, within any int digit limit.
 _SEQ_HEAD = re.compile(r'\{"seq": ([1-9][0-9]{0,17})')
 
 
@@ -291,9 +310,28 @@ def parse_log(path) -> list:
     """Read one jsonl event stream back, bit-exactly. Unknown fields are ignored.
     A line that repeats an earlier line's text after a canonical seq head takes
     that line's other fields, with no JSON scan or record decode."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_lines(fh)
+
+
+def _split_lines(text):
+    """The lines of a text read from a file, as iterating that file in text mode
+    yields them: the read translated every line end to "\n", so each line runs
+    to its "\n", and no other character ends one. Lazy, so a caller that holds
+    the text holds no second copy of it."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _parse_lines(lines) -> list:
+    """parse_log over an iterable of text lines: an open text file, or the
+    _split_lines of a text read from one."""
     decode, events = _decoder(), []
     decoded = {}    # the text after a line's first comma -> the fields it decoded to
-    for line_number, line in _text_lines(path):
+    for line_number, line in _numbered(lines):
         cut = line.find(",")
         rest = line[cut:]
         fields = decoded.get(rest)
@@ -304,6 +342,8 @@ def parse_log(path) -> list:
         events.append(e)
         # Decoded with no seq key after its first comma, the line has one before it.
         if _holds_no_seq_key(rest):
+            if len(decoded) >= LINE_TABLE_LIMIT:
+                decoded.clear()
             decoded[rest] = (e.kind, e.value_class, e.op, e.operands, e.result,
                              e.injected, e.trace)
     return events

@@ -7,12 +7,16 @@ result. An operation is one row of the table below: name, arity, numpy ufunc,
 exact Python float twin, and the operator methods or public function it
 backs; the registry, methods and functions are built from it. Every operation
 runs in the current session, which a `use_session` block picks. The operator
-methods of a row with a twin fuse the clean path: with finite float64
-operands and result they compute with the twin. A comparison then returns its
-bool. A numeric op is counted without a lock under an OFF injector, or takes
-its Injector.decide call in the method under FUZZ or REPLAY, and is wrapped
-unless a value is injected, which _finish, the tail apply shares, then logs.
-An op that is not clean goes to apply, which makes its decision.
+methods of a row with a twin are fused when every operand is already a Python
+float. With finite operands and result they compute with the twin: a
+comparison then returns its bool, and a numeric op is counted without a lock
+under an OFF injector, or takes its Injector.decide call in the method under
+FUZZ or REPLAY, and is wrapped unless a value is injected. Any other op over
+Python floats, an event op, is decided in the method as apply decides it
+(none for a comparison, Injector.decide before the compute otherwise). Either
+way _finish, the tail apply shares, then computes and logs. apply takes the
+operands that need a cast, the narrow widths, the public functions and direct
+calls.
 
 Two substrates compute, with the same bits either way. A twin (+ - * /,
 negation, abs, sqrt, the comparisons and truth) is IEEE correctly rounded or
@@ -20,9 +24,12 @@ exact, so over Python float operands it gives the ufunc's bits, NaN and Inf
 included, except that with two NaN operands the ufunc keeps the first one's
 sign and the compiled operator may keep the second's. Those, a twin that
 raises (x/0, sqrt of a negative), narrow widths and rows without a twin take
-numpy scalar ufuncs with floating-point traps suppressed, so 0/0, log(0) and
-overflow yield IEEE results instead of raising. With injection off, unwrapped
-results are bit-identical to the same computation over plain numpy scalars.
+numpy scalar ufuncs. Two quiet NaN operands of + - * / run the ufunc bare, as
+IEEE 754 raises no flag for them; every other ufunc call suppresses
+floating-point traps, so 0/0, log(0), overflow and a signalling NaN operand
+yield IEEE results instead of raising. With injection off,
+unwrapped results are bit-identical to the same computation over plain numpy
+scalars.
 Construction and ops share one operand rule and one cast: a value that is not
 a number is a TypeError before any event; at float64 every value becomes a
 Python float, so int and numpy scalar operands take the twin; a number too
@@ -36,6 +43,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from math import isfinite
 
 import numpy as np
@@ -99,6 +107,8 @@ _EVENTS = tuple(tuple(tuple((kind, vc) for vc in ValueClass
                       for out in (0.0, math.nan, math.inf))
                 for ins in ((), (math.nan,), (math.inf,), (math.nan, math.inf)))
 _OFF = InjectorMode.OFF
+_pack_dd, _unpack_qq = struct.Struct("<dd").pack, struct.Struct("<QQ").unpack
+_QUIET_BIT = 1 << 51    # of a float64 NaN
 _UNARY = object()       # the absent second operand of a one-operand op
 
 
@@ -249,12 +259,16 @@ def _finish(sess, cls, row, xs, injected_value):
     impl, is_comparison, op, exact = row
     injected = injected_value is not None
     result = cls._store(injected_value) if injected else None
-    if not injected and exact is not None and type(xs[0]) is type(xs[-1]) is float and (
-            len(xs) == 1 or xs[0] == xs[0] or xs[1] == xs[1]):
-        try:
-            result = exact(*xs)
-        except (ZeroDivisionError, ValueError):    # x/0, sqrt(-x)
-            pass
+    if not injected and exact is not None and type(xs[0]) is type(xs[-1]) is float:
+        if len(xs) == 1 or xs[0] == xs[0] or xs[1] == xs[1]:
+            try:
+                result = exact(*xs)
+            except (ZeroDivisionError, ValueError):    # x/0, sqrt(-x)
+                pass
+        elif not is_comparison:         # two NaNs through + - * /
+            a, b = _unpack_qq(_pack_dd(*xs))
+            if a & b & _QUIET_BIT:      # both quiet: IEEE 754 raises no flag
+                result = impl(*xs)
     if result is None:
         with np.errstate(all="ignore"):
             result = impl(*xs)
@@ -274,9 +288,11 @@ def _finish(sess, cls, row, xs, injected_value):
 
 
 def _operator_method(name, arity, reflected):
-    """An operator method, with the fused clean path of the module docstring.
-    An op that is not clean goes on to apply, looked up as a module global, so
-    a patched apply sees every call that falls through, and apply decides."""
+    """An operator method, fused over Python float operands as the module
+    docstring says: a clean op finishes in the method, and an event op is
+    decided there and finished by _finish. An op with an operand to cast or
+    at a narrow width goes on to apply, looked up as a module global, so a
+    patched apply sees every call that falls through, and apply decides."""
     row = _REGISTRY[name, arity]
     _, is_comparison, op, exact = row
 
@@ -307,6 +323,14 @@ def _operator_method(name, arity, reflected):
                         return _wrap_result(type(self), result)
                     return _finish(session, type(self), row,
                                    (x,) if y is _UNARY else (x, y), injected)
+            # An event op over Python floats needs no cast: decided as apply
+            # decides it, it finishes here.
+            if type(x) is float and (y is _UNARY or type(y) is float):
+                session = current_session()
+                injected = (None if is_comparison else
+                            session.injector.decide(op, session.traces.capture))
+                return _finish(session, type(self), row, (x,) if y is _UNARY else (x, y),
+                               injected)
         if other is _UNARY:
             return apply(name, (self,))
         if not isinstance(other, _OPERANDS):

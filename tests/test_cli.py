@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from fpx import stackgraph
 from fpx.cli import _parse_fuzz, cli_main
 from fpx.injector import InjectionConfig
 from fpx.ledger import parse_log
@@ -219,6 +220,33 @@ class TestFuzzReplay:
         assert sorted(tmp_path.iterdir()) == [rec]
 
 
+    def test_unwritable_record_path_fails_before_the_run(self, tmp_path, capsys):
+        """A --record path that cannot be written exits 2 before the demo
+        runs, so no log is written and no fuzzed failure goes unrecorded; a
+        run that fails before saving leaves an existing --record file as it
+        was and makes no new one, and a run that saves replaces it."""
+        out, fuzz = tmp_path / "out", ["--fuzz", "odds=5", "n=1", "seed=1"]
+        for record, message in [(tmp_path / "nodir" / "r.jsonl", "No such file or directory"),
+                                (tmp_path, "Is a directory")]:
+            code, stdout, stderr = run_cli(capsys, "run", "sim", *fuzz, "--record", str(record),
+                                           "--out", str(out))
+            assert (code, stdout) == (2, ""), stderr
+            assert stderr.startswith("fpx: ") and message in stderr
+            assert stderr.count("\n") == 1
+        assert not out.exists() and not (tmp_path / "nodir").exists()
+        old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+        old.write_text("kept\n", encoding="utf-8")
+        for record in (old, new):
+            code, _, stderr = run_cli(capsys, "run", "nope", *fuzz, "--record", str(record),
+                                      "--out", str(out))
+            assert code == 1 and "unknown demo" in stderr
+        assert old.read_text(encoding="utf-8") == "kept\n" and not new.exists()
+        assert not out.exists()
+        assert run_cli(capsys, "run", "max", *fuzz, "--record", str(old),
+                       "--out", str(out))[0] == 0
+        assert old.read_text(encoding="utf-8").startswith('{"seed": 1}\n')
+
+
 class TestGraphCommands:
     @pytest.fixture
     def gen_log(self, tmp_path, capsys):
@@ -336,6 +364,45 @@ class TestGraphCommands:
                 b'  "mid m.py:5" -> "leaf c.py:3" [label="+3", color="green", penwidth=4.00];\n'
                 b'  "outer b.py:2" -> "mid m.py:5" [label="+1", color="green", penwidth=2.00];\n'
                 b'}\n'), argv
+
+    def test_diff_document_is_named_as_one(self, tmp_path, capsys):
+        """A stackgraph-diff-v1 document, indented as --json writes it or on
+        one line, is no input: cstg and diff exit 2 and say what it is."""
+        traces = tmp_path / "traces.txt"
+        traces.write_text("inner\ta.py:1\nouter\tb.py:2\n\nleaf\tc.py:3\nouter\tb.py:2\n",
+                          encoding="utf-8")
+        indented, one_line = tmp_path / "d.json", tmp_path / "d1.json"
+        assert run_cli(capsys, "cstg", str(traces), "--split", "0.5",
+                       "--json", str(indented))[0] == 0
+        one_line.write_text(json.dumps(json.loads(indented.read_text(encoding="utf-8"))) + "\n",
+                            encoding="utf-8")
+        for doc in (indented, one_line):
+            for argv in (["cstg", str(doc)], ["diff", str(doc), str(doc)],
+                         ["diff", str(traces), str(doc)]):
+                assert run_cli(capsys, *argv) == (
+                    2, "", f"fpx: {doc} is a stack-graph diff document, which fpx writes "
+                           "but does not read\n"), argv
+
+    def test_cstg_reads_a_log_once_with_universal_newlines(self, gen_log, tmp_path, capsys,
+                                                         monkeypatch):
+        """cstg parses the text it read to sniff the file, not the file again.
+        Its lines are those of a text-mode read: a log with CRLF or CR line
+        ends makes the same graph, and a U+2028 or U+0085 inside a frame name
+        ends no line."""
+        text = gen_log.read_text(encoding="utf-8").replace("stencil_update",
+                                                           "stencil\u2028\x85update")
+        log = tmp_path / "log.jsonl"
+        log.write_text(text, encoding="utf-8")
+        expected = stackgraph.emit_dot(stackgraph.build([e.trace for e in parse_log(log)],
+                                                        "fine"))
+        assert "stencil\u2028\x85update" in expected
+
+        def reread(path):
+            raise AssertionError(f"{path} read twice")
+        monkeypatch.setattr("fpx.cli.parse_log", reread)
+        for newline in ("\n", "\r\n", "\r"):
+            log.write_text(text, encoding="utf-8", newline=newline)
+            assert run_cli(capsys, "cstg", str(log)) == (0, expected, ""), repr(newline)
 
     def test_cstg_value_class_on_plain_text_traces_is_usage_error(self, tmp_path, capsys):
         txt = tmp_path / "traces.txt"

@@ -1,5 +1,6 @@
 """Ledger behavior: bounds, streams, serialization, human rendering."""
 
+import io
 import json
 import sys
 import threading
@@ -457,6 +458,54 @@ def test_parse_log_matches_one_decode_per_line(tmp_path, text):
     path = tmp_path / "prop.jsonl"
     path.write_text(text, encoding="utf-8", newline="")
     assert _log_outcome(parse_log, path) == _log_outcome(_reference_parse_log, path)
+
+
+def test_events_one_field_apart_are_encoded_apart(tmp_path):
+    """Each event differs from the first in one field other than seq, and
+    the first repeats between them: flush writes every line as the one-event
+    encoder does, so no field is missing from the tail table's key."""
+    base = (EventKind.PROP, ValueClass.NAN, OP_SUB, (NAN_123, 0.0), NAN_123, False, ONE)
+    variants = {0: [EventKind.GEN, EventKind.KILL], 1: [ValueClass.INF],
+                2: [OpIdentity("-", 1), OpIdentity("+", 2)],
+                3: [(NAN_123, -0.0), (NAN, 0.0), (NAN_123, np.float64(0.0)), (NAN_123,),
+                    (NAN_123, 0.0, 0.0), (F32_NAN, np.float32(0.0)), (NAN_123, False)],
+                4: [NAN, -NAN_123, np.float64(NAN_123), F32_NAN, False, 0.0], 5: [True],
+                6: [ODD, (), (Frame("solo", "one.py", 2),)]}
+    table = Ledger()
+    for field, values in variants.items():
+        for value in values:
+            for event in (base, base[:field] + (value,) + base[field + 1:]):
+                kind, value_class, op, operands, result, injected, trace = event
+                table.record(kind, value_class, op, operands, result, injected, lambda t=trace: t)
+    paths = table.flush(tmp_path)
+    for kind, path in paths.items():
+        assert path.read_text(encoding="utf-8") == "".join(
+            map(event_to_line, table.events(kind=kind)))
+
+
+def test_streams_past_the_line_table_limit_match_the_reference(tmp_path):
+    """More distinct lines than the per-call line tables hold, each written
+    twice, the second pass after the tables were cleared: flush writes what
+    the one-event encoder does, and parse_log reads what one decode per line
+    does."""
+    table = Ledger()
+    n = ledger.LINE_TABLE_LIMIT + 100
+    for _ in range(2):
+        for i in range(n):
+            _record(table, operands=(-INF, float(i)))
+    events = table.events()
+    path = table.flush(tmp_path)[EventKind.GEN]
+    assert path.read_text(encoding="utf-8") == "".join(map(event_to_line, events))
+    assert _log_outcome(parse_log, path) == _log_outcome(_reference_parse_log, path)
+    assert parse_log(path) == events and len(events) == 2 * n
+
+
+@pytest.mark.parametrize("text", ["", "a", "a\n", "\n\n", "a\nb", " \n{}\n\n",
+                                  "a\u2028b\x85c\x0bd\x0ce\x1cf\n"])
+def test_split_lines_are_a_text_file_lines(text):
+    """A read text splits as iterating a text-mode file splits it, once its
+    line ends are "\\n": only "\\n" ends a line, and it stays on the line."""
+    assert list(ledger._split_lines(text)) == list(io.StringIO(text))
 
 
 def test_every_format_error_shares_one_base():

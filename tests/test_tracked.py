@@ -1,5 +1,6 @@
 """Tracked scalar semantics: the intercept pipeline, transparency, payloads."""
 
+import contextlib
 import math
 import random
 import sys
@@ -683,6 +684,75 @@ def test_nan_and_inf_operands_match_the_bare_ufunc(name_arity):
         np.seterr(**caller)
 
 
+# Every ordered pair of the pool's NaNs: quiet/quiet, quiet/signalling and
+# signalling/signalling, with both signs.
+NAN_PAIRS = [(a, b) for a in SPECIAL_FLOAT64 for b in SPECIAL_FLOAT64 if a != a and b != b]
+ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+
+
+def _two_nan_calls(a, b, name):
+    """The op over NaNs a and b through apply and every operand shape of its
+    operator methods."""
+    dunder = {"+": "add", "-": "sub", "*": "mul", "/": "truediv"}[name]
+    forward, reflected = getattr(TrackedFloat64, f"__{dunder}__"), f"__r{dunder}__"
+    return [lambda: apply(name, (TrackedFloat64(a), TrackedFloat64(b))),
+            lambda: forward(TrackedFloat64(a), TrackedFloat64(b)),
+            lambda: forward(TrackedFloat64(a), b),
+            lambda: getattr(TrackedFloat64(b), reflected)(a)]
+
+
+@pytest.mark.parametrize("caller", ["seterr-raise", "errstate-over-warn"])
+def test_two_nan_arithmetic_keeps_the_caller_numpy_state(caller):
+    """+ - * / over every pair of quiet and signalling NaNs neither raises nor
+    warns under the caller's numpy state, gives the bare ufunc's bits with the
+    leftmost NaN's payload pinned, and leaves that state as it was: quiet
+    pairs take the ufunc without np.errstate, the others under it."""
+    previous = np.seterr(all="raise") if caller == "seterr-raise" else None
+    try:
+        with np.errstate(over="warn") if previous is None else contextlib.nullcontext():
+            state = np.geterr()
+            with warnings.catch_warnings(), use_session(explicit_session()):
+                warnings.simplefilter("error")
+                for a, b in NAN_PAIRS:
+                    for name, ufunc in ARITHMETIC.items():
+                        with np.errstate(all="ignore"):
+                            bare = propagate_payload((a, b), ufunc(a, b))
+                        for call in _two_nan_calls(a, b, name):
+                            assert _scalar_bits(unwrap(call())) == _scalar_bits(bare), (
+                                name, a, b)
+                            assert np.geterr() == state
+    finally:
+        if previous is not None:
+            np.seterr(**previous)
+
+
+def test_only_two_quiet_nans_skip_errstate(monkeypatch):
+    """The quiet/quiet pairs of + - * / run their ufunc bare; a pair with a
+    signalling NaN, a comparison of two NaNs and x/0 still suppress traps."""
+    entered = []
+    real = np.errstate
+
+    def errstate(**kwargs):
+        entered.append(kwargs)
+        return real(**kwargs)
+    monkeypatch.setattr(np, "errstate", errstate)
+    quiet = [x for x in SPECIAL_FLOAT64 if x != x and fpbits.to_bits(x) & 1 << 51]
+    with use_session(explicit_session()):
+        for a in quiet:
+            for b in quiet:
+                for name in ARITHMETIC:
+                    for call in _two_nan_calls(a, b, name):
+                        call()
+        assert entered == []
+        signalling = fpbits.from_bits(0x7FF0000000000ABC)
+        for call in (lambda: TrackedFloat64(NAN) + signalling,
+                     lambda: signalling * TrackedFloat64(NAN),
+                     lambda: TrackedFloat64(NAN) < NAN, lambda: TrackedFloat64(1.5) / 0.0):
+            entered.clear()
+            call()
+            assert entered == [{"all": "ignore"}]
+
+
 @pytest.mark.parametrize("width, name_arity, slot, payloads", [
     (64, ("+", 2), 3, (None, 0x5A)), (64, ("+", 2), 0, (0x5A, 0x3C)),
     (64, ("exp", 1), 0, (0x5A,)), (32, ("+", 2), 0, (0x5A, 0x3C))],
@@ -795,7 +865,8 @@ QUIET_INJECTORS = {
 def test_clean_float64_ops_bypass_apply_and_decide(monkeypatch):
     """The fused path is wired in: under an OFF injector a clean float64 op
     reaches neither apply nor Injector.decide, yet is counted; an op with a
-    NaN operand goes through both."""
+    NaN operand decides in its method, unless an operand needs a cast or the
+    width is narrow, which apply takes."""
     calls = _watch_apply_and_decide(monkeypatch)
     session = explicit_session()
     a, b = TrackedFloat64(1.5), TrackedFloat64(-2.0)
@@ -806,14 +877,21 @@ def test_clean_float64_ops_bypass_apply_and_decide(monkeypatch):
         assert [unwrap(r) for r in results[:10]] == [-0.5, 3.5, 3.5, -0.5, -3.0, 4.5,
                                                     -0.75, 2.0 / 3.0, -1.5, 2.0]
         TrackedFloat64(NAN) + a
-    assert calls == ["apply", "decide"] and session.injector.op_counter == 11
+        assert calls == ["decide"]
+        calls.clear()
+        TrackedFloat64(NAN) + 2
+        assert calls == ["apply", "decide"]
+        calls.clear()
+        TrackedFloat32(NAN) + TrackedFloat32(1.5)
+    assert calls == ["apply", "decide"] and session.injector.op_counter == 13
 
 
 @pytest.mark.parametrize("mode", ["fuzz", "replay"])
 def test_clean_float64_ops_decide_in_their_method(monkeypatch, mode):
     """Under FUZZ and REPLAY a clean float64 op calls Injector.decide once
     and never apply, and an injected one is finished and logged there too;
-    an op with a NaN operand goes through apply, which decides."""
+    so does an op with a NaN operand, while one with an int operand or at a
+    narrow width goes through apply, which decides."""
     calls = _watch_apply_and_decide(monkeypatch)
     session = explicit_session(injector=QUIET_INJECTORS[mode]())
     a, b = TrackedFloat64(1.5), TrackedFloat64(-2.0)
@@ -827,7 +905,13 @@ def test_clean_float64_ops_decide_in_their_method(monkeypatch, mode):
             assert calls == ["decide"]
         calls.clear()
         TrackedFloat64(NAN) + a
-    assert calls == ["apply", "decide"] and session.injector.op_counter == len(ops) + 1
+        assert calls == ["decide"]
+        calls.clear()
+        TrackedFloat64(NAN) + 2
+        assert calls == ["apply", "decide"]
+        calls.clear()
+        TrackedFloat32(NAN) + TrackedFloat32(1.5)
+    assert calls == ["apply", "decide"] and session.injector.op_counter == len(ops) + 3
 
     injector = (Injector.fuzz(InjectionConfig(odds=1, n_inject=1)) if mode == "fuzz" else
                 Injector.replay(InjectionRecording(points=[
