@@ -43,9 +43,6 @@ class OpIdentity:
     name: str
     arity: int
 
-    def __str__(self) -> str:
-        return f"{self.name}/{self.arity}"
-
 
 _MEMBERSHIP = {ValueClass.NAN: math.isnan, ValueClass.INF: math.isinf}
 

@@ -81,12 +81,6 @@ def _ledger_config(args) -> LedgerConfig:
     return LedgerConfig(max_logs=args.max_logs, log_kinds=frozenset(kinds))
 
 
-def _out_dir(args) -> Path:
-    if args.out is not None:
-        return Path(args.out)
-    return Path(os.environ.get("FPX_OUT_DIR", "fpx-logs"))
-
-
 def _run_demo(name, args, session):
     if name == "max":
         result = demo_max(tuple(map(float, args.values.split(","))), session=session)
@@ -133,7 +127,7 @@ def cmd_run(args) -> int:
         _run_demo(args.demo, args, session)
     counts = session.ledger.counts()
     print("events: " + " ".join(f"{k.value}={counts[k]}" for k in EventKind))
-    out = _out_dir(args)
+    out = Path(args.out)
     session.ledger.flush(out)
     print(f"logs written to {out}")
     if args.record:
@@ -253,7 +247,7 @@ def build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="run a demo and write logs")
     p_run.add_argument("demo", help="max | loop | sim")
-    p_run.add_argument("--out", help="log output directory (default $FPX_OUT_DIR or fpx-logs)")
+    p_run.add_argument("--out", default="fpx-logs", help="log output directory (default fpx-logs)")
     p_run.add_argument("--max-logs", type=int, default=None,
                        help="per-kind cap on stored events")
     p_run.add_argument("--no-prop", action="store_true", help="do not log prop events")

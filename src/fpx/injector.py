@@ -147,9 +147,8 @@ class Injector:
         A clean float64 operation under an OFF injector never calls it: its
         operator method only calls count_op. Every other intercepted numeric
         operation calls it once: a clean float64 one from its operator method
-        after the twin computed, an event op over Python floats from its
-        operator method before the computation, any other from apply before
-        the computation.
+        after the twin computed, any other from tracked._finish before the
+        computation.
         FUZZ numbers the operation and draws under the lock, so op numbers
         and draws stay in one order. OFF and REPLAY number the operation
         without the lock and pop its number from the dict of pending points,

@@ -50,21 +50,6 @@ class LogFormatError(FormatError):
     """A log file line that cannot be parsed."""
 
 
-_JSON_SPACE = " \t\n\r"
-_scan_once = json.JSONDecoder().scan_once
-
-
-def _loads(line):
-    """json.loads(line) by the C scanner; json.loads redoes a line it fails on."""
-    try:
-        obj, end = _scan_once(line, len(line) - len(line.lstrip(_JSON_SPACE)))
-        if not line[end:].strip(_JSON_SPACE):
-            return obj
-    except (StopIteration, ValueError):
-        pass
-    return json.loads(line)
-
-
 def _numbered(lines):
     """(line_number, line) per non-blank line of text lines, such as a UTF-8
     text file's."""
@@ -76,7 +61,7 @@ def _numbered(lines):
 def _json_object(line, line_number, error):
     """The JSON object one line holds; anything else raises `error` naming the line."""
     try:
-        obj = _loads(line)
+        obj = json.loads(line)
     except ValueError as exc:       # a JSONDecodeError, or an int past the digit limit
         raise error(f"not valid JSON: {getattr(exc, 'msg', exc)}", line_number) from exc
     if not isinstance(obj, dict):

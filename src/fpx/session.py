@@ -39,10 +39,7 @@ def explicit_session(ledger_config: LedgerConfig | None = None,
 
 
 _current = contextvars.ContextVar("fpx_session", default=TrackerSession())
-
-
-def current_session() -> TrackerSession:
-    return _current.get()
+current_session = _current.get      # the ContextVar's own getter: no Python frame per op
 
 
 @contextmanager

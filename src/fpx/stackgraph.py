@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .ledger import FormatError
+from .ledger import FormatError, _split_lines
 from .traces import Frame
 
 GRAPH_FORMAT = "stackgraph-v1"
@@ -173,10 +173,12 @@ def save_graph(g: StackGraph, path) -> None:
 
 def parse_trace_text(text: str) -> list:
     """Plain-text traces: blank-line-separated blocks of `function<TAB>file:line`,
-    innermost frame first, for interoperability with other collectors."""
+    innermost frame first, for interoperability with other collectors. Only
+    "\n" ends a line, as in a log: a U+2028 or U+0085 may sit in a name."""
     traces = []
     current = []
-    for line_number, raw in enumerate(text.splitlines(), start=1):
+    for line_number, raw in enumerate(_split_lines(text), start=1):
+        raw = raw.removesuffix("\n")
         line = raw.rstrip()
         if not line:
             if current:

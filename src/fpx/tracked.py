@@ -11,12 +11,12 @@ methods of a row with a twin are fused when every operand is already a Python
 float. With finite operands and result they compute with the twin: a
 comparison then returns its bool, and a numeric op is counted without a lock
 under an OFF injector, or takes its Injector.decide call in the method under
-FUZZ or REPLAY, and is wrapped unless a value is injected. Any other op over
-Python floats, an event op, is decided in the method as apply decides it
-(none for a comparison, Injector.decide before the compute otherwise). Either
-way _finish, the tail apply shares, then computes and logs. apply takes the
-operands that need a cast, the narrow widths, the public functions and direct
-calls.
+FUZZ or REPLAY, and is wrapped unless a value is injected. _finish, the tail
+apply shares, computes and logs every other op. Not given an injected value,
+it decides the op itself (none for a comparison, Injector.decide before the
+compute otherwise), so an event op over Python floats, and every op apply
+takes, is decided there. apply takes the operands that need a cast, the
+narrow widths, the public functions and direct calls.
 
 Two substrates compute, with the same bits either way. A twin (+ - * /,
 negation, abs, sqrt, the comparisons and truth) is IEEE correctly rounded or
@@ -242,21 +242,23 @@ def apply(name: str, operands):
         row = _REGISTRY[(name, len(operands))]
     except KeyError:
         raise ValueError(f"unsupported operation: {name}/{len(operands)}") from None
-    _, is_comparison, op, _ = row
     sess = current_session()
     values = [o._value if isinstance(o, TrackedFloat) else o for o in operands]
     if type(values[0]) is not float or type(values[-1]) is not float:   # arity <= 2
         values = _cast(cls, values)
-    injected_value = None if is_comparison else sess.injector.decide(op, sess.traces.capture)
-    return _finish(sess, cls, row, values, injected_value)
+    return _finish(sess, cls, row, values)
 
 
-def _finish(sess, cls, row, xs, injected_value):
-    """The op after its injector decision, over operands already at cls's
-    width: compute with the substrate the module docstring names (or store
-    the injected value at that width), pin a NaN result's payload with
-    propagate_payload, then classify both value classes in one pass and log."""
+def _finish(sess, cls, row, xs, injected_value=None):
+    """The op over operands already at cls's width. Not given an injected
+    value, it takes the op's decision itself: none for a comparison, and
+    Injector.decide before the compute otherwise. Then it computes with the
+    substrate the module docstring names (or stores the injected value at
+    that width), pins a NaN result's payload with propagate_payload, and
+    classifies both value classes in one pass and logs."""
     impl, is_comparison, op, exact = row
+    if injected_value is None and not is_comparison:
+        injected_value = sess.injector.decide(op, sess.traces.capture)
     injected = injected_value is not None
     result = cls._store(injected_value) if injected else None
     if not injected and exact is not None and type(xs[0]) is type(xs[-1]) is float:
@@ -289,10 +291,10 @@ def _finish(sess, cls, row, xs, injected_value):
 
 def _operator_method(name, arity, reflected):
     """An operator method, fused over Python float operands as the module
-    docstring says: a clean op finishes in the method, and an event op is
-    decided there and finished by _finish. An op with an operand to cast or
-    at a narrow width goes on to apply, looked up as a module global, so a
-    patched apply sees every call that falls through, and apply decides."""
+    docstring says: a clean op finishes in the method, and any other goes to
+    _finish, which decides it. An op with an operand to cast or at a narrow
+    width goes on to apply, looked up as a module global, so a patched apply
+    sees every call that falls through."""
     row = _REGISTRY[name, arity]
     _, is_comparison, op, exact = row
 
@@ -302,35 +304,29 @@ def _operator_method(name, arity, reflected):
                 x, y = other, self._value       # a tracked left operand is left to apply
             else:
                 x, y = self._value, (other._value if isinstance(other, TrackedFloat) else other)
-            # Finite Python floats are float64-wide, and the twin rounds like the
-            # ufunc there: a finite result is the ufunc's, and cannot be an event.
-            if type(x) is float and isfinite(x) and (
-                    y is _UNARY or type(y) is float and isfinite(y)):
-                try:
-                    result = exact(x) if y is _UNARY else exact(x, y)
-                except (ZeroDivisionError, ValueError):    # x/0, sqrt(-x): not clean
-                    result = math.inf
-                if is_comparison:
-                    return result
-                if isfinite(result):
-                    session = current_session()
-                    injector = session.injector
-                    if injector.mode is _OFF:
-                        injector.count_op()
-                        return _wrap_result(type(self), result)
-                    injected = injector.decide(op, session.traces.capture)
-                    if injected is None:
-                        return _wrap_result(type(self), result)
-                    return _finish(session, type(self), row,
-                                   (x,) if y is _UNARY else (x, y), injected)
-            # An event op over Python floats needs no cast: decided as apply
-            # decides it, it finishes here.
             if type(x) is float and (y is _UNARY or type(y) is float):
-                session = current_session()
-                injected = (None if is_comparison else
-                            session.injector.decide(op, session.traces.capture))
-                return _finish(session, type(self), row, (x,) if y is _UNARY else (x, y),
-                               injected)
+                # Finite Python floats are float64-wide, and the twin rounds like the
+                # ufunc there: a finite result is the ufunc's, and cannot be an event.
+                if isfinite(x) and (y is _UNARY or isfinite(y)):
+                    try:
+                        result = exact(x) if y is _UNARY else exact(x, y)
+                    except (ZeroDivisionError, ValueError):    # x/0, sqrt(-x): not clean
+                        result = math.inf
+                    if is_comparison:
+                        return result
+                    if isfinite(result):
+                        session = current_session()
+                        injector = session.injector
+                        if injector.mode is _OFF:
+                            injector.count_op()
+                            return _wrap_result(type(self), result)
+                        injected = injector.decide(op, session.traces.capture)
+                        if injected is None:
+                            return _wrap_result(type(self), result)
+                        return _finish(session, type(self), row,
+                                       (x,) if y is _UNARY else (x, y), injected)
+                return _finish(current_session(), type(self), row,
+                               (x,) if y is _UNARY else (x, y))
         if other is _UNARY:
             return apply(name, (self,))
         if not isinstance(other, _OPERANDS):

@@ -56,7 +56,7 @@ def test_is_exceptional():
     assert not is_exceptional(ValueClass.INF, 5e-324)
 
 
-@pytest.mark.parametrize("op", TABLE_OPS, ids=str)
+@pytest.mark.parametrize("op", TABLE_OPS, ids=lambda op: f"{op.name}/{op.arity}")
 @pytest.mark.parametrize("value_class", list(ValueClass))
 @pytest.mark.parametrize("cell", list(_EXPECTED))
 def test_truth_table(op, value_class, cell, ):

@@ -56,13 +56,6 @@ class TestRun:
         assert len(parse_log(out / "kill.jsonl")) == 5
         assert len(parse_log(out / "prop.jsonl")) == 5
 
-    def test_env_default_out_dir(self, tmp_path, capsys, monkeypatch):
-        target = tmp_path / "from-env"
-        monkeypatch.setenv("FPX_OUT_DIR", str(target))
-        code, _, _ = run_cli(capsys, "run", "max")
-        assert code == 0
-        assert (target / "gen.jsonl").exists()
-
     def test_record_requires_fuzz(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "run", "sim", "--out", str(tmp_path),
                                   "--record", str(tmp_path / "r.jsonl"))

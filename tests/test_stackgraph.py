@@ -310,6 +310,19 @@ class TestPortableFormats:
         assert err.value.line_number == 3
         assert str(err.value).startswith("line 3: ")
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c",
+                                      "\x1c", "\x1d", "\x1e"])
+    def test_text_trace_only_newline_ends_a_line(self, char):
+        """A character str.splitlines() breaks at stays in the frame name, and
+        a bad line after it is reported under its own line number."""
+        text = f"f{char}g\ta.py:3\nh\tb.py:4\n\nk\tc.py:5\n"
+        assert parse_trace_text(text) == [
+            (Frame(f"f{char}g", "a.py", 3), Frame("h", "b.py", 4)), (Frame("k", "c.py", 5),)]
+        with pytest.raises(GraphFormatError) as err:
+            parse_trace_text(f"f{char}g\ta.py:3\n\nno_tab_here\n")
+        assert err.value.line_number == 3
+        assert str(err.value) == "line 3: bad trace line: 'no_tab_here'"
+
     @pytest.mark.parametrize("line", [
         "f\ta.py:\u00b2", "f\ta.py:", "f\t:3", "\ta.py:3",
         pytest.param("f\ta.py:" + "9" * 5000, id="more digits than int() reads")])
