@@ -17,9 +17,7 @@ import json
 import math
 import operator
 import random
-import tempfile
 import warnings
-from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -81,6 +79,7 @@ NANS_64 = (fpbits.from_bits(0x7FF8000000000001), fpbits.from_bits(0xFFF800000000
            np.float64(fpbits.from_bits(0x7FF800000000ABCD)))
 NANS_NARROW = (fpbits.from_bits(0x7FC00123, 32), fpbits.from_bits(0x7F800001, 32),
                fpbits.from_bits(0x7E01, 16), fpbits.from_bits(0xFC01, 16),
+               fpbits.from_bits(0xFE05, 16), fpbits.from_bits(0x7C03, 16),
                fpbits.from_bits(0x7FF8123400000000))     # a payload a float32 cast keeps
 INTS = (2**53 + 1, -(2**53 + 1), 2.0**53, 10**400, np.int64(2**53 + 1))
 FAMILIES = (
@@ -257,18 +256,17 @@ def _line(e):
     }) + "\n"
 
 
-def _check(session, outcomes, reference, expected):
+def _check(session, outcomes, reference, expected, out):
     assert outcomes == expected
     assert session.ledger.events() == reference.events
     assert session.injector.op_counter == reference.op_counter
     assert [(p.op_counter, p.op, fpbits.to_bits(p.value), p.trace_fp)
             for p in session.injector.recording.points] == (
         reference.injections if session.injector.mode is InjectorMode.FUZZ else [])
-    with tempfile.TemporaryDirectory() as out:
-        session.ledger.flush(out)
-        for kind, filename in FILE_BY_KIND.items():
-            assert (Path(out) / filename).read_bytes() == "".join(
-                _line(e) for e in reference.events if e.kind is kind).encode("utf-8")
+    session.ledger.flush(out)           # rewrites all three files
+    for kind, filename in FILE_BY_KIND.items():
+        assert (out / filename).read_bytes() == "".join(
+            _line(e) for e in reference.events if e.kind is kind).encode("utf-8")
 
 
 def _ref(rng, is_tracked):
@@ -276,10 +274,15 @@ def _ref(rng, is_tracked):
     return ("t" if is_tracked else "p"), rng.randrange(64)
 
 
+# + - * /, the ops most code is made of and the fused path's busiest, weigh three.
+_ROW_CHOICES = [row for row in ROWS.items()
+                for _ in range(3 if row[0] in {("+", 2), ("-", 2), ("*", 2), ("/", 2)} else 1)]
+
+
 def _statement(rng, widths):
     if rng.random() < 0.2:
         return "new", rng.choice(widths), _ref(rng, rng.random() < 0.5)
-    (name, arity), (_, pyop, rdunder, function) = rng.choice(list(ROWS.items()))
+    (name, arity), (_, pyop, rdunder, function) = rng.choice(_ROW_CHOICES)
     forms = ["apply"] + ["operator"] * 3 * (pyop is not None)
     forms += ["reflected"] * 2 * (rdunder is not None) + ["function"] * 2 * (function is not None)
     form = rng.choice(forms)
@@ -300,7 +303,7 @@ def _program(seed):
     rng = random.Random(seed)
     families = rng.sample(FAMILIES, rng.randint(1, 2))
     palette = rng.choices(sum(families, ()), k=rng.randint(1, 3))
-    widths = rng.sample([64, 32, 16], rng.randint(1, 2))
+    widths = rng.sample([64, 32, 16], rng.choice([1, 1, 2]))
     first = [(("new", rng.choice(widths), _ref(rng, False)), ())
              for _ in range(rng.randint(1, 3))]
     return palette, first + [(_statement(rng, widths), rng.choice(SCOPES))
@@ -313,24 +316,25 @@ _fuzz = st.builds(InjectionConfig, odds=st.integers(1, 4), n_inject=st.integers(
 
 
 # A float64 holding 2**53 against the int 2**53 + 1, which it equals once cast,
-# in both orders: the drawn programs meet this pair in about one in a hundred.
+# in both orders: the drawn programs meet this pair in about one in two hundred.
 @example(([2**53 + 1], [(("new", 64, ("p", 0)), ()),
                         (("op", "<", "operator", [("t", 0), ("p", 0)]), ()),
                         (("op", "==", "operator", [("p", 0), ("t", 0)]), ())]),
          InjectionConfig())
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(0, 2**64).map(_program), _fuzz)
-def test_programs_match_the_reference(program, config):
+def test_programs_match_the_reference(tmp_path_factory, program, config):
+    out = tmp_path_factory.getbasetemp() / "reference-flush"    # one directory for every run
     session, outcomes = _run_fpx(program, Injector())
-    _check(session, outcomes, *_run_reference(program, {}))
+    _check(session, outcomes, *_run_reference(program, {}), out)
 
     fuzzed, outcomes = _run_fpx(program, Injector.fuzz(config))
     recording = fuzzed.injector.recording
     schedule = {p.op_counter: p.value for p in recording.points}
     reference, expected = _run_reference(program, schedule)
-    _check(fuzzed, outcomes, reference, expected)
+    _check(fuzzed, outcomes, reference, expected, out)
 
     replayed, outcomes = _run_fpx(program, Injector.replay(recording))
-    _check(replayed, outcomes, reference, expected)
+    _check(replayed, outcomes, reference, expected, out)
     assert replayed.ledger.events() == fuzzed.ledger.events()
     assert replayed.injector.unconsumed_points() == [] and not replayed.injector.divergences
