@@ -15,6 +15,7 @@ malformed log, recording, graph document or trace file).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -240,7 +241,10 @@ def cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built at the first call of a process and shared by
+    every later one: parsing leaves it unchanged."""
     parser = _Parser(prog="fpx", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -70,6 +70,8 @@ def demo_loop_kill(inject_tdir=False, max_iters=100, session=None) -> LoopDemoRe
     progress; the harness stops after max_iters guard evaluations and flags
     the livelock.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     sess = session or explicit_session()
     scope = sess.traces.scope
     tdir = TrackedFloat64(float("nan") if inject_tdir else 1.0)
@@ -102,6 +104,8 @@ def demo_sim(steps=12, cells=16, blowup=False, session=None) -> SimDemoResult:
     so the gen log shows Inf gens followed by NaN gens."""
     if cells < 1:
         raise ValueError("cells must be >= 1")
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     sess = session or explicit_session()
     scope = sess.traces.scope
     coefficient = TrackedFloat64(1.0e150 if blowup else 0.25)

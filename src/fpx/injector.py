@@ -8,10 +8,10 @@ randomness is never consulted. The draws are one lazy stream: blocks of
 DRAW_BLOCK integers, flattened, which yield the same sequence as one draw at
 a time. Only a FUZZ injector has the stream, and its generator, with
 numpy.random, is built at the first draw, so OFF and REPLAY never build one.
-Replay keys on the global intercepted-operation counter and checks a
-stack-trace fingerprint at each injection point so divergence from the
-recorded run is detected rather than silently absorbed. Operations are
-numbered by an itertools.count, whose next() is atomic in CPython. An OFF
+Replay keys on the global intercepted-operation counter and checks the op
+name and a stack-trace fingerprint at each injection point, so divergence
+from the recorded run is detected rather than silently absorbed. Operations
+are numbered by an itertools.count, whose next() is atomic in CPython. An OFF
 injector decides as a replay of no points: each decision numbers its op and
 pops that number from an empty dict of pending points, both atomic, so OFF
 and REPLAY count exactly without the lock, even when threads share the
@@ -122,6 +122,9 @@ class Injector:
         points = recording.points if recording is not None else []
         if any(a.op_counter >= b.op_counter for a, b in zip(points, points[1:])):
             raise ValueError("recording op_counter values not strictly increasing")
+        if points and points[0].op_counter < 1:
+            raise ValueError("recording op_counter values must be >= 1: "
+                             "ops are numbered from 1")
         self._pending = {p.op_counter: p for p in points}    # op number -> point
         self.divergences: list[str] = []
         self._draws = (itertools.chain.from_iterable(_draw_blocks(cfg.seed, cfg.odds))
@@ -152,16 +155,17 @@ class Injector:
         FUZZ numbers the operation and draws under the lock, so op numbers
         and draws stay in one order. OFF and REPLAY number the operation
         without the lock and pop its number from the dict of pending points,
-        which OFF holds empty; only a recorded point takes the lock, to
-        fingerprint it and count the injection. `capture` is a zero-argument
-        trace capture, called at most once per decision: only when scope
-        filters, an injection or a recorded point need the trace.
+        which OFF holds empty; only a recorded point takes the lock, to check
+        its op name and trace fingerprint and count the injection. `capture`
+        is a zero-argument trace capture, called at most once per decision:
+        only when scope filters, an injection or a recorded point need the
+        trace.
         """
         if self._draws is not None:    # FUZZ: cheaper to test than an enum member
             with self._lock:
                 return self._fuzz_decide(self.count_op(), op, capture)
         point = self._pending.pop(self.count_op(), None)
-        return None if point is None else self._replay_inject(point, capture)
+        return None if point is None else self._replay_inject(point, op, capture)
 
     def _fuzz_decide(self, n: int, op: OpIdentity, capture) -> float | None:
         cfg = self.config
@@ -185,14 +189,18 @@ class Injector:
         self.injected_so_far += 1
         return cfg.value
 
-    def _replay_inject(self, point: RecordedInjection, capture) -> float:
+    def _replay_inject(self, point: RecordedInjection, op: OpIdentity, capture) -> float:
+        """The point's value, injected even where the op name or the trace
+        fingerprint differs from the recording's; each difference is a divergence."""
         with self._lock:
             fp = trace_fingerprint(capture())
+            at = f"replay divergence at op {point.op_counter}: recorded"
+            messages = []
+            if op.name != point.op:
+                messages.append(f"{at} op {point.op!r}, current {op.name!r}; injecting anyway")
             if fp != point.trace_fp:
-                message = (
-                    f"replay divergence at op {point.op_counter}: recorded trace "
-                    f"{point.trace_fp}, current {fp}; injecting anyway"
-                )
+                messages.append(f"{at} trace {point.trace_fp}, current {fp}; injecting anyway")
+            for message in messages:
                 self.divergences.append(message)
                 warnings.warn(message, ReplayDivergenceWarning)
             self.injected_so_far += 1
@@ -240,6 +248,9 @@ def load_recording(path) -> InjectionRecording:
                 or math.isfinite(point.value)):
             raise RecordingFormatError("op_counter must be an integer, op and trace_fp "
                                        "strings, value_hex a 64-bit NaN or Inf", line_number)
+        if point.op_counter < 1:
+            raise RecordingFormatError("op_counter must be >= 1: ops are numbered from 1",
+                                       line_number)
         if recording.points and point.op_counter <= recording.points[-1].op_counter:
             raise RecordingFormatError("op_counter not strictly increasing", line_number)
         recording.points.append(point)

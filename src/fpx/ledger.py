@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import json
 import re
-import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import fpbits
 from .classify import EventKind, OpIdentity, ValueClass
+from .fpbits import _pack_double
 from .traces import Frame, StackTrace
 
 ALL_KINDS = frozenset(EventKind)
@@ -188,7 +188,6 @@ _TAIL = (', "kind": "%s", "class": "%s", %s, "operands": [%s], '
          '"result": %s, "injected": %s, "trace": %s}\n')
 _KINDS = {k.value: k for k in EventKind}
 _CLASSES = {c.value: c for c in ValueClass}
-_pack_double = struct.Struct("<d").pack
 LINE_TABLE_LIMIT = 1024     # entries of a per-call line table before it is cleared
 
 

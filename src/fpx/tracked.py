@@ -4,19 +4,19 @@ Every operation on a tracked value consults the injector, computes (or
 substitutes the injected value), pins NaN payloads to their source, logs one
 event per value class whose exceptional status it touched, and re-wraps the
 result. An operation is one row of the table below: name, arity, numpy ufunc,
-exact Python float twin, and the operator methods or public function it
-backs; the registry, methods and functions are built from it. Every operation
-runs in the current session, which a `use_session` block picks. The operator
-methods of a row with a twin are fused when every operand is already a Python
-float. With finite operands and result they compute with the twin: a
-comparison then returns its bool, and a numeric op is counted without a lock
-under an OFF injector, or takes its Injector.decide call in the method under
-FUZZ or REPLAY, and is wrapped unless a value is injected. _finish, the tail
-apply shares, computes and logs every other op. Not given an injected value,
-it decides the op itself (none for a comparison, Injector.decide before the
-compute otherwise), so an event op over Python floats, and every op apply
-takes, is decided there. apply takes the operands that need a cast, the
-narrow widths, the public functions and direct calls.
+exact Python float twin, the operator methods or public function it backs,
+and whether it is a comparison; the registry, methods and functions are built
+from it. Every operation runs in the current session, which a `use_session`
+block picks. The operator methods of a row with a twin are fused when every
+operand is already a Python float. With finite operands and result they
+compute with the twin: a comparison then returns its bool, and a numeric op
+is counted without a lock under an OFF injector, or takes its Injector.decide
+call in the method under FUZZ or REPLAY, and is wrapped unless a value is
+injected. _finish, the tail apply shares, computes and logs every other op.
+Not given an injected value, it decides the op itself (none for a comparison,
+Injector.decide before the compute otherwise), so an event op over Python
+floats, and every op apply takes, is decided there. apply takes the operands
+that need a cast, the narrow widths, the public functions and direct calls.
 
 Two substrates compute, with the same bits either way. A twin (+ - * /,
 negation, abs, sqrt, the comparisons and truth) is IEEE correctly rounded or
@@ -43,59 +43,55 @@ from __future__ import annotations
 
 import math
 import operator
-import struct
 from math import isfinite
 
 import numpy as np
 
 from .classify import EventKind, OpIdentity, ValueClass, classify, propagate_payload
+from .fpbits import _pack_dd, _unpack_qq
 from .injector import InjectorMode
 from .session import current_session
 
-# One row per operation: name, arity, numpy ufunc, Python float twin, and the
-# methods it backs (forward then reflected dunder, or a public function name).
-# A twin rounds exactly like the ufunc on finite float64 operands; there is
-# none for pow (1 ulp off), exp/log/trig/atan2/hypot (libm and numpy differ),
-# floor (math.floor drops -0.0) and min/max (signed zero).
-_NUMERIC = (
-    ("+", 2, np.add, operator.add, "__add__ __radd__"),
-    ("-", 2, np.subtract, operator.sub, "__sub__ __rsub__"),
-    ("*", 2, np.multiply, operator.mul, "__mul__ __rmul__"),
-    ("/", 2, np.divide, operator.truediv, "__truediv__ __rtruediv__"),
-    ("pow", 2, np.power, None, "__pow__ __rpow__"),
-    ("min", 2, np.minimum, None, "minimum"),     # NaN-propagating, not IEEE minNum
-    ("max", 2, np.maximum, None, "maximum"),
-    ("atan2", 2, np.arctan2, None, "atan2"),
-    ("hypot", 2, np.hypot, None, "hypot"),
-    ("rem", 2, np.fmod, None, "rem"),
-    ("-", 1, np.negative, operator.neg, "__neg__"),
-    ("abs", 1, np.abs, abs, "__abs__"),
-    ("sqrt", 1, np.sqrt, math.sqrt, "sqrt"),
-    ("exp", 1, np.exp, None, "exp"),
-    ("log", 1, np.log, None, "log"),
-    ("sin", 1, np.sin, None, "sin"),
-    ("cos", 1, np.cos, None, "cos"),
-    ("tan", 1, np.tan, None, "tan"),
-    ("floor", 1, np.floor, None, "floor"),
-    ("ceil", 1, np.ceil, None, "ceil"),
-)
-
-# Comparisons and truth: a bool result, no injector decision.
-_COMPARISONS = (
-    ("<", 2, np.less, operator.lt, "__lt__"),
-    ("<=", 2, np.less_equal, operator.le, "__le__"),
-    (">", 2, np.greater, operator.gt, "__gt__"),
-    (">=", 2, np.greater_equal, operator.ge, "__ge__"),
-    ("==", 2, np.equal, operator.eq, "__eq__"),
-    ("!=", 2, np.not_equal, operator.ne, "__ne__"),
-    ("bool", 1, np.bool_, bool, "__bool__"),
+# One row per operation: name, arity, numpy ufunc, Python float twin, the
+# methods it backs (forward then reflected dunder, or a public function name),
+# and whether it is a comparison or truth test: a bool result, no injector
+# decision. A twin rounds exactly like the ufunc on finite float64 operands;
+# there is none for pow (1 ulp off), exp/log/trig/atan2/hypot (libm and numpy
+# differ), floor (math.floor drops -0.0) and min/max (signed zero).
+_OPERATIONS = (
+    ("+", 2, np.add, operator.add, "__add__ __radd__", False),
+    ("-", 2, np.subtract, operator.sub, "__sub__ __rsub__", False),
+    ("*", 2, np.multiply, operator.mul, "__mul__ __rmul__", False),
+    ("/", 2, np.divide, operator.truediv, "__truediv__ __rtruediv__", False),
+    ("pow", 2, np.power, None, "__pow__ __rpow__", False),
+    ("min", 2, np.minimum, None, "minimum", False),     # NaN-propagating, not IEEE minNum
+    ("max", 2, np.maximum, None, "maximum", False),
+    ("atan2", 2, np.arctan2, None, "atan2", False),
+    ("hypot", 2, np.hypot, None, "hypot", False),
+    ("rem", 2, np.fmod, None, "rem", False),
+    ("-", 1, np.negative, operator.neg, "__neg__", False),
+    ("abs", 1, np.abs, abs, "__abs__", False),
+    ("sqrt", 1, np.sqrt, math.sqrt, "sqrt", False),
+    ("exp", 1, np.exp, None, "exp", False),
+    ("log", 1, np.log, None, "log", False),
+    ("sin", 1, np.sin, None, "sin", False),
+    ("cos", 1, np.cos, None, "cos", False),
+    ("tan", 1, np.tan, None, "tan", False),
+    ("floor", 1, np.floor, None, "floor", False),
+    ("ceil", 1, np.ceil, None, "ceil", False),
+    ("<", 2, np.less, operator.lt, "__lt__", True),
+    ("<=", 2, np.less_equal, operator.le, "__le__", True),
+    (">", 2, np.greater, operator.gt, "__gt__", True),
+    (">=", 2, np.greater_equal, operator.ge, "__ge__", True),
+    ("==", 2, np.equal, operator.eq, "__eq__", True),
+    ("!=", 2, np.not_equal, operator.ne, "__ne__", True),
+    ("bool", 1, np.bool_, bool, "__bool__", True),
 )
 
 # (name, arity) -> (ufunc, is_comparison, OpIdentity, twin); a plain tuple,
 # which unpacks faster than a namedtuple on every operation.
 _REGISTRY = {(name, arity): (impl, is_comparison, OpIdentity(name, arity), exact)
-             for is_comparison, rows in ((False, _NUMERIC), (True, _COMPARISONS))
-             for name, arity, impl, exact, _ in rows}
+             for name, arity, impl, exact, _, is_comparison in _OPERATIONS}
 
 _CAST = OpIdentity("cast", 1)
 
@@ -107,7 +103,6 @@ _EVENTS = tuple(tuple(tuple((kind, vc) for vc in ValueClass
                       for out in (0.0, math.nan, math.inf))
                 for ins in ((), (math.nan,), (math.inf,), (math.nan, math.inf)))
 _OFF = InjectorMode.OFF
-_pack_dd, _unpack_qq = struct.Struct("<dd").pack, struct.Struct("<QQ").unpack
 _QUIET_BIT = 1 << 51    # of a float64 NaN
 _UNARY = object()       # the absent second operand of a one-operand op
 
@@ -242,11 +237,8 @@ def apply(name: str, operands):
         row = _REGISTRY[(name, len(operands))]
     except KeyError:
         raise ValueError(f"unsupported operation: {name}/{len(operands)}") from None
-    sess = current_session()
     values = [o._value if isinstance(o, TrackedFloat) else o for o in operands]
-    if type(values[0]) is not float or type(values[-1]) is not float:   # arity <= 2
-        values = _cast(cls, values)
-    return _finish(sess, cls, row, values)
+    return _finish(current_session(), cls, row, _cast(cls, values))
 
 
 def _finish(sess, cls, row, xs, injected_value=None):
@@ -349,7 +341,7 @@ def _public(name, arity, public):
 
 # The operator methods of TrackedFloat, and the public functions sqrt, exp,
 # log, sin, cos, tan, floor, ceil, atan2, hypot, rem, minimum and maximum.
-for _name, _arity, _, _, _methods in _NUMERIC + _COMPARISONS:
+for _name, _arity, _, _, _methods, _ in _OPERATIONS:
     for _method, _reflected in zip(_methods.split(), (False, True)):
         if _method.startswith("__"):
             setattr(TrackedFloat, _method, _operator_method(_name, _arity, _reflected))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from fpx import stackgraph
-from fpx.cli import _parse_fuzz, cli_main
+from fpx.cli import _parse_fuzz, build_parser, cli_main
 from fpx.injector import InjectionConfig
 from fpx.ledger import parse_log
 
@@ -36,6 +36,15 @@ class TestRun:
         code, _, stderr = run_cli(capsys, "run", "nope", "--out", str(tmp_path))
         assert code == 1
         assert "unknown demo" in stderr
+
+    def test_parser_is_built_once_per_process(self, tmp_path, capsys):
+        """Every cli_main call parses with the one parser, which parsing leaves
+        unchanged: a flag of one call is not a default of the next."""
+        assert run_cli(capsys, "run", "max", "--no-prop", "--out", str(tmp_path / "a"))[0] == 0
+        builds = build_parser.cache_info().misses
+        assert run_cli(capsys, "run", "max", "--out", str(tmp_path / "b"))[0] == 0
+        assert build_parser.cache_info().misses == builds == 1
+        assert (tmp_path / "b" / "prop.jsonl").read_bytes() != b""
 
     def test_unknown_flag_is_usage_error(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "run", "max", "--nonsense")
@@ -87,6 +96,18 @@ class TestRun:
         code, _, stderr = run_cli(capsys, "run", "sim", "--cells", "0", "--out", str(tmp_path))
         assert code == 1
         assert "cells" in stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        (("loop", "--max-iters", "0"), "max_iters must be >= 1"),
+        (("loop", "--max-iters", "-3"), "max_iters must be >= 1"),
+        (("sim", "--steps", "-2"), "steps must be >= 0")])
+    def test_a_bound_that_can_only_misreport_is_usage_error(self, tmp_path, capsys, argv,
+                                                           message):
+        """A loop allowed no guard evaluation would print LIVELOCK, and a sim of
+        negative steps would run none and exit 0."""
+        code, stdout, stderr = run_cli(capsys, "run", *argv, "--out", str(tmp_path))
+        assert (code, stdout, stderr) == (1, "", f"fpx: {message}\n")
+        assert not (tmp_path / "gen.jsonl").exists()
 
     def test_bad_fuzz_token(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "run", "sim", "--out", str(tmp_path),
@@ -173,6 +194,36 @@ class TestFuzzReplay:
                                        "--out", str(tmp_path / "out"))
         assert code == 2 and stdout == ""
         assert stderr == "fpx: line 3: op_counter not strictly increasing\n"
+
+    @pytest.mark.parametrize("counter", [0, -5])
+    def test_replay_of_a_point_before_op_one_is_a_format_error(self, tmp_path, capsys, counter):
+        """Ops are numbered from 1, so such a point could never fire."""
+        rec = tmp_path / "rec.jsonl"
+        rec.write_text('{"seed": 1}\n{"op_counter": %d, "op": "+", "value_hex": '
+                       '"0x7ff8000000000000", "trace_fp": "aaaaaaaaaaaaaaaa"}\n' % counter,
+                       encoding="utf-8")
+        code, stdout, stderr = run_cli(capsys, "run", "max", "--replay", str(rec),
+                                       "--out", str(tmp_path / "out"))
+        assert code == 2 and stdout == ""
+        assert stderr == "fpx: line 2: op_counter must be >= 1: ops are numbered from 1\n"
+
+    def test_replay_into_another_op_is_reported_once(self, tmp_path, capsys):
+        """A recorded op name the op at that number does not have is a
+        divergence; the recorded value is injected anyway."""
+        rec = tmp_path / "rec.jsonl"
+        assert run_cli(capsys, "run", "sim", "--out", str(tmp_path / "orig"),
+                       "--fuzz", "odds=5", "n=1", "seed=42", "--record", str(rec))[0] == 0
+        header, point = rec.read_text(encoding="utf-8").splitlines()
+        point = json.loads(point)
+        rec.write_text(header + "\n" + json.dumps({**point, "op": "atan2"}) + "\n",
+                       encoding="utf-8")
+        code, _, stderr = run_cli(capsys, "run", "sim", "--replay", str(rec),
+                                  "--out", str(tmp_path / "rep"))
+        assert code == 0
+        assert stderr == (f"warning: replay divergence at op {point['op_counter']}: recorded "
+                          f"op 'atan2', current {point['op']!r}; injecting anyway\n")
+        for name in ("gen.jsonl", "prop.jsonl", "kill.jsonl"):
+            assert (tmp_path / "orig" / name).read_bytes() == (tmp_path / "rep" / name).read_bytes()
 
     def test_replay_of_a_negative_seed_is_a_format_error(self, tmp_path, capsys):
         rec = tmp_path / "rec.jsonl"

@@ -92,6 +92,13 @@ class TestDemoLoopKill:
                 and e.trace and e.trace[0].function == "loop_guard"]
 
 
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_no_guard_evaluation_is_a_value_error(self, max_iters):
+        """A bound that allows no guard evaluation could only report a livelock."""
+        with pytest.raises(ValueError, match="max_iters"):
+            demo_loop_kill(max_iters=max_iters)
+
+
 class TestDemoSim:
     def test_stable_run_is_event_free(self):
         result = demo_sim(steps=50, blowup=False)
@@ -136,6 +143,13 @@ class TestDemoSim:
     def test_no_cells_is_a_value_error(self, cells):
         with pytest.raises(ValueError, match="cells"):
             demo_sim(steps=2, cells=cells)
+
+    def test_negative_steps_is_a_value_error(self):
+        with pytest.raises(ValueError, match="steps"):
+            demo_sim(steps=-2)
+
+    def test_zero_steps_returns_the_initial_field(self):
+        assert demo_sim(steps=0, cells=3).field == [0.0, 1.0, 0.0]
 
     def test_one_and_two_cells_run(self):
         assert len(demo_sim(steps=2, cells=1).field) == 1

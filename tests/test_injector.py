@@ -361,7 +361,7 @@ class TestRecordingFiles:
         """No coercion: 3.7 is not op 3, "5" is not op 5, and a float32 NaN or
         a hex string int() would read is not a float64; and only NaN or Inf is
         injected, as InjectionConfig requires when fuzzing."""
-        point = {"op_counter": 0, "op": "+", "value_hex": fpbits.hex_bits(NAN),
+        point = {"op_counter": 1, "op": "+", "value_hex": fpbits.hex_bits(NAN),
                  "trace_fp": "0" * 16}
         path = tmp_path / "rec.jsonl"
         good = json.dumps(point)
@@ -393,6 +393,17 @@ class TestRecordingFiles:
         with pytest.raises(RecordingFormatError, match="strictly increasing") as err:
             load_recording(path)
         assert err.value.line_number == line and f"line {line}" in str(err.value)
+
+    @pytest.mark.parametrize("counter", [0, -5])
+    def test_op_counter_before_op_one_names_its_line(self, tmp_path, counter):
+        """Ops are numbered from 1: such a point could never fire."""
+        path = tmp_path / "rec.jsonl"
+        path.write_text('{"seed": 1}\n' + json.dumps(
+            {"op_counter": counter, "op": "+", "value_hex": fpbits.hex_bits(NAN),
+             "trace_fp": "0" * 16}) + "\n", encoding="utf-8")
+        with pytest.raises(RecordingFormatError, match="op_counter must be >= 1") as err:
+            load_recording(path)
+        assert err.value.line_number == 2 and "line 2" in str(err.value)
 
     def test_point_compared_with_another_type_is_not_implemented(self):
         point = RecordedInjection(1, "+", NAN, "0" * 16)
@@ -440,6 +451,37 @@ class TestReplay:
             RecordedInjection(n, "+", NAN, "x" * 16) for n in counters])
         with pytest.raises(ValueError, match="strictly increasing"):
             Injector.replay(rec)
+
+    @pytest.mark.parametrize("counters", [(0,), (-5, 3), (0, 1)])
+    def test_points_must_come_at_op_one_or_later(self, counters):
+        """Ops are numbered from 1, so a point before op 1 could never fire."""
+        rec = InjectionRecording(seed=0, points=[
+            RecordedInjection(n, "+", NAN, "x" * 16) for n in counters])
+        with pytest.raises(ValueError, match="must be >= 1"):
+            Injector.replay(rec)
+
+    def test_op_name_mismatch_warns_and_injects(self):
+        """The fingerprint matches, the op name does not: one divergence, and
+        the recorded value is still injected."""
+        rec = InjectionRecording(seed=0, points=[
+            RecordedInjection(1, "*", NAN, trace_fingerprint(TRACE))])
+        inj = Injector.replay(rec)
+        with pytest.warns(ReplayDivergenceWarning):
+            value = inj.decide(OP, _thunk())
+        assert math.isnan(value)
+        assert inj.divergences == [
+            "replay divergence at op 1: recorded op '*', current '+'; injecting anyway"]
+
+    def test_op_name_and_fingerprint_mismatch_are_two_divergences(self):
+        rec = InjectionRecording(seed=0, points=[
+            RecordedInjection(1, "*", NAN, trace_fingerprint(TRACE))])
+        inj = Injector.replay(rec)
+        with pytest.warns(ReplayDivergenceWarning):
+            inj.decide(OP, _thunk(OTHER_TRACE))
+        assert inj.divergences == [
+            "replay divergence at op 1: recorded op '*', current '+'; injecting anyway",
+            f"replay divergence at op 1: recorded trace {trace_fingerprint(TRACE)}, "
+            f"current {trace_fingerprint(OTHER_TRACE)}; injecting anyway"]
 
     def test_unconsumed_points_reported(self):
         rec = InjectionRecording(seed=0, points=[

@@ -9,7 +9,10 @@ and numpy scalars, reached through the operator methods (forward and
 reflected), the public functions, apply and construction. Each program runs with injection off,
 under a drawn fuzz seed, and as a replay of that run's recording, and each
 run must match the reference on result bits, the full event list with seq,
-the op counter, the recorded injections and the flushed jsonl bytes.
+the op counter, the recorded injections and the flushed jsonl bytes. Other
+drawn programs run under a drawn cap and kind filter, which must keep the
+reference's prefix of each logged kind and count the rest, and change no
+result, op number or injection point.
 """
 
 import contextlib
@@ -26,7 +29,7 @@ from hypothesis import strategies as st
 from fpx import fpbits, tracked
 from fpx.classify import EventKind, OpIdentity, ValueClass, classify, propagate_payload
 from fpx.injector import InjectionConfig, Injector, InjectorMode
-from fpx.ledger import FILE_BY_KIND, ExceptionEvent
+from fpx.ledger import FILE_BY_KIND, ExceptionEvent, LedgerConfig
 from fpx.session import explicit_session, use_session
 from fpx.traces import Frame, trace_fingerprint
 from fpx.tracked import TrackedFloat, TrackedFloat16, TrackedFloat32, TrackedFloat64
@@ -223,8 +226,8 @@ def _run(program, enter, ref=None):
     return outcomes
 
 
-def _run_fpx(program, injector):
-    session = explicit_session(injector=injector)
+def _run_fpx(program, injector, ledger_config=None):
+    session = explicit_session(ledger_config, injector)
 
     def enter(stack, scope):
         for depth, name in enumerate(scope):
@@ -256,17 +259,40 @@ def _line(e):
     }) + "\n"
 
 
+def _points(session):
+    return [(p.op_counter, p.op, fpbits.to_bits(p.value), p.trace_fp)
+            for p in session.injector.recording.points]
+
+
+def _check_flush(session, events, out):
+    session.ledger.flush(out)           # rewrites all three files
+    for kind, filename in FILE_BY_KIND.items():
+        assert (out / filename).read_bytes() == "".join(
+            _line(e) for e in events if e.kind is kind).encode("utf-8")
+
+
 def _check(session, outcomes, reference, expected, out):
     assert outcomes == expected
     assert session.ledger.events() == reference.events
     assert session.injector.op_counter == reference.op_counter
-    assert [(p.op_counter, p.op, fpbits.to_bits(p.value), p.trace_fp)
-            for p in session.injector.recording.points] == (
+    assert _points(session) == (
         reference.injections if session.injector.mode is InjectorMode.FUZZ else [])
-    session.ledger.flush(out)           # rewrites all three files
-    for kind, filename in FILE_BY_KIND.items():
-        assert (out / filename).read_bytes() == "".join(
-            _line(e) for e in reference.events if e.kind is kind).encode("utf-8")
+    _check_flush(session, reference.events, out)
+
+
+def _capped(events, config):
+    """What a ledger under config keeps of events: the first max_logs of each
+    logged kind, in order and numbered from 1, and the count of the rest by
+    (kind, class)."""
+    kept, dropped, stored = [], {}, dict.fromkeys(config.log_kinds, 0)
+    for e in events:
+        if e.kind in stored and (config.max_logs is None or stored[e.kind] < config.max_logs):
+            stored[e.kind] += 1
+            kept.append(ExceptionEvent(len(kept) + 1, e.kind, e.value_class, e.op, e.operands,
+                                       e.result, e.injected, e.trace))
+        else:
+            dropped[e.kind, e.value_class] = dropped.get((e.kind, e.value_class), 0) + 1
+    return kept, dropped
 
 
 def _ref(rng, is_tracked):
@@ -338,3 +364,31 @@ def test_programs_match_the_reference(tmp_path_factory, program, config):
     _check(replayed, outcomes, reference, expected, out)
     assert replayed.ledger.events() == fuzzed.ledger.events()
     assert replayed.injector.unconsumed_points() == [] and not replayed.injector.divergences
+
+
+# A cap of 1 to 3 in most runs, so that a stream is both kept and cut.
+_ledger = st.builds(LedgerConfig, max_logs=st.integers(1, 3) | st.sampled_from((0, None)),
+                    log_kinds=st.frozensets(st.sampled_from(EventKind), min_size=1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**64).map(_program), _fuzz, _ledger)
+def test_capped_and_filtered_runs_keep_the_reference_prefix(tmp_path_factory, program, config,
+                                                            ledger_config):
+    out = tmp_path_factory.getbasetemp() / "reference-capped-flush"
+    full, full_outcomes = _run_fpx(program, Injector.fuzz(config))
+    recording = full.injector.recording
+    reference, _ = _run_reference(program, {p.op_counter: p.value for p in recording.points})
+    kept, dropped = _capped(reference.events, ledger_config)
+
+    for injector in (Injector.fuzz(config), Injector.replay(recording)):
+        capped, outcomes = _run_fpx(program, injector, ledger_config)
+        assert outcomes == full_outcomes
+        assert capped.injector.op_counter == full.injector.op_counter
+        assert capped.injector.injected_so_far == full.injector.injected_so_far
+        assert _points(capped) == (
+            _points(full) if injector.mode is InjectorMode.FUZZ else [])
+        assert capped.ledger.events() == kept
+        assert capped.ledger.dropped() == dropped
+        _check_flush(capped, kept, out)
+    assert capped.injector.unconsumed_points() == [] and not capped.injector.divergences

@@ -16,7 +16,8 @@ import fpx
 from fpx import fpbits, tracked
 from fpx.classify import (EventKind, OpIdentity, ValueClass, classify,
                           propagate_payload)
-from fpx.injector import InjectionConfig, InjectionRecording, Injector, RecordedInjection
+from fpx.injector import (InjectionConfig, InjectionRecording, Injector, RecordedInjection,
+                          ReplayDivergenceWarning)
 from fpx.ledger import LedgerConfig
 from fpx.session import explicit_session, use_session
 from fpx.traces import trace_fingerprint
@@ -822,7 +823,7 @@ def test_threads_sharing_a_replay_session_fire_every_point_once():
             for i in range(n_clean):
                 injected += math.isnan(unwrap(a + one))
                 if i % (n_clean // n_nan) == 0:
-                    nan * one
+                    nan + one
         injected_by_thread.append(injected)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -841,6 +842,34 @@ def test_threads_sharing_a_replay_session_fire_every_point_once():
     assert injector.injected_so_far == len(points)
     assert sum(e.injected for e in session.ledger.events()) == len(points)
     assert all(injected_by_thread)
+
+
+def test_replay_shifted_onto_another_op_in_one_scope_is_a_divergence():
+    """Ops in one scope share a trace fingerprint, so only the op name tells
+    that an extra op shifted a recorded `*` onto a `+`. Replay injects there
+    anyway, and reports it."""
+    def kernel(session, extra):
+        with use_session(session), session.traces.scope("kernel", "k.py", 1):
+            a, b = TrackedFloat64(2.0), TrackedFloat64(3.0)
+            if extra:
+                a = a + 0.0
+            return a * b - a
+
+    fuzzed = explicit_session(injector=Injector.fuzz(InjectionConfig(odds=1, n_inject=1)))
+    kernel(fuzzed, extra=False)
+    recording = fuzzed.injector.recording
+    assert [(p.op_counter, p.op) for p in recording.points] == [(1, "*")]
+    assert [(e.kind, e.op.name) for e in fuzzed.ledger.events()] == [
+        (EventKind.GEN, "*"), (EventKind.PROP, "-")]
+
+    replayed = explicit_session(injector=Injector.replay(recording))
+    with pytest.warns(ReplayDivergenceWarning):
+        kernel(replayed, extra=True)
+    assert [(e.kind, e.op.name) for e in replayed.ledger.events()] == [
+        (EventKind.GEN, "+"), (EventKind.PROP, "*"), (EventKind.PROP, "-")]
+    assert replayed.injector.divergences == [
+        "replay divergence at op 1: recorded op '*', current '+'; injecting anyway"]
+    assert replayed.injector.unconsumed_points() == []
 
 
 def _watch_apply_and_decide(monkeypatch):
