@@ -90,7 +90,8 @@ def _run_demo(name, args, session):
     elif name == "loop":
         result = demo_loop_kill(inject_tdir=args.inject, max_iters=args.max_iters,
                                 session=session)
-        state = "LIVELOCK" if result.livelocked else "completed"
+        state = ("LIVELOCK" if result.livelocked else "stopped" if result.stopped
+                 else "completed")
         print(f"{state}: work_iterations={result.work_iterations} "
               f"guard_evaluations={result.guard_evaluations}")
     elif name == "sim":

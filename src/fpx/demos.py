@@ -33,7 +33,8 @@ class MaxDemoResult:
 class LoopDemoResult:
     work_iterations: int
     guard_evaluations: int
-    livelocked: bool
+    livelocked: bool        # stopped at the bound by a guard that made no progress
+    stopped: bool           # the bound ended the loop before it reached its stop
     session: TrackerSession
 
 
@@ -68,7 +69,8 @@ def demo_loop_kill(inject_tdir=False, max_iters=100, session=None) -> LoopDemoRe
     With tdir NaN'd, the multiplication props and the `<` kills on every
     evaluation, the guard is permanently false, and the loop makes no
     progress; the harness stops after max_iters guard evaluations and flags
-    the livelock.
+    the livelock. A loop that reaches the bound while its last guard still
+    advanced is stopped, not livelocked.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -80,11 +82,10 @@ def demo_loop_kill(inject_tdir=False, max_iters=100, session=None) -> LoopDemoRe
     time_stops = [_LOOP_STOP]
     work_iterations = 0
     guard_evaluations = 0
-    livelocked = False
+    advance = True
     with use_session(sess), scope("run_integration", _LOOP_FILE, 7):
         while time_stops:
             if guard_evaluations >= max_iters:
-                livelocked = True
                 break
             with scope("loop_guard", _LOOP_FILE, 15):
                 guard_evaluations += 1
@@ -95,7 +96,9 @@ def demo_loop_kill(inject_tdir=False, max_iters=100, session=None) -> LoopDemoRe
                 work_iterations += 1
                 if float(unwrap(t)) >= time_stops[0]:
                     time_stops.pop(0)
-    return LoopDemoResult(work_iterations, guard_evaluations, livelocked, sess)
+    stopped = bool(time_stops)
+    return LoopDemoResult(work_iterations, guard_evaluations, stopped and not advance,
+                          stopped, sess)
 
 
 def demo_sim(steps=12, cells=16, blowup=False, session=None) -> SimDemoResult:

@@ -10,7 +10,10 @@ takes an option.
 Explicit scopes are context-local, like the current session: a provider keeps
 its trace in a ContextVar that only a `with scope(...)` block sets and resets.
 A new thread starts with no scopes, and an asyncio task starts from its
-creator's, so concurrent tasks never see each other's frames.
+creator's, so concurrent tasks never see each other's frames. Each provider
+builds one Frame per (function, file, line) and hands every later scope of
+that site the same one; that table, too, is cleared past SITE_TABLE_LIMIT.
+A scope object is still made per `scope(...)` call and enters once.
 
 The native provider memoizes per call site. A code object and an instruction
 offset fix a frame's function, file and line, so each provider keeps a table
@@ -39,23 +42,24 @@ StackTrace = tuple  # tuple[Frame, ...], innermost first
 
 EMPTY_TRACE: StackTrace = ()
 SENTINEL_FRAME = Frame("<unknown>", "<unknown>", 1)
+SITE_TABLE_LIMIT = 4096
 
 
 class _Scope:
     """One `with` block of an explicit scope: entering pushes its frame onto
-    the context's trace, leaving resets it. It can be entered only once."""
+    the context's trace, leaving resets it. It can be entered only once. It
+    has no __init__, which would cost a Python call per scope:
+    ExplicitContextProvider.scope fills its slots."""
 
-    __slots__ = ("_trace", "_frame", "_token")
-
-    def __init__(self, trace, frame):
-        self._trace, self._frame, self._token = trace, frame, None
+    __slots__ = ("_trace", "_pushed", "_token")
 
     def __enter__(self):
         if self._token is not None:
             raise RuntimeError("a scope can be entered only once")
-        self._token = self._trace.set((self._frame,) + self._trace.get())
+        trace = self._trace
+        self._token = trace.set(self._pushed + trace.get())
 
-    def __exit__(self, *exc_info):
+    def __exit__(self, exc_type, exc, tb):
         self._trace.reset(self._token)
 
 
@@ -64,15 +68,23 @@ class ExplicitContextProvider:
 
     def __init__(self):
         self._trace = contextvars.ContextVar("fpx_scopes", default=EMPTY_TRACE)
+        self._frames = {}   # (function, file, line) -> (Frame,), the tuple a scope pushes
 
     def scope(self, function: str, file: str = "<scope>", line: int = 1):
-        return _Scope(self._trace, Frame(function, file, line))
+        key = (function, file, line)
+        pushed = self._frames.get(key)
+        if pushed is None:
+            if len(self._frames) >= SITE_TABLE_LIMIT:
+                self._frames.clear()
+            pushed = self._frames[key] = (Frame(function, file, line),)
+        scope = _Scope()
+        scope._trace, scope._pushed, scope._token = self._trace, pushed, None
+        return scope
 
     def capture(self) -> StackTrace:
         return self._trace.get()
 
 
-SITE_TABLE_LIMIT = 4096
 SKIP_PREFIX = os.path.dirname(os.path.abspath(__file__))    # this package's frames
 
 

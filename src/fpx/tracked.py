@@ -12,7 +12,11 @@ operand is already a Python float. With finite operands and result they
 compute with the twin: a comparison then returns its bool, and a numeric op
 is counted without a lock under an OFF injector, or takes its Injector.decide
 call in the method under FUZZ or REPLAY, and is wrapped unless a value is
-injected. _finish, the tail apply shares, computes and logs every other op.
+injected. The + - * methods come from a maker of their own: they run the twin
+first, and one test of the result, r - r == 0.0, stands for the operand
+tests, since a finite sum, difference or product has finite operands (not so
+for /: x / inf is finite). _finish, the tail apply shares, computes and logs
+every other op.
 Not given an injected value, it decides the op itself (none for a comparison,
 Injector.decide before the compute otherwise), so an event op over Python
 floats, and every op apply takes, is decided there. apply takes the operands
@@ -121,6 +125,9 @@ class TrackedFloat:
                         "TrackedFloat32 or TrackedFloat16")
 
     def __init__(self, value):
+        if (type(value) is float or type(value) is int) and self._width == 64:
+            _set_value(self, float(value))      # _cast's float64 rule, past its tuples
+            return
         if isinstance(value, TrackedFloat):
             value = value._value
         elif not isinstance(value, _OPERANDS):
@@ -327,6 +334,43 @@ def _operator_method(name, arity, reflected):
     return method
 
 
+def _arithmetic_method(name, reflected):
+    """An operator method of + - * (reflected or not), the fused method cut
+    to its row: the twin runs once, and a finite result, which only finite
+    operands give, is the clean op, counted or decided and wrapped here.
+    Every other op over Python floats goes to _finish, any other operands to
+    apply, both looked up as module globals."""
+    row = _REGISTRY[name, 2]
+    _, _, op, exact = row
+
+    def method(self, other):
+        if reflected:
+            x, y = other, self._value       # a tracked left operand is left to apply
+        elif type(other) is type(self) or isinstance(other, TrackedFloat):
+            x, y = self._value, other._value
+        else:
+            x, y = self._value, other
+        if type(x) is float and type(y) is float:
+            result = exact(x, y)
+            if result - result == 0.0:      # NaN for an Inf or NaN result
+                session = current_session()
+                injector = session.injector
+                if injector.mode is _OFF:
+                    injector.count_op()
+                else:
+                    injected = injector.decide(op, session.traces.capture)
+                    if injected is not None:
+                        return _finish(session, type(self), row, (x, y), injected)
+                wrapped = _new(type(self))
+                _set_value(wrapped, result)
+                return wrapped
+            return _finish(current_session(), type(self), row, (x, y))
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
+        return apply(name, (other, self) if reflected else (self, other))
+    return method
+
+
 def _public(name, arity, public):
     if arity == 1:
         def fn(x):
@@ -344,6 +388,9 @@ def _public(name, arity, public):
 for _name, _arity, _, _, _methods, _ in _OPERATIONS:
     for _method, _reflected in zip(_methods.split(), (False, True)):
         if _method.startswith("__"):
-            setattr(TrackedFloat, _method, _operator_method(_name, _arity, _reflected))
+            setattr(TrackedFloat, _method,
+                    _arithmetic_method(_name, _reflected)
+                    if _arity == 2 and _name in ("+", "-", "*")
+                    else _operator_method(_name, _arity, _reflected))
         else:
             globals()[_method] = _public(_name, _arity, _method)

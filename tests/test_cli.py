@@ -65,6 +65,17 @@ class TestRun:
         assert len(parse_log(out / "kill.jsonl")) == 5
         assert len(parse_log(out / "prop.jsonl")) == 5
 
+    @pytest.mark.parametrize("argv, first_line", [
+        ((), "completed: work_iterations=10 guard_evaluations=10"),
+        (("--max-iters", "5"), "stopped: work_iterations=5 guard_evaluations=5"),
+        (("--max-iters", "10"), "completed: work_iterations=10 guard_evaluations=10"),
+        (("--inject", "--max-iters", "5"), "LIVELOCK: work_iterations=0 guard_evaluations=5")])
+    def test_loop_state_names_how_it_ended(self, tmp_path, capsys, argv, first_line):
+        """LIVELOCK only for a guard that made no progress: a healthy loop cut
+        short by --max-iters is stopped."""
+        code, stdout, _ = run_cli(capsys, "run", "loop", *argv, "--out", str(tmp_path))
+        assert code == 0 and stdout.splitlines()[0] == first_line
+
     def test_record_requires_fuzz(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "run", "sim", "--out", str(tmp_path),
                                   "--record", str(tmp_path / "r.jsonl"))

@@ -80,6 +80,16 @@ class TestDemoLoopKill:
         assert result.livelocked is False
         assert result.session.ledger.events() == []
 
+    @pytest.mark.parametrize("max_iters", [1, 5, 9])
+    def test_advancing_loop_cut_short_is_stopped_not_livelocked(self, max_iters):
+        result = demo_loop_kill(max_iters=max_iters)
+        assert (result.work_iterations, result.guard_evaluations) == (max_iters, max_iters)
+        assert result.stopped is True and result.livelocked is False
+
+    def test_livelock_is_also_a_stop(self):
+        result = demo_loop_kill(inject_tdir=True, max_iters=5)
+        assert result.stopped is True and result.livelocked is True
+
     def test_kill_graph_has_single_dominant_path(self):
         result = demo_loop_kill(inject_tdir=True, max_iters=50)
         kills = result.session.ledger.events(kind=EventKind.KILL)

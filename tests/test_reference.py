@@ -20,6 +20,8 @@ import json
 import math
 import operator
 import random
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -227,14 +229,22 @@ def _run(program, enter, ref=None):
 
 
 def _run_fpx(program, injector, ledger_config=None):
+    # Any warning fails the run.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _run_in_session(program, injector, ledger_config)
+
+
+def _run_in_session(program, injector, ledger_config=None):
+    """The run of _run_fpx, with the warning filters left to the caller: they
+    are process-wide, so threads running at once take them from one block."""
     session = explicit_session(ledger_config, injector)
 
     def enter(stack, scope):
         for depth, name in enumerate(scope):
             stack.enter_context(session.traces.scope(name, "prog.py", depth + 1))
-    # Any floating-point flag a bare ufunc raised, and any warning, fails the run.
-    with use_session(session), np.errstate(all="raise"), warnings.catch_warnings():
-        warnings.simplefilter("error")
+    # Any floating-point flag a bare ufunc raised fails the run.
+    with use_session(session), np.errstate(all="raise"):
         outcomes = _run(program, enter)
     return session, outcomes
 
@@ -392,3 +402,59 @@ def test_capped_and_filtered_runs_keep_the_reference_prefix(tmp_path_factory, pr
         assert capped.ledger.dropped() == dropped
         _check_flush(capped, kept, out)
     assert capped.injector.unconsumed_points() == [] and not capped.injector.divergences
+
+
+def test_threads_running_programs_at_once_each_match_the_reference(tmp_path):
+    """Two threads run drawn programs at the same time, each program under
+    OFF, a drawn fuzz config and the replay of its recording, each run in a
+    session of its own that the thread installs. Every run must match the
+    reference as a run alone does, so no thread sees another's session,
+    scopes, op numbers or injections."""
+    rng = random.Random(23)
+    work = [(_program(rng.getrandbits(64)),
+             InjectionConfig(odds=rng.randint(1, 4), n_inject=rng.randint(0, 3),
+                             seed=rng.getrandbits(32), value=rng.choice(FUZZ_VALUES),
+                             functions=rng.choice([(), ("hot",)])))
+            for _ in range(24)]
+    barrier = threading.Barrier(2, timeout=30)
+    runs = {}
+
+    def worker(k):
+        try:
+            barrier.wait()
+            done = []
+            for program, config in work[k::2]:
+                off = _run_in_session(program, Injector())
+                fuzzed = _run_in_session(program, Injector.fuzz(config))
+                recording = fuzzed[0].injector.recording
+                done.append((program, off, fuzzed, _run_in_session(program,
+                                                                   Injector.replay(recording))))
+            runs[k] = done
+        except BaseException as exc:        # re-raised below, in the test's thread
+            runs[k] = exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)             # switch threads every few ops
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            threads = [threading.Thread(target=worker, args=(k,)) for k in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in (0, 1):
+        if isinstance(runs[k], BaseException):
+            raise runs[k]
+        assert len(runs[k]) == len(work) // 2
+        for program, (off, off_outcomes), (fuzzed, outcomes), (replayed, replayed_outcomes) \
+                in runs[k]:
+            _check(off, off_outcomes, *_run_reference(program, {}), tmp_path)
+            schedule = {p.op_counter: p.value for p in fuzzed.injector.recording.points}
+            reference, expected = _run_reference(program, schedule)
+            _check(fuzzed, outcomes, reference, expected, tmp_path)
+            _check(replayed, replayed_outcomes, reference, expected, tmp_path)
+            assert not replayed.injector.divergences

@@ -119,6 +119,59 @@ class TestExplicitProvider:
         assert p.capture() == ()
 
 
+class TestExplicitFrameTable:
+    """Each provider builds one Frame per (function, file, line)."""
+
+    def test_equal_sites_share_one_frame(self):
+        p = ExplicitContextProvider()
+        captured = []
+        for _ in range(3):
+            with p.scope("f", "x.py", 3), p.scope("g", "x.py", 4), p.scope("f", "x.py", 3):
+                captured.append(p.capture())
+        assert captured[0] == (Frame("f", "x.py", 3), Frame("g", "x.py", 4),
+                               Frame("f", "x.py", 3))
+        frames = [frame for trace in captured for frame in trace]
+        assert all(frame is frames[0] for frame in frames[::3] + frames[2::3])
+        assert all(frame is frames[1] for frame in frames[1::3])
+        with p.scope("f", "x.py", 5), p.scope("f", "y.py", 3), p.scope("h", "x.py", 3):
+            assert all(frame not in frames for frame in p.capture())
+
+    def test_table_is_cleared_past_its_limit(self, monkeypatch):
+        limit = 8
+        monkeypatch.setattr(traces, "SITE_TABLE_LIMIT", limit)
+        p = ExplicitContextProvider()
+        first = None
+        for line in range(3 * limit):
+            with p.scope("f", "x.py", line):
+                if line == 0:
+                    [first] = p.capture()
+                assert p.capture() == (Frame("f", "x.py", line),)
+            assert len(p._frames) <= limit
+        with p.scope("f", "x.py", 0):
+            assert p.capture() == (first,) and p.capture()[0] is not first
+
+    def test_two_providers_share_nothing(self):
+        p, q = ExplicitContextProvider(), ExplicitContextProvider()
+        with p.scope("f", "x.py", 3):
+            with q.scope("f", "x.py", 3):
+                [from_p], [from_q] = p.capture(), q.capture()
+        assert from_p == from_q and from_p is not from_q
+        assert p._frames is not q._frames
+
+    def test_each_scope_of_a_site_enters_once(self):
+        p = ExplicitContextProvider()
+        first, second = p.scope("once", "x.py", 1), p.scope("once", "x.py", 1)
+        assert first is not second
+        with first:
+            with second:
+                assert [f.function for f in p.capture()] == ["once", "once"]
+            with pytest.raises(RuntimeError, match="only once"):
+                second.__enter__()
+        with pytest.raises(RuntimeError, match="only once"):
+            first.__enter__()
+        assert p.capture() == ()
+
+
 class TestNativeProvider:
     def test_capture_walks_call_stack(self):
         p = NativeTraceProvider()

@@ -685,6 +685,22 @@ def test_nan_and_inf_operands_match_the_bare_ufunc(name_arity):
         np.seterr(**caller)
 
 
+@pytest.mark.parametrize("name", ["+", "-", "*"])
+def test_a_finite_sum_difference_or_product_has_finite_operands(name):
+    """The clean test of the + - * methods: `r - r == 0.0` holds exactly when
+    r is finite, and a finite r has finite operands, so that one test stands
+    for the operand checks. It fails for /, since x / inf is finite."""
+    twin = _REGISTRY[name, 2][3]
+    pool = SPECIAL_FLOAT64 + LEAF_POOL_64
+    for x in pool:
+        for y in pool:
+            r = twin(x, y)
+            assert (r - r == 0.0) is math.isfinite(r)
+            if math.isfinite(r):
+                assert math.isfinite(x) and math.isfinite(y), (name, x, y)
+    assert math.isfinite(1.0 / INF)
+
+
 # Every ordered pair of the pool's NaNs: quiet/quiet, quiet/signalling and
 # signalling/signalling, with both signs.
 NAN_PAIRS = [(a, b) for a in SPECIAL_FLOAT64 for b in SPECIAL_FLOAT64 if a != a and b != b]
