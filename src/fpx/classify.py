@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from . import fpbits
+from .fpbits import _FLOAT64_TYPES, _pack_dd, _pack_uint64, _unpack_double, _unpack_qq
 
 
 # Members are singletons, so they hash by identity, not by Enum's Python-level hash.
@@ -44,6 +45,7 @@ class OpIdentity:
     arity: int
 
 
+_PAYLOAD64 = fpbits.PAYLOAD_MASK[64]
 _MEMBERSHIP = {ValueClass.NAN: math.isnan, ValueClass.INF: math.isinf}
 
 
@@ -64,10 +66,15 @@ def classify(value_class: ValueClass, inputs, output) -> EventKind | None:
 def propagate_payload(operands, raw_result):
     """The one NaN payload pin of every width: a NaN result takes the payload
     bits of the leftmost NaN operand and keeps its own sign and quiet bit, so
-    pure bit operations like negation stay bit-transparent."""
+    pure bit operations like negation stay bit-transparent. A float64 result
+    is pinned here, both bit patterns in one unpack, and comes back a plain
+    float; a narrow one by fpbits.transfer_payload."""
     if raw_result == raw_result:        # not a NaN
         return raw_result
     for x in operands:
         if x != x:
+            if type(raw_result) in _FLOAT64_TYPES:
+                bits, source = _unpack_qq(_pack_dd(raw_result, x))
+                return _unpack_double(_pack_uint64(bits & ~_PAYLOAD64 | source & _PAYLOAD64))[0]
             return fpbits.transfer_payload(raw_result, x)
     return raw_result

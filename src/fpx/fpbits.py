@@ -89,12 +89,10 @@ def nan_with_payload(payload: int, width: int = 64):
 
 def transfer_payload(raw_result, source_nan):
     """Copy source_nan's payload bits into raw_result, keeping its sign and
-    quiet bit, at raw_result's width; a float64 result comes back a plain float."""
-    w = 64 if type(raw_result) in _FLOAT64_TYPES else width_of(raw_result)
+    quiet bit, at raw_result's width; a float64 result comes back a plain float.
+    classify.propagate_payload, the pin of tracked ops, pins float64 itself."""
+    w = width_of(raw_result)
     mask = PAYLOAD_MASK[w]
-    if w == 64:         # both bit patterns in one unpack, the result in one pack
-        bits, source = _unpack_qq(_pack_dd(raw_result, source_nan))
-        return _unpack_double(_pack_uint64(bits & ~mask | source & mask))[0]
     return from_bits(to_bits(raw_result) & ~mask | to_bits(source_nan, w) & mask, w)
 
 

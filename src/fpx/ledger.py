@@ -1,11 +1,14 @@
 """Event records, logging configuration, and serialization.
 
-Events accumulate in one in-memory list, each seq its 1-based position, and
-flush to one file per kind: gen.jsonl / prop.jsonl / kill.jsonl. Tracked
-operations record into the ledger of the current session, which a `use_session`
-block selects, passing its trace provider's capture. LedgerConfig sets a
-per-kind cap and the kinds to log; every stored event keeps its captured trace,
-and every rejected one is counted by kind and class, its trace never captured.
+Events accumulate in one in-memory list as rows, plain tuples of the fields
+after the seq, each seq its row's 1-based position; events() builds
+ExceptionEvents from the rows, and the encoder reads a seq and a row, so a
+record builds no object. The rows flush to one file per kind: gen.jsonl /
+prop.jsonl / kill.jsonl. Tracked operations record into the ledger of the
+current session, which a `use_session` block selects, passing its trace
+provider's capture. LedgerConfig sets a per-kind cap and the kinds to log;
+every stored event keeps its captured trace, and every rejected one is
+counted by kind and class, its trace never captured.
 The canonical line format dual-encodes every float as a decimal rendering plus
 an authoritative hex bit pattern, so NaN payloads and signed zeros round-trip
 exactly. One codec serves flush and parse_log; its caches live for one call.
@@ -122,12 +125,14 @@ class ExceptionEvent:
 
 
 class Ledger:
-    """Thread-safe event list in seq order, with a stored count per kept kind
-    for the cap. Events are kept in memory; flush(output_dir) writes them out."""
+    """Thread-safe event rows in seq order, with a stored count per kept kind
+    for the cap. A row is an event's fields after its seq, a plain tuple, and
+    its seq is its 1-based position. Rows are kept in memory; events() builds
+    ExceptionEvents from them, and flush(output_dir) writes them out."""
 
     def __init__(self, config: LedgerConfig | None = None):
         self.config = cfg = config or LedgerConfig()
-        self._events = []
+        self._rows = []     # (kind, value_class, op, operands, result, injected, trace)
         self._kept = dict.fromkeys(cfg.log_kinds, 0)
         self._cap = float("inf") if cfg.max_logs is None else cfg.max_logs
         self._dropped = {}
@@ -147,8 +152,8 @@ class Ledger:
                 key = kind, value_class
                 self._dropped[key] = self._dropped.get(key, 0) + 1
                 return False
-            self._events.append(ExceptionEvent(len(self._events) + 1, kind, value_class, op,
-                                               tuple(operands), result, injected, capture()))
+            self._rows.append((kind, value_class, op, tuple(operands), result, injected,
+                               capture()))
             self._kept[kind] = stored + 1
         return True
 
@@ -158,11 +163,13 @@ class Ledger:
             return dict(self._dropped)
 
     def events(self, kind=None) -> list:
-        """Stored events, of one EventKind or all, in seq order."""
+        """Stored events, of one EventKind or all, in seq order: new objects
+        on each call, so a caller that changes one changes no row."""
         if kind is not None and kind not in ALL_KINDS:
             raise KeyError(kind)
         with self._lock:
-            return [e for e in self._events if kind is None or e.kind is kind]
+            return [ExceptionEvent(seq, *row) for seq, row in enumerate(self._rows, 1)
+                    if kind is None or row[0] is kind]
 
     def counts(self) -> dict:
         with self._lock:
@@ -173,11 +180,12 @@ class Ledger:
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
         with self._lock:
-            snapshot = self._events[:]
+            snapshot = self._rows[:]
         encode = _encoder()
         paths = {kind: out / filename for kind, filename in FILE_BY_KIND.items()}
         for kind, path in paths.items():
-            path.write_text("".join([encode(e) for e in snapshot if e.kind is kind]), "utf-8")
+            path.write_text("".join([encode(seq, *row) for seq, row in enumerate(snapshot, 1)
+                                     if row[0] is kind]), "utf-8")
         return paths
 
 
@@ -198,8 +206,9 @@ def _scalar_code(x):
 
 
 def _encoder():
-    """The line encoder of one call. Events that differ only in seq share one
-    encoded tail, so a repeat costs its key, one dict lookup and the seq head."""
+    """The line encoder of one call, over an event's fields: seq, then a
+    ledger row. Events that differ only in seq share one encoded tail, so a
+    repeat costs its key, one dict lookup and the seq head."""
     ops, traces, scalars, tails = {}, {}, {}, {}
 
     def scalar(x, code):
@@ -210,29 +219,30 @@ def _encoder():
                 {"dec": fpbits.format_dec(x), "hex": fpbits.hex_bits(x)})
         return fragment
 
-    def encode(e: ExceptionEvent) -> str:
-        codes = (*map(_scalar_code, e.operands), _scalar_code(e.result))
-        key = (e.kind, e.value_class, id(e.op), e.injected, e.trace, codes)
+    def encode(seq, kind, value_class, op, operands, result, injected, trace) -> str:
+        codes = (*map(_scalar_code, operands), _scalar_code(result))
+        key = (kind, value_class, id(op), injected, trace, codes)
         tail = tails.get(key)
         if tail is None:
-            op = ops.get(id(e.op))      # events hold their op, so its id is not reused
-            if op is None:
-                op = ops[id(e.op)] = _dumps({"op": e.op.name, "arity": e.op.arity})[1:-1]
-            if e.trace not in traces:
-                traces[e.trace] = _dumps(
-                    [{"fn": f.function, "file": f.file, "line": f.line} for f in e.trace])
-            *operands, result = map(scalar, (*e.operands, e.result), codes)
+            op_text = ops.get(id(op))   # rows and events hold their op, so its id is not reused
+            if op_text is None:
+                op_text = ops[id(op)] = _dumps({"op": op.name, "arity": op.arity})[1:-1]
+            if trace not in traces:
+                traces[trace] = _dumps(
+                    [{"fn": f.function, "file": f.file, "line": f.line} for f in trace])
+            *operand_texts, result_text = map(scalar, (*operands, result), codes)
             if len(tails) >= LINE_TABLE_LIMIT:
                 tails.clear()
-            tail = tails[key] = _TAIL % (e.kind._value_, e.value_class._value_, op,
-                                         ", ".join(operands), result,
-                                         "true" if e.injected else "false", traces[e.trace])
-        return _HEAD % e.seq + tail
+            tail = tails[key] = _TAIL % (kind._value_, value_class._value_, op_text,
+                                         ", ".join(operand_texts), result_text,
+                                         "true" if injected else "false", traces[trace])
+        return _HEAD % seq + tail
     return encode
 
 
 def event_to_line(e: ExceptionEvent) -> str:
-    return _encoder()(e)
+    return _encoder()(e.seq, e.kind, e.value_class, e.op, e.operands, e.result,
+                      e.injected, e.trace)
 
 
 def _decoder():

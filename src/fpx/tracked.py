@@ -29,11 +29,13 @@ included, except that with two NaN operands the ufunc keeps the first one's
 sign and the compiled operator may keep the second's. Those, a twin that
 raises (x/0, sqrt of a negative), narrow widths and rows without a twin take
 numpy scalar ufuncs. Two quiet NaN operands of + - * / run the ufunc bare, as
-IEEE 754 raises no flag for them; every other ufunc call suppresses
-floating-point traps, so 0/0, log(0), overflow and a signalling NaN operand
-yield IEEE results instead of raising. With injection off,
-unwrapped results are bit-identical to the same computation over plain numpy
-scalars.
+IEEE 754 raises no flag for them, once per ufunc and pair of bit patterns:
+the float result is a function of those bits, so a table keyed by them
+remembers it, cleared past TWO_NAN_TABLE_LIMIT. Every other ufunc call
+suppresses floating-point traps, so 0/0, log(0), overflow and a signalling
+NaN operand yield IEEE results instead of raising. With injection off,
+unwrapped results are bit-identical to the same computation over plain
+numpy scalars.
 Construction and ops share one operand rule and one cast: a value that is not
 a number is a TypeError before any event; at float64 every value becomes a
 Python float, so int and numpy scalar operands take the twin; a number too
@@ -109,6 +111,10 @@ _EVENTS = tuple(tuple(tuple((kind, vc) for vc in ValueClass
 _OFF = InjectorMode.OFF
 _QUIET_BIT = 1 << 51    # of a float64 NaN
 _UNARY = object()       # the absent second operand of a one-operand op
+# (ufunc, packed operand bits) -> the ufunc's float result over two quiet NaNs,
+# a pure function of its key, so threads share the table without a lock.
+_TWO_QUIET_NANS = {}
+TWO_NAN_TABLE_LIMIT = 1024
 
 
 class TrackedFloat:
@@ -211,13 +217,6 @@ def _cast(cls, values):
     return casts
 
 
-def _wrap_result(cls, value):
-    """Wrap a value computed at cls's width, past __init__'s operand check and cast."""
-    t = _new(cls)
-    _set_value(t, cls._store(value))
-    return t
-
-
 def apply(name: str, operands):
     """Run one intercepted operation over tracked (or mixed) operands in the
     current session, which a `use_session` block selects.
@@ -267,9 +266,14 @@ def _finish(sess, cls, row, xs, injected_value=None):
             except (ZeroDivisionError, ValueError):    # x/0, sqrt(-x)
                 pass
         elif not is_comparison:         # two NaNs through + - * /
-            a, b = _unpack_qq(_pack_dd(*xs))
-            if a & b & _QUIET_BIT:      # both quiet: IEEE 754 raises no flag
-                result = impl(*xs)
+            key = impl, _pack_dd(*xs)
+            result = _TWO_QUIET_NANS.get(key)
+            if result is None:
+                a, b = _unpack_qq(key[1])
+                if a & b & _QUIET_BIT:      # both quiet: IEEE 754 raises no flag
+                    if len(_TWO_QUIET_NANS) >= TWO_NAN_TABLE_LIMIT:
+                        _TWO_QUIET_NANS.clear()
+                    result = _TWO_QUIET_NANS[key] = float(impl(*xs))
     if result is None:
         with np.errstate(all="ignore"):
             result = impl(*xs)
@@ -285,7 +289,11 @@ def _finish(sess, cls, row, xs, injected_value=None):
         result = propagate_payload(xs, result)
     for kind, value_class in _EVENTS[status][result_status]:
         sess.ledger.record(kind, value_class, op, xs, result, injected, sess.traces.capture)
-    return result if is_comparison else _wrap_result(cls, result)
+    if is_comparison:
+        return result
+    wrapped = _new(cls)
+    _set_value(wrapped, cls._store(result))
+    return wrapped
 
 
 def _operator_method(name, arity, reflected):
@@ -318,12 +326,14 @@ def _operator_method(name, arity, reflected):
                         injector = session.injector
                         if injector.mode is _OFF:
                             injector.count_op()
-                            return _wrap_result(type(self), result)
-                        injected = injector.decide(op, session.traces.capture)
-                        if injected is None:
-                            return _wrap_result(type(self), result)
-                        return _finish(session, type(self), row,
-                                       (x,) if y is _UNARY else (x, y), injected)
+                        else:
+                            injected = injector.decide(op, session.traces.capture)
+                            if injected is not None:
+                                return _finish(session, type(self), row,
+                                               (x,) if y is _UNARY else (x, y), injected)
+                        wrapped = _new(type(self))
+                        _set_value(wrapped, result)
+                        return wrapped
                 return _finish(current_session(), type(self), row,
                                (x,) if y is _UNARY else (x, y))
         if other is _UNARY:

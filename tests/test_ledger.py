@@ -97,6 +97,34 @@ class TestRecord:
         assert [e.kind for e in events] == [EventKind.GEN, EventKind.KILL, EventKind.PROP]
         assert [e.seq for e in ledger.events(EventKind.KILL)] == [2]
 
+    def test_events_of_one_kind_keep_their_global_seq(self):
+        ledger = Ledger()
+        for kind in "gen prop gen kill prop gen".split():
+            _record(ledger, kind=EventKind(kind))
+        assert {kind: [e.seq for e in ledger.events(kind)] for kind in EventKind} == {
+            EventKind.GEN: [1, 3, 6], EventKind.PROP: [2, 5], EventKind.KILL: [4]}
+
+    def test_events_are_equal_new_objects_on_each_call(self):
+        ledger = Ledger()
+        _record(ledger, kind=EventKind.GEN)
+        _record(ledger, kind=EventKind.PROP, operands=(NAN, 1.0))
+        first, second = ledger.events(), ledger.events()
+        assert first == second and len(first) == 2
+        assert all(a is not b for a, b in zip(first, second))
+
+    def test_a_changed_event_changes_no_row(self, tmp_path):
+        """The ledger keeps rows and builds events from them, so changing a
+        returned event changes neither a later events() nor the flushed bytes."""
+        ledger = Ledger()
+        _record(ledger, kind=EventKind.GEN)
+        _record(ledger, kind=EventKind.KILL, operands=(NAN, 1.0), result=1.0)
+        before = ledger.events()
+        flushed = [p.read_bytes() for p in ledger.flush(tmp_path / "before").values()]
+        for e in ledger.events():
+            e.seq, e.kind, e.result, e.operands, e.trace = 9, EventKind.PROP, 2.0, (3.0,), ()
+        assert ledger.events() == before
+        assert [p.read_bytes() for p in ledger.flush(tmp_path / "after").values()] == flushed
+
     def test_events_of_a_kind_that_is_not_an_event_kind_raises(self):
         ledger = Ledger()
         _record(ledger, kind=EventKind.GEN)

@@ -16,6 +16,7 @@ import fpx
 from fpx import fpbits, tracked
 from fpx.classify import (EventKind, OpIdentity, ValueClass, classify,
                           propagate_payload)
+from fpx.fpbits import _pack_dd, _unpack_qq
 from fpx.injector import (InjectionConfig, InjectionRecording, Injector, RecordedInjection,
                           ReplayDivergenceWarning)
 from fpx.ledger import LedgerConfig
@@ -768,6 +769,119 @@ def test_only_two_quiet_nans_skip_errstate(monkeypatch):
             entered.clear()
             call()
             assert entered == [{"all": "ignore"}]
+
+
+QUIET_NAN_PAIRS = [(a, b) for a, b in NAN_PAIRS
+                   if fpbits.to_bits(a) & fpbits.to_bits(b) & 1 << 51]
+
+
+def _bare_two_nan_bits(a, b, name):
+    with np.errstate(all="ignore"):
+        return _scalar_bits(propagate_payload((a, b), ARITHMETIC[name](a, b)))
+
+
+def test_remembered_two_quiet_nan_results_are_the_bare_ufunc_bits():
+    """A quiet/quiet pair of + - * / gives the bare ufunc's bits, pinned, on
+    its first call, on a repeat that the two-NaN table answers, and after the
+    table is cleared, through apply and every operator method shape."""
+    with use_session(explicit_session()):
+        for a, b in QUIET_NAN_PAIRS:
+            for name in ARITHMETIC:
+                bare = _bare_two_nan_bits(a, b, name)
+                for call in _two_nan_calls(a, b, name):
+                    tracked._TWO_QUIET_NANS.clear()
+                    first, repeat = call(), call()
+                    tracked._TWO_QUIET_NANS.clear()
+                    after = call()
+                    assert [_scalar_bits(unwrap(r)) for r in (first, repeat, after)] == [
+                        bare] * 3, (name, a, b)
+
+
+def test_two_nan_table_holds_only_quiet_pairs_and_is_cleared_past_its_limit(monkeypatch):
+    """Keys are the ufunc and both operands' bits; a pair with a signalling
+    NaN never goes in and enters np.errstate on every call; the table never
+    grows past TWO_NAN_TABLE_LIMIT."""
+    monkeypatch.setattr(tracked, "TWO_NAN_TABLE_LIMIT", 3)
+    tracked._TWO_QUIET_NANS.clear()
+    sizes = []
+    with use_session(explicit_session()):
+        for k in range(1, 9):
+            a, b = fpbits.nan_with_payload(k), fpbits.nan_with_payload(k + 100)
+            assert _scalar_bits(unwrap(TrackedFloat64(a) * b)) == _bare_two_nan_bits(a, b, "*")
+            sizes.append(len(tracked._TWO_QUIET_NANS))
+        assert sizes == [1, 2, 3, 1, 2, 3, 1, 2]
+        monkeypatch.undo()
+        for a, b in NAN_PAIRS:
+            for name in ARITHMETIC:
+                for call in _two_nan_calls(a, b, name):
+                    call()
+        assert all(a & b & 1 << 51 for a, b in
+                   (_unpack_qq(packed) for _, packed in tracked._TWO_QUIET_NANS))
+        signalling = [(a, b) for a, b in NAN_PAIRS
+                      if not fpbits.to_bits(a) & fpbits.to_bits(b) & 1 << 51]
+        assert signalling
+        entered = []
+        real = np.errstate
+
+        def errstate(**kwargs):
+            entered.append(kwargs)
+            return real(**kwargs)
+        monkeypatch.setattr(np, "errstate", errstate)
+        for a, b in signalling:
+            for call in _two_nan_calls(a, b, "+") * 2:
+                entered.clear()
+                call()
+                assert entered == [{"all": "ignore"}], (a, b)
+
+
+def test_remembered_two_nan_result_keeps_a_raising_numpy_state():
+    """Under a caller's np.seterr(all="raise"), a table hit raises nothing
+    and leaves np.geterr() as it was."""
+    a, b = QUIET_NAN_PAIRS[-1]
+    with use_session(explicit_session()):
+        TrackedFloat64(a) / b
+        assert (np.divide, _pack_dd(a, b)) in tracked._TWO_QUIET_NANS
+        caller = np.seterr(all="raise")
+        try:
+            raising = np.geterr()
+            result = TrackedFloat64(a) / b
+            assert np.geterr() == raising
+        finally:
+            np.seterr(**caller)
+    assert _scalar_bits(unwrap(result)) == _bare_two_nan_bits(a, b, "/")
+
+
+def _transfer_payload_reference(raw_result, source_nan):
+    """fpbits.transfer_payload before propagate_payload pinned float64 itself."""
+    w = 64 if type(raw_result) in (float, np.float64) else fpbits.width_of(raw_result)
+    mask = fpbits.PAYLOAD_MASK[w]
+    if w == 64:
+        bits, source = _unpack_qq(_pack_dd(raw_result, source_nan))
+        return fpbits.from_bits(bits & ~mask | source & mask)
+    return fpbits.from_bits(fpbits.to_bits(raw_result) & ~mask
+                            | fpbits.to_bits(source_nan, w) & mask, w)
+
+
+@pytest.mark.parametrize("width", [64, 32, 16])
+def test_the_pin_matches_the_former_transfer_payload(width):
+    """propagate_payload, which pins a float64 result in its own call, and
+    transfer_payload give the bits the former transfer_payload gave, over
+    every NaN pair of SPECIAL_FLOAT64, and of two NaNs with every payload
+    bit set, at each width."""
+    nans = [x for x in SPECIAL_FLOAT64 if x != x] + [
+        fpbits.from_bits(0x7FFFFFFFFFFFFFFF), fpbits.from_bits(0xFFF7FFFFFFFFFFFF)]
+    store = [float, np.float64] if width == 64 else [WIDTHS[width][1]]
+    for a, b in [(a, b) for a in nans for b in nans]:
+        with np.errstate(all="ignore"):
+            raws = [to_width(a) for to_width in store]
+            sources = [b, WIDTHS[width][1](b)]
+        for raw in raws:
+            for source in sources:
+                expected = _scalar_bits(_transfer_payload_reference(raw, source))
+                assert _scalar_bits(propagate_payload((1.5, source), raw)) == expected
+                assert _scalar_bits(fpbits.transfer_payload(raw, source)) == expected
+                assert type(propagate_payload((source,), raw)) is type(
+                    _transfer_payload_reference(raw, source))
 
 
 @pytest.mark.parametrize("width, name_arity, slot, payloads", [
