@@ -152,42 +152,50 @@ class Injector:
         operation calls it once: a clean float64 one from its operator method
         after the twin computed, any other from tracked._finish before the
         computation.
-        FUZZ numbers the operation and draws under the lock, so op numbers
-        and draws stay in one order. OFF and REPLAY number the operation
-        without the lock and pop its number from the dict of pending points,
-        which OFF holds empty; only a recorded point takes the lock, to check
-        its op name and trace fingerprint and count the injection. `capture`
-        is a zero-argument trace capture, called at most once per decision:
-        only when scope filters, an injection or a recorded point need the
-        trace.
+        A FUZZ decision is this one call. It numbers the operation and draws
+        under the lock, so op numbers and draws stay in one order; past
+        n_inject it stops there. With scope filters it captures the trace and
+        tests `functions=` and `libraries=` in one loop over its frames before
+        the draw, and an injection fingerprints that same trace.
+        OFF and REPLAY number the operation without the lock and pop its
+        number from the dict of pending points, which OFF holds empty; only a
+        recorded point takes the lock, to check its op name and trace
+        fingerprint and count the injection. `capture` is a zero-argument
+        trace capture, called at most once per decision: only when scope
+        filters, an injection or a recorded point need the trace.
         """
-        if self._draws is not None:    # FUZZ: cheaper to test than an enum member
-            with self._lock:
-                return self._fuzz_decide(self.count_op(), op, capture)
-        point = self._pending.pop(self.count_op(), None)
-        return None if point is None else self._replay_inject(point, op, capture)
-
-    def _fuzz_decide(self, n: int, op: OpIdentity, capture) -> float | None:
-        cfg = self.config
-        if self.injected_so_far >= cfg.n_inject:
-            return None
-        trace = None
-        if cfg.functions or cfg.libraries:
-            trace = capture()
-            if cfg.functions and not any(
-                name in f.function for f in trace for name in cfg.functions
-            ):
+        if self._draws is None:    # OFF or REPLAY: cheaper to test than an enum member
+            point = self._pending.pop(self.count_op(), None)
+            return None if point is None else self._replay_inject(point, op, capture)
+        with self._lock:
+            n = self.count_op()
+            cfg = self.config
+            if self.injected_so_far >= cfg.n_inject:
                 return None
-            if cfg.libraries and not any(f.file.startswith(cfg.libraries) for f in trace):
+            trace = None
+            if cfg.functions or cfg.libraries:
+                trace = capture()
+                # One pass over the trace; each filter drops out once a frame meets it.
+                names, libraries = cfg.functions, cfg.libraries
+                for frame in trace:
+                    for name in names:
+                        if name in frame.function:
+                            names = ()
+                            break
+                    if libraries and frame.file.startswith(libraries):
+                        libraries = ()
+                    if not (names or libraries):
+                        break
+                else:
+                    return None
+            # Out-of-scope operations never reach this draw, so they do not
+            # consume randomness and scoped runs stay reproducible.
+            if next(self._draws) != 1:
                 return None
-        # Out-of-scope operations never reach this draw, so they do not
-        # consume randomness and scoped runs stay reproducible.
-        if next(self._draws) != 1:
-            return None
-        fp = trace_fingerprint(capture() if trace is None else trace)
-        self.recording.points.append(RecordedInjection(n, op.name, cfg.value, fp))
-        self.injected_so_far += 1
-        return cfg.value
+            fp = trace_fingerprint(capture() if trace is None else trace)
+            self.recording.points.append(RecordedInjection(n, op.name, cfg.value, fp))
+            self.injected_so_far += 1
+            return cfg.value
 
     def _replay_inject(self, point: RecordedInjection, op: OpIdentity, capture) -> float:
         """The point's value, injected even where the op name or the trace

@@ -15,13 +15,17 @@ builds one Frame per (function, file, line) and hands every later scope of
 that site the same one; that table, too, is cleared past SITE_TABLE_LIMIT.
 A scope object is still made per `scope(...)` call and enters once.
 
-The native provider memoizes per call site. A code object and an instruction
-offset fix a frame's function, file and line, so each provider keeps a table
-from (code id, offset) to the Frame it maps to, or None for a skipped frame of
-this package. A hit returns the stored Frame, the same value a fresh walk
-would build. The table holds its code objects, checks identity on every hit,
-and is cleared when it outgrows SITE_TABLE_LIMIT, so code made at run time by
-exec or compile cannot grow it without bound.
+The native provider memoizes per code object. A code object fixes its
+function and file, and an instruction offset in it fixes the line, so each
+provider keeps one table from a code's id to (code, None) for a code of this
+package, whose frames are skipped with one lookup and no offset read, or to
+(code, {offset: Frame}) for any other. A hit returns the stored Frame, the
+same value a fresh walk would build. The table holds its code objects and
+checks identity on every hit. It counts its codes plus their call sites and
+is cleared whole when that count reaches SITE_TABLE_LIMIT, so code made at
+run time by exec or compile cannot grow it without bound. A miss stores its
+entry and counts it under a lock, so threads sharing a provider lose no
+count; a hit takes no lock.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import contextvars
 import os
 import sys
+import threading
 from typing import NamedTuple
 
 
@@ -85,35 +90,48 @@ class ExplicitContextProvider:
         return self._trace.get()
 
 
-SKIP_PREFIX = os.path.dirname(os.path.abspath(__file__))    # this package's frames
+# This package's directory with its trailing os.sep, so that a file beside it
+# whose name starts with the package's name keeps its frames.
+SKIP_PREFIX = os.path.join(os.path.dirname(os.path.abspath(__file__)), "")
 
 
 class NativeTraceProvider:
     """Map the live interpreter stack to Frames, dropping this package's own frames."""
 
     def __init__(self):
-        self._sites = {}    # (id(code), f_lasti) -> (code, Frame or None if skipped)
+        self._codes = {}    # id(code) -> (code, None if skipped, else {f_lasti: Frame})
+        self._entries = 0   # codes plus call sites stored, the count SITE_TABLE_LIMIT bounds
+        self._lock = threading.Lock()   # taken on a miss only
+
+    def _store(self, table, key, value):
+        """Store one entry in the table or in one of its site dicts, first
+        clearing the whole table if it is full; returns the value."""
+        with self._lock:
+            if self._entries >= SITE_TABLE_LIMIT:
+                self._codes.clear()
+                self._entries = 0
+            self._entries += 1
+            table[key] = value
+        return value
 
     def capture(self) -> StackTrace:
         try:
-            sites = self._sites
+            codes = self._codes
             frame = sys._getframe(1)
             frames = []
             while frame is not None:
                 code = frame.f_code
-                key = (id(code), frame.f_lasti)
-                site = sites.get(key)
-                if site is None or site[0] is not code:
-                    path = code.co_filename
-                    if path.startswith(SKIP_PREFIX):
-                        site = (code, None)
-                    else:
-                        site = (code, Frame(code.co_name, path, frame.f_lineno))
-                    if len(sites) >= SITE_TABLE_LIMIT:
-                        sites.clear()
-                    sites[key] = site
-                if site[1] is not None:
-                    frames.append(site[1])
+                entry = codes.get(id(code))
+                if entry is None or entry[0] is not code:
+                    entry = self._store(codes, id(code), (
+                        code, None if code.co_filename.startswith(SKIP_PREFIX) else {}))
+                sites = entry[1]
+                if sites is not None:
+                    site = sites.get(frame.f_lasti)
+                    if site is None:
+                        site = self._store(sites, frame.f_lasti, Frame(
+                            code.co_name, code.co_filename, frame.f_lineno))
+                    frames.append(site)
                 frame = frame.f_back
             return tuple(frames) if frames else (SENTINEL_FRAME,)
         except Exception:

@@ -30,8 +30,8 @@ sign and the compiled operator may keep the second's. Those, a twin that
 raises (x/0, sqrt of a negative), narrow widths and rows without a twin take
 numpy scalar ufuncs. Two quiet NaN operands of + - * / run the ufunc bare, as
 IEEE 754 raises no flag for them, once per ufunc and pair of bit patterns:
-the float result is a function of those bits, so a table keyed by them
-remembers it, cleared past TWO_NAN_TABLE_LIMIT. Every other ufunc call
+the pinned float result is a function of those bits, so a table keyed by
+them remembers it, cleared past TWO_NAN_TABLE_LIMIT. Every other ufunc call
 suppresses floating-point traps, so 0/0, log(0), overflow and a signalling
 NaN operand yield IEEE results instead of raising. With injection off,
 unwrapped results are bit-identical to the same computation over plain
@@ -112,7 +112,8 @@ _OFF = InjectorMode.OFF
 _QUIET_BIT = 1 << 51    # of a float64 NaN
 _UNARY = object()       # the absent second operand of a one-operand op
 # (ufunc, packed operand bits) -> the ufunc's float result over two quiet NaNs,
-# a pure function of its key, so threads share the table without a lock.
+# already pinned: a pure function of its key, so threads share the table
+# without a lock, and a hit skips the pin.
 _TWO_QUIET_NANS = {}
 TWO_NAN_TABLE_LIMIT = 1024
 
@@ -257,7 +258,7 @@ def _finish(sess, cls, row, xs, injected_value=None):
     impl, is_comparison, op, exact = row
     if injected_value is None and not is_comparison:
         injected_value = sess.injector.decide(op, sess.traces.capture)
-    injected = injected_value is not None
+    injected = pinned = injected_value is not None     # an injected NaN keeps its payload
     result = cls._store(injected_value) if injected else None
     if not injected and exact is not None and type(xs[0]) is type(xs[-1]) is float:
         if len(xs) == 1 or xs[0] == xs[0] or xs[1] == xs[1]:
@@ -273,7 +274,8 @@ def _finish(sess, cls, row, xs, injected_value=None):
                 if a & b & _QUIET_BIT:      # both quiet: IEEE 754 raises no flag
                     if len(_TWO_QUIET_NANS) >= TWO_NAN_TABLE_LIMIT:
                         _TWO_QUIET_NANS.clear()
-                    result = _TWO_QUIET_NANS[key] = float(impl(*xs))
+                    result = _TWO_QUIET_NANS[key] = propagate_payload(xs, float(impl(*xs)))
+            pinned = result is not None
     if result is None:
         with np.errstate(all="ignore"):
             result = impl(*xs)
@@ -285,7 +287,7 @@ def _finish(sess, cls, row, xs, injected_value=None):
     if is_comparison:
         result = bool(result)       # what the ledger stores and the caller gets
     result_status = 0 if is_comparison or isfinite(result) else 2 if result == result else 1
-    if result_status == 1 and status & 1 and not injected:   # pin the leftmost NaN's payload
+    if result_status == 1 and status & 1 and not pinned:    # pin the leftmost NaN's payload
         result = propagate_payload(xs, result)
     for kind, value_class in _EVENTS[status][result_status]:
         sess.ledger.record(kind, value_class, op, xs, result, injected, sess.traces.capture)

@@ -3,17 +3,20 @@
 import asyncio
 import contextlib
 import contextvars
+import os
 import sys
 import threading
 
 import pytest
 
 import fpx
-from fpx import traces
-from fpx.session import explicit_session, use_session
+from fpx import fpbits, traces
+from fpx.injector import InjectionConfig, Injector
+from fpx.ledger import Ledger
+from fpx.session import TrackerSession, explicit_session, use_session
 from fpx.traces import (ExplicitContextProvider, Frame, NativeTraceProvider,
                         SENTINEL_FRAME, trace_fingerprint)
-from fpx.tracked import TrackedFloat64
+from fpx.tracked import TrackedFloat64, unwrap
 
 NAN = float("nan")
 
@@ -226,6 +229,27 @@ def _both(p):
     return p.capture(), _reference_capture()
 
 
+def _table_size(p):
+    """What the native table holds, the count SITE_TABLE_LIMIT bounds: its
+    codes plus their call sites."""
+    return sum(1 + len(sites or ()) for _, sites in p._codes.values())
+
+
+def _stack_depth():
+    """Frames on the caller's stack, the caller's own included."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _made(source, filename, name):
+    """The function `name` of `source`, compiled under `filename`; no file is written."""
+    namespace = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
 class TestNativeCallSiteTable:
     """The memoized capture returns what a fresh walk of the stack returns."""
 
@@ -354,9 +378,198 @@ class TestNativeCallSiteTable:
             del fn, namespace
             assert memo == ref
             assert memo[2] == Frame(f"f_{i}", f"<made {i}>", blank + 2)
-            assert len(p._sites) <= limit
+            assert _table_size(p) <= limit
         # the table let go of old code objects, and their ids came back
         assert len(set(code_ids)) < len(code_ids)
+
+    def test_call_sites_of_one_code_count_toward_the_limit(self, monkeypatch):
+        """One code object with more call sites than the limit: every site
+        counts, the table stays within the limit by clearing, and each
+        capture is still the fresh walk's."""
+        limit = 2 * _stack_depth() + 16     # room for this stack's codes and sites
+        monkeypatch.setattr(traces, "SITE_TABLE_LIMIT", limit)
+        p = NativeTraceProvider()
+        many = _made("def many(both, check):\n" + "    check(both())\n" * (3 * limit),
+                     "<many sites>", "many")
+        sizes, lines = [], []
+
+        def check(pair):
+            memo, ref = pair
+            assert memo == ref
+            lines.append(memo[2].line)
+            sizes.append(_table_size(p))
+
+        many(lambda: _both(p), check)
+        assert lines == list(range(2, 3 * limit + 2))
+        assert max(sizes) <= limit
+        assert sum(b < a for a, b in zip(sizes, sizes[1:])) >= 2    # cleared, more than once
+
+    def test_threads_missing_at_once_lose_no_count(self, monkeypatch):
+        """More threads than cores miss on fresh call sites at a short switch
+        interval: every capture is the fresh walk's, and the table never
+        holds more than it counted, nor more than the limit."""
+        limit = 2 * _stack_depth() + 64
+        monkeypatch.setattr(traces, "SITE_TABLE_LIMIT", limit)
+        p = NativeTraceProvider()
+        source = "def many(both, check):\n" + "    check(both())\n" * 200
+        barrier = threading.Barrier(6)
+        failures = []
+
+        def check(pair):
+            if pair[0] != pair[1]:
+                failures.append(pair)
+
+        def worker(k):
+            barrier.wait(timeout=30)
+            for i in range(5):      # fresh code objects, so every site misses
+                _made(source, f"<worker {k} round {i}>", "many")(lambda: _both(p), check)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert _table_size(p) <= p._entries <= limit
+
+    def test_a_skipped_code_holds_one_entry(self, monkeypatch):
+        """A code of this package is one (code, None) entry, however many
+        call sites run, so its sites never fill the table."""
+        limit = 2 * _stack_depth() + 16
+        monkeypatch.setattr(traces, "SITE_TABLE_LIMIT", limit)
+        p = NativeTraceProvider()
+        filename = os.path.join(os.path.dirname(traces.__file__), "many.py")
+        many = _made("def many(both, check):\n" + "    check(both())\n" * (3 * limit),
+                     filename, "many")
+        sizes = []
+
+        def check(pair):
+            memo, ref = pair
+            assert memo == ref and all(f.file != filename for f in memo)
+            sizes.append(_table_size(p))
+
+        many(lambda: _both(p), check)
+        assert sizes == [sizes[0]] * (3 * limit)
+        assert [entry for entry in p._codes.values() if entry[0] is many.__code__] == [
+            (many.__code__, None)]
+
+
+class TestSkipPrefix:
+    """SKIP_PREFIX is the package directory with a trailing separator, so only
+    files inside it are skipped, not files whose name merely starts with it."""
+
+    def test_prefix_ends_in_a_separator(self):
+        fpx_dir = os.path.dirname(os.path.abspath(traces.__file__))
+        assert traces.SKIP_PREFIX == fpx_dir + os.sep
+
+    @pytest.mark.parametrize("inside", [False, True])
+    def test_only_files_inside_the_package_are_skipped(self, inside):
+        fpx_dir = os.path.dirname(os.path.abspath(traces.__file__))
+        filename = (os.path.join(fpx_dir, "x.py") if inside
+                    else traces.SKIP_PREFIX.rstrip(os.sep) + "_user.py")
+        user_kernel = _made("def user_kernel(both):\n    return both()\n",
+                            filename, "user_kernel")
+        p = NativeTraceProvider()
+        for _ in range(2):      # a miss, then a hit
+            memo, ref = user_kernel(lambda: _both(p))
+            assert memo == ref
+            assert (Frame("user_kernel", filename, 2) in memo) is not inside
+
+    @pytest.mark.parametrize("inside", [False, True])
+    def test_functions_filter_fires_beside_the_package(self, inside):
+        """functions= reaches a kernel in a file named like the package
+        directory, and never one inside it."""
+        fpx_dir = os.path.dirname(os.path.abspath(traces.__file__))
+        filename = (os.path.join(fpx_dir, "x.py") if inside
+                    else traces.SKIP_PREFIX.rstrip(os.sep) + "_user.py")
+        user_kernel = _made("def user_kernel(x):\n    return x + 1.0\n",
+                            filename, "user_kernel")
+        injector = Injector.fuzz(InjectionConfig(odds=1, functions=("user_kernel",)))
+        session = TrackerSession(ledger=Ledger(), injector=injector,
+                                 traces=NativeTraceProvider())
+        with use_session(session):
+            result = unwrap(user_kernel(TrackedFloat64(2.0)))
+        assert (result != result) is not inside
+        assert len(injector.recording.points) == (0 if inside else 1)
+
+
+class ReferenceTraceProvider(NativeTraceProvider):
+    """The native provider with its table replaced by a fresh walk per capture."""
+
+    capture = staticmethod(_reference_capture)
+
+
+# A small Horner kernel in a made-up library file, with ops in and out of
+# every scope: horner is in both scopes, scale only in libraries=,
+# horner_tail only in functions=, and evaluate's own op in neither. Its ops
+# sit on two lines of horner, so one code object has two call sites.
+LIB_DIR = os.path.join(os.sep, "fpx-test-lib", "")
+_LIB = {}
+exec(compile("def horner(coeffs, x):\n"
+             "    acc = coeffs[0]\n"
+             "    for c in coeffs[1:]:\n"
+             "        acc = acc * x\n"
+             "        acc = acc + c\n"
+             "    return acc\n"
+             "def scale(y, k):\n"
+             "    return y * k\n", LIB_DIR + "kernels.py", "exec"), _LIB)
+COEFFS = (0.5, -1.25, 2.0, 0.75, -0.5)
+
+
+def horner_tail(y, x):
+    return y - x
+
+
+def evaluate(points):
+    return [horner_tail(_LIB["scale"](_LIB["horner"](COEFFS, x), 0.5), x) + 1.0
+            for x in points]
+
+
+def _scoped_run(provider, injector, out_dir):
+    """Recording points, events, op count, flushed bytes and result bits of
+    evaluate over tracked points under one native session."""
+    session = TrackerSession(ledger=Ledger(), injector=injector, traces=provider)
+    points = [TrackedFloat64(0.125 * k - 0.75) for k in range(13)]
+    with use_session(session):
+        values = evaluate(points)
+    paths = session.ledger.flush(out_dir)
+    assert not injector.divergences and not injector.unconsumed_points()
+    return (injector.recording.points, session.ledger.events(), injector.op_counter,
+            {kind: path.read_bytes() for kind, path in paths.items()},
+            [fpbits.to_bits(unwrap(v)) for v in values])
+
+
+@pytest.mark.parametrize("scope", [{"functions": ("horner",)},
+                                   {"libraries": (LIB_DIR,)},
+                                   {"functions": ("horner",), "libraries": (LIB_DIR,)}],
+                         ids=["functions", "libraries", "both"])
+def test_scoped_native_fuzz_matches_a_reference_walk(scope, tmp_path):
+    """Scoped fuzz and its replay over the call-site table give what they
+    give over a fresh walk per capture: the same points, events, op count,
+    log bytes and results, for each filter and a few seeds."""
+    injected = 0
+    for seed in (1, 2, 5, 11):
+        config = InjectionConfig(odds=4, n_inject=3, seed=seed, **scope)
+        runs = {}
+        for provider in (NativeTraceProvider, ReferenceTraceProvider):
+            recording = None
+            for phase in ("fuzz", "replay"):
+                injector = (Injector.fuzz(config) if recording is None
+                            else Injector.replay(recording))
+                # one call site for every run, so that fingerprints agree
+                runs[provider, phase] = _scoped_run(
+                    provider(), injector, tmp_path / f"{seed}-{provider.__name__}-{phase}")
+                recording = injector.recording
+        for phase in ("fuzz", "replay"):
+            assert runs[NativeTraceProvider, phase] == runs[ReferenceTraceProvider, phase]
+        injected += len(runs[NativeTraceProvider, "fuzz"][0])
+    assert injected > 0
 
 
 def test_fingerprint_stability():

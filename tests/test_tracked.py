@@ -851,6 +851,32 @@ def test_remembered_two_nan_result_keeps_a_raising_numpy_state():
     assert _scalar_bits(unwrap(result)) == _bare_two_nan_bits(a, b, "/")
 
 
+def test_two_nan_table_hit_skips_the_pin(monkeypatch):
+    """The two-NaN table stores the pinned result: a miss pins once, on its
+    way into the table, and a hit calls propagate_payload not at all, yet
+    both give the bare ufunc's pinned bits."""
+    pins = []
+    real = tracked.propagate_payload
+
+    def spy(operands, raw_result):
+        pins.append(operands)
+        return real(operands, raw_result)
+    monkeypatch.setattr(tracked, "propagate_payload", spy)
+    with use_session(explicit_session()):
+        for a, b in QUIET_NAN_PAIRS:
+            for name in ARITHMETIC:
+                bare = _bare_two_nan_bits(a, b, name)
+                for call in _two_nan_calls(a, b, name):
+                    monkeypatch.setattr(tracked, "_TWO_QUIET_NANS", {})
+                    pins.clear()
+                    miss = call()
+                    assert len(pins) == 1 and len(tracked._TWO_QUIET_NANS) == 1
+                    pins.clear()
+                    hit = call()
+                    assert pins == [], (name, a, b)
+                    assert _scalar_bits(unwrap(miss)) == _scalar_bits(unwrap(hit)) == bare
+
+
 def _transfer_payload_reference(raw_result, source_nan):
     """fpbits.transfer_payload before propagate_payload pinned float64 itself."""
     w = 64 if type(raw_result) in (float, np.float64) else fpbits.width_of(raw_result)
