@@ -147,11 +147,11 @@ class Injector:
     def decide(self, op: OpIdentity, capture) -> float | None:
         """Advance the op counter and return an injected value, or None.
 
-        A clean float64 operation under an OFF injector never calls it: its
-        operator method only calls count_op. Every other intercepted numeric
-        operation calls it once: a clean float64 one from its operator method
-        after the twin computed, any other from tracked._finish before the
-        computation.
+        Every intercepted operation computes, then decides. A comparison
+        takes no decision, and a clean operation (finite operands and
+        result) under an OFF injector only calls count_op. Every other operation
+        calls decide once, after its compute: a clean float64 + - * from its
+        operator method, any other from tracked._finish.
         A FUZZ decision is this one call. It numbers the operation and draws
         under the lock, so op numbers and draws stay in one order; past
         n_inject it stops there. With scope filters it captures the trace and

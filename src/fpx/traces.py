@@ -20,12 +20,12 @@ function and file, and an instruction offset in it fixes the line, so each
 provider keeps one table from a code's id to (code, None) for a code of this
 package, whose frames are skipped with one lookup and no offset read, or to
 (code, {offset: Frame}) for any other. A hit returns the stored Frame, the
-same value a fresh walk would build. The table holds its code objects and
-checks identity on every hit. It counts its codes plus their call sites and
-is cleared whole when that count reaches SITE_TABLE_LIMIT, so code made at
-run time by exec or compile cannot grow it without bound. A miss stores its
-entry and counts it under a lock, so threads sharing a provider lose no
-count; a hit takes no lock.
+same value a fresh walk would build. The table holds its code objects, so
+no other live object can share an id it keys while the entry exists. It
+counts its codes plus their call sites and is cleared whole when that count
+reaches SITE_TABLE_LIMIT, so code made at run time by exec or compile cannot
+grow it without bound. A miss stores its entry and counts it under a lock,
+so threads sharing a provider lose no count; a hit takes no lock.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class NativeTraceProvider:
             while frame is not None:
                 code = frame.f_code
                 entry = codes.get(id(code))
-                if entry is None or entry[0] is not code:
+                if entry is None:
                     entry = self._store(codes, id(code), (
                         code, None if code.co_filename.startswith(SKIP_PREFIX) else {}))
                 sites = entry[1]

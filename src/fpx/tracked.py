@@ -1,25 +1,23 @@
 """Tracked floating-point scalars and the operation intercept pipeline.
 
-Every operation on a tracked value consults the injector, computes (or
-substitutes the injected value), pins NaN payloads to their source, logs one
-event per value class whose exceptional status it touched, and re-wraps the
-result. An operation is one row of the table below: name, arity, numpy ufunc,
-exact Python float twin, the operator methods or public function it backs,
-and whether it is a comparison; the registry, methods and functions are built
-from it. Every operation runs in the current session, which a `use_session`
-block picks. The operator methods of a row with a twin are fused when every
-operand is already a Python float. With finite operands and result they
-compute with the twin: a comparison then returns its bool, and a numeric op
-is counted without a lock under an OFF injector, or takes its Injector.decide
-call in the method under FUZZ or REPLAY, and is wrapped unless a value is
-injected. The + - * methods come from a maker of their own: they run the twin
-first, and one test of the result, r - r == 0.0, stands for the operand
-tests, since a finite sum, difference or product has finite operands (not so
-for /: x / inf is finite). _finish, the tail apply shares, computes and logs
-every other op.
-Not given an injected value, it decides the op itself (none for a comparison,
-Injector.decide before the compute otherwise), so an event op over Python
-floats, and every op apply takes, is decided there. apply takes the operands
+Every operation on a tracked value computes, then decides: it consults the
+injector (which may substitute an injected value), pins NaN payloads to their
+source, logs one event per value class whose exceptional status it touched,
+and re-wraps the result. An operation is one row of the table below: name,
+arity, numpy ufunc, exact Python float twin, the operator methods or public
+function it backs, and whether it is a comparison; the registry, methods and
+functions are built from it. Every operation runs in the current session,
+which a `use_session` block picks. The + - * methods come from a maker of
+their own: they run the twin, and one test of the result, r - r == 0.0,
+stands for the operand tests, since a finite sum, difference or product has
+finite operands (not so for /: x / inf is finite). Such a clean op is counted
+without a lock under an OFF injector, or takes its Injector.decide call in
+the method under FUZZ or REPLAY, and is wrapped unless a value is injected.
+Over Python float operands, the other operator methods return a comparison
+or truth test over finite operands as the twin's bool, and hand every other
+op to _finish, the tail apply shares. _finish computes, then decides: a
+comparison takes no decision, a clean op under an OFF injector is counted
+alone, and any other op takes Injector.decide. apply takes the operands
 that need a cast, the narrow widths, the public functions and direct calls.
 
 Two substrates compute, with the same bits either way. A twin (+ - * /,
@@ -249,18 +247,18 @@ def apply(name: str, operands):
 
 
 def _finish(sess, cls, row, xs, injected_value=None):
-    """The op over operands already at cls's width. Not given an injected
-    value, it takes the op's decision itself: none for a comparison, and
-    Injector.decide before the compute otherwise. Then it computes with the
-    substrate the module docstring names (or stores the injected value at
-    that width), pins a NaN result's payload with propagate_payload, and
-    classifies both value classes in one pass and logs."""
+    """The op over operands already at cls's width: it computes with the
+    substrate the module docstring names, then decides. A comparison takes
+    no decision. Not given an injected value, a clean op (finite operands
+    and result) under an OFF injector is only counted, and any other op
+    takes Injector.decide; an injected value, stored at cls's width,
+    replaces the result and its status. Then it pins a NaN result's payload
+    with propagate_payload, classifies both value classes in one pass and
+    logs."""
     impl, is_comparison, op, exact = row
-    if injected_value is None and not is_comparison:
-        injected_value = sess.injector.decide(op, sess.traces.capture)
-    injected = pinned = injected_value is not None     # an injected NaN keeps its payload
-    result = cls._store(injected_value) if injected else None
-    if not injected and exact is not None and type(xs[0]) is type(xs[-1]) is float:
+    result = None
+    pinned = False          # an injected NaN, or a remembered one, keeps its payload
+    if exact is not None and type(xs[0]) is type(xs[-1]) is float:
         if len(xs) == 1 or xs[0] == xs[0] or xs[1] == xs[1]:
             try:
                 result = exact(*xs)
@@ -285,10 +283,21 @@ def _finish(sess, cls, row, xs, injected_value=None):
         if not isfinite(x):
             status |= 1 if x != x else 2
     if is_comparison:
-        result = bool(result)       # what the ledger stores and the caller gets
-    result_status = 0 if is_comparison or isfinite(result) else 2 if result == result else 1
+        result, result_status = bool(result), 0     # what the ledger stores and the caller gets
+    else:
+        result_status = 0 if isfinite(result) else 2 if result == result else 1
+        if injected_value is None:
+            injector = sess.injector
+            if status == result_status == 0 and injector.mode is _OFF:
+                injector.count_op()
+            else:
+                injected_value = injector.decide(op, sess.traces.capture)
+        if injected_value is not None:
+            result, pinned = cls._store(injected_value), True
+            result_status = 2 if result == result else 1
     if result_status == 1 and status & 1 and not pinned:    # pin the leftmost NaN's payload
         result = propagate_payload(xs, result)
+    injected = injected_value is not None
     for kind, value_class in _EVENTS[status][result_status]:
         sess.ledger.record(kind, value_class, op, xs, result, injected, sess.traces.capture)
     if is_comparison:
@@ -299,45 +308,28 @@ def _finish(sess, cls, row, xs, injected_value=None):
 
 
 def _operator_method(name, arity, reflected):
-    """An operator method, fused over Python float operands as the module
-    docstring says: a clean op finishes in the method, and any other goes to
-    _finish, which decides it. An op with an operand to cast or at a narrow
-    width goes on to apply, looked up as a module global, so a patched apply
-    sees every call that falls through."""
+    """An operator method of any row but + - *. Over Python float operands a
+    comparison or truth test with finite operands returns its bool here, the
+    twin's, and every other op goes to _finish. An op with an operand to cast
+    or at a narrow width goes on to apply, looked up as a module global, so a
+    patched apply sees every call that falls through."""
     row = _REGISTRY[name, arity]
-    _, is_comparison, op, exact = row
+    _, is_comparison, _, exact = row
 
     def method(self, other=_UNARY):
-        if exact is not None:
-            if reflected:
-                x, y = other, self._value       # a tracked left operand is left to apply
-            else:
-                x, y = self._value, (other._value if isinstance(other, TrackedFloat) else other)
-            if type(x) is float and (y is _UNARY or type(y) is float):
-                # Finite Python floats are float64-wide, and the twin rounds like the
-                # ufunc there: a finite result is the ufunc's, and cannot be an event.
-                if isfinite(x) and (y is _UNARY or isfinite(y)):
-                    try:
-                        result = exact(x) if y is _UNARY else exact(x, y)
-                    except (ZeroDivisionError, ValueError):    # x/0, sqrt(-x): not clean
-                        result = math.inf
-                    if is_comparison:
-                        return result
-                    if isfinite(result):
-                        session = current_session()
-                        injector = session.injector
-                        if injector.mode is _OFF:
-                            injector.count_op()
-                        else:
-                            injected = injector.decide(op, session.traces.capture)
-                            if injected is not None:
-                                return _finish(session, type(self), row,
-                                               (x,) if y is _UNARY else (x, y), injected)
-                        wrapped = _new(type(self))
-                        _set_value(wrapped, result)
-                        return wrapped
-                return _finish(current_session(), type(self), row,
-                               (x,) if y is _UNARY else (x, y))
+        if reflected:
+            x, y = other, self._value       # a tracked left operand is left to apply
+        else:
+            x, y = self._value, (other._value if isinstance(other, TrackedFloat) else other)
+        if type(x) is float:        # x - x is 0.0 for a finite x, NaN otherwise
+            if y is _UNARY:
+                if is_comparison and x - x == 0.0:
+                    return exact(x)
+                return _finish(current_session(), type(self), row, (x,))
+            if type(y) is float:
+                if is_comparison and x - x == y - y:
+                    return exact(x, y)
+                return _finish(current_session(), type(self), row, (x, y))
         if other is _UNARY:
             return apply(name, (self,))
         if not isinstance(other, _OPERANDS):
@@ -347,9 +339,9 @@ def _operator_method(name, arity, reflected):
 
 
 def _arithmetic_method(name, reflected):
-    """An operator method of + - * (reflected or not), the fused method cut
-    to its row: the twin runs once, and a finite result, which only finite
-    operands give, is the clean op, counted or decided and wrapped here.
+    """An operator method of + - * (reflected or not): the twin runs once,
+    and a finite result, which only finite operands give, is the clean op,
+    counted or decided after the compute and wrapped here.
     Every other op over Python floats goes to _finish, any other operands to
     apply, both looked up as module globals."""
     row = _REGISTRY[name, 2]
