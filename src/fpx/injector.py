@@ -9,14 +9,14 @@ DRAW_BLOCK integers, flattened, which yield the same sequence as one draw at
 a time. Only a FUZZ injector has the stream, and its generator, with
 numpy.random, is built at the first draw, so OFF and REPLAY never build one.
 Replay keys on the global intercepted-operation counter and checks the op
-name and a stack-trace fingerprint at each injection point, so divergence
-from the recorded run is detected rather than silently absorbed. Operations
-are numbered by an itertools.count, whose next() is atomic in CPython. An OFF
-injector decides as a replay of no points: each decision numbers its op and
-pops that number from an empty dict of pending points, both atomic, so OFF
-and REPLAY count exactly without the lock, even when threads share the
-injector, and only an op at a recorded point takes it. A fuzz decision
-numbers its op and draws under the lock.
+name and arity and a stack-trace fingerprint at each injection point, so
+divergence from the recorded run is detected rather than silently absorbed.
+Operations are numbered by an itertools.count, whose next() is atomic in
+CPython. An OFF injector decides as a replay of no points: each decision
+numbers its op and pops that number from an empty dict of pending points,
+both atomic, so OFF and REPLAY count exactly without the lock, even when
+threads share the injector, and only an op at a recorded point takes it. A
+fuzz decision numbers its op and draws under the lock.
 """
 
 from __future__ import annotations
@@ -91,9 +91,10 @@ class RecordedInjection:
     op: str
     value: float
     trace_fp: str
+    arity: int | None = None        # None: a point recorded without it, checked by name only
 
     def _key(self):
-        return (self.op_counter, self.op, fpbits.to_bits(self.value), self.trace_fp)
+        return (self.op_counter, self.op, self.arity, fpbits.to_bits(self.value), self.trace_fp)
 
     def __eq__(self, other):
         if not isinstance(other, RecordedInjection):
@@ -159,7 +160,7 @@ class Injector:
         the draw, and an injection fingerprints that same trace.
         OFF and REPLAY number the operation without the lock and pop its
         number from the dict of pending points, which OFF holds empty; only a
-        recorded point takes the lock, to check its op name and trace
+        recorded point takes the lock, to check its op name, arity and trace
         fingerprint and count the injection. `capture` is a zero-argument
         trace capture, called at most once per decision: only when scope
         filters, an injection or a recorded point need the trace.
@@ -193,19 +194,22 @@ class Injector:
             if next(self._draws) != 1:
                 return None
             fp = trace_fingerprint(capture() if trace is None else trace)
-            self.recording.points.append(RecordedInjection(n, op.name, cfg.value, fp))
+            self.recording.points.append(RecordedInjection(n, op.name, cfg.value, fp, op.arity))
             self.injected_so_far += 1
             return cfg.value
 
     def _replay_inject(self, point: RecordedInjection, op: OpIdentity, capture) -> float:
-        """The point's value, injected even where the op name or the trace
-        fingerprint differs from the recording's; each difference is a divergence."""
+        """The point's value, injected even where the op name, the op's arity
+        or the trace fingerprint differs from the recording's; each difference
+        is a divergence. A point recorded without an arity checks no arity."""
         with self._lock:
             fp = trace_fingerprint(capture())
             at = f"replay divergence at op {point.op_counter}: recorded"
             messages = []
             if op.name != point.op:
                 messages.append(f"{at} op {point.op!r}, current {op.name!r}; injecting anyway")
+            if point.arity is not None and op.arity != point.arity:
+                messages.append(f"{at} arity {point.arity}, current {op.arity}; injecting anyway")
             if fp != point.trace_fp:
                 messages.append(f"{at} trace {point.trace_fp}, current {fp}; injecting anyway")
             for message in messages:
@@ -220,7 +224,8 @@ class Injector:
 
 
 def save_recording(recording: InjectionRecording, path) -> None:
-    """Header line with the seed, then one JSON object per injection point."""
+    """Header line with the seed, then one JSON object per injection point; a
+    point's "arity" key is left out when it has none."""
     if type(recording.seed) is not int or recording.seed < 0:
         raise ValueError("seed must be an integer >= 0")
     lines = [json.dumps({"seed": recording.seed}) + "\n"]
@@ -228,6 +233,7 @@ def save_recording(recording: InjectionRecording, path) -> None:
         lines.append(json.dumps({
             "op_counter": p.op_counter,
             "op": p.op,
+            **({} if p.arity is None else {"arity": p.arity}),
             "value_hex": fpbits.hex_bits(p.value),
             "trace_fp": p.trace_fp,
         }) + "\n")
@@ -248,6 +254,7 @@ def load_recording(path) -> InjectionRecording:
                 op=obj["op"],
                 value=fpbits.from_hex_bits(obj["value_hex"]),
                 trace_fp=obj["trace_fp"],
+                arity=obj.get("arity"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise RecordingFormatError(f"bad injection point: {exc}", line_number) from exc
@@ -256,6 +263,8 @@ def load_recording(path) -> InjectionRecording:
                 or math.isfinite(point.value)):
             raise RecordingFormatError("op_counter must be an integer, op and trace_fp "
                                        "strings, value_hex a 64-bit NaN or Inf", line_number)
+        if "arity" in obj and (type(point.arity) is not int or point.arity not in (1, 2)):
+            raise RecordingFormatError("arity must be 1 or 2", line_number)
         if point.op_counter < 1:
             raise RecordingFormatError("op_counter must be >= 1: ops are numbered from 1",
                                        line_number)

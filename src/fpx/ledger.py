@@ -21,6 +21,10 @@ one's encoded tail, or shares the first one's fields. Both line tables are
 cleared when they outgrow LINE_TABLE_LIMIT. A debugger-friendly human
 rendering (op header line, then one frame per line) is derived from the same
 records.
+The line format lives here: _LINE splits a line into its canonical seq head
+and its tail, the text that decides every other field. parse_log reads its
+heads through it, and `fpx cstg` and `fpx diff` count a log's lines by tail
+with it, decoding each distinct tail once and building no events.
 FormatError and the JSON-lines reader here serve every fpx file format.
 """
 
@@ -288,8 +292,11 @@ def _decoder():
     return decode
 
 
-# A canonical head, the one `_HEAD` writes for a seq >= 1, within any int digit limit.
-_SEQ_HEAD = re.compile(r'\{"seq": ([1-9][0-9]{0,17})')
+# One line of a log and its "\n", as one match. A line that opens with a canonical
+# head, the one `_HEAD` writes for a seq >= 1 within any int digit limit, gives its
+# seq digits and its tail, the rest of the line from the comma on; any other
+# line, a blank one too, gives its whole text.
+_LINE = re.compile(r'\{"seq": ([1-9][0-9]{0,17})(,.*)\n?|(.*)\n?')
 
 
 def _holds_no_seq_key(text):
@@ -329,7 +336,7 @@ def _parse_lines(lines) -> list:
         cut = line.find(",")
         rest = line[cut:]
         fields = decoded.get(rest)
-        if fields is not None and (head := _SEQ_HEAD.fullmatch(line, 0, cut)):
+        if fields is not None and (head := _LINE.match(line, 0, cut + 1))[2]:
             events.append(ExceptionEvent(int(head[1]), *fields))
             continue
         e = decode(_json_object(line, line_number, LogFormatError), line_number)

@@ -440,17 +440,19 @@ class TestGraphCommands:
 
     def test_cstg_reads_a_log_once_with_universal_newlines(self, gen_log, tmp_path, capsys,
                                                          monkeypatch):
-        """cstg parses the text it read to sniff the file, not the file again.
-        Its lines are those of a text-mode read: a log with CRLF or CR line
-        ends makes the same graph, and a U+2028 or U+0085 inside a frame name
-        ends no line."""
+        """cstg and diff parse the text they read to sniff the file, not the
+        file again. Its lines are those of a text-mode read: a log with CRLF
+        or CR line ends makes the same graph, and a U+2028 or U+0085 inside a
+        frame name ends no line."""
         text = gen_log.read_text(encoding="utf-8").replace("stencil_update",
                                                            "stencil\u2028\x85update")
-        log = tmp_path / "log.jsonl"
+        log, empty = tmp_path / "log.jsonl", tmp_path / "empty.txt"
         log.write_text(text, encoding="utf-8")
-        expected = stackgraph.emit_dot(stackgraph.build([e.trace for e in parse_log(log)],
-                                                        "fine"))
-        assert "stencil\u2028\x85update" in expected
+        empty.write_text("", encoding="utf-8")
+        graph = stackgraph.build([e.trace for e in parse_log(log)], "fine")
+        expected = stackgraph.emit_dot(graph)
+        expected_diff = stackgraph.emit_dot_diff(stackgraph.diff(stackgraph.build([]), graph))
+        assert all("stencil\u2028\x85update" in dot for dot in (expected, expected_diff))
 
         def reread(path):
             raise AssertionError(f"{path} read twice")
@@ -458,6 +460,8 @@ class TestGraphCommands:
         for newline in ("\n", "\r\n", "\r"):
             log.write_text(text, encoding="utf-8", newline=newline)
             assert run_cli(capsys, "cstg", str(log)) == (0, expected, ""), repr(newline)
+            assert run_cli(capsys, "diff", str(empty), str(log)) == (
+                0, expected_diff, ""), repr(newline)
 
     def test_cstg_value_class_on_plain_text_traces_is_usage_error(self, tmp_path, capsys):
         txt = tmp_path / "traces.txt"

@@ -405,6 +405,39 @@ class TestRecordingFiles:
             load_recording(path)
         assert err.value.line_number == 2 and "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("bad", [0, 3, -1, "2", 2.0, True, None, [2]])
+    def test_bad_arity_names_its_line(self, tmp_path, bad):
+        point = {"op_counter": 1, "op": "-", "arity": 2, "value_hex": fpbits.hex_bits(NAN),
+                 "trace_fp": "0" * 16}
+        good = json.dumps(point)
+        point.update(op_counter=9, arity=bad)
+        path = tmp_path / "rec.jsonl"
+        path.write_text('{"seed": 1}\n' + good + "\n" + json.dumps(point) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(RecordingFormatError, match="arity must be 1 or 2") as err:
+            load_recording(path)
+        assert err.value.line_number == 3 and "line 3" in str(err.value)
+
+    def test_arity_is_saved_after_the_op_and_compared(self, tmp_path):
+        """A fuzzed point keeps its op's arity; a point made without one saves
+        no arity key and loads back without one."""
+        inj = Injector.fuzz(InjectionConfig(odds=1, n_inject=2))
+        inj.decide(OpIdentity("-", 1), _thunk())
+        inj.decide(OP, _thunk())
+        inj.recording.points.append(RecordedInjection(3, "*", NAN, "0" * 16))
+        path = tmp_path / "rec.jsonl"
+        save_recording(inj.recording, path)
+        lines = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        assert [list(line) for line in lines] == [
+            ["op_counter", "op", "arity", "value_hex", "trace_fp"]] * 2 + [
+            ["op_counter", "op", "value_hex", "trace_fp"]]
+        assert [line.get("arity") for line in lines] == [1, 2, None]
+        loaded = load_recording(path)
+        assert loaded == inj.recording
+        assert [p.arity for p in loaded.points] == [1, 2, None]
+        assert RecordedInjection(1, "-", NAN, "0" * 16, 1) != RecordedInjection(1, "-", NAN,
+                                                                                "0" * 16)
+
     def test_point_compared_with_another_type_is_not_implemented(self):
         point = RecordedInjection(1, "+", NAN, "0" * 16)
         assert point.__eq__(point._key()) is NotImplemented

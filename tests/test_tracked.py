@@ -18,7 +18,7 @@ from fpx.classify import (EventKind, OpIdentity, ValueClass, classify,
                           propagate_payload)
 from fpx.fpbits import _pack_dd, _unpack_qq
 from fpx.injector import (InjectionConfig, InjectionRecording, Injector, RecordedInjection,
-                          ReplayDivergenceWarning)
+                          ReplayDivergenceWarning, load_recording, save_recording)
 from fpx.ledger import LedgerConfig
 from fpx.session import explicit_session, use_session
 from fpx.traces import trace_fingerprint
@@ -1026,6 +1026,40 @@ def test_replay_shifted_onto_another_op_in_one_scope_is_a_divergence():
     assert replayed.injector.divergences == [
         "replay divergence at op 1: recorded op '*', current '+'; injecting anyway"]
     assert replayed.injector.unconsumed_points() == []
+
+
+def test_replay_onto_an_op_of_another_arity_is_a_divergence(tmp_path):
+    """Unary and binary `-` share a name: the recorded arity tells that a
+    point recorded at `a - b` fell on `-a`. Replay injects there anyway, and
+    reports it; a point saved without an arity is checked by name only."""
+    def kernel(session, unary):
+        with use_session(session), session.traces.scope("kernel", "k.py", 1):
+            a, b = TrackedFloat64(2.0), TrackedFloat64(3.0)
+            return -a if unary else a - b
+
+    fuzzed = explicit_session(injector=Injector.fuzz(InjectionConfig(odds=1, n_inject=1)))
+    kernel(fuzzed, unary=False)
+    path = tmp_path / "rec.jsonl"
+    save_recording(fuzzed.injector.recording, path)
+    assert '"op": "-", "arity": 2, ' in path.read_text(encoding="utf-8")
+
+    replayed = explicit_session(injector=Injector.replay(load_recording(path)))
+    with pytest.warns(ReplayDivergenceWarning):
+        kernel(replayed, unary=True)
+    assert [(e.kind, e.op) for e in replayed.ledger.events()] == [
+        (EventKind.GEN, OpIdentity("-", 1))]
+    assert replayed.injector.divergences == [
+        "replay divergence at op 1: recorded arity 2, current 1; injecting anyway"]
+
+    path.write_text(path.read_text(encoding="utf-8").replace('"arity": 2, ', ""),
+                    encoding="utf-8")
+    unchecked = explicit_session(injector=Injector.replay(load_recording(path)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel(unchecked, unary=True)
+    assert unchecked.injector.divergences == []
+    assert [(e.kind, e.op) for e in unchecked.ledger.events()] == [
+        (EventKind.GEN, OpIdentity("-", 1))]
 
 
 def _watch_apply_and_decide(monkeypatch):
