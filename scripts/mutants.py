@@ -10,12 +10,11 @@ output; it is listed with the reason and not run.
 
 Run it from the root of an fpx checkout:
 
-    python3 scripts/mutants.py              # every mutant
-    python3 scripts/mutants.py NAME ...     # the named mutants
+    python3 scripts/mutants.py
 
 Exit 0 when every mutant run is killed, 1 when one survives, its tests fail
 to run, or the unmutated copy fails a killer. The whole table takes about
-half a minute on a 2-core x86-64 VM.
+20 s on a shared 2-core x86-64 VM.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ class Mutant(NamedTuple):
     equivalent: str = ""    # why the mutant changes no output; then it is not run
 
 
-_CUT = "islice(events, stackgraph.split_index("
 _NOT_DECIDED = "        if injected_value is None:\n            injector = sess.injector\n"
 _COMPARISON = "                if is_comparison and x - x == y - y:\n"
 _REFERENCE = ("tests/test_reference.py::test_programs_match_the_reference",
@@ -58,8 +56,12 @@ MUTANTS = (
            (("        if _holds_no_seq_key(rest):\n", "        if True:\n"),),
            ("tests/test_ledger.py::test_parse_log_matches_one_decode_per_line[duplicate-seq-key]",
             "tests/test_ledger.py::test_parse_log_matches_one_decode_per_line[escaped-seq-key]")),
-    Mutant("split-cut-one-line-late", "cli.py",
-           ((_CUT, "islice(events, 1 + stackgraph.split_index("),),
+    Mutant("split-cut-one-trace-late", "stackgraph.py",
+           (("cut = math.ceil(fraction * len(traces))",
+             "cut = math.ceil(fraction * len(traces)) + 1"),),
+           ("tests/test_stackgraph.py::TestSlice::test_ceiling_split_examples",)),
+    Mutant("counted-split-groups-lines-by-key", "ledger.py",
+           (("map(rows.__getitem__, keys)", "map(rows.__getitem__, counts.elements())"),),
            _COUNTED),
     # PR 26: one compute-then-decide tail in tracked._finish.
     Mutant("finish-counts-an-event-op-under-off", "tracked.py",
@@ -121,21 +123,16 @@ def _copy(tmp: Path, name: str) -> Path:
     return parent
 
 
-def main(names) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 1
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    for m in chosen:         # every edit applies before any test runs
+def main() -> int:
+    for m in MUTANTS:        # every edit applies before any test runs
         apply_edits((PACKAGE / m.file).read_text(encoding="utf-8"), m)
     survivors = 0
     with tempfile.TemporaryDirectory() as tmp:
-        killers = sorted({k for m in chosen if not m.equivalent for k in m.killers})
+        killers = sorted({k for m in MUTANTS if not m.equivalent for k in m.killers})
         if killers and _run_tests(_copy(Path(tmp), "unmutated"), killers) != 0:
             print("the unmutated package fails a killer test")
             return 1
-        for i, m in enumerate(chosen):
+        for i, m in enumerate(MUTANTS):
             if m.equivalent:
                 print(f"equivalent  {m.name}: {m.equivalent}")
                 continue
@@ -151,4 +148,4 @@ def main(names) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

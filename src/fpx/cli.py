@@ -20,9 +20,7 @@ import json
 import os
 import sys
 import warnings
-from collections import Counter
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import chain
 from pathlib import Path
 
 from . import fpbits, stackgraph
@@ -30,9 +28,7 @@ from .classify import EventKind, ValueClass
 from .demos import demo_loop_kill, demo_max, demo_sim
 from .injector import (InjectionConfig, Injector, ReplayDivergenceWarning,
                        load_recording, save_recording)
-from .ledger import (_HEAD, _LINE, LINE_TABLE_LIMIT, FormatError, LedgerConfig,
-                     LogFormatError, _decoder, _json_object, _parse_lines, _split_lines,
-                     parse_log, render_human)
+from .ledger import FormatError, LedgerConfig, _line_traces, parse_log, render_human
 from .session import explicit_session
 
 
@@ -167,74 +163,20 @@ def _graph_document(path, text):
     return obj if document_format == stackgraph.GRAPH_FORMAT else None
 
 
-_CHUNK = 1 << 16     # characters of a log one scan takes, up to the next line end
-_LINE_KEY = itemgetter(2, 3)     # a line's tail after a canonical head, or its whole text
-_ONE_HEAD = _HEAD % 1       # before a tail, a line with the tail's fields under seq 1
-
-
-def _chunks(text):
-    """(start, end) of runs of whole lines of text, each about _CHUNK characters."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK) + 1 or len(text)
-        yield start, end
-        start = end
-
-
-def _log_trace_counts(text, value_class=None, split=None):
-    """The trace counts of the events _parse_lines gives for a log, or a
-    split's (head, tail) pair, with no event built. One C-level scan per run
-    of lines counts them by key: a line's tail after its canonical head, which
-    decides every field but the seq, or any other line's whole text. Each
-    distinct key is decoded once. A malformed log is parsed again, for
-    _parse_lines' error and line number."""
-    decode = _decoder()
-    wanted = None if value_class is None else ValueClass(value_class)
-    rows, counts, order = {}, Counter(), []     # order: the lines' rows, under a split
-    for start, end in _chunks(text):
-        if len(rows) >= LINE_TABLE_LIMIT:
-            rows.clear()
-        keys = list(map(_LINE_KEY, _LINE.finditer(text, start, end)))
-        for key, n in Counter(keys).items():
-            row = rows.get(key)     # (trace,) if the key's line is an event counted, else ()
-            if row is None:
-                tail, line = key
-                if line is not None and not line.strip():
-                    row = ()
-                else:
-                    try:
-                        e = decode(_json_object(_ONE_HEAD + tail if line is None else line,
-                                                None, LogFormatError))
-                    except LogFormatError:
-                        _parse_lines(_split_lines(text))     # raises at the first bad line
-                        raise
-                    row = (e.trace,) if wanted is None or e.value_class is wanted else ()
-                rows[key] = row
-            if split is None:
-                for trace in row:
-                    counts[trace] += n
-        if split is not None:
-            order.extend(map(rows.__getitem__, keys))
-    if split is None:
-        return counts
-    events = chain.from_iterable(order)      # the counted events' traces, in log order
-    head = Counter(islice(events, stackgraph.split_index(split, sum(map(len, order)))))
-    return head, Counter(events)
-
-
-def _trace_counts(text, value_class=None, split=None):
-    """The trace counts of ledger jsonl or plain-text trace blocks, detected
-    from content: a Counter, or a split's (head, tail) pair of Counters. Only
-    log events carry a value class to filter on."""
+def _load_traces(text, value_class=None, in_order=False):
+    """The traces of ledger jsonl or plain-text trace blocks, detected from
+    content: in file order, or, for stackgraph.build, which takes them in any
+    order, a log's grouped by line tail. Only log events carry a value class
+    to filter on."""
     head = text.lstrip()
+    if not head:
+        return []
     if head.startswith("{"):
-        return _log_trace_counts(text, value_class, split)
-    if value_class is not None and head:
+        wanted = None if value_class is None else ValueClass(value_class)
+        return chain.from_iterable(_line_traces(text, wanted, in_order))
+    if value_class is not None:
         raise UsageError("--value-class applies to ledger logs, not plain-text traces")
-    traces = stackgraph.parse_trace_text(text)
-    if split is None:
-        return Counter(traces)
-    return tuple(map(Counter, stackgraph.slice_traces(traces, split)))
+    return stackgraph.parse_trace_text(text)
 
 
 def _filter_class(events, value_class):
@@ -251,7 +193,7 @@ def _load_graph_any(path, key_policy):
     document = _graph_document(path, text)
     if document is not None:
         return stackgraph.graph_from_json(document)
-    return stackgraph.build(_trace_counts(text).elements(), key_policy)
+    return stackgraph.build(_load_traces(text), key_policy)
 
 
 def _emit(text, dest) -> None:
@@ -275,13 +217,13 @@ def cmd_cstg(args) -> int:
     if _graph_document(args.log, text) is not None:
         raise FormatError(f"{args.log} is a stack-graph document, not a log or trace "
                           "file; fpx diff reads graph documents")
-    counts = _trace_counts(text, args.value_class, args.split)
+    traces = _load_traces(text, args.value_class, args.split is not None)
     if args.split is not None:
-        head, tail = counts
-        _emit_diff(stackgraph.diff(stackgraph.build(head.elements(), key_policy),
-                                   stackgraph.build(tail.elements(), key_policy)), args)
+        head, tail = stackgraph.slice_traces(traces, args.split)
+        _emit_diff(stackgraph.diff(stackgraph.build(head, key_policy),
+                                   stackgraph.build(tail, key_policy)), args)
         return 0
-    g = stackgraph.build(counts.elements(), key_policy)
+    g = stackgraph.build(traces, key_policy)
     _emit(stackgraph.emit_dot(g), args.dot)
     if args.json:
         stackgraph.save_graph(g, args.json)

@@ -23,8 +23,9 @@ rendering (op header line, then one frame per line) is derived from the same
 records.
 The line format lives here: _LINE splits a line into its canonical seq head
 and its tail, the text that decides every other field. parse_log reads its
-heads through it, and `fpx cstg` and `fpx diff` count a log's lines by tail
-with it, decoding each distinct tail once and building no events.
+heads through it, and _line_traces, which `fpx cstg` and `fpx diff` read a
+log with, counts a log's lines by tail with it, decoding each distinct tail
+once and building no events.
 FormatError and the JSON-lines reader here serve every fpx file format.
 """
 
@@ -33,7 +34,10 @@ from __future__ import annotations
 import json
 import re
 import threading
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from . import fpbits
@@ -348,6 +352,50 @@ def _parse_lines(lines) -> list:
             decoded[rest] = (e.kind, e.value_class, e.op, e.operands, e.result,
                              e.injected, e.trace)
     return events
+
+
+_CHUNK = 1 << 16     # characters of a log one _LINE scan takes, up to the next line end
+_LINE_KEY = itemgetter(2, 3)     # a line's tail after a canonical head, or its whole text
+_ONE_HEAD = _HEAD % 1       # before a tail, a line with the tail's fields under seq 1
+
+
+def _line_traces(text, value_class=None, in_order=False):
+    """The traces of the events _parse_lines gives for a log's text, or of those
+    of one ValueClass, with no event built. One C-level _LINE scan per run of
+    whole lines of about _CHUNK characters keys each line by its tail after a
+    canonical head, which decides every field but the seq, or by any other
+    line's whole text, and each distinct key is decoded once. Yields, per run,
+    iterables of traces to chain: with in_order, one list of its kept events'
+    traces in line order; else one tuple per distinct key, the key's trace as
+    many times as the key occurs. A malformed log is parsed again, for
+    _parse_lines' error and line number."""
+    decode, rows = _decoder(), {}     # a key -> (trace,) for an event kept, else ()
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        if len(rows) >= LINE_TABLE_LIMIT:
+            rows.clear()
+        keys = map(_LINE_KEY, _LINE.finditer(text, start, end))
+        if in_order:
+            keys = list(keys)
+        counts = Counter(keys)
+        for key in counts.keys() - rows.keys():
+            tail, line = key
+            if line is not None and not line.strip():
+                rows[key] = ()
+                continue
+            try:
+                e = decode(_json_object(_ONE_HEAD + tail if line is None else line, None,
+                                        LogFormatError))
+            except LogFormatError:
+                _parse_lines(_split_lines(text))     # raises at the first bad line
+                raise
+            rows[key] = (e.trace,) if value_class in (None, e.value_class) else ()
+        if in_order:
+            yield list(chain.from_iterable(map(rows.__getitem__, keys)))
+        else:
+            yield from (rows[key] * n for key, n in counts.items())
+        start = end
 
 
 def render_human(e: ExceptionEvent) -> str:

@@ -5,9 +5,9 @@ Many stack traces collapse into one weighted digraph: frames become nodes
 each caller->callee adjacency adds one to its edge count. Diffs subtract edge
 counts between two graphs built with the same key policy; a policy mismatch is
 a ValueError. DOT output is deterministic so renders and golden files are
-stable. build takes an iterable of traces: ledger events' traces (those of the
-session a `use_session` block selected), `Counter.elements()` of traces, as
-`fpx cstg` passes a log's lines counted by tail, or parse_trace_text's blocks.
+stable. build takes an iterable of traces, in any order: ledger events' traces
+(those of the session a `use_session` block selected), a log's traces grouped
+by line tail, as `fpx cstg` passes them, or parse_trace_text's blocks.
 save_graph writes a graph document and graph_from_json reads its parsed JSON
 back; a malformed document is a GraphFormatError.
 """
@@ -81,17 +81,12 @@ def diff(before: StackGraph, after: StackGraph) -> GraphDiff:
     return d
 
 
-def split_index(fraction: float, n: int) -> int:
-    """How many of n traces in ledger order a split's head gets: ceil(fraction*n)."""
+def slice_traces(traces, fraction: float):
+    """Split in ledger order: head gets the first ceil(fraction*n) traces."""
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be strictly between 0 and 1")
-    return math.ceil(fraction * n)
-
-
-def slice_traces(traces, fraction: float):
-    """Split in ledger order: the head gets the first split_index(fraction, n) traces."""
     traces = list(traces)
-    cut = split_index(fraction, len(traces))
+    cut = math.ceil(fraction * len(traces))
     return traces[:cut], traces[cut:]
 
 

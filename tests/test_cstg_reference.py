@@ -3,6 +3,7 @@ of logs they give the bytes and exit codes of the event path: the traces of
 `parse_log`, filtered by class, through `slice_traces` and `stackgraph.build`."""
 
 import json
+import math
 import random
 
 import pytest
@@ -79,7 +80,7 @@ def _cut_blank(n, fraction) -> str:
     """n repeated event lines with a blank line just after the split's cut."""
     rng = random.Random(n)
     lines = [_line(rng, seq, False) for seq in range(1, n + 1)]
-    cut = stackgraph.split_index(fraction, n)
+    cut = math.ceil(fraction * n)
     return "".join(lines[:cut] + ["\n", "  \n"] + lines[cut:])
 
 
