@@ -14,7 +14,7 @@ Run it from the root of an fpx checkout:
 
 Exit 0 when every mutant run is killed, 1 when one survives, its tests fail
 to run, or the unmutated copy fails a killer. The whole table takes about
-20 s on a shared 2-core x86-64 VM.
+35-40 s on a shared 2-core x86-64 VM.
 """
 
 from __future__ import annotations
@@ -43,25 +43,36 @@ _NOT_DECIDED = "        if injected_value is None:\n            injector = sess.
 _COMPARISON = "                if is_comparison and x - x == y - y:\n"
 _REFERENCE = ("tests/test_reference.py::test_programs_match_the_reference",
               "tests/test_reference.py::test_capped_and_filtered_runs_keep_the_reference_prefix")
+_PER_LINE = "tests/test_ledger.py::test_parse_log_matches_one_decode_per_line[%s]"
 _COUNTED = ("tests/test_cstg_reference.py::test_counted_cstg_and_diff_match_the_event_path",
             "tests/test_cstg_reference.py::test_counted_split_with_blank_lines_at_the_cut")
 
 MUTANTS = (
-    # The counted cstg path and the canonical head it shares with parse_log.
+    # The one log reader, ledger._scan, and the counted cstg path over it.
     Mutant("head-regex-takes-leading-zeros", "ledger.py",
            ((r'\{"seq": ([1-9][0-9]{0,17})', r'\{"seq": ([0-9]{1,18})'),),
-           ("tests/test_ledger.py::test_parse_log_matches_one_decode_per_line[leading-zero]",
-            "tests/test_ledger.py::test_parse_log_matches_one_decode_per_line[zero]")),
+           (_PER_LINE % "leading-zero", _PER_LINE % "zero")),
     Mutant("parse-log-reuses-a-tail-holding-a-seq-key", "ledger.py",
-           (("        if _holds_no_seq_key(rest):\n", "        if True:\n"),),
-           ("tests/test_ledger.py::test_parse_log_matches_one_decode_per_line[duplicate-seq-key]",
-            "tests/test_ledger.py::test_parse_log_matches_one_decode_per_line[escaped-seq-key]")),
+           (("(_holds_no_seq_key(tail) or decode(", "(True or decode("),),
+           (_PER_LINE % "duplicate-seq-key", _PER_LINE % "escaped-seq-key",
+            _PER_LINE % "seq-1-in-tails")),
+    Mutant("parse-log-drops-the-second-decode", "ledger.py",
+           ((" or decode(\n            _json_object(_HEAD % 2 + tail, None, LogFormatError))"
+             "[0] != seq)", ")"),),
+           (_PER_LINE % "seq-in-trace-names",)),
+    Mutant("failing-run-reports-its-failing-keys-line", "ledger.py",
+           (("                decode(_json_object(line, n, LogFormatError), n)\n",
+             "                if ''.join(key) in line:\n"
+             "                    decode(_json_object(line, n, LogFormatError), n)\n"),),
+           (_PER_LINE % "two-bad-keys", _PER_LINE % "many-bad-keys",
+            *(f"tests/test_cstg_reference.py::test_counted_path_names_the_first_of_two_bad_keys"
+              f"[{seed}]" for seed in range(8)))),
     Mutant("split-cut-one-trace-late", "stackgraph.py",
            (("cut = math.ceil(fraction * len(traces))",
              "cut = math.ceil(fraction * len(traces)) + 1"),),
            ("tests/test_stackgraph.py::TestSlice::test_ceiling_split_examples",)),
     Mutant("counted-split-groups-lines-by-key", "ledger.py",
-           (("map(rows.__getitem__, keys)", "map(rows.__getitem__, counts.elements())"),),
+           (("map(traces.__getitem__, keys)", "map(traces.__getitem__, counts.elements())"),),
            _COUNTED),
     # PR 26: one compute-then-decide tail in tracked._finish.
     Mutant("finish-counts-an-event-op-under-off", "tracked.py",

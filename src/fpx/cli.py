@@ -273,7 +273,6 @@ def build_parser() -> _Parser:
     p_run.add_argument("--record", help="save the injection recording to this path")
     p_run.add_argument("--replay", metavar="REC",
                        help="re-fire the injections of a recording from --record")
-    p_run.set_defaults(func=cmd_run)
 
     p_cstg = sub.add_parser("cstg", help="coalesce a log into a stack graph")
     p_cstg.add_argument("log", help="ledger jsonl or plain-text trace file")
@@ -285,7 +284,6 @@ def build_parser() -> _Parser:
                                        "(the diff document under --split)")
     p_cstg.add_argument("--split", type=float, default=None,
                         help="diff the first FRACTION of traces against the rest")
-    p_cstg.set_defaults(func=cmd_cstg)
 
     p_diff = sub.add_parser("diff", help="diff two stack graphs")
     p_diff.add_argument("before")
@@ -294,13 +292,11 @@ def build_parser() -> _Parser:
                         help="key policy when building from logs")
     p_diff.add_argument("--dot", help="write DOT here instead of stdout")
     p_diff.add_argument("--json", help="also write the diff document")
-    p_diff.set_defaults(func=cmd_diff)
 
     p_render = sub.add_parser("render", help="print a log in human block form")
     p_render.add_argument("log")
     p_render.add_argument("--value-class", choices=("nan", "inf"), default=None,
                           help="only events of this class")
-    p_render.set_defaults(func=cmd_render)
 
     return parser
 
@@ -309,7 +305,8 @@ def cli_main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # the handler is looked up at each call, so a patched cmd_* is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except (FormatError, UnicodeDecodeError, OSError) as exc:
         print(f"fpx: {exc}", file=sys.stderr)
         return 2

@@ -15,17 +15,21 @@ exactly. One codec serves flush and parse_log; its caches live for one call.
 The encoder keeps one JSON fragment per op (keyed by the op object), trace and
 scalar (keyed by exact type and bit pattern, never by value); the decoder one
 object per op, trace and hex string, so events parsed from one file share
-immutable trace tuples and scalars. Events, and lines, that differ only in seq
-encode, and decode, once per call: a repeat is its seq head and the first
-one's encoded tail, or shares the first one's fields. Both line tables are
-cleared when they outgrow LINE_TABLE_LIMIT. A debugger-friendly human
-rendering (op header line, then one frame per line) is derived from the same
-records.
-The line format lives here: _LINE splits a line into its canonical seq head
-and its tail, the text that decides every other field. parse_log reads its
-heads through it, and _line_traces, which `fpx cstg` and `fpx diff` read a
-log with, counts a log's lines by tail with it, decoding each distinct tail
-once and building no events.
+immutable trace tuples and scalars. Events that differ only in seq encode
+once per call: a repeat is its seq head and the first one's encoded tail.
+The encoder's tail table and the reader's key table are cleared when they
+outgrow LINE_TABLE_LIMIT. A debugger-friendly human rendering (op header
+line, then one frame per line) is derived from the same records.
+The line format lives here, and so does the one log reader, _scan. One
+C-level _LINE.findall per run of whole lines of about _CHUNK characters
+splits each line into its canonical seq head and its tail, the text that
+decides every other field, or gives a line without such a head whole. A
+table keyed by (tail, whole line) decodes each distinct key once per call.
+parse_log reads a file in such runs and builds each line's event from its
+key's fields under its head's seq; _line_traces, which `fpx cstg` and `fpx
+diff` read a log with, counts the keys and builds no events. A key that
+fails to decode sends its run alone through one decode per line, for the
+first bad line's error and number.
 FormatError and the JSON-lines reader here serve every fpx file format.
 """
 
@@ -61,10 +65,10 @@ class LogFormatError(FormatError):
     """A log file line that cannot be parsed."""
 
 
-def _numbered(lines):
+def _numbered(lines, start=1):
     """(line_number, line) per non-blank line of text lines, such as a UTF-8
-    text file's."""
-    for line_number, line in enumerate(lines, start=1):
+    text file's, the first numbered `start`."""
+    for line_number, line in enumerate(lines, start):
         if line.strip():
             yield line_number, line
 
@@ -254,8 +258,9 @@ def event_to_line(e: ExceptionEvent) -> str:
 
 
 def _decoder():
-    """The record decoder of one call; a trace key holds each line's type, so a
-    9.0 or a true never reuses the Frames of a 9."""
+    """The record decoder of one call: a record's seq and its row, the fields
+    after the seq as a Ledger holds them. A trace key holds each line's type,
+    so a 9.0 or a true never reuses the Frames of a 9."""
     ops, traces, scalars = {}, {}, {}
 
     def scalar(obj):
@@ -266,7 +271,7 @@ def _decoder():
             scalars[hexed] = fpbits.from_hex_bits(hexed)
         return scalars[hexed]
 
-    def decode(obj: dict, line_number: int | None = None) -> ExceptionEvent:
+    def decode(obj: dict, line_number: int | None = None) -> tuple:
         try:
             seq, name, arity, injected = obj["seq"], obj["op"], obj["arity"], obj["injected"]
             operands, frames = obj["operands"], obj["trace"]
@@ -286,9 +291,8 @@ def _decoder():
                 traces[key] = tuple(Frame(fn, file, n) for fn, file, n, _ in key)
             if (name, arity) not in ops:
                 ops[name, arity] = OpIdentity(name, arity)
-            return ExceptionEvent(seq, kind, value_class, ops[name, arity],
-                                  tuple(map(scalar, operands)),
-                                  scalar(obj["result"]), injected, traces[key])
+            return seq, (kind, value_class, ops[name, arity], tuple(map(scalar, operands)),
+                         scalar(obj["result"]), injected, traces[key])
         except LogFormatError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -299,8 +303,11 @@ def _decoder():
 # One line of a log and its "\n", as one match. A line that opens with a canonical
 # head, the one `_HEAD` writes for a seq >= 1 within any int digit limit, gives its
 # seq digits and its tail, the rest of the line from the comma on; any other
-# line, a blank one too, gives its whole text.
+# line, a blank one too, gives its whole text. findall gives "" for a group that
+# did not take part, and one more, empty, match at the end of a text.
 _LINE = re.compile(r'\{"seq": ([1-9][0-9]{0,17})(,.*)\n?|(.*)\n?')
+_KEY = itemgetter(1, 2)     # a line's key: (tail, "") or, with no canonical head, ("", line)
+_CHUNK = 1 << 16     # characters of a log one _LINE scan takes, up to the next line end
 
 
 def _holds_no_seq_key(text):
@@ -311,91 +318,83 @@ def _holds_no_seq_key(text):
             and ("\\" not in text or "\\u00" not in text))
 
 
-def parse_log(path) -> list:
-    """Read one jsonl event stream back, bit-exactly. Unknown fields are ignored.
-    A line that repeats an earlier line's text after a canonical seq head takes
-    that line's other fields, with no JSON scan or record decode."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_lines(fh)
-
-
-def _split_lines(text):
+def _split_lines(text, least=0):
     """The lines of a text read from a file, as iterating that file in text mode
     yields them: the read translated every line end to "\n", so each line runs
-    to its "\n", and no other character ends one. Lazy, so a caller that holds
-    the text holds no second copy of it."""
+    to its "\n", and no other character ends one. With `least`, runs of whole
+    lines, each but the last of at least that many characters, as
+    `read(least) + readline()` reads them. Lazy, so a caller that holds the
+    text holds no second copy of it."""
     start = 0
     while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)
+        end = text.find("\n", start + least) + 1 or len(text)
         yield text[start:end]
         start = end
 
 
-def _parse_lines(lines) -> list:
-    """parse_log over an iterable of text lines: an open text file, or the
-    _split_lines of a text read from one."""
-    decode, events = _decoder(), []
-    decoded = {}    # the text after a line's first comma -> the fields it decoded to
-    for line_number, line in _numbered(lines):
-        cut = line.find(",")
-        rest = line[cut:]
-        fields = decoded.get(rest)
-        if fields is not None and (head := _LINE.match(line, 0, cut + 1))[2]:
-            events.append(ExceptionEvent(int(head[1]), *fields))
-            continue
-        e = decode(_json_object(line, line_number, LogFormatError), line_number)
-        events.append(e)
-        # Decoded with no seq key after its first comma, the line has one before it.
-        if _holds_no_seq_key(rest):
-            if len(decoded) >= LINE_TABLE_LIMIT:
-                decoded.clear()
-            decoded[rest] = (e.kind, e.value_class, e.op, e.operands, e.result,
-                             e.injected, e.trace)
-    return events
+def _decode_key(decode, tail, line):
+    """The fields of the lines with one _KEY, as (seq, row), a row as a Ledger
+    holds it: seq is None where each line's own head sets it. A blank line has
+    none. A tail that may hold a seq key is decoded under a second head too; a
+    seq the head does not change is the tail's own, which JSON's last key sets."""
+    if not (tail or line.strip()):
+        return None
+    seq, row = decode(_json_object(line or _HEAD % 1 + tail, None, LogFormatError))
+    if not line and (_holds_no_seq_key(tail) or decode(
+            _json_object(_HEAD % 2 + tail, None, LogFormatError))[0] != seq):
+        seq = None
+    return seq, row
 
 
-_CHUNK = 1 << 16     # characters of a log one _LINE scan takes, up to the next line end
-_LINE_KEY = itemgetter(2, 3)     # a line's tail after a canonical head, or its whole text
-_ONE_HEAD = _HEAD % 1       # before a tail, a line with the tail's fields under seq 1
+def _scan(runs):
+    """The one log reader, over a log's text in runs of whole lines: yields,
+    per run, its _LINE.findall, its lines' keys in order and counted, and the
+    call's key table, which then maps each key to its _decode_key fields. A
+    key is decoded once per call, until the table outgrows LINE_TABLE_LIMIT
+    and is cleared. A key that fails sends its run alone through one decode
+    per line, which raises the first bad line's error and number: every key
+    of the runs before decoded."""
+    decode, table = _decoder(), {}
+    first = 1       # the number of the run's first line
+    for run in runs:
+        if len(table) >= LINE_TABLE_LIMIT:
+            table.clear()
+        lines = _LINE.findall(run)
+        keys = list(map(_KEY, lines))
+        counts = Counter(keys)
+        try:
+            for key in counts.keys() - table.keys():
+                table[key] = _decode_key(decode, *key)
+        except LogFormatError:
+            for n, line in _numbered(_split_lines(run), first):
+                decode(_json_object(line, n, LogFormatError), n)
+            raise
+        yield lines, keys, counts, table
+        first += len(lines) - 1
+
+
+def parse_log(path) -> list:
+    """Read one jsonl event stream back, bit-exactly. Unknown fields are ignored.
+    The file is read in runs of about _CHUNK characters and whole lines, so it
+    is never held whole; each line is one event, built from its key's fields."""
+    with open(path, "r", encoding="utf-8") as fh:
+        runs = iter(lambda: fh.read(_CHUNK) + fh.readline(), "")
+        return [ExceptionEvent(int(match[0]) if fields[0] is None else fields[0], *fields[1])
+                for lines, keys, _, table in _scan(runs)
+                for match, fields in zip(lines, map(table.__getitem__, keys)) if fields]
 
 
 def _line_traces(text, value_class=None, in_order=False):
-    """The traces of the events _parse_lines gives for a log's text, or of those
-    of one ValueClass, with no event built. One C-level _LINE scan per run of
-    whole lines of about _CHUNK characters keys each line by its tail after a
-    canonical head, which decides every field but the seq, or by any other
-    line's whole text, and each distinct key is decoded once. Yields, per run,
-    iterables of traces to chain: with in_order, one list of its kept events'
-    traces in line order; else one tuple per distinct key, the key's trace as
-    many times as the key occurs. A malformed log is parsed again, for
-    _parse_lines' error and line number."""
-    decode, rows = _decoder(), {}     # a key -> (trace,) for an event kept, else ()
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK) + 1 or len(text)
-        if len(rows) >= LINE_TABLE_LIMIT:
-            rows.clear()
-        keys = map(_LINE_KEY, _LINE.finditer(text, start, end))
-        if in_order:
-            keys = list(keys)
-        counts = Counter(keys)
-        for key in counts.keys() - rows.keys():
-            tail, line = key
-            if line is not None and not line.strip():
-                rows[key] = ()
-                continue
-            try:
-                e = decode(_json_object(_ONE_HEAD + tail if line is None else line, None,
-                                        LogFormatError))
-            except LogFormatError:
-                _parse_lines(_split_lines(text))     # raises at the first bad line
-                raise
-            rows[key] = (e.trace,) if value_class in (None, e.value_class) else ()
-        if in_order:
-            yield list(chain.from_iterable(map(rows.__getitem__, keys)))
-        else:
-            yield from (rows[key] * n for key, n in counts.items())
-        start = end
+    """The traces of the events parse_log gives for a log's text, or of those
+    of one ValueClass, with no event built: _scan reads the text cut as
+    parse_log cuts a file. Yields, per run, an iterable of traces: with
+    in_order, its kept events' traces in line order; else each distinct key's
+    trace as many times as the key occurs."""
+    for _, keys, counts, table in _scan(_split_lines(text, _CHUNK)):
+        traces = {key: (f[1][-1],) if (f := table[key]) and value_class in (None, f[1][1])
+                  else () for key in counts}
+        yield chain.from_iterable(map(traces.__getitem__, keys) if in_order else
+                                  (traces[key] * n for key, n in counts.items()))
 
 
 def render_human(e: ExceptionEvent) -> str:

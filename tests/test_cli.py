@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fpx import stackgraph
+from fpx import cli as fpx_cli, stackgraph
 from fpx.cli import _parse_fuzz, build_parser, cli_main
 from fpx.injector import InjectionConfig
 from fpx.ledger import parse_log
@@ -314,6 +314,16 @@ class TestGraphCommands:
         assert code == 0
         assert stdout.startswith("digraph G {")
         assert "stencil_update" in stdout
+
+    def test_cstg_runs_a_handler_patched_after_the_parser_is_built(self, gen_log, capsys,
+                                                                   monkeypatch):
+        """The parser is built once per process, yet each call runs the module's
+        cmd_cstg of that moment, as a tracer that wraps it expects."""
+        build_parser()
+        calls = []
+        monkeypatch.setattr(fpx_cli, "cmd_cstg", lambda args: calls.append(args.log) or 0)
+        assert run_cli(capsys, "cstg", str(gen_log)) == (0, "", "")
+        assert calls == [str(gen_log)]
 
     def test_cstg_deterministic_file_output(self, gen_log, tmp_path, capsys):
         d1, d2 = tmp_path / "a.dot", tmp_path / "b.dot"

@@ -1,6 +1,7 @@
 """`fpx cstg` and `fpx diff` count a log's lines by tail; over a seeded family
 of logs they give the bytes and exit codes of the event path: the traces of
-`parse_log`, filtered by class, through `slice_traces` and `stackgraph.build`."""
+one JSON parse and record decode per line, filtered by class, through
+`slice_traces` and `stackgraph.build`."""
 
 import json
 import math
@@ -8,10 +9,10 @@ import random
 
 import pytest
 
-from fpx import stackgraph
+from fpx import ledger, stackgraph
 from fpx.classify import EventKind, OpIdentity, ValueClass
 from fpx.cli import cli_main
-from fpx.ledger import ExceptionEvent, FormatError, event_to_line, parse_log
+from fpx.ledger import ExceptionEvent, FormatError, LogFormatError, event_to_line
 from fpx.traces import Frame
 
 NAN, INF = float("nan"), float("inf")
@@ -84,13 +85,32 @@ def _cut_blank(n, fraction) -> str:
     return "".join(lines[:cut] + ["\n", "  \n"] + lines[cut:])
 
 
+def _events(path):
+    """A log's events, from one json.loads and record decode per non-blank line
+    in file order, with no line table."""
+    decode, events = ledger._decoder(), []
+    with open(path, "r", encoding="utf-8") as fh:
+        for n, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:       # a JSONDecodeError, or an int past the digit limit
+                raise LogFormatError(f"not valid JSON: {getattr(exc, 'msg', exc)}", n) from exc
+            if not isinstance(obj, dict):
+                raise LogFormatError("record must be a JSON object", n)
+            seq, row = decode(obj, n)
+            events.append(ExceptionEvent(seq, *row))
+    return events
+
+
 def _reference(argv, paths):
     """(exit code, DOT, JSON document, stderr) of argv on the event path."""
     policy = "coarse" if "--coarse" in argv else "fine"
     value_class = argv[argv.index("--value-class") + 1] if "--value-class" in argv else None
     split = float(argv[argv.index("--split") + 1]) if "--split" in argv else None
     try:
-        traces = [[e.trace for e in parse_log(p)
+        traces = [[e.trace for e in _events(p)
                    if value_class is None or e.value_class is ValueClass(value_class)]
                   for p in paths]
     except FormatError as exc:
@@ -159,4 +179,21 @@ def test_counted_path_past_the_line_table_limit(tmp_path, capsys):
     log = tmp_path / "long.jsonl"
     log.write_text("".join(lines + lines[:300]), encoding="utf-8")
     for argv in (["cstg", str(log)], ["cstg", str(log), "--split", "0.6"]):
+        _check(argv, [log], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_counted_path_names_the_first_of_two_bad_keys(seed, tmp_path, capsys):
+    """Two different malformed lines in one run: the error and line number are
+    the first one's, whichever key the run decodes first."""
+    rng = random.Random(seed)
+    lines = [_line(rng, n, False) for n in range(1, rng.randint(3, 30))]
+    tail = lines[0][lines[0].index(","):]
+    first, second = rng.sample(range(1, len(lines) + 1), 2)
+    for at in sorted((first, second), reverse=True):
+        bad = MALFORMED[(seed + (at == first)) % len(MALFORMED)]
+        lines.insert(at, bad % tail if "%s" in bad else bad)
+    log = tmp_path / "two.jsonl"
+    log.write_text("".join(lines), encoding="utf-8", newline=rng.choice(("\n", "\r\n", "\r")))
+    for argv in _commands(str(log), rng):
         _check(argv, [log], tmp_path, capsys)

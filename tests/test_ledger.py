@@ -375,8 +375,7 @@ class TestReadJsonLines:
 
 
 def _reference_read_json_lines(path, error):
-    """The reader written with one json.loads per line."""
-    rows = []
+    """The reader written with one json.loads per line, read lazily."""
     with open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             if not line.strip():
@@ -389,8 +388,7 @@ def _reference_read_json_lines(path, error):
                 raise error(f"not valid JSON: {exc}", line_number) from exc
             if not isinstance(obj, dict):
                 raise error("record must be a JSON object", line_number)
-            rows.append((line_number, obj))
-    return rows
+            yield line_number, obj
 
 
 def _outcome(read, path):
@@ -421,9 +419,13 @@ def test_read_json_lines_matches_one_json_loads_per_line(tmp_path, text):
 
 
 def _reference_parse_log(path):
-    """parse_log written as the reference reader and one record decode per line."""
-    decode = ledger._decoder()
-    return [decode(obj, n) for n, obj in _reference_read_json_lines(path, LogFormatError)]
+    """parse_log written as the reference reader and one record decode per line,
+    each line decoded before the next is read."""
+    decode, events = ledger._decoder(), []
+    for n, obj in _reference_read_json_lines(path, LogFormatError):
+        seq, row = decode(obj, n)
+        events.append(ExceptionEvent(seq, *row))
+    return events
 
 
 def _log_outcome(parse, path):
@@ -475,14 +477,24 @@ ODD_NAMES = (Frame("f", 'a"seq".py', 3), Frame("seq", "seq.py", 4), Frame("g", "
     _seq_lines(range(1, 502)) + '{"seq": 502, "kind": \n',
     _seq_line(1) + _seq_line(2).replace('"injected": false', '"injected": 5'),
     _seq_line(1) + _seq_line(2).replace('"op": "-"', '"op": 5'),
+    _seq_lines(range(1, 4), tail=', "seq": 1') + _seq_line(4),
+    _seq_lines(range(1, 4), tail=', "seq": 2') + _seq_line(4),
+    _seq_lines(range(1, 200)) + _seq_line(200, tail=', "seq": "x"') + _seq_lines(range(201, 260)),
+    _seq_line(1) + _seq_line(2).replace('"injected": false', '"injected": 5') + _seq_line(3)
+    + "[1, 2]\n" + _seq_line(5),
+    _seq_line(1) + "".join(_seq_line(n).replace('"injected": false', f'"injected": {n}')
+                           for n in range(2, 66)),
 ], ids=["seq-only-repeats", "duplicate-seq-key", "escaped-seq-key", "duplicate-after-seen",
         "leading-zero", "negative", "underscore", "arabic-indic-digit", "no-space",
         "space-before-comma", "zero", "long-int", "past-18-digits", "spaced-heads",
         "seq-in-trace-names", "no-final-newline", "crlf", "blank-lines", "bom",
-        "bad-line-after-500-hits", "ill-typed-injected", "ill-typed-op"])
+        "bad-line-after-500-hits", "ill-typed-injected", "ill-typed-op", "seq-1-in-tails",
+        "seq-2-in-tails", "bad-line-in-second-run", "two-bad-keys", "many-bad-keys"])
 def test_parse_log_matches_one_decode_per_line(tmp_path, text):
     """Lines that repeat a text after their seq take the fields decoded from
-    the first of them; every outcome, events or error, is one decode per line."""
+    the first of them; every outcome, events or error, is one decode per line.
+    A log is read in runs of about ledger._CHUNK characters; a run with bad
+    lines, the second run too, raises at its first."""
     path = tmp_path / "prop.jsonl"
     path.write_text(text, encoding="utf-8", newline="")
     assert _log_outcome(parse_log, path) == _log_outcome(_reference_parse_log, path)
