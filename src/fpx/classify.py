@@ -75,6 +75,8 @@ def propagate_payload(operands, raw_result):
         if x != x:
             if type(raw_result) in _FLOAT64_TYPES:
                 bits, source = _unpack_qq(_pack_dd(raw_result, x))
+                if not (bits ^ source) & _PAYLOAD64:
+                    return float(raw_result)    # it holds the source's payload already
                 return _unpack_double(_pack_uint64(bits & ~_PAYLOAD64 | source & _PAYLOAD64))[0]
             return fpbits.transfer_payload(raw_result, x)
     return raw_result

@@ -28,7 +28,8 @@ from .classify import EventKind, ValueClass
 from .demos import demo_loop_kill, demo_max, demo_sim
 from .injector import (InjectionConfig, Injector, ReplayDivergenceWarning,
                        load_recording, save_recording)
-from .ledger import FormatError, LedgerConfig, _line_traces, parse_log, render_human
+from .ledger import (FormatError, LedgerConfig, _line_traces, parse_log, read_log_text,
+                     render_human)
 from .session import explicit_session
 
 
@@ -189,7 +190,7 @@ def _filter_class(events, value_class):
 def _load_graph_any(path, key_policy):
     """A saved graph document, or a log/trace file coalesced on the fly. Only
     a file that is not a graph document is coalesced: a broken one is an error."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_log_text(path)
     document = _graph_document(path, text)
     if document is not None:
         return stackgraph.graph_from_json(document)
@@ -213,7 +214,7 @@ def _emit_diff(d, args) -> None:
 
 def cmd_cstg(args) -> int:
     key_policy = "coarse" if args.coarse else "fine"
-    text = Path(args.log).read_text(encoding="utf-8")
+    text = read_log_text(args.log)
     if _graph_document(args.log, text) is not None:
         raise FormatError(f"{args.log} is a stack-graph document, not a log or trace "
                           "file; fpx diff reads graph documents")

@@ -17,6 +17,10 @@ scalar (keyed by exact type and bit pattern, never by value); the decoder one
 object per op, trace and hex string, so events parsed from one file share
 immutable trace tuples and scalars. Events that differ only in seq encode
 once per call: a repeat is its seq head and the first one's encoded tail.
+flush encodes the rows in one pass, grouped by kind. A row of one or two
+exact float operands and an exact float result keys its scalars with one
+struct pack of their bits; any other row keys each scalar by its type and
+bits.
 The encoder's tail table and the reader's key table are cleared when they
 outgrow LINE_TABLE_LIMIT. A debugger-friendly human rendering (op header
 line, then one frame per line) is derived from the same records.
@@ -30,13 +34,16 @@ key's fields under its head's seq; _line_traces, which `fpx cstg` and `fpx
 diff` read a log with, counts the keys and builds no events. A key that
 fails to decode sends its run alone through one decode per line, for the
 first bad line's error and number.
-FormatError and the JSON-lines reader here serve every fpx file format.
+FormatError and the JSON-lines reader here serve every fpx file format. A log
+that is not UTF-8 is a LogFormatError naming its first bad line, which the
+error path alone finds by reading the file's bytes again.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import struct
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -82,6 +89,29 @@ def _json_object(line, line_number, error):
     if not isinstance(obj, dict):
         raise error("record must be a JSON object", line_number)
     return obj
+
+
+def _undecodable(path, exc):
+    """A LogFormatError for exc, a UnicodeDecodeError met reading path as
+    text, naming the first line that is not UTF-8: the file's bytes are read
+    again, line by line, numbered as a text file's lines are."""
+    with open(path, "rb") as fh:
+        lines = chain.from_iterable(raw.splitlines() for raw in fh)    # "\r" ends one too
+        for line_number, line in enumerate(lines, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return LogFormatError(f"not UTF-8 text: {bad}", line_number)
+    return LogFormatError(f"not UTF-8 text: {exc}")
+
+
+def read_log_text(path) -> str:
+    """A log's whole text, which must be UTF-8: LogFormatError names the
+    first line that is not."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from exc
 
 
 def read_json_lines(path, error=FormatError):
@@ -194,10 +224,12 @@ class Ledger:
         with self._lock:
             snapshot = self._rows[:]
         encode = _encoder()
+        lines = {kind: [] for kind in EventKind}
+        for seq, row in enumerate(snapshot, 1):
+            lines[row[0]].append(encode(seq, *row))
         paths = {kind: out / filename for kind, filename in FILE_BY_KIND.items()}
         for kind, path in paths.items():
-            path.write_text("".join([encode(seq, *row) for seq, row in enumerate(snapshot, 1)
-                                     if row[0] is kind]), "utf-8")
+            path.write_text("".join(lines[kind]), "utf-8")
         return paths
 
 
@@ -209,6 +241,8 @@ _TAIL = (', "kind": "%s", "class": "%s", %s, "operands": [%s], '
 _KINDS = {k.value: k for k in EventKind}
 _CLASSES = {c.value: c for c in ValueClass}
 LINE_TABLE_LIMIT = 1024     # entries of a per-call line table before it is cleared
+# By operand count: the one pack that keys the scalars of a row of float operands and result.
+_PACKS = (None, struct.Struct("<2d").pack, struct.Struct("<3d").pack)
 
 
 def _scalar_code(x):
@@ -220,10 +254,13 @@ def _scalar_code(x):
 def _encoder():
     """The line encoder of one call, over an event's fields: seq, then a
     ledger row. Events that differ only in seq share one encoded tail, so a
-    repeat costs its key, one dict lookup and the seq head."""
+    repeat costs its key, one dict lookup and the seq head. A row of one or
+    two float operands and a float result keys its scalars with one pack;
+    any other row with one _scalar_code per scalar."""
     ops, traces, scalars, tails = {}, {}, {}, {}
 
-    def scalar(x, code):
+    def scalar(x):
+        code = _scalar_code(x)
         fragment = scalars.get(code)
         if fragment is None:
             fragment = scalars[code] = _dumps(
@@ -232,7 +269,11 @@ def _encoder():
         return fragment
 
     def encode(seq, kind, value_class, op, operands, result, injected, trace) -> str:
-        codes = (*map(_scalar_code, operands), _scalar_code(result))
+        n = len(operands)
+        if 0 < n < 3 and type(operands[0]) is type(operands[-1]) is type(result) is float:
+            codes = _PACKS[n](*operands, result)
+        else:
+            codes = (*map(_scalar_code, operands), _scalar_code(result))
         key = (kind, value_class, id(op), injected, trace, codes)
         tail = tails.get(key)
         if tail is None:
@@ -242,11 +283,10 @@ def _encoder():
             if trace not in traces:
                 traces[trace] = _dumps(
                     [{"fn": f.function, "file": f.file, "line": f.line} for f in trace])
-            *operand_texts, result_text = map(scalar, (*operands, result), codes)
             if len(tails) >= LINE_TABLE_LIMIT:
                 tails.clear()
             tail = tails[key] = _TAIL % (kind._value_, value_class._value_, op_text,
-                                         ", ".join(operand_texts), result_text,
+                                         ", ".join(map(scalar, operands)), scalar(result),
                                          "true" if injected else "false", traces[trace])
         return _HEAD % seq + tail
     return encode
@@ -376,12 +416,17 @@ def _scan(runs):
 def parse_log(path) -> list:
     """Read one jsonl event stream back, bit-exactly. Unknown fields are ignored.
     The file is read in runs of about _CHUNK characters and whole lines, so it
-    is never held whole; each line is one event, built from its key's fields."""
+    is never held whole; each line is one event, built from its key's fields.
+    A file that is not UTF-8 raises LogFormatError naming its first bad line."""
     with open(path, "r", encoding="utf-8") as fh:
         runs = iter(lambda: fh.read(_CHUNK) + fh.readline(), "")
-        return [ExceptionEvent(int(match[0]) if fields[0] is None else fields[0], *fields[1])
-                for lines, keys, _, table in _scan(runs)
-                for match, fields in zip(lines, map(table.__getitem__, keys)) if fields]
+        try:
+            return [ExceptionEvent(int(match[0]) if fields[0] is None else fields[0],
+                                   *fields[1])
+                    for lines, keys, _, table in _scan(runs)
+                    for match, fields in zip(lines, map(table.__getitem__, keys)) if fields]
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from exc
 
 
 def _line_traces(text, value_class=None, in_order=False):

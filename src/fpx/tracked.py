@@ -27,11 +27,14 @@ included, except that with two NaN operands the ufunc keeps the first one's
 sign and the compiled operator may keep the second's. Those, a twin that
 raises (x/0, sqrt of a negative), narrow widths and rows without a twin take
 numpy scalar ufuncs. Two quiet NaN operands of + - * / run the ufunc bare, as
-IEEE 754 raises no flag for them, once per ufunc and pair of bit patterns:
-the pinned float result is a function of those bits, so a table keyed by
-them remembers it, cleared past TWO_NAN_TABLE_LIMIT. Every other ufunc call
-suppresses floating-point traps, so 0/0, log(0), overflow and a signalling
-NaN operand yield IEEE results instead of raising. With injection off,
+IEEE 754 raises no flag for them. Every other ufunc call suppresses
+floating-point traps, so 0/0, log(0), overflow and a signalling NaN operand
+yield IEEE results instead of raising. An op over Python floats with a NaN or
+an Inf operand (x - x != y - y) computes once per ufunc and pair of operand
+bit patterns: its pinned result and both statuses are a function of those
+bits, so _OUTCOMES, keyed by them, remembers them, cleared past
+OUTCOME_TABLE_LIMIT entries; a set with a signalling NaN is never remembered.
+A remembered op still decides, logs and wraps. With injection off,
 unwrapped results are bit-identical to the same computation over plain
 numpy scalars.
 Construction and ops share one operand rule and one cast: a value that is not
@@ -52,7 +55,7 @@ from math import isfinite
 import numpy as np
 
 from .classify import EventKind, OpIdentity, ValueClass, classify, propagate_payload
-from .fpbits import _pack_dd, _unpack_qq
+from .fpbits import _pack_dd
 from .injector import InjectorMode
 from .session import current_session
 
@@ -107,13 +110,14 @@ _EVENTS = tuple(tuple(tuple((kind, vc) for vc in ValueClass
                       for out in (0.0, math.nan, math.inf))
                 for ins in ((), (math.nan,), (math.inf,), (math.nan, math.inf)))
 _OFF = InjectorMode.OFF
-_QUIET_BIT = 1 << 51    # of a float64 NaN
 _UNARY = object()       # the absent second operand of a one-operand op
-# (ufunc, packed operand bits) -> the ufunc's float result over two quiet NaNs,
-# already pinned: a pure function of its key, so threads share the table
-# without a lock, and a hit skips the pin.
-_TWO_QUIET_NANS = {}
-TWO_NAN_TABLE_LIMIT = 1024
+# (ufunc, packed bits of the first and last operand) -> (pinned result, operand
+# status, result status) of an op over Python floats with a NaN or an Inf
+# operand: a pure function of its key, so threads share the table without a
+# lock, and a hit skips the compute, the status tests and the pin. A set with
+# a signalling NaN never goes in.
+_OUTCOMES = {}
+OUTCOME_TABLE_LIMIT = 1024
 
 
 class TrackedFloat:
@@ -248,44 +252,54 @@ def apply(name: str, operands):
 
 def _finish(sess, cls, row, xs, injected_value=None):
     """The op over operands already at cls's width: it computes with the
-    substrate the module docstring names, then decides. A comparison takes
+    substrate the module docstring names, then decides. It pins a NaN
+    result's payload with propagate_payload and tests both value classes
+    in one pass; over Python floats with a NaN or an Inf operand, that
+    outcome is remembered in _OUTCOMES, or read from it. A comparison takes
     no decision. Not given an injected value, a clean op (finite operands
     and result) under an OFF injector is only counted, and any other op
     takes Injector.decide; an injected value, stored at cls's width,
-    replaces the result and its status. Then it pins a NaN result's payload
-    with propagate_payload, classifies both value classes in one pass and
-    logs."""
+    replaces the result and its status. Then it logs and wraps."""
     impl, is_comparison, op, exact = row
-    result = None
-    pinned = False          # an injected NaN, or a remembered one, keeps its payload
-    if exact is not None and type(xs[0]) is type(xs[-1]) is float:
-        if len(xs) == 1 or xs[0] == xs[0] or xs[1] == xs[1]:
-            try:
-                result = exact(*xs)
-            except (ZeroDivisionError, ValueError):    # x/0, sqrt(-x)
-                pass
-        elif not is_comparison:         # two NaNs through + - * /
-            key = impl, _pack_dd(*xs)
-            result = _TWO_QUIET_NANS.get(key)
-            if result is None:
-                a, b = _unpack_qq(key[1])
-                if a & b & _QUIET_BIT:      # both quiet: IEEE 754 raises no flag
-                    if len(_TWO_QUIET_NANS) >= TWO_NAN_TABLE_LIMIT:
-                        _TWO_QUIET_NANS.clear()
-                    result = _TWO_QUIET_NANS[key] = propagate_payload(xs, float(impl(*xs)))
-            pinned = result is not None
-    if result is None:
-        with np.errstate(all="ignore"):
-            result = impl(*xs)
-
-    status = 0                  # bit 1: a NaN operand, bit 2: an Inf one, as in _EVENTS
-    for x in xs:
-        if not isfinite(x):
-            status |= 1 if x != x else 2
-    if is_comparison:
-        result, result_status = bool(result), 0     # what the ledger stores and the caller gets
+    x, y = xs[0], xs[-1]
+    floats = type(x) is type(y) is float
+    key = outcome = None
+    if floats and x - x != y - y:       # a NaN or an Inf operand
+        bits = _pack_dd(x, y)           # a one-operand op packs its operand twice
+        key = impl, bits
+        outcome = _OUTCOMES.get(key)
+    if outcome is None:
+        result = None
+        if exact is not None and floats:
+            if len(xs) == 1 or x == x or y == y:
+                try:
+                    result = exact(*xs)
+                except (ZeroDivisionError, ValueError):    # x/0, sqrt(-x)
+                    pass
+            elif not is_comparison and bits[6] & bits[14] & 8:
+                # both NaNs quiet (bit 51, bit 3 of byte 6): IEEE 754 raises no flag
+                result = impl(x, y)
+        if result is None:
+            with np.errstate(all="ignore"):
+                result = impl(*xs)
+        status = 0              # bit 1: a NaN operand, bit 2: an Inf one, as in _EVENTS
+        for v in xs:
+            if not isfinite(v):
+                status |= 1 if v != v else 2
+        if is_comparison:
+            result, result_status = bool(result), 0     # what the ledger and the caller get
+        else:
+            result_status = 0 if isfinite(result) else 2 if result == result else 1
+            if result_status == 1 and status & 1:   # pin the leftmost NaN's payload
+                result = propagate_payload(xs, result)
+        # no set with a signalling NaN goes in
+        if key is not None and (x == x or bits[6] & 8) and (y == y or bits[14] & 8):
+            if len(_OUTCOMES) >= OUTCOME_TABLE_LIMIT:
+                _OUTCOMES.clear()
+            _OUTCOMES[key] = result, status, result_status
     else:
-        result_status = 0 if isfinite(result) else 2 if result == result else 1
+        result, status, result_status = outcome
+    if not is_comparison:
         if injected_value is None:
             injector = sess.injector
             if status == result_status == 0 and injector.mode is _OFF:
@@ -293,10 +307,8 @@ def _finish(sess, cls, row, xs, injected_value=None):
             else:
                 injected_value = injector.decide(op, sess.traces.capture)
         if injected_value is not None:
-            result, pinned = cls._store(injected_value), True
+            result = cls._store(injected_value)
             result_status = 2 if result == result else 1
-    if result_status == 1 and status & 1 and not pinned:    # pin the leftmost NaN's payload
-        result = propagate_payload(xs, result)
     injected = injected_value is not None
     for kind, value_class in _EVENTS[status][result_status]:
         sess.ledger.record(kind, value_class, op, xs, result, injected, sess.traces.capture)

@@ -609,12 +609,22 @@ def test_malformed_file_is_format_error(kind, tmp_path, capsys):
 
 
 def test_undecodable_file_is_format_error(tmp_path, capsys):
-    bad = tmp_path / "bad.jsonl"
-    bad.write_bytes(LOG_LINE.encode() + b"\n\xff\xfe\n")
-    for command in (["cstg", str(bad)], ["render", str(bad)], ["diff", str(bad), str(bad)]):
-        code, _, stderr = run_cli(capsys, *command)
-        assert code == 2, (command, stderr)
-        assert "utf-8" in stderr
+    """Bytes that are not UTF-8 are a format error naming their line, also
+    past the first run of a log that parse_log reads in runs, with lines
+    numbered as a text file's whatever their line ends."""
+    lines = 700         # about 90 KB of valid lines before the bad one
+    for newline in (b"\n", b"\r\n", b"\r"):
+        bad, late = tmp_path / "bad.jsonl", tmp_path / "late.jsonl"
+        bad.write_bytes(LOG_LINE.encode() + newline + b"\xff\xfe" + newline)
+        late.write_bytes((LOG_LINE.encode() + newline) * lines + b'{"seq": 1, \xff' + newline
+                         + LOG_LINE.encode() + newline)
+        for path, line in ((bad, 2), (late, lines + 1)):
+            for command in (["cstg", str(path)], ["render", str(path)],
+                            ["diff", str(path), str(path)]):
+                code, _, stderr = run_cli(capsys, *command)
+                assert code == 2, (command, stderr)
+                assert "utf-8" in stderr
+                assert f"line {line}: " in stderr, (newline, command, stderr)
 
 
 def test_broken_graph_document_is_reported_as_one(tmp_path, capsys):

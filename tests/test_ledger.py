@@ -2,6 +2,7 @@
 
 import io
 import json
+import operator
 import sys
 import threading
 
@@ -428,6 +429,26 @@ def _reference_parse_log(path):
     return events
 
 
+def _reference_scalar(x):
+    return x if type(x) is bool else {"dec": fpbits.format_dec(x), "hex": fpbits.hex_bits(x)}
+
+
+def _reference_line(e):
+    """event_to_line written as one json.dumps per event, with no table."""
+    return json.dumps({
+        "seq": e.seq, "kind": e.kind.value, "class": e.value_class.value, "op": e.op.name,
+        "arity": e.op.arity, "operands": list(map(_reference_scalar, e.operands)),
+        "result": _reference_scalar(e.result), "injected": e.injected,
+        "trace": [{"fn": f.function, "file": f.file, "line": f.line} for f in e.trace],
+    }, separators=(", ", ": ")) + "\n"
+
+
+def _assert_flush_matches_the_reference(table, tmp_path):
+    for kind, path in table.flush(tmp_path).items():
+        assert path.read_text(encoding="utf-8") == "".join(
+            map(_reference_line, table.events(kind=kind)))
+
+
 def _log_outcome(parse, path):
     try:
         return [e._key() for e in parse(path)]
@@ -502,7 +523,7 @@ def test_parse_log_matches_one_decode_per_line(tmp_path, text):
 
 def test_events_one_field_apart_are_encoded_apart(tmp_path):
     """Each event differs from the first in one field other than seq, and
-    the first repeats between them: flush writes every line as the one-event
+    the first repeats between them: flush writes every line as the reference
     encoder does, so no field is missing from the tail table's key."""
     base = (EventKind.PROP, ValueClass.NAN, OP_SUB, (NAN_123, 0.0), NAN_123, False, ONE)
     variants = {0: [EventKind.GEN, EventKind.KILL], 1: [ValueClass.INF],
@@ -517,16 +538,13 @@ def test_events_one_field_apart_are_encoded_apart(tmp_path):
             for event in (base, base[:field] + (value,) + base[field + 1:]):
                 kind, value_class, op, operands, result, injected, trace = event
                 table.record(kind, value_class, op, operands, result, injected, lambda t=trace: t)
-    paths = table.flush(tmp_path)
-    for kind, path in paths.items():
-        assert path.read_text(encoding="utf-8") == "".join(
-            map(event_to_line, table.events(kind=kind)))
+    _assert_flush_matches_the_reference(table, tmp_path)
 
 
 def test_streams_past_the_line_table_limit_match_the_reference(tmp_path):
     """More distinct lines than the per-call line tables hold, each written
     twice, the second pass after the tables were cleared: flush writes what
-    the one-event encoder does, and parse_log reads what one decode per line
+    the reference encoder does, and parse_log reads what one decode per line
     does."""
     table = Ledger()
     n = ledger.LINE_TABLE_LIMIT + 100
@@ -535,7 +553,7 @@ def test_streams_past_the_line_table_limit_match_the_reference(tmp_path):
             _record(table, operands=(-INF, float(i)))
     events = table.events()
     path = table.flush(tmp_path)[EventKind.GEN]
-    assert path.read_text(encoding="utf-8") == "".join(map(event_to_line, events))
+    assert path.read_text(encoding="utf-8") == "".join(map(_reference_line, events))
     assert _log_outcome(parse_log, path) == _log_outcome(_reference_parse_log, path)
     assert parse_log(path) == events and len(events) == 2 * n
 
@@ -719,9 +737,11 @@ def _golden_ledger():
 def test_flush_bytes_golden(tmp_path):
     ledger = _golden_ledger()
     paths = ledger.flush(tmp_path)
-    for path in paths.values():
+    for kind, path in paths.items():
         assert path.read_text(encoding="utf-8") == "".join(FLUSH_GOLDEN[path.name])
         assert path.read_bytes().isascii()
+        assert "".join(map(_reference_line, ledger.events(kind=kind))) == "".join(
+            FLUSH_GOLDEN[path.name])
     assert [event_to_line(e) for e in ledger.events(kind=EventKind.KILL)] == (
         "".join(FLUSH_GOLDEN["kill.jsonl"]).splitlines(keepends=True))
     for kind, path in paths.items():
@@ -791,3 +811,54 @@ def test_repeated_field_of_another_type_is_not_a_cache_hit(tmp_path, field, good
     assert err.value.line_number == 2
     assert "line 2" in str(err.value)
 
+
+NAN_124 = fpbits.nan_with_payload(0x124)
+# Rows of float operands and a float result, the rows flush keys with one
+# pack, each apart from the one before it only in one operand's or the
+# result's NaN payload, NaN sign or zero sign.
+ALL_FLOAT_ROWS = [
+    ((NAN_123, 0.0), NAN_123), ((NAN_124, 0.0), NAN_123), ((NAN_123, 0.0), NAN_123),
+    ((-NAN_123, 0.0), NAN_123), ((NAN_123, 0.0), NAN_123), ((NAN_123, -0.0), NAN_123),
+    ((NAN_123, 0.0), NAN_123), ((NAN_123, 0.0), NAN_124), ((NAN_123, 0.0), NAN_123),
+    ((NAN_123, 0.0), -NAN_123), ((NAN_123, NAN_124), NAN_123), ((NAN_123, NAN_123), NAN_123),
+    ((1.5, INF), 0.0), ((1.5, INF), -0.0), ((1.5, -INF), -0.0), ((-1.5, -INF), -0.0),
+    ((NAN_123,), NAN_123), ((NAN_123,), -NAN_123), ((-NAN_123,), -NAN_123),
+    ((NAN_124,), -NAN_123), ((-0.0,), INF), ((0.0,), INF), ((0.0,), -INF),
+]
+
+
+def test_all_float_rows_apart_only_in_their_bits_are_encoded_apart(tmp_path):
+    """flush writes what the reference encoder does for rows of float
+    operands and result that differ only in one scalar's NaN payload, NaN
+    sign or zero sign, each after the row it differs from, and parse_log
+    reads back their bits."""
+    table = Ledger()
+    for operands, result in ALL_FLOAT_ROWS * 2:
+        table.record(EventKind.PROP, ValueClass.NAN, OP_SUB, operands, result, False,
+                     lambda: ONE)
+    _assert_flush_matches_the_reference(table, tmp_path)
+    assert parse_log(tmp_path / "prop.jsonl") == table.events()
+
+
+@pytest.mark.parametrize("operands, result", [
+    ((1.5, 2.0), 3.0), ((-INF,), NAN), ((np.float64(1.5), 2.0), 3.0),
+    ((1.5, np.float64(2.0)), 3.0), ((1.5, 2.0), np.float64(3.0)), ((np.float64(NAN),), NAN),
+    ((np.float32(1.5), 2.0), 3.0), ((F16_NAN, F16_SUB), F16_NAN), ((NAN, 1.0), False),
+    ((), True), ((1.0, 2.0, 3.0), 4.0), ((1, 2.0), 3.0)])
+def test_only_rows_of_exact_floats_take_the_packed_key(monkeypatch, operands, result):
+    """A row of one or two exact float operands and an exact float result
+    is keyed by one pack; any other row, with a numpy float64 or narrower
+    scalar, an int, a bool result, or no or three operands, keys each of
+    its scalars with _scalar_code on every line, a repeat too, so its key
+    keeps each scalar's type."""
+    seen = []
+    real = ledger._scalar_code
+    monkeypatch.setattr(ledger, "_scalar_code", lambda x: seen.append(x) or real(x))
+    encode = ledger._encoder()
+    row = (EventKind.PROP, ValueClass.NAN, OP_SUB, operands, result, False, ONE)
+    first = encode(1, *row)
+    seen.clear()
+    assert encode(2, *row) == first.replace('{"seq": 1', '{"seq": 2', 1)
+    packed = 0 < len(operands) < 3 and all(type(x) is float for x in (*operands, result))
+    expected = [] if packed else [*operands, result]
+    assert len(seen) == len(expected) and all(map(operator.is_, seen, expected))

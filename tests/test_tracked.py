@@ -453,9 +453,11 @@ def test_plain_operand_overflowing_the_width_warns_nothing():
 
 @pytest.mark.parametrize("width", [64, 16])
 def test_every_nan_result_is_pinned_by_propagate_payload(monkeypatch, width):
-    """One pin serves every width: a NaN op calls propagate_payload once."""
+    """One pin serves every width: a NaN op calls propagate_payload once,
+    at float64 on its way into an empty outcome table."""
     cls, _ = WIDTHS[width]
     calls = []
+    monkeypatch.setattr(tracked, "_OUTCOMES", {})
 
     def spy(operands, raw_result):
         calls.append(raw_result)
@@ -744,9 +746,8 @@ def test_two_nan_arithmetic_keeps_the_caller_numpy_state(caller):
             np.seterr(**previous)
 
 
-def test_only_two_quiet_nans_skip_errstate(monkeypatch):
-    """The quiet/quiet pairs of + - * / run their ufunc bare; a pair with a
-    signalling NaN, a comparison of two NaNs and x/0 still suppress traps."""
+def _errstate_spy(monkeypatch):
+    """The keyword arguments of each np.errstate entered from now on."""
     entered = []
     real = np.errstate
 
@@ -754,6 +755,20 @@ def test_only_two_quiet_nans_skip_errstate(monkeypatch):
         entered.append(kwargs)
         return real(**kwargs)
     monkeypatch.setattr(np, "errstate", errstate)
+    return entered
+
+
+SIGNALLING = fpbits.from_bits(0x7FF0000000000ABC)
+
+
+def test_only_two_quiet_nans_skip_errstate(monkeypatch):
+    """The quiet/quiet pairs of + - * / run their ufunc bare; a pair with a
+    signalling NaN, a comparison of two NaNs and x/0 suppress traps. A
+    remembered comparison enters no errstate on a repeat; a signalling pair,
+    which the outcome table never holds, and x/0, whose operands are finite,
+    enter it on every call."""
+    entered = _errstate_spy(monkeypatch)
+    monkeypatch.setattr(tracked, "_OUTCOMES", {})
     quiet = [x for x in SPECIAL_FLOAT64 if x != x and fpbits.to_bits(x) & 1 << 51]
     with use_session(explicit_session()):
         for a in quiet:
@@ -762,13 +777,14 @@ def test_only_two_quiet_nans_skip_errstate(monkeypatch):
                     for call in _two_nan_calls(a, b, name):
                         call()
         assert entered == []
-        signalling = fpbits.from_bits(0x7FF0000000000ABC)
-        for call in (lambda: TrackedFloat64(NAN) + signalling,
-                     lambda: signalling * TrackedFloat64(NAN),
-                     lambda: TrackedFloat64(NAN) < NAN, lambda: TrackedFloat64(1.5) / 0.0):
-            entered.clear()
-            call()
-            assert entered == [{"all": "ignore"}]
+        for call, every_call in ((lambda: TrackedFloat64(NAN) + SIGNALLING, True),
+                                 (lambda: SIGNALLING * TrackedFloat64(NAN), True),
+                                 (lambda: TrackedFloat64(NAN) < NAN, False),
+                                 (lambda: TrackedFloat64(1.5) / 0.0, True)):
+            for repeat in (False, True):
+                entered.clear()
+                call()
+                assert entered == ([{"all": "ignore"}] if every_call or not repeat else [])
 
 
 QUIET_NAN_PAIRS = [(a, b) for a, b in NAN_PAIRS
@@ -782,79 +798,113 @@ def _bare_two_nan_bits(a, b, name):
 
 def test_remembered_two_quiet_nan_results_are_the_bare_ufunc_bits():
     """A quiet/quiet pair of + - * / gives the bare ufunc's bits, pinned, on
-    its first call, on a repeat that the two-NaN table answers, and after the
+    its first call, on a repeat that the outcome table answers, and after the
     table is cleared, through apply and every operator method shape."""
     with use_session(explicit_session()):
         for a, b in QUIET_NAN_PAIRS:
             for name in ARITHMETIC:
                 bare = _bare_two_nan_bits(a, b, name)
                 for call in _two_nan_calls(a, b, name):
-                    tracked._TWO_QUIET_NANS.clear()
+                    tracked._OUTCOMES.clear()
                     first, repeat = call(), call()
-                    tracked._TWO_QUIET_NANS.clear()
+                    tracked._OUTCOMES.clear()
                     after = call()
                     assert [_scalar_bits(unwrap(r)) for r in (first, repeat, after)] == [
                         bare] * 3, (name, a, b)
 
 
-def test_two_nan_table_holds_only_quiet_pairs_and_is_cleared_past_its_limit(monkeypatch):
-    """Keys are the ufunc and both operands' bits; a pair with a signalling
-    NaN never goes in and enters np.errstate on every call; the table never
-    grows past TWO_NAN_TABLE_LIMIT."""
-    monkeypatch.setattr(tracked, "TWO_NAN_TABLE_LIMIT", 3)
-    tracked._TWO_QUIET_NANS.clear()
+def _holds_a_signalling_nan(packed):
+    return any(fpbits.from_bits(bits) != fpbits.from_bits(bits) and not bits & 1 << 51
+               for bits in _unpack_qq(packed))
+
+
+def test_outcome_table_holds_no_signalling_set_and_is_cleared_past_its_limit(monkeypatch):
+    """Keys are the ufunc and both operands' bits. Quiet NaN pairs and NaN
+    or Inf operands beside a number go in, of a row with a twin or without,
+    one operand or two; a set with a signalling NaN never goes in and enters
+    np.errstate on every call, a pair or beside a number; the table never
+    grows past OUTCOME_TABLE_LIMIT."""
+    monkeypatch.setattr(tracked, "OUTCOME_TABLE_LIMIT", 3)
+    monkeypatch.setattr(tracked, "_OUTCOMES", {})
     sizes = []
     with use_session(explicit_session()):
         for k in range(1, 9):
             a, b = fpbits.nan_with_payload(k), fpbits.nan_with_payload(k + 100)
             assert _scalar_bits(unwrap(TrackedFloat64(a) * b)) == _bare_two_nan_bits(a, b, "*")
-            sizes.append(len(tracked._TWO_QUIET_NANS))
+            sizes.append(len(tracked._OUTCOMES))
         assert sizes == [1, 2, 3, 1, 2, 3, 1, 2]
-        monkeypatch.undo()
+        monkeypatch.setattr(tracked, "OUTCOME_TABLE_LIMIT", 10**6)
         for a, b in NAN_PAIRS:
             for name in ARITHMETIC:
                 for call in _two_nan_calls(a, b, name):
                     call()
-        assert all(a & b & 1 << 51 for a, b in
-                   (_unpack_qq(packed) for _, packed in tracked._TWO_QUIET_NANS))
+        for a, b in QUIET_NAN_PAIRS:
+            for name, ufunc in ARITHMETIC.items():
+                assert (ufunc, _pack_dd(a, b)) in tracked._OUTCOMES, (name, a, b)
+        for call, key in ((lambda: TrackedFloat64(INF) * 2.0, (np.multiply, INF, 2.0)),
+                          (lambda: 1.5 - TrackedFloat64(-INF), (np.subtract, 1.5, -INF)),
+                          (lambda: -TrackedFloat64(NAN), (np.negative, NAN, NAN)),
+                          (lambda: apply("pow", (TrackedFloat64(NAN), 2.0)), (np.power, NAN, 2.0)),
+                          (lambda: tracked.exp(TrackedFloat64(-INF)), (np.exp, -INF, -INF))):
+            call()
+            assert (key[0], _pack_dd(*key[1:])) in tracked._OUTCOMES
+        TrackedFloat64(SIGNALLING) + 1.5
+        -TrackedFloat64(SIGNALLING)
+        assert not any(_holds_a_signalling_nan(packed) for _, packed in tracked._OUTCOMES)
         signalling = [(a, b) for a, b in NAN_PAIRS
                       if not fpbits.to_bits(a) & fpbits.to_bits(b) & 1 << 51]
         assert signalling
-        entered = []
-        real = np.errstate
-
-        def errstate(**kwargs):
-            entered.append(kwargs)
-            return real(**kwargs)
-        monkeypatch.setattr(np, "errstate", errstate)
+        entered = _errstate_spy(monkeypatch)
         for a, b in signalling:
             for call in _two_nan_calls(a, b, "+") * 2:
                 entered.clear()
                 call()
                 assert entered == [{"all": "ignore"}], (a, b)
+        for call in (lambda: tracked.exp(TrackedFloat64(SIGNALLING)),) * 2:
+            entered.clear()
+            call()
+            assert entered == [{"all": "ignore"}]
 
 
-def test_remembered_two_nan_result_keeps_a_raising_numpy_state():
-    """Under a caller's np.seterr(all="raise"), a table hit raises nothing
-    and leaves np.geterr() as it was."""
+def test_remembered_two_nan_result_keeps_a_raising_numpy_state(monkeypatch):
+    """Under a caller's np.seterr(all="raise"), a hit of the outcome table,
+    a quiet NaN pair's or a row without a twin's, raises nothing and leaves
+    np.geterr() as it was."""
+    monkeypatch.setattr(tracked, "_OUTCOMES", {})
     a, b = QUIET_NAN_PAIRS[-1]
     with use_session(explicit_session()):
         TrackedFloat64(a) / b
-        assert (np.divide, _pack_dd(a, b)) in tracked._TWO_QUIET_NANS
+        tracked.log(TrackedFloat64(-INF))
+        assert (np.divide, _pack_dd(a, b)) in tracked._OUTCOMES
+        assert (np.log, _pack_dd(-INF, -INF)) in tracked._OUTCOMES
         caller = np.seterr(all="raise")
         try:
             raising = np.geterr()
-            result = TrackedFloat64(a) / b
+            result, log = TrackedFloat64(a) / b, tracked.log(TrackedFloat64(-INF))
             assert np.geterr() == raising
         finally:
             np.seterr(**caller)
     assert _scalar_bits(unwrap(result)) == _bare_two_nan_bits(a, b, "/")
+    with np.errstate(all="ignore"):
+        assert _scalar_bits(unwrap(log)) == _scalar_bits(np.log(-INF))
 
 
-def test_two_nan_table_hit_skips_the_pin(monkeypatch):
-    """The two-NaN table stores the pinned result: a miss pins once, on its
-    way into the table, and a hit calls propagate_payload not at all, yet
-    both give the bare ufunc's pinned bits."""
+def _counting_row(monkeypatch, name, arity, calls):
+    """Patch apply's registry row with one whose ufunc and twin count their calls."""
+    impl, is_comparison, op, exact = _REGISTRY[name, arity]
+
+    def counted(fn):
+        return None if fn is None else lambda *xs: calls.append(fn) or fn(*xs)
+    monkeypatch.setitem(_REGISTRY, (name, arity), (counted(impl), is_comparison, op,
+                                                   counted(exact)))
+
+
+def test_outcome_table_hit_calls_neither_the_ufunc_nor_the_pin(monkeypatch):
+    """A miss computes and pins once on its way into the outcome table; a
+    hit calls no ufunc, no twin and no propagate_payload, yet gives the
+    same bits: for quiet NaN pairs through apply and every operator method
+    shape, and for NaN or Inf operands of a row with a twin and of one
+    without."""
     pins = []
     real = tracked.propagate_payload
 
@@ -867,14 +917,59 @@ def test_two_nan_table_hit_skips_the_pin(monkeypatch):
             for name in ARITHMETIC:
                 bare = _bare_two_nan_bits(a, b, name)
                 for call in _two_nan_calls(a, b, name):
-                    monkeypatch.setattr(tracked, "_TWO_QUIET_NANS", {})
+                    monkeypatch.setattr(tracked, "_OUTCOMES", {})
                     pins.clear()
                     miss = call()
-                    assert len(pins) == 1 and len(tracked._TWO_QUIET_NANS) == 1
+                    assert len(pins) == 1 and len(tracked._OUTCOMES) == 1
                     pins.clear()
                     hit = call()
                     assert pins == [], (name, a, b)
                     assert _scalar_bits(unwrap(miss)) == _scalar_bits(unwrap(hit)) == bare
+        calls = []
+        _counting_row(monkeypatch, "*", 2, calls)
+        _counting_row(monkeypatch, "pow", 2, calls)
+        for name in ("*", "pow"):
+            for xs in (QUIET_NAN_PAIRS[0], (fpbits.nan_with_payload(7), 1.5), (INF, 2.0),
+                       (1.5, -INF)):
+                monkeypatch.setattr(tracked, "_OUTCOMES", {})
+                calls.clear()
+                pins.clear()
+                miss = apply(name, tuple(map(TrackedFloat64, xs)))
+                assert len(calls) == 1 and len(pins) == (miss.value != miss.value)
+                calls.clear()
+                pins.clear()
+                hit = apply(name, tuple(map(TrackedFloat64, xs)))
+                assert calls == [] and pins == [], (name, xs)
+                assert _scalar_bits(unwrap(hit)) == _scalar_bits(unwrap(miss))
+
+
+@pytest.mark.parametrize("mode", ["fuzz", "replay"])
+def test_an_injection_on_a_remembered_key_overrides_its_outcome(monkeypatch, mode):
+    """Under FUZZ and REPLAY an op whose outcome the table remembers still
+    takes its decision: an injection replaces the remembered result, is
+    logged as injected, and leaves the table entry as it was."""
+    monkeypatch.setattr(tracked, "_OUTCOMES", {})
+    nan = fpbits.nan_with_payload(0x77)
+    keys = ((np.multiply, _pack_dd(nan, 2.0)), (np.divide, _pack_dd(INF, 3.0)))
+    with use_session(explicit_session()):
+        remembered = [unwrap(TrackedFloat64(nan) * 2.0), unwrap(TrackedFloat64(INF) / 3.0)]
+    entries = [tracked._OUTCOMES[key] for key in keys]
+    session = explicit_session(injector=Injector.fuzz(
+        InjectionConfig(odds=1, n_inject=2, value=-INF)))
+    if mode == "replay":
+        with use_session(session):
+            TrackedFloat64(nan) * 2.0
+            TrackedFloat64(INF) / 3.0
+        session = explicit_session(injector=Injector.replay(session.injector.recording))
+    with use_session(session):
+        results = [unwrap(TrackedFloat64(nan) * 2.0), unwrap(TrackedFloat64(INF) / 3.0)]
+    assert _scalar_bits(remembered[0]) == _scalar_bits(nan) and remembered[1] == INF
+    assert results == [-INF, -INF]
+    assert [tracked._OUTCOMES[key] for key in keys] == entries
+    assert all(tracked._OUTCOMES[key] is entry for key, entry in zip(keys, entries))
+    assert [(e.kind, e.value_class, e.injected) for e in session.ledger.events()] == [
+        (EventKind.KILL, ValueClass.NAN, True), (EventKind.GEN, ValueClass.INF, True),
+        (EventKind.PROP, ValueClass.INF, True)]
 
 
 def _transfer_payload_reference(raw_result, source_nan):
@@ -959,6 +1054,46 @@ def test_threads_sharing_an_off_session_count_every_op():
     assert not any(t.is_alive() for t in threads)
     assert session.injector.op_counter == 2 * (n_clean + n_nan)
     assert len(session.ledger.events()) == 2 * n_nan
+
+
+def test_threads_sharing_the_outcome_table_get_the_bare_bits(monkeypatch):
+    """Four threads, switching often, run NaN and Inf ops over one small
+    pool of operand sets, so they miss, hit and clear the shared outcome
+    table at once: every result has the bits of the op computed alone, and
+    the table ends no larger than its limit plus one entry per thread."""
+    monkeypatch.setattr(tracked, "OUTCOME_TABLE_LIMIT", 5)
+    monkeypatch.setattr(tracked, "_OUTCOMES", {})
+    pool = [(fpbits.nan_with_payload(k), fpbits.nan_with_payload(k + 50)) for k in range(6)]
+    pool += [(fpbits.nan_with_payload(k), float(k)) for k in range(6)] + [(INF, 2.0), (-INF, INF)]
+    expected = {}
+    with np.errstate(all="ignore"):
+        for a, b in pool:
+            for name, ufunc in ARITHMETIC.items():
+                expected[name, a, b] = _scalar_bits(propagate_payload((a, b), ufunc(a, b)))
+    failures, threads = [], []
+
+    def worker(k):
+        rng = random.Random(k)
+        with use_session(explicit_session()):
+            for _ in range(3000):
+                a, b = rng.choice(pool)
+                name = rng.choice(list(ARITHMETIC))
+                got = _scalar_bits(unwrap(apply(name, (TrackedFloat64(a), b))))
+                if got != expected[name, a, b]:
+                    failures.append((name, a, b, got))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert len(tracked._OUTCOMES) <= tracked.OUTCOME_TABLE_LIMIT + len(threads)
 
 
 def test_threads_sharing_a_replay_session_fire_every_point_once():
