@@ -180,13 +180,6 @@ def _load_traces(text, value_class=None, in_order=False):
     return stackgraph.parse_trace_text(text)
 
 
-def _filter_class(events, value_class):
-    if value_class is None:
-        return events
-    wanted = ValueClass(value_class)
-    return [e for e in events if e.value_class is wanted]
-
-
 def _load_graph_any(path, key_policy):
     """A saved graph document, or a log/trace file coalesced on the fly. Only
     a file that is not a graph document is coalesced: a broken one is an error."""
@@ -240,8 +233,9 @@ def cmd_diff(args) -> int:
 
 
 def cmd_render(args) -> int:
-    events = _filter_class(parse_log(args.log), args.value_class)
-    print("\n\n".join(render_human(e) for e in events))
+    wanted = None if args.value_class is None else ValueClass(args.value_class)
+    print("\n\n".join(render_human(e) for e in parse_log(args.log)
+                      if wanted in (None, e.value_class)))
     return 0
 
 
@@ -308,7 +302,7 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
         # the handler is looked up at each call, so a patched cmd_* is the one run
         return globals()[f"cmd_{args.command}"](args)
-    except (FormatError, UnicodeDecodeError, OSError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"fpx: {exc}", file=sys.stderr)
         return 2
     except (UsageError, ValueError) as exc:

@@ -28,15 +28,17 @@ The line format lives here, and so does the one log reader, _scan. One
 C-level _LINE.findall per run of whole lines of about _CHUNK characters
 splits each line into its canonical seq head and its tail, the text that
 decides every other field, or gives a line without such a head whole. A
-table keyed by (tail, whole line) decodes each distinct key once per call.
-parse_log reads a file in such runs and builds each line's event from its
-key's fields under its head's seq; _line_traces, which `fpx cstg` and `fpx
-diff` read a log with, counts the keys and builds no events. A key that
-fails to decode sends its run alone through one decode per line, for the
-first bad line's error and number.
-FormatError and the JSON-lines reader here serve every fpx file format. A log
-that is not UTF-8 is a LogFormatError naming its first bad line, which the
-error path alone finds by reading the file's bytes again.
+table keyed by (tail, whole line) decodes each distinct key once per call,
+a tail as a JSON object of its own: a top-level seq key there sets its
+lines' seq, and where it has none each line's head does. parse_log reads a
+file in such runs and builds each line's event from its key's fields;
+_line_traces, which `fpx cstg` and `fpx diff` read a log with, counts the
+keys and builds no events. A key that fails to decode sends its run alone
+through one decode per line, for the first bad line's error and number.
+FormatError and the JSON-lines reader here serve every fpx file format. Every
+reader of a file here takes one UTF-8 rule: a file that is not UTF-8 raises
+the reader's own FormatError naming its first bad line, which the error path
+alone finds by reading the file's bytes again.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import re
 import struct
 import threading
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -91,33 +94,37 @@ def _json_object(line, line_number, error):
     return obj
 
 
-def _undecodable(path, exc):
-    """A LogFormatError for exc, a UnicodeDecodeError met reading path as
-    text, naming the first line that is not UTF-8: the file's bytes are read
-    again, line by line, numbered as a text file's lines are."""
-    with open(path, "rb") as fh:
-        lines = chain.from_iterable(raw.splitlines() for raw in fh)    # "\r" ends one too
-        for line_number, line in enumerate(lines, 1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as bad:
-                return LogFormatError(f"not UTF-8 text: {bad}", line_number)
-    return LogFormatError(f"not UTF-8 text: {exc}")
+@contextmanager
+def _utf8(path, error=LogFormatError):
+    """path open as UTF-8 text, for the block's reads: a UnicodeDecodeError
+    there is `error` naming the first line that is not UTF-8, found by
+    reading the file's bytes again, line by line, numbered as a text file's
+    lines are."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            with open(path, "rb") as binary:
+                lines = chain.from_iterable(raw.splitlines() for raw in binary)  # "\r" ends one
+                for line_number, line in enumerate(lines, 1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as bad:
+                        raise error(f"not UTF-8 text: {bad}", line_number) from exc
+            raise error(f"not UTF-8 text: {exc}") from exc
 
 
 def read_log_text(path) -> str:
     """A log's whole text, which must be UTF-8: LogFormatError names the
     first line that is not."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc) from exc
+    with _utf8(path) as fh:
+        return fh.read()
 
 
 def read_json_lines(path, error=FormatError):
     """(line_number, object) per non-blank line of a JSON-lines file; a line
-    that is not a JSON object raises `error` naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
+    that is not a JSON object, or not UTF-8, raises `error` naming it."""
+    with _utf8(path, error) as fh:
         for line_number, line in _numbered(fh):
             yield line_number, _json_object(line, line_number, error)
 
@@ -350,14 +357,6 @@ _KEY = itemgetter(1, 2)     # a line's key: (tail, "") or, with no canonical hea
 _CHUNK = 1 << 16     # characters of a log one _LINE scan takes, up to the next line end
 
 
-def _holds_no_seq_key(text):
-    """Whether no JSON key in `text` can decode to "seq": the text holds no "seq"
-    and no \\u00XX escape, which could spell one of its letters. The one-character
-    tests clear most lines."""
-    return (("q" not in text or '"seq"' not in text)
-            and ("\\" not in text or "\\u00" not in text))
-
-
 def _split_lines(text, least=0):
     """The lines of a text read from a file, as iterating that file in text mode
     yields them: the read translated every line end to "\n", so each line runs
@@ -375,25 +374,27 @@ def _split_lines(text, least=0):
 def _decode_key(decode, tail, line):
     """The fields of the lines with one _KEY, as (seq, row), a row as a Ledger
     holds it: seq is None where each line's own head sets it. A blank line has
-    none. A tail that may hold a seq key is decoded under a second head too; a
-    seq the head does not change is the tail's own, which JSON's last key sets."""
+    none. A tail is decoded as an object of its own, "{" and the members after
+    its comma, as one decode of the whole line reads it: a top-level seq key of
+    its own sets the line's seq, as JSON's last key does, and an ill-typed one
+    fails in decode. So does the empty object a tail of no members gives,
+    whose line is not JSON, for want of a kind."""
     if not (tail or line.strip()):
         return None
-    seq, row = decode(_json_object(line or _HEAD % 1 + tail, None, LogFormatError))
-    if not line and (_holds_no_seq_key(tail) or decode(
-            _json_object(_HEAD % 2 + tail, None, LogFormatError))[0] != seq):
-        seq = None
-    return seq, row
+    obj = _json_object(line or "{" + tail[1:], None, LogFormatError)
+    own = line or "seq" in obj
+    seq, row = decode(obj if own else dict(obj, seq=1))
+    return seq if own else None, row
 
 
 def _scan(runs):
     """The one log reader, over a log's text in runs of whole lines: yields,
-    per run, its _LINE.findall, its lines' keys in order and counted, and the
-    call's key table, which then maps each key to its _decode_key fields. A
-    key is decoded once per call, until the table outgrows LINE_TABLE_LIMIT
-    and is cleared. A key that fails sends its run alone through one decode
-    per line, which raises the first bad line's error and number: every key
-    of the runs before decoded."""
+    per run, its _LINE.findall, its lines' keys in order, and the call's key
+    table, which then maps each key to its _decode_key fields. A key is
+    decoded once per call, until the table outgrows LINE_TABLE_LIMIT and is
+    cleared. A key that fails sends its run alone through one decode per
+    line, which raises the first bad line's error and number: every key of
+    the runs before decoded."""
     decode, table = _decoder(), {}
     first = 1       # the number of the run's first line
     for run in runs:
@@ -401,15 +402,14 @@ def _scan(runs):
             table.clear()
         lines = _LINE.findall(run)
         keys = list(map(_KEY, lines))
-        counts = Counter(keys)
         try:
-            for key in counts.keys() - table.keys():
+            for key in set(keys) - table.keys():
                 table[key] = _decode_key(decode, *key)
         except LogFormatError:
             for n, line in _numbered(_split_lines(run), first):
                 decode(_json_object(line, n, LogFormatError), n)
             raise
-        yield lines, keys, counts, table
+        yield lines, keys, table
         first += len(lines) - 1
 
 
@@ -418,15 +418,11 @@ def parse_log(path) -> list:
     The file is read in runs of about _CHUNK characters and whole lines, so it
     is never held whole; each line is one event, built from its key's fields.
     A file that is not UTF-8 raises LogFormatError naming its first bad line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8(path) as fh:
         runs = iter(lambda: fh.read(_CHUNK) + fh.readline(), "")
-        try:
-            return [ExceptionEvent(int(match[0]) if fields[0] is None else fields[0],
-                                   *fields[1])
-                    for lines, keys, _, table in _scan(runs)
-                    for match, fields in zip(lines, map(table.__getitem__, keys)) if fields]
-        except UnicodeDecodeError as exc:
-            raise _undecodable(path, exc) from exc
+        return [ExceptionEvent(int(match[0]) if fields[0] is None else fields[0], *fields[1])
+                for lines, keys, table in _scan(runs)
+                for match, fields in zip(lines, map(table.__getitem__, keys)) if fields]
 
 
 def _line_traces(text, value_class=None, in_order=False):
@@ -435,7 +431,8 @@ def _line_traces(text, value_class=None, in_order=False):
     parse_log cuts a file. Yields, per run, an iterable of traces: with
     in_order, its kept events' traces in line order; else each distinct key's
     trace as many times as the key occurs."""
-    for _, keys, counts, table in _scan(_split_lines(text, _CHUNK)):
+    for _, keys, table in _scan(_split_lines(text, _CHUNK)):
+        counts = Counter(keys)
         traces = {key: (f[1][-1],) if (f := table[key]) and value_class in (None, f[1][1])
                   else () for key in counts}
         yield chain.from_iterable(map(traces.__getitem__, keys) if in_order else

@@ -610,19 +610,30 @@ def test_malformed_file_is_format_error(kind, tmp_path, capsys):
 
 def test_undecodable_file_is_format_error(tmp_path, capsys):
     """Bytes that are not UTF-8 are a format error naming their line, also
-    past the first run of a log that parse_log reads in runs, with lines
-    numbered as a text file's whatever their line ends."""
+    past the first run of a log that parse_log reads in runs and past the
+    first chunk of a recording, with lines numbered as a text file's whatever
+    their line ends."""
     lines = 700         # about 90 KB of valid lines before the bad one
+    point = '{"op_counter": %d, "op": "+", "value_hex": "0x7ff8000000000000", ' \
+            '"trace_fp": "aaaaaaaaaaaaaaaa"}'
     for newline in (b"\n", b"\r\n", b"\r"):
         bad, late = tmp_path / "bad.jsonl", tmp_path / "late.jsonl"
         bad.write_bytes(LOG_LINE.encode() + newline + b"\xff\xfe" + newline)
         late.write_bytes((LOG_LINE.encode() + newline) * lines + b'{"seq": 1, \xff' + newline
                          + LOG_LINE.encode() + newline)
-        for path, line in ((bad, 2), (late, lines + 1)):
-            for command in (["cstg", str(path)], ["render", str(path)],
-                            ["diff", str(path), str(path)]):
-                code, _, stderr = run_cli(capsys, *command)
-                assert code == 2, (command, stderr)
+        rec, late_rec = tmp_path / "rec.jsonl", tmp_path / "late_rec.jsonl"
+        rec.write_bytes(b'{"seed": 1}' + newline + b"\xff\xfe" + newline)
+        late_rec.write_bytes(newline.join(
+            [b'{"seed": 1}', *((point % n).encode() for n in range(1, lines)),
+             b'{"op_counter": \xff', b""]))
+        logs = (["cstg", "FILE"], ["render", "FILE"], ["diff", "FILE", "FILE"])
+        replay = (["run", "sim", "--replay", "FILE", "--out", str(tmp_path / "out")],)
+        for path, line, commands in ((bad, 2, logs), (late, lines + 1, logs),
+                                     (rec, 2, replay), (late_rec, lines + 1, replay)):
+            for command in commands:
+                command = [str(path) if a == "FILE" else a for a in command]
+                code, stdout, stderr = run_cli(capsys, *command)
+                assert code == 2 and stdout == "", (command, stderr)
                 assert "utf-8" in stderr
                 assert f"line {line}: " in stderr, (newline, command, stderr)
 

@@ -27,11 +27,11 @@ VALID_HEADS = ('{"seq":%d', '{"seq": 1234567890123456789', ' {"seq": %d', '{ "se
                '{"seq": %d ')
 # Tail ends that put a seq key after the head's, or could spell one
 SEQ_TAILS = (', "seq": 9', ', "s\\u0065q": 9', ', "note": "\\u00e9"')
-# Malformed lines; %s is an event line's tail
+# Malformed lines, one a tail with its own null seq; %s is an event line's tail
 MALFORMED = ('{"seq": 1, "kind": \n', '{"seq": 07%s', "not json\n", "[1, 2]\n",
              '{"seq": 1, "seq": "x"}\n',
              '{"seq": 1, "kind": "gen", "class": "nan", "op": "+", "arity": 2, "operands": [], '
-             '"result": true, "injected": 5, "trace": []}\n')
+             '"result": true, "injected": 5, "trace": []}\n', '{"seq": 3, "seq": null%s')
 
 
 def _line(rng, seq, distinct):

@@ -343,6 +343,19 @@ class TestRecordingFiles:
             load_recording(path)
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("points", [0, 2000])
+    def test_undecodable_line_is_a_format_error_naming_it(self, tmp_path, points):
+        """A byte that is not UTF-8 names its line, also past the first chunk
+        a text read decodes; the lines before it are valid points."""
+        path = tmp_path / "rec.jsonl"
+        lines = ['{"seed": 1}'] + [json.dumps(
+            {"op_counter": n, "op": "+", "value_hex": fpbits.hex_bits(NAN),
+             "trace_fp": "0" * 16}) for n in range(1, points + 1)]
+        path.write_bytes("\n".join(lines).encode() + b'\n{"op_counter": \xff\n')
+        with pytest.raises(RecordingFormatError, match="not UTF-8 text") as err:
+            load_recording(path)
+        assert err.value.line_number == points + 2
+
     def test_missing_header_errors(self, tmp_path):
         path = tmp_path / "rec.jsonl"
         path.write_text("", encoding="utf-8")

@@ -500,6 +500,7 @@ ODD_NAMES = (Frame("f", 'a"seq".py', 3), Frame("seq", "seq.py", 4), Frame("g", "
     _seq_line(1) + _seq_line(2).replace('"op": "-"', '"op": 5'),
     _seq_lines(range(1, 4), tail=', "seq": 1') + _seq_line(4),
     _seq_lines(range(1, 4), tail=', "seq": 2') + _seq_line(4),
+    _seq_lines(range(1, 4), tail=', "seq": null') + _seq_line(4),
     _seq_lines(range(1, 200)) + _seq_line(200, tail=', "seq": "x"') + _seq_lines(range(201, 260)),
     _seq_line(1) + _seq_line(2).replace('"injected": false', '"injected": 5') + _seq_line(3)
     + "[1, 2]\n" + _seq_line(5),
@@ -510,7 +511,8 @@ ODD_NAMES = (Frame("f", 'a"seq".py', 3), Frame("seq", "seq.py", 4), Frame("g", "
         "space-before-comma", "zero", "long-int", "past-18-digits", "spaced-heads",
         "seq-in-trace-names", "no-final-newline", "crlf", "blank-lines", "bom",
         "bad-line-after-500-hits", "ill-typed-injected", "ill-typed-op", "seq-1-in-tails",
-        "seq-2-in-tails", "bad-line-in-second-run", "two-bad-keys", "many-bad-keys"])
+        "seq-2-in-tails", "seq-null-in-tails", "bad-line-in-second-run", "two-bad-keys",
+        "many-bad-keys"])
 def test_parse_log_matches_one_decode_per_line(tmp_path, text):
     """Lines that repeat a text after their seq take the fields decoded from
     the first of them; every outcome, events or error, is one decode per line.
