@@ -12,11 +12,13 @@ Replay keys on the global intercepted-operation counter and checks the op
 name and arity and a stack-trace fingerprint at each injection point, so
 divergence from the recorded run is detected rather than silently absorbed.
 Operations are numbered by an itertools.count, whose next() is atomic in
-CPython. An OFF injector decides as a replay of no points: each decision
-numbers its op and pops that number from an empty dict of pending points,
-both atomic, so OFF and REPLAY count exactly without the lock, even when
-threads share the injector, and only an op at a recorded point takes it. A
-fuzz decision numbers its op and draws under the lock.
+CPython. Under OFF a tracked op takes no decision: it only numbers itself
+with count_op, that count's next(). A REPLAY decision numbers its op and
+pops that number from the dict of pending points, both atomic, so OFF and
+REPLAY count exactly without the lock, even when threads share the
+injector, and only an op at a recorded point takes it; decide on an OFF
+injector is a replay of no points. A fuzz decision numbers its op and draws
+under the lock.
 """
 
 from __future__ import annotations
@@ -149,19 +151,20 @@ class Injector:
         """Advance the op counter and return an injected value, or None.
 
         Every intercepted operation computes, then decides. A comparison
-        takes no decision, and a clean operation (finite operands and
-        result) under an OFF injector only calls count_op. Every other operation
-        calls decide once, after its compute: a clean float64 + - * from its
-        operator method, any other from tracked._finish.
+        takes no decision, and under an OFF injector every other operation,
+        clean or not, only calls count_op. Under FUZZ or REPLAY every other
+        operation calls decide once, after its compute: a clean float64
+        + - * from its operator method, any other from tracked._finish.
         A FUZZ decision is this one call. It numbers the operation and draws
         under the lock, so op numbers and draws stay in one order; past
         n_inject it stops there. With scope filters it captures the trace and
         tests `functions=` and `libraries=` in one loop over its frames before
         the draw, and an injection fingerprints that same trace.
-        OFF and REPLAY number the operation without the lock and pop its
-        number from the dict of pending points, which OFF holds empty; only a
-        recorded point takes the lock, to check its op name, arity and trace
-        fingerprint and count the injection. `capture` is a zero-argument
+        REPLAY numbers the operation without the lock and pops its number
+        from the dict of pending points, as an OFF injector called here
+        does from its empty one; only a recorded point takes the lock, to
+        check its op name, arity and trace fingerprint and count the
+        injection. `capture` is a zero-argument
         trace capture, called at most once per decision: only when scope
         filters, an injection or a recorded point need the trace.
         """

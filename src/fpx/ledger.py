@@ -43,6 +43,7 @@ alone finds by reading the file's bytes again.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import struct
@@ -174,15 +175,20 @@ class ExceptionEvent:
 
 
 class Ledger:
-    """Thread-safe event rows in seq order, with a stored count per kept kind
-    for the cap. A row is an event's fields after its seq, a plain tuple, and
-    its seq is its 1-based position. Rows are kept in memory; events() builds
-    ExceptionEvents from them, and flush(output_dir) writes them out."""
+    """Thread-safe event rows in seq order. A row is an event's fields after
+    its seq, a plain tuple, and its seq is its 1-based position. Rows are
+    kept in memory; events() builds ExceptionEvents from them, and
+    flush(output_dir) writes them out. An event is stored without a lock:
+    each kept kind numbers the events offered to it with an itertools.count,
+    and one numbered below the cap is appended to the rows; a count's next()
+    and a list's append are atomic in CPython, so threads sharing a ledger
+    store exactly max_logs events per kind, at seqs with no gap. Only a
+    rejected event takes the lock, to count it by kind and class."""
 
     def __init__(self, config: LedgerConfig | None = None):
         self.config = cfg = config or LedgerConfig()
         self._rows = []     # (kind, value_class, op, operands, result, injected, trace)
-        self._kept = dict.fromkeys(cfg.log_kinds, 0)
+        self._offered = {kind: itertools.count().__next__ for kind in cfg.log_kinds}
         self._cap = float("inf") if cfg.max_logs is None else cfg.max_logs
         self._dropped = {}
         self._lock = threading.Lock()
@@ -192,19 +198,20 @@ class Ledger:
         `max_logs` or `log_kinds` rejects is only counted, in `dropped`.
 
         `capture` is a trace provider's zero-argument `capture`; it is called
-        only once the event is known to be stored. A comparison's `result` is
-        a Python bool.
+        only once the event is known to be stored. A `capture` that raises
+        propagates, and its event is neither stored nor counted as dropped,
+        but it has spent its number: its kind stores one event fewer before
+        the cap. A comparison's `result` is a Python bool.
         """
-        with self._lock:
-            stored = self._kept.get(kind)
-            if stored is None or stored >= self._cap:
-                key = kind, value_class
-                self._dropped[key] = self._dropped.get(key, 0) + 1
-                return False
+        offered = self._offered.get(kind)
+        if offered is not None and offered() < self._cap:
             self._rows.append((kind, value_class, op, tuple(operands), result, injected,
                                capture()))
-            self._kept[kind] = stored + 1
-        return True
+            return True
+        with self._lock:
+            key = kind, value_class
+            self._dropped[key] = self._dropped.get(key, 0) + 1
+        return False
 
     def dropped(self) -> dict:
         """Events the caps and filters rejected: (kind, value class) -> count."""
@@ -216,23 +223,21 @@ class Ledger:
         on each call, so a caller that changes one changes no row."""
         if kind is not None and kind not in ALL_KINDS:
             raise KeyError(kind)
-        with self._lock:
-            return [ExceptionEvent(seq, *row) for seq, row in enumerate(self._rows, 1)
-                    if kind is None or row[0] is kind]
+        return [ExceptionEvent(seq, *row) for seq, row in enumerate(self._rows[:], 1)
+                if kind is None or row[0] is kind]
 
     def counts(self) -> dict:
-        with self._lock:
-            return {kind: self._kept.get(kind, 0) for kind in EventKind}
+        """Stored events per EventKind, read off the rows."""
+        stored = Counter(row[0] for row in self._rows[:])
+        return {kind: stored[kind] for kind in EventKind}
 
     def flush(self, output_dir) -> dict:
         """Write the three jsonl files; rewrites from scratch, so it is idempotent."""
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with self._lock:
-            snapshot = self._rows[:]
         encode = _encoder()
         lines = {kind: [] for kind in EventKind}
-        for seq, row in enumerate(snapshot, 1):
+        for seq, row in enumerate(self._rows[:], 1):
             lines[row[0]].append(encode(seq, *row))
         paths = {kind: out / filename for kind, filename in FILE_BY_KIND.items()}
         for kind, path in paths.items():

@@ -1,24 +1,25 @@
 """Tracked floating-point scalars and the operation intercept pipeline.
 
-Every operation on a tracked value computes, then decides: it consults the
-injector (which may substitute an injected value), pins NaN payloads to their
-source, logs one event per value class whose exceptional status it touched,
-and re-wraps the result. An operation is one row of the table below: name,
-arity, numpy ufunc, exact Python float twin, the operator methods or public
-function it backs, and whether it is a comparison; the registry, methods and
-functions are built from it. Every operation runs in the current session,
-which a `use_session` block picks. The + - * methods come from a maker of
-their own: they run the twin, and one test of the result, r - r == 0.0,
-stands for the operand tests, since a finite sum, difference or product has
-finite operands (not so for /: x / inf is finite). Such a clean op is counted
-without a lock under an OFF injector, or takes its Injector.decide call in
-the method under FUZZ or REPLAY, and is wrapped unless a value is injected.
-Over Python float operands, the other operator methods return a comparison
-or truth test over finite operands as the twin's bool, and hand every other
-op to _finish, the tail apply shares. _finish computes, then decides: a
-comparison takes no decision, a clean op under an OFF injector is counted
-alone, and any other op takes Injector.decide. apply takes the operands
-that need a cast, the narrow widths, the public functions and direct calls.
+Every operation on a tracked value computes, then decides: under an OFF
+injector it is only counted, without a lock; under FUZZ or REPLAY it
+consults the injector, which may substitute an injected value. It pins NaN
+payloads to their source, logs one event per value class whose exceptional
+status it touched, and re-wraps the result. An operation is one row of the
+table below: name, arity, numpy ufunc, exact Python float twin, the operator
+methods or public function it backs, and whether it is a comparison; the
+registry, methods and functions are built from it. Every operation runs in
+the current session, which a `use_session` block picks. The + - * methods
+come from a maker of their own: they run the twin, and one test of the
+result, r - r == 0.0, stands for the operand tests, since a finite sum,
+difference or product has finite operands (not so for /: x / inf is
+finite). Such a clean op is counted or decided in the method, and wrapped
+unless a value is injected. Over Python float operands, the other operator
+methods return a comparison or truth test over finite operands as the
+twin's bool, and hand every other op to _finish, the tail apply shares.
+_finish computes, then decides: a comparison takes no decision, and any
+other op, clean or not, is counted under an OFF injector and takes
+Injector.decide under FUZZ or REPLAY. apply takes the operands that need a
+cast, the narrow widths, the public functions and direct calls.
 
 Two substrates compute, with the same bits either way. A twin (+ - * /,
 negation, abs, sqrt, the comparisons and truth) is IEEE correctly rounded or
@@ -34,7 +35,7 @@ an Inf operand (x - x != y - y) computes once per ufunc and pair of operand
 bit patterns: its pinned result and both statuses are a function of those
 bits, so _OUTCOMES, keyed by them, remembers them, cleared past
 OUTCOME_TABLE_LIMIT entries; a set with a signalling NaN is never remembered.
-A remembered op still decides, logs and wraps. With injection off,
+A remembered op still counts or decides, logs and wraps. With injection off,
 unwrapped results are bit-identical to the same computation over plain
 numpy scalars.
 Construction and ops share one operand rule and one cast: a value that is not
@@ -256,9 +257,9 @@ def _finish(sess, cls, row, xs, injected_value=None):
     result's payload with propagate_payload and tests both value classes
     in one pass; over Python floats with a NaN or an Inf operand, that
     outcome is remembered in _OUTCOMES, or read from it. A comparison takes
-    no decision. Not given an injected value, a clean op (finite operands
-    and result) under an OFF injector is only counted, and any other op
-    takes Injector.decide; an injected value, stored at cls's width,
+    no decision. Not given an injected value, any other op under an OFF
+    injector is only counted, and under FUZZ or REPLAY takes
+    Injector.decide; an injected value, stored at cls's width,
     replaces the result and its status. Then it logs and wraps."""
     impl, is_comparison, op, exact = row
     x, y = xs[0], xs[-1]
@@ -302,7 +303,7 @@ def _finish(sess, cls, row, xs, injected_value=None):
     if not is_comparison:
         if injected_value is None:
             injector = sess.injector
-            if status == result_status == 0 and injector.mode is _OFF:
+            if injector.mode is _OFF:
                 injector.count_op()
             else:
                 injected_value = injector.decide(op, sess.traces.capture)

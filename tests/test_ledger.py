@@ -5,6 +5,7 @@ import json
 import operator
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -34,6 +35,28 @@ TRACE = (Frame("momentum_u!", "SW/rhs.jl", 246),
 def _record(ledger, kind=EventKind.GEN, value_class=ValueClass.NAN,
             operands=(-INF, -INF), result=NAN, trace=TRACE):
     return ledger.record(kind, value_class, OP_SUB, operands, result, False, lambda: trace)
+
+
+def _run_threads(worker, args):
+    """Runs worker(arg) for each arg, one thread each, started together on a
+    barrier and all switching often."""
+    barrier = threading.Barrier(len(args))
+
+    def run(arg):
+        barrier.wait()
+        worker(arg)
+
+    threads = [threading.Thread(target=run, args=(arg,)) for arg in args]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
 
 
 class TestRecord:
@@ -148,30 +171,51 @@ class TestRecord:
             for _ in range(200):
                 _record(ledger, kind=kind)
 
-        kinds = (EventKind.GEN, EventKind.PROP, EventKind.KILL, EventKind.GEN)
-        threads = [threading.Thread(target=worker, args=(kind,)) for kind in kinds]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        _run_threads(worker, (EventKind.GEN, EventKind.PROP, EventKind.KILL, EventKind.GEN))
         assert [e.seq for e in ledger.events()] == list(range(1, 801))
         assert ledger.counts() == {EventKind.GEN: 400, EventKind.PROP: 200, EventKind.KILL: 200}
 
+    def test_capped_concurrent_records_store_exactly_the_cap(self):
+        """Four threads offer every kind more events than its cap: each kind
+        stores exactly max_logs rows, at seqs with no gap; the rest are
+        counted as dropped, and only a stored event captures its trace. Each
+        capture yields the GIL, so another thread runs between a record's
+        cap test and its append."""
+        cap, per_thread = 250, 150
+        ledger, provider = Ledger(LedgerConfig(max_logs=cap)), _SpyProvider(yields=True)
+
+        def worker(offset):
+            for i in range(per_thread):
+                for kind in EventKind:
+                    ledger.record(kind, (ValueClass.NAN, ValueClass.INF)[(i + offset) % 2],
+                                  OP_SUB, (NAN, 1.0), NAN, False, provider.capture)
+
+        _run_threads(worker, range(4))
+        assert ledger.counts() == dict.fromkeys(EventKind, cap)
+        assert [e.seq for e in ledger.events()] == list(range(1, 3 * cap + 1))
+        dropped = ledger.dropped()
+        for kind in EventKind:
+            assert sum(n for (k, _), n in dropped.items() if k is kind) == 4 * per_thread - cap
+        assert provider.captures == 3 * cap
+
 
 class _SpyProvider:
-    """A trace provider that counts its captures."""
+    """A trace provider that counts its captures, by one atomic append each,
+    so threads sharing it lose no count; with `yields`, each capture first
+    lets another thread run."""
 
-    def __init__(self):
-        self.captures = 0
+    def __init__(self, yields=False):
+        self._captured = []
+        self._yields = yields
+
+    @property
+    def captures(self):
+        return len(self._captured)
 
     def capture(self):
-        self.captures += 1
+        if self._yields:
+            time.sleep(0)
+        self._captured.append(None)
         return TRACE
 
 

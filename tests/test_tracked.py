@@ -1029,8 +1029,9 @@ def test_nan_result_takes_the_leftmost_nan_operand_payload(monkeypatch, width, n
 
 
 def test_threads_sharing_an_off_session_count_every_op():
-    """Fused ops count on the injector without its lock, fall-through ops
-    count in decide; with two threads switching often the total is exact."""
+    """Clean fused ops and NaN ops through _finish both count on the
+    injector without its lock and take no decision; with two threads
+    switching often the total is exact."""
     session = explicit_session()
     n_clean, n_nan = 20000, 200
 
@@ -1218,9 +1219,9 @@ QUIET_INJECTORS = {
 
 def test_clean_float64_ops_bypass_apply_and_decide(monkeypatch):
     """The fused path is wired in: under an OFF injector a clean float64 op
-    reaches neither apply nor Injector.decide, yet is counted; an op with a
-    NaN operand decides in its method, unless an operand needs a cast or the
-    width is narrow, which apply takes."""
+    reaches neither apply nor Injector.decide, yet is counted; so is an op
+    with a NaN operand, which _finish counts, unless an operand needs a cast
+    or the width is narrow, which apply takes, still without a decision."""
     calls = _watch_apply_and_decide(monkeypatch)
     session = explicit_session()
     a, b = TrackedFloat64(1.5), TrackedFloat64(-2.0)
@@ -1231,13 +1232,12 @@ def test_clean_float64_ops_bypass_apply_and_decide(monkeypatch):
         assert [unwrap(r) for r in results[:10]] == [-0.5, 3.5, 3.5, -0.5, -3.0, 4.5,
                                                     -0.75, 2.0 / 3.0, -1.5, 2.0]
         TrackedFloat64(NAN) + a
-        assert calls == ["decide"]
-        calls.clear()
+        assert calls == []
         TrackedFloat64(NAN) + 2
-        assert calls == ["apply", "decide"]
+        assert calls == ["apply"]
         calls.clear()
         TrackedFloat32(NAN) + TrackedFloat32(1.5)
-    assert calls == ["apply", "decide"] and session.injector.op_counter == 13
+    assert calls == ["apply"] and session.injector.op_counter == 13
 
 
 @pytest.mark.parametrize("mode", ["fuzz", "replay"])
