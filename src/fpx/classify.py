@@ -67,16 +67,16 @@ def propagate_payload(operands, raw_result):
     """The one NaN payload pin of every width: a NaN result takes the payload
     bits of the leftmost NaN operand and keeps its own sign and quiet bit, so
     pure bit operations like negation stay bit-transparent. A float64 result
-    is pinned here, both bit patterns in one unpack, and comes back a plain
-    float; a narrow one by fpbits.transfer_payload."""
+    is pinned here, both bit patterns in one unpack and the spliced bits in
+    one pack, and comes back a plain float; a narrow one by
+    fpbits.transfer_payload. Over Python floats, tracked ops pin only on a
+    miss of their outcome table."""
     if raw_result == raw_result:        # not a NaN
         return raw_result
     for x in operands:
         if x != x:
             if type(raw_result) in _FLOAT64_TYPES:
                 bits, source = _unpack_qq(_pack_dd(raw_result, x))
-                if not (bits ^ source) & _PAYLOAD64:
-                    return float(raw_result)    # it holds the source's payload already
                 return _unpack_double(_pack_uint64(bits & ~_PAYLOAD64 | source & _PAYLOAD64))[0]
             return fpbits.transfer_payload(raw_result, x)
     return raw_result

@@ -33,8 +33,9 @@ a tail as a JSON object of its own: a top-level seq key there sets its
 lines' seq, and where it has none each line's head does. parse_log reads a
 file in such runs and builds each line's event from its key's fields;
 _line_traces, which `fpx cstg` and `fpx diff` read a log with, counts the
-keys and builds no events. A key that fails to decode sends its run alone
-through one decode per line, for the first bad line's error and number.
+keys and builds no events. A run's new keys decode in the order they first
+occur, so the first that fails names the run's first bad line, whose one
+decode then gives its error and number.
 FormatError and the JSON-lines reader here serve every fpx file format. Every
 reader of a file here takes one UTF-8 rule: a file that is not UTF-8 raises
 the reader's own FormatError naming its first bad line, which the error path
@@ -74,14 +75,6 @@ class FormatError(ValueError):
 
 class LogFormatError(FormatError):
     """A log file line that cannot be parsed."""
-
-
-def _numbered(lines, start=1):
-    """(line_number, line) per non-blank line of text lines, such as a UTF-8
-    text file's, the first numbered `start`."""
-    for line_number, line in enumerate(lines, start):
-        if line.strip():
-            yield line_number, line
 
 
 def _json_object(line, line_number, error):
@@ -126,8 +119,9 @@ def read_json_lines(path, error=FormatError):
     """(line_number, object) per non-blank line of a JSON-lines file; a line
     that is not a JSON object, or not UTF-8, raises `error` naming it."""
     with _utf8(path, error) as fh:
-        for line_number, line in _numbered(fh):
-            yield line_number, _json_object(line, line_number, error)
+        for line_number, line in enumerate(fh, 1):
+            if line.strip():
+                yield line_number, _json_object(line, line_number, error)
 
 
 @dataclass(frozen=True)
@@ -397,9 +391,10 @@ def _scan(runs):
     per run, its _LINE.findall, its lines' keys in order, and the call's key
     table, which then maps each key to its _decode_key fields. A key is
     decoded once per call, until the table outgrows LINE_TABLE_LIMIT and is
-    cleared. A key that fails sends its run alone through one decode per
-    line, which raises the first bad line's error and number: every key of
-    the runs before decoded."""
+    cleared. A run's new keys are decoded in the order they first occur, so
+    the first key that fails first occurs on the run's first bad line: a
+    decode of that one line raises its error and number, every key of the
+    runs before decoded."""
     decode, table = _decoder(), {}
     first = 1       # the number of the run's first line
     for run in runs:
@@ -408,11 +403,13 @@ def _scan(runs):
         lines = _LINE.findall(run)
         keys = list(map(_KEY, lines))
         try:
-            for key in set(keys) - table.keys():
-                table[key] = _decode_key(decode, *key)
+            for key in dict.fromkeys(keys):
+                if key not in table:
+                    table[key] = _decode_key(decode, *key)
         except LogFormatError:
-            for n, line in _numbered(_split_lines(run), first):
-                decode(_json_object(line, n, LogFormatError), n)
+            n = keys.index(key)
+            line = next(itertools.islice(_split_lines(run), n, None))
+            decode(_json_object(line, first + n, LogFormatError), first + n)
             raise
         yield lines, keys, table
         first += len(lines) - 1

@@ -21,23 +21,25 @@ other op, clean or not, is counted under an OFF injector and takes
 Injector.decide under FUZZ or REPLAY. apply takes the operands that need a
 cast, the narrow widths, the public functions and direct calls.
 
-Two substrates compute, with the same bits either way. A twin (+ - * /,
-negation, abs, sqrt, the comparisons and truth) is IEEE correctly rounded or
-exact, so over Python float operands it gives the ufunc's bits, NaN and Inf
-included, except that with two NaN operands the ufunc keeps the first one's
-sign and the compiled operator may keep the second's. Those, a twin that
-raises (x/0, sqrt of a negative), narrow widths and rows without a twin take
-numpy scalar ufuncs. Two quiet NaN operands of + - * / run the ufunc bare, as
-IEEE 754 raises no flag for them. Every other ufunc call suppresses
-floating-point traps, so 0/0, log(0), overflow and a signalling NaN operand
-yield IEEE results instead of raising. An op over Python floats with a NaN or
-an Inf operand (x - x != y - y) computes once per ufunc and pair of operand
-bit patterns: its pinned result and both statuses are a function of those
-bits, so _OUTCOMES, keyed by them, remembers them, cleared past
-OUTCOME_TABLE_LIMIT entries; a set with a signalling NaN is never remembered.
-A remembered op still counts or decides, logs and wraps. With injection off,
-unwrapped results are bit-identical to the same computation over plain
-numpy scalars.
+Two substrates compute, with the same bits either way, by one rule:
+- A twin (+ - * /, negation, abs, sqrt, the comparisons and truth) computes
+  over Python floats with at most one NaN operand. It is IEEE correctly
+  rounded or exact, so it gives the ufunc's bits, NaN and Inf included; not
+  so with two NaN operands, whose sign the ufunc takes from the first and
+  the compiled operator may take from the second.
+- A numpy scalar ufunc under np.errstate(all="ignore") computes everything
+  else: two NaN operands, a twin that raises (x/0, sqrt of a negative),
+  narrow widths and rows without a twin. So 0/0, log(0), overflow and a
+  signalling NaN operand yield IEEE results instead of raising, whatever
+  the caller's numpy state.
+- The outcome table remembers every exceptional set: an op over Python
+  floats with a NaN or an Inf operand (x - x != y - y) computes once per
+  ufunc and pair of operand bit patterns, since its pinned result and both
+  statuses are a function of those bits. _OUTCOMES, keyed by them, is
+  cleared past OUTCOME_TABLE_LIMIT entries. A remembered op still counts or
+  decides, logs and wraps.
+With injection off, unwrapped results are bit-identical to the same
+computation over plain numpy scalars.
 Construction and ops share one operand rule and one cast: a value that is not
 a number is a TypeError before any event; at float64 every value becomes a
 Python float, so int and numpy scalar operands take the twin; a number too
@@ -115,8 +117,7 @@ _UNARY = object()       # the absent second operand of a one-operand op
 # (ufunc, packed bits of the first and last operand) -> (pinned result, operand
 # status, result status) of an op over Python floats with a NaN or an Inf
 # operand: a pure function of its key, so threads share the table without a
-# lock, and a hit skips the compute, the status tests and the pin. A set with
-# a signalling NaN never goes in.
+# lock, and a hit skips the compute, the status tests and the pin.
 _OUTCOMES = {}
 OUTCOME_TABLE_LIMIT = 1024
 
@@ -252,34 +253,30 @@ def apply(name: str, operands):
 
 
 def _finish(sess, cls, row, xs, injected_value=None):
-    """The op over operands already at cls's width: it computes with the
-    substrate the module docstring names, then decides. It pins a NaN
-    result's payload with propagate_payload and tests both value classes
-    in one pass; over Python floats with a NaN or an Inf operand, that
-    outcome is remembered in _OUTCOMES, or read from it. A comparison takes
-    no decision. Not given an injected value, any other op under an OFF
-    injector is only counted, and under FUZZ or REPLAY takes
-    Injector.decide; an injected value, stored at cls's width,
+    """The op over operands already at cls's width: it computes by the
+    module docstring's rule, the twin over Python floats with at most one
+    NaN operand and the ufunc under np.errstate otherwise, then decides. It
+    pins a NaN result's payload with propagate_payload and tests both value
+    classes in one pass; over Python floats with a NaN or an Inf operand,
+    that outcome is remembered in _OUTCOMES, every such set, or read from
+    it. A comparison takes no decision. Not given an injected value, any
+    other op under an OFF injector is only counted, and under FUZZ or
+    REPLAY takes Injector.decide; an injected value, stored at cls's width,
     replaces the result and its status. Then it logs and wraps."""
     impl, is_comparison, op, exact = row
     x, y = xs[0], xs[-1]
     floats = type(x) is type(y) is float
     key = outcome = None
     if floats and x - x != y - y:       # a NaN or an Inf operand
-        bits = _pack_dd(x, y)           # a one-operand op packs its operand twice
-        key = impl, bits
+        key = impl, _pack_dd(x, y)      # a one-operand op packs its operand twice
         outcome = _OUTCOMES.get(key)
     if outcome is None:
         result = None
-        if exact is not None and floats:
-            if len(xs) == 1 or x == x or y == y:
-                try:
-                    result = exact(*xs)
-                except (ZeroDivisionError, ValueError):    # x/0, sqrt(-x)
-                    pass
-            elif not is_comparison and bits[6] & bits[14] & 8:
-                # both NaNs quiet (bit 51, bit 3 of byte 6): IEEE 754 raises no flag
-                result = impl(x, y)
+        if exact is not None and floats and (len(xs) == 1 or x == x or y == y):
+            try:
+                result = exact(*xs)
+            except (ZeroDivisionError, ValueError):    # x/0, sqrt(-x)
+                pass
         if result is None:
             with np.errstate(all="ignore"):
                 result = impl(*xs)
@@ -293,8 +290,7 @@ def _finish(sess, cls, row, xs, injected_value=None):
             result_status = 0 if isfinite(result) else 2 if result == result else 1
             if result_status == 1 and status & 1:   # pin the leftmost NaN's payload
                 result = propagate_payload(xs, result)
-        # no set with a signalling NaN goes in
-        if key is not None and (x == x or bits[6] & 8) and (y == y or bits[14] & 8):
+        if key is not None:
             if len(_OUTCOMES) >= OUTCOME_TABLE_LIMIT:
                 _OUTCOMES.clear()
             _OUTCOMES[key] = result, status, result_status

@@ -185,7 +185,7 @@ def test_counted_path_past_the_line_table_limit(tmp_path, capsys):
 @pytest.mark.parametrize("seed", range(8))
 def test_counted_path_names_the_first_of_two_bad_keys(seed, tmp_path, capsys):
     """Two different malformed lines in one run: the error and line number are
-    the first one's, whichever key the run decodes first."""
+    the first one's."""
     rng = random.Random(seed)
     lines = [_line(rng, n, False) for n in range(1, rng.randint(3, 30))]
     tail = lines[0][lines[0].index(","):]

@@ -567,6 +567,31 @@ def test_parse_log_matches_one_decode_per_line(tmp_path, text):
     assert _log_outcome(parse_log, path) == _log_outcome(_reference_parse_log, path)
 
 
+def test_a_runs_new_keys_decode_in_first_occurrence_order(tmp_path, monkeypatch):
+    """_scan decodes each new key of a run in the order it first occurs in the
+    log, whatever the string hash, over repeats, blank lines, a line without
+    a canonical head and two runs; so the first key of a run that fails is on
+    the run's first bad line."""
+    decoded, real = [], ledger._decode_key
+
+    def spy(decode, tail, line):
+        if tail or line.strip():
+            decoded.append(tail or line)
+        return real(decode, tail, line)
+    monkeypatch.setattr(ledger, "_decode_key", spy)
+    lines = [_seq_line(n, tail=f', "x": {n * 7 % 40}') for n in range(1, 500)]
+    lines[3] = " " + lines[3]
+    lines.insert(10, "\n")
+    text = "".join(lines)
+    assert len(text) > ledger._CHUNK
+    path = tmp_path / "prop.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert len(parse_log(path)) == len(lines) - 1
+    keys = [line[:-1] if line.startswith(" ") else line[line.index(","):-1]
+            for line in lines if line.strip()]
+    assert decoded == list(dict.fromkeys(keys))
+
+
 def test_events_one_field_apart_are_encoded_apart(tmp_path):
     """Each event differs from the first in one field other than seq, and
     the first repeats between them: flush writes every line as the reference

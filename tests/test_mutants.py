@@ -1,6 +1,7 @@
 """The mutation gate's table still applies to today's source: every edit's
-source text occurs exactly once in its file, and every killer names a test
-that exists. `python3 scripts/mutants.py` runs the mutants themselves."""
+source text occurs exactly once in its file, every mutated file compiles,
+and every killer names a test that exists. `python3 scripts/mutants.py`
+runs the mutants themselves."""
 
 import importlib.util
 import re
@@ -21,11 +22,15 @@ def test_mutant_names_are_unique():
 
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
 def test_each_edit_applies_exactly_once(mutant):
+    """Every edit applies, and the mutated file compiles: a mutant that broke
+    the syntax would fail every test on import and count as killed."""
     text = (mutants.PACKAGE / mutant.file).read_text(encoding="utf-8")
     for source, replacement in mutant.edits:
         assert text.count(source) == 1, source
         assert source != replacement
-    assert mutants.apply_edits(text, mutant) != text
+    mutated = mutants.apply_edits(text, mutant)
+    assert mutated != text
+    compile(mutated, mutant.file, "exec")
 
 
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)

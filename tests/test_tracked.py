@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -725,8 +726,8 @@ def _two_nan_calls(a, b, name):
 def test_two_nan_arithmetic_keeps_the_caller_numpy_state(caller):
     """+ - * / over every pair of quiet and signalling NaNs neither raises nor
     warns under the caller's numpy state, gives the bare ufunc's bits with the
-    leftmost NaN's payload pinned, and leaves that state as it was: quiet
-    pairs take the ufunc without np.errstate, the others under it."""
+    leftmost NaN's payload pinned, and leaves that state as it was: every
+    pair takes the ufunc under np.errstate."""
     previous = np.seterr(all="raise") if caller == "seterr-raise" else None
     try:
         with np.errstate(over="warn") if previous is None else contextlib.nullcontext():
@@ -761,69 +762,41 @@ def _errstate_spy(monkeypatch):
 SIGNALLING = fpbits.from_bits(0x7FF0000000000ABC)
 
 
-def test_only_two_quiet_nans_skip_errstate(monkeypatch):
-    """The quiet/quiet pairs of + - * / run their ufunc bare; a pair with a
-    signalling NaN, a comparison of two NaNs and x/0 suppress traps. A
-    remembered comparison enters no errstate on a repeat; a signalling pair,
-    which the outcome table never holds, and x/0, whose operands are finite,
-    enter it on every call."""
-    entered = _errstate_spy(monkeypatch)
-    monkeypatch.setattr(tracked, "_OUTCOMES", {})
-    quiet = [x for x in SPECIAL_FLOAT64 if x != x and fpbits.to_bits(x) & 1 << 51]
-    with use_session(explicit_session()):
-        for a in quiet:
-            for b in quiet:
-                for name in ARITHMETIC:
-                    for call in _two_nan_calls(a, b, name):
-                        call()
-        assert entered == []
-        for call, every_call in ((lambda: TrackedFloat64(NAN) + SIGNALLING, True),
-                                 (lambda: SIGNALLING * TrackedFloat64(NAN), True),
-                                 (lambda: TrackedFloat64(NAN) < NAN, False),
-                                 (lambda: TrackedFloat64(1.5) / 0.0, True)):
-            for repeat in (False, True):
-                entered.clear()
-                call()
-                assert entered == ([{"all": "ignore"}] if every_call or not repeat else [])
-
-
-QUIET_NAN_PAIRS = [(a, b) for a, b in NAN_PAIRS
-                   if fpbits.to_bits(a) & fpbits.to_bits(b) & 1 << 51]
-
-
 def _bare_two_nan_bits(a, b, name):
     with np.errstate(all="ignore"):
         return _scalar_bits(propagate_payload((a, b), ARITHMETIC[name](a, b)))
 
 
-def test_remembered_two_quiet_nan_results_are_the_bare_ufunc_bits():
-    """A quiet/quiet pair of + - * / gives the bare ufunc's bits, pinned, on
-    its first call, on a repeat that the outcome table answers, and after the
-    table is cleared, through apply and every operator method shape."""
+def test_remembered_two_quiet_nan_results_are_the_bare_ufunc_bits(monkeypatch):
+    """Every NaN pair of + - * /, quiet or signalling, gives the bare ufunc's
+    bits, pinned, on its first call, which computes under np.errstate, on a
+    repeat that the outcome table answers, which enters no np.errstate, and
+    after the table is cleared, through apply and every operator method
+    shape."""
+    entered = _errstate_spy(monkeypatch)
+    monkeypatch.setattr(tracked, "_OUTCOMES", {})
     with use_session(explicit_session()):
-        for a, b in QUIET_NAN_PAIRS:
+        for a, b in NAN_PAIRS:
             for name in ARITHMETIC:
                 bare = _bare_two_nan_bits(a, b, name)
                 for call in _two_nan_calls(a, b, name):
-                    tracked._OUTCOMES.clear()
-                    first, repeat = call(), call()
-                    tracked._OUTCOMES.clear()
-                    after = call()
-                    assert [_scalar_bits(unwrap(r)) for r in (first, repeat, after)] == [
-                        bare] * 3, (name, a, b)
+                    results = []
+                    for cleared in (True, False, True):
+                        if cleared:
+                            tracked._OUTCOMES.clear()
+                        entered.clear()
+                        results.append(_scalar_bits(unwrap(call())))
+                        assert entered == ([{"all": "ignore"}] if cleared else []), (
+                            name, a, b, cleared)
+                    assert results == [bare] * 3, (name, a, b)
 
 
-def _holds_a_signalling_nan(packed):
-    return any(fpbits.from_bits(bits) != fpbits.from_bits(bits) and not bits & 1 << 51
-               for bits in _unpack_qq(packed))
-
-
-def test_outcome_table_holds_no_signalling_set_and_is_cleared_past_its_limit(monkeypatch):
-    """Keys are the ufunc and both operands' bits. Quiet NaN pairs and NaN
-    or Inf operands beside a number go in, of a row with a twin or without,
-    one operand or two; a set with a signalling NaN never goes in and enters
-    np.errstate on every call, a pair or beside a number; the table never
-    grows past OUTCOME_TABLE_LIMIT."""
+def test_outcome_table_holds_every_exceptional_set_and_is_cleared_past_its_limit(monkeypatch):
+    """Keys are the ufunc and both operands' bits. Every NaN pair, quiet or
+    signalling, and NaN or Inf operands beside a number go in, of a row with
+    a twin or without, one operand or two, a comparison too, and a repeat
+    enters no np.errstate; x/0, whose operands are finite, never goes in and
+    enters it on every call. The table never grows past OUTCOME_TABLE_LIMIT."""
     monkeypatch.setattr(tracked, "OUTCOME_TABLE_LIMIT", 3)
     monkeypatch.setattr(tracked, "_OUTCOMES", {})
     sizes = []
@@ -838,40 +811,39 @@ def test_outcome_table_holds_no_signalling_set_and_is_cleared_past_its_limit(mon
             for name in ARITHMETIC:
                 for call in _two_nan_calls(a, b, name):
                     call()
-        for a, b in QUIET_NAN_PAIRS:
+        for a, b in NAN_PAIRS:
             for name, ufunc in ARITHMETIC.items():
                 assert (ufunc, _pack_dd(a, b)) in tracked._OUTCOMES, (name, a, b)
-        for call, key in ((lambda: TrackedFloat64(INF) * 2.0, (np.multiply, INF, 2.0)),
-                          (lambda: 1.5 - TrackedFloat64(-INF), (np.subtract, 1.5, -INF)),
-                          (lambda: -TrackedFloat64(NAN), (np.negative, NAN, NAN)),
-                          (lambda: apply("pow", (TrackedFloat64(NAN), 2.0)), (np.power, NAN, 2.0)),
-                          (lambda: tracked.exp(TrackedFloat64(-INF)), (np.exp, -INF, -INF))):
-            call()
-            assert (key[0], _pack_dd(*key[1:])) in tracked._OUTCOMES
-        TrackedFloat64(SIGNALLING) + 1.5
-        -TrackedFloat64(SIGNALLING)
-        assert not any(_holds_a_signalling_nan(packed) for _, packed in tracked._OUTCOMES)
-        signalling = [(a, b) for a, b in NAN_PAIRS
-                      if not fpbits.to_bits(a) & fpbits.to_bits(b) & 1 << 51]
-        assert signalling
         entered = _errstate_spy(monkeypatch)
-        for a, b in signalling:
-            for call in _two_nan_calls(a, b, "+") * 2:
-                entered.clear()
-                call()
-                assert entered == [{"all": "ignore"}], (a, b)
-        for call in (lambda: tracked.exp(TrackedFloat64(SIGNALLING)),) * 2:
+        for call, key in (
+                (lambda: TrackedFloat64(INF) * 2.0, (np.multiply, INF, 2.0)),
+                (lambda: 1.5 - TrackedFloat64(-INF), (np.subtract, 1.5, -INF)),
+                (lambda: -TrackedFloat64(NAN), (np.negative, NAN, NAN)),
+                (lambda: apply("pow", (TrackedFloat64(NAN), 2.0)), (np.power, NAN, 2.0)),
+                (lambda: tracked.exp(TrackedFloat64(-INF)), (np.exp, -INF, -INF)),
+                (lambda: TrackedFloat64(SIGNALLING) + 1.5, (np.add, SIGNALLING, 1.5)),
+                (lambda: -TrackedFloat64(SIGNALLING), (np.negative, SIGNALLING, SIGNALLING)),
+                (lambda: tracked.exp(TrackedFloat64(SIGNALLING)), (np.exp, SIGNALLING, SIGNALLING)),
+                (lambda: SIGNALLING * TrackedFloat64(NAN), (np.multiply, SIGNALLING, NAN)),
+                (lambda: TrackedFloat64(NAN) < NAN, (np.less, NAN, NAN))):
+            call()
+            assert (key[0], _pack_dd(*key[1:])) in tracked._OUTCOMES, key
             entered.clear()
             call()
+            assert entered == [], key
+        for _ in range(2):
+            entered.clear()
+            TrackedFloat64(1.5) / 0.0
             assert entered == [{"all": "ignore"}]
+        assert (np.divide, _pack_dd(1.5, 0.0)) not in tracked._OUTCOMES
 
 
 def test_remembered_two_nan_result_keeps_a_raising_numpy_state(monkeypatch):
     """Under a caller's np.seterr(all="raise"), a hit of the outcome table,
-    a quiet NaN pair's or a row without a twin's, raises nothing and leaves
-    np.geterr() as it was."""
+    a signalling NaN pair's or a row without a twin's, raises nothing and
+    leaves np.geterr() as it was."""
     monkeypatch.setattr(tracked, "_OUTCOMES", {})
-    a, b = QUIET_NAN_PAIRS[-1]
+    a, b = SIGNALLING, SIGNALLING
     with use_session(explicit_session()):
         TrackedFloat64(a) / b
         tracked.log(TrackedFloat64(-INF))
@@ -902,7 +874,7 @@ def _counting_row(monkeypatch, name, arity, calls):
 def test_outcome_table_hit_calls_neither_the_ufunc_nor_the_pin(monkeypatch):
     """A miss computes and pins once on its way into the outcome table; a
     hit calls no ufunc, no twin and no propagate_payload, yet gives the
-    same bits: for quiet NaN pairs through apply and every operator method
+    same bits: for every NaN pair through apply and every operator method
     shape, and for NaN or Inf operands of a row with a twin and of one
     without."""
     pins = []
@@ -913,7 +885,7 @@ def test_outcome_table_hit_calls_neither_the_ufunc_nor_the_pin(monkeypatch):
         return real(operands, raw_result)
     monkeypatch.setattr(tracked, "propagate_payload", spy)
     with use_session(explicit_session()):
-        for a, b in QUIET_NAN_PAIRS:
+        for a, b in NAN_PAIRS:
             for name in ARITHMETIC:
                 bare = _bare_two_nan_bits(a, b, name)
                 for call in _two_nan_calls(a, b, name):
@@ -929,7 +901,7 @@ def test_outcome_table_hit_calls_neither_the_ufunc_nor_the_pin(monkeypatch):
         _counting_row(monkeypatch, "*", 2, calls)
         _counting_row(monkeypatch, "pow", 2, calls)
         for name in ("*", "pow"):
-            for xs in (QUIET_NAN_PAIRS[0], (fpbits.nan_with_payload(7), 1.5), (INF, 2.0),
+            for xs in (NAN_PAIRS[0], (fpbits.nan_with_payload(7), 1.5), (INF, 2.0),
                        (1.5, -INF)):
                 monkeypatch.setattr(tracked, "_OUTCOMES", {})
                 calls.clear()
@@ -1059,18 +1031,30 @@ def test_threads_sharing_an_off_session_count_every_op():
 
 def test_threads_sharing_the_outcome_table_get_the_bare_bits(monkeypatch):
     """Four threads, switching often, run NaN and Inf ops over one small
-    pool of operand sets, so they miss, hit and clear the shared outcome
-    table at once: every result has the bits of the op computed alone, and
-    the table ends no larger than its limit plus one entry per thread."""
+    pool of operand sets, signalling NaNs among them, so they miss, hit and
+    clear the shared outcome table at once. The pin yields the GIL, so
+    another thread runs between a miss's compute and its store. Every result
+    has the bits of the op computed alone, and the table ends no larger than
+    its limit plus one entry per thread."""
     monkeypatch.setattr(tracked, "OUTCOME_TABLE_LIMIT", 5)
     monkeypatch.setattr(tracked, "_OUTCOMES", {})
+    signalling = [fpbits.from_bits(0x7FF0000000000000 | k) for k in range(1, 4)]
     pool = [(fpbits.nan_with_payload(k), fpbits.nan_with_payload(k + 50)) for k in range(6)]
     pool += [(fpbits.nan_with_payload(k), float(k)) for k in range(6)] + [(INF, 2.0), (-INF, INF)]
+    pool += [(s, fpbits.nan_with_payload(9)) for s in signalling] + [(-NAN, s) for s in signalling]
+    pool += [(s, 1.5) for s in signalling]
     expected = {}
     with np.errstate(all="ignore"):
         for a, b in pool:
             for name, ufunc in ARITHMETIC.items():
                 expected[name, a, b] = _scalar_bits(propagate_payload((a, b), ufunc(a, b)))
+    pinned_by, real = [], tracked.propagate_payload
+
+    def pin(operands, raw_result):
+        time.sleep(0)
+        pinned_by.append(threading.get_ident())
+        return real(operands, raw_result)
+    monkeypatch.setattr(tracked, "propagate_payload", pin)
     failures, threads = [], []
 
     def worker(k):
@@ -1095,6 +1079,9 @@ def test_threads_sharing_the_outcome_table_get_the_bare_bits(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert failures == []
     assert len(tracked._OUTCOMES) <= tracked.OUTCOME_TABLE_LIMIT + len(threads)
+    # without the yield, consecutive pins changed thread about 20 times in
+    # 10,500; with it, thousands of times
+    assert sum(a != b for a, b in zip(pinned_by, pinned_by[1:])) > 100
 
 
 def test_threads_sharing_a_replay_session_fire_every_point_once():
