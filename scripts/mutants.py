@@ -19,8 +19,8 @@ Run it from the root of an fpx checkout:
 
 Exit 0 when every mutant run is killed by each of its tests, 1 when one
 survives or is partial, its tests fail to run, or the unmutated copy fails a
-killer. The whole table, 27 mutants run, took 108 s on a shared 2-core
-x86-64 VM (161 s with other work running).
+killer. The whole table, 36 mutants run, took 148 s on a shared 2-core
+x86-64 VM.
 """
 
 from __future__ import annotations
@@ -58,6 +58,10 @@ _OUTCOME_LIMIT = ("tests/test_tracked.py::"
 _PIN = "tests/test_tracked.py::test_the_pin_matches_the_former_transfer_payload%s"
 _NARROW_PIN = "            return fpbits.transfer_payload(raw_result, x)\n"
 _PER_LINE = "tests/test_ledger.py::test_parse_log_matches_one_decode_per_line[%s]"
+_WRITE = "                writes[row[0]](encode(seq, *row))\n"
+_CAST_GENS = "    for source, cast in born:\n"
+_GRAPHS = "tests/test_cli.py::TestGraphCommands::%s"
+_RUNS = "tests/test_cstg_reference.py::%s"
 
 MUTANTS = (
     # The one log reader, ledger._scan, and the counted cstg path over it.
@@ -79,13 +83,34 @@ MUTANTS = (
            ("tests/test_ledger.py::test_a_runs_new_keys_decode_in_first_occurrence_order",
             _PER_LINE % "many-bad-keys",
             "tests/test_cstg_reference.py::test_counted_path_names_the_first_of_two_bad_keys")),
+    # Log I/O in runs: flush writes each line to its kind's file, and cstg and
+    # diff stream a file whose first run shows it is a log, that run first.
+    Mutant("flush-writes-a-kill-row-to-the-prop-file", "ledger.py",
+           ((_WRITE, _WRITE.replace("writes[row[0]]", "writes[EventKind.PROP if row[0] is "
+                                                       "EventKind.KILL else row[0]]")),),
+           (_REFERENCE[0], "tests/test_ledger.py::test_flush_bytes_golden",
+            "tests/test_ledger.py::TestFlush::test_counts_per_file")),
+    Mutant("first-run-of-one-value-streams-as-a-log", "cli.py",
+           (("            log = False\n", "            log = True\n"),),
+           (_GRAPHS % "test_diff_graph_documents", _GRAPHS % "test_diff_document_is_named_as_one",
+            _GRAPHS % "test_cstg_on_graph_document_points_to_diff",
+            _RUNS % "test_other_files_past_one_run_take_the_whole_text_path")),
+    Mutant("stream-skips-the-first-run", "cli.py",
+           (("yield chain((first,), runs)", "yield runs"),),
+           (_GRAPHS % "test_cstg_dot_on_stdout",
+            _RUNS % "test_counted_cstg_and_diff_match_the_event_path",
+            _RUNS % "test_logs_past_one_run_match_the_event_path")),
+    Mutant("stream-error-skips-the-rest-of-the-log", "cli.py",
+           (("            for _ in runs:\n                pass\n", ""),),
+           ("tests/test_cli.py::test_a_later_undecodable_line_outranks_an_earlier_error",)),
     Mutant("split-cut-one-trace-late", "stackgraph.py",
            (("cut = math.ceil(fraction * len(traces))",
              "cut = math.ceil(fraction * len(traces)) + 1"),),
            ("tests/test_stackgraph.py::TestSlice::test_ceiling_split_examples",)),
     Mutant("counted-split-groups-lines-by-key", "ledger.py",
            (("map(traces.__getitem__, keys)", "map(traces.__getitem__, counts.elements())"),),
-           ("tests/test_cstg_reference.py::test_counted_cstg_and_diff_match_the_event_path",)),
+           (_RUNS % "test_counted_cstg_and_diff_match_the_event_path",
+            _RUNS % "test_logs_past_one_run_match_the_event_path[repeated]")),
     # One compute-then-decide tail in tracked._finish: under OFF every op only counts.
     Mutant("finish-decides-an-event-op-under-off", "tracked.py",
            ((_FINISH_OFF, _FINISH_OFF.replace("if ", "if status == result_status == 0 and ")),),
@@ -107,6 +132,41 @@ MUTANTS = (
     Mutant("comparison-shortcut-taken-for-a-numeric-row", "tracked.py",
            ((_COMPARISON, "                if x - x == y - y:\n"),),
            ("tests/test_tracked.py::test_fused_methods_match_apply[__truediv__]",)),
+    # The one path of an op over Python floats: a comparison is never
+    # numbered, an operand's cast gens come before the op's own events, and
+    # only Python floats take the fused block.
+    Mutant("finish-counts-a-comparison", "tracked.py",
+           (("    if not is_comparison:\n        if injected_value is None:\n",
+             "    if is_comparison:\n        sess.injector.count_op()\n"
+             "    else:\n        if injected_value is None:\n"),),
+           (_REFERENCE[0], _REFERENCE[1],
+            "tests/test_tracked.py::test_truth_of_exceptional_value_is_a_kill",
+            "tests/test_tracked.py::test_fused_methods_match_apply[__lt__]")),
+    Mutant("clean-block-counts-a-comparison", "tracked.py",
+           tuple((f"                    return exact({xs})\n",
+                  f"                    current_session().injector.count_op()\n"
+                  f"                    return exact({xs})\n") for xs in ("x", "x, y")),
+           (_REFERENCE[0],
+            "tests/test_tracked.py::test_clean_comparisons_call_neither_apply_nor_decide",
+            "tests/test_tracked.py::test_clean_float64_ops_bypass_apply_and_decide")),
+    Mutant("cast-gens-logged-after-the-ops-events", "tracked.py",
+           (("def _cast(cls, values):", "def _cast(cls, values, late=None):"),
+            (_CAST_GENS, "    if late is not None:\n        late.extend(born)\n"
+                         "        born = ()\n" + _CAST_GENS),
+            ("    return _finish(current_session(), cls, row, _cast(cls, values))\n",
+             "    late = []\n"
+             "    result = _finish(current_session(), cls, row, _cast(cls, values, late))\n"
+             "    for source, cast in late:\n"
+             "        sess = current_session()\n"
+             "        sess.ledger.record(EventKind.GEN, ValueClass.INF, _CAST, (source,), cast,\n"
+             "                           False, sess.traces.capture)\n"
+             "    return result\n")),
+           (_REFERENCE[0], "tests/test_tracked.py::test_fast_path_boundary_events[16]",
+            "tests/test_cast.py::test_overflowing_plain_operand_is_a_cast_gen_before_the_op")),
+    Mutant("fused-path-takes-a-python-int", "tracked.py",
+           (("            if type(y) is float:\n", "            if type(y) in (float, int):\n"),),
+           (_REFERENCE[0], "tests/test_tracked.py::test_fused_methods_match_apply[__lt__]",
+            "tests/test_operators.py::test_operator_methods_match_apply[('<', 2)-f64]")),
     # The outcome table of ops over Python floats with a NaN or an Inf operand.
     Mutant("outcome-table-skips-a-signalling-set", "tracked.py",
            (("        if key is not None:\n",
@@ -130,7 +190,8 @@ MUTANTS = (
     Mutant("pin-skipped-at-width-16", "classify.py",
            ((_NARROW_PIN, "            if fpbits.width_of(raw_result) == 16:\n"
                           "                return raw_result\n" + _NARROW_PIN),),
-           (_PIN % "[16]",)),
+           (_PIN % "[16]", "tests/test_tracked.py::"
+            "test_nan_result_takes_the_leftmost_nan_operand_payload[float16]")),
     # The ufuncs' own NaN results already hold the leftmost NaN operand's
     # payload at float64 on x86-64, so no op's output changes; the tests that
     # call the pin or fake a payload-less substrate see it.
@@ -147,6 +208,11 @@ MUTANTS = (
     Mutant("transfer-payload-mask-misses-its-top-bit", "fpbits.py",
            (("    mask = PAYLOAD_MASK[w]\n", "    mask = PAYLOAD_MASK[w] >> 1\n"),),
            (_PIN % "[32]", _PIN % "[16]")),
+    # The native capture keys a frame's site by its code object and f_lasti.
+    Mutant("native-capture-ignores-f-lasti", "traces.py",
+           (("site = sites.get(frame.f_lasti)", "site = sites.get(0)"),
+            ("self._store(sites, frame.f_lasti, Frame(", "self._store(sites, 0, Frame(")),
+           ("tests/test_traces.py::test_scoped_native_fuzz_matches_a_reference_walk",)),
     # Ledger.record: a ticket per kept kind below the cap stores, any other
     # event is counted by (kind, class) and captures no trace.
     Mutant("record-cap-off-by-one", "ledger.py",
@@ -162,9 +228,7 @@ MUTANTS = (
             ("if kind is None or row[0] is kind]",
              "if row is not None and (kind is None or row[0] is kind)]"),
             ("row[0] for row in self._rows[:])", "row[0] for row in self._rows[:] if row)"),
-            ("            lines[row[0]].append(encode(seq, *row))\n",
-             "            if row is not None:\n"
-             "                lines[row[0]].append(encode(seq, *row))\n")),
+            (_WRITE, "                if row is not None:\n    " + _WRITE)),
            ("tests/test_ledger.py::TestRecord::test_seq_strictly_increases_across_kinds",
             _REFERENCE[1])),
     Mutant("record-leaves-unlogged-kinds-uncounted", "ledger.py",

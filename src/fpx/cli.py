@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .classify import EventKind, ValueClass
 from .demos import demo_loop_kill, demo_max, demo_sim
 from .injector import (InjectionConfig, Injector, ReplayDivergenceWarning,
                        load_recording, save_recording)
-from .ledger import (FormatError, LedgerConfig, _line_traces, parse_log, read_log_text,
+from .ledger import (FormatError, LedgerConfig, _line_traces, _runs, _utf8, parse_log,
                      render_human)
 from .session import explicit_session
 
@@ -150,7 +151,8 @@ def cmd_run(args) -> int:
 def _graph_document(path, text):
     """The JSON object in text (path's content) if it is a stack-graph
     document, else None; a diff document is an error. The one content sniff
-    that tells graph and diff documents from logs and traces."""
+    that tells graph and diff documents from the other files _content reads
+    whole."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError:
@@ -164,30 +166,59 @@ def _graph_document(path, text):
     return obj if document_format == stackgraph.GRAPH_FORMAT else None
 
 
-def _load_traces(text, value_class=None, in_order=False):
-    """The traces of ledger jsonl or plain-text trace blocks, detected from
-    content: in file order, or, for stackgraph.build, which takes them in any
-    order, a log's grouped by line tail. Only log events carry a value class
-    to filter on."""
-    head = text.lstrip()
-    if not head:
-        return []
-    if head.startswith("{"):
-        wanted = None if value_class is None else ValueClass(value_class)
-        return chain.from_iterable(_line_traces(text, wanted, in_order))
-    if value_class is not None:
-        raise UsageError("--value-class applies to ledger logs, not plain-text traces")
-    return stackgraph.parse_trace_text(text)
+@contextmanager
+def _content(path):
+    """What path holds, for the block, read as UTF-8 (LogFormatError names
+    the first line that is not): a graph document's JSON object, a log's
+    runs of whole lines, or the text of plain-text traces; a diff document
+    is an error. A log whose first run shows it is one is streamed, its runs
+    read by ledger._runs as the block uses them up: the run opens with "{"
+    after whitespace, and json.loads rejects it only for data after its first
+    value, so the whole text fails alike at the same place and is no
+    document. Any other file is read whole, and a text that opens with "{"
+    is a log of one run. When the block raises over a streamed log, the rest
+    of it is read first, so a later line that is not UTF-8 is the error, as
+    for a file read whole."""
+    with _utf8(path) as fh:
+        runs = _runs(fh)
+        first = next(runs, "")
+        try:
+            json.loads(first)
+            log = False
+        except ValueError as exc:
+            log = getattr(exc, "msg", None) == "Extra data" and first.lstrip().startswith("{")
+        if not log:
+            text = first + fh.read()
+            yield (_graph_document(path, text)
+                   or ((text,) if text.lstrip().startswith("{") else text))
+            return
+        try:
+            yield chain((first,), runs)
+        except (OSError, UsageError, ValueError):     # every error cli_main reports
+            for _ in runs:
+                pass
+            raise
+
+
+def _load_traces(content, value_class=None, in_order=False):
+    """The traces of _content's log runs or plain-text trace blocks: in file
+    order, or, for stackgraph.build, which takes them in any order, a log's
+    grouped by line tail. Only log events carry a value class to filter on."""
+    if isinstance(content, str):
+        if value_class is not None and content.strip():
+            raise UsageError("--value-class applies to ledger logs, not plain-text traces")
+        return stackgraph.parse_trace_text(content)
+    wanted = None if value_class is None else ValueClass(value_class)
+    return chain.from_iterable(_line_traces(content, wanted, in_order))
 
 
 def _load_graph_any(path, key_policy):
     """A saved graph document, or a log/trace file coalesced on the fly. Only
     a file that is not a graph document is coalesced: a broken one is an error."""
-    text = read_log_text(path)
-    document = _graph_document(path, text)
-    if document is not None:
-        return stackgraph.graph_from_json(document)
-    return stackgraph.build(_load_traces(text), key_policy)
+    with _content(path) as content:
+        if isinstance(content, dict):
+            return stackgraph.graph_from_json(content)
+        return stackgraph.build(_load_traces(content), key_policy)
 
 
 def _emit(text, dest) -> None:
@@ -207,17 +238,17 @@ def _emit_diff(d, args) -> None:
 
 def cmd_cstg(args) -> int:
     key_policy = "coarse" if args.coarse else "fine"
-    text = read_log_text(args.log)
-    if _graph_document(args.log, text) is not None:
-        raise FormatError(f"{args.log} is a stack-graph document, not a log or trace "
-                          "file; fpx diff reads graph documents")
-    traces = _load_traces(text, args.value_class, args.split is not None)
-    if args.split is not None:
-        head, tail = stackgraph.slice_traces(traces, args.split)
-        _emit_diff(stackgraph.diff(stackgraph.build(head, key_policy),
-                                   stackgraph.build(tail, key_policy)), args)
-        return 0
-    g = stackgraph.build(traces, key_policy)
+    with _content(args.log) as content:
+        if isinstance(content, dict):
+            raise FormatError(f"{args.log} is a stack-graph document, not a log or trace "
+                              "file; fpx diff reads graph documents")
+        traces = _load_traces(content, args.value_class, args.split is not None)
+        if args.split is not None:
+            head, tail = stackgraph.slice_traces(traces, args.split)
+            _emit_diff(stackgraph.diff(stackgraph.build(head, key_policy),
+                                       stackgraph.build(tail, key_policy)), args)
+            return 0
+        g = stackgraph.build(traces, key_policy)
     _emit(stackgraph.emit_dot(g), args.dot)
     if args.json:
         stackgraph.save_graph(g, args.json)

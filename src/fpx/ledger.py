@@ -17,21 +17,23 @@ scalar (keyed by exact type and bit pattern, never by value); the decoder one
 object per op, trace and hex string, so events parsed from one file share
 immutable trace tuples and scalars. Events that differ only in seq encode
 once per call: a repeat is its seq head and the first one's encoded tail.
-flush encodes the rows in one pass, grouped by kind. A row of one or two
+flush encodes the rows in one pass and writes each line to its kind's file
+as it encodes it, so it never holds a stream's text. A row of one or two
 exact float operands and an exact float result keys its scalars with one
 struct pack of their bits; any other row keys each scalar by its type and
 bits.
 The encoder's tail table and the reader's key table are cleared when they
 outgrow LINE_TABLE_LIMIT. A debugger-friendly human rendering (op header
 line, then one frame per line) is derived from the same records.
-The line format lives here, and so does the one log reader, _scan. One
-C-level _LINE.findall per run of whole lines of about _CHUNK characters
-splits each line into its canonical seq head and its tail, the text that
-decides every other field, or gives a line without such a head whole. A
-table keyed by (tail, whole line) decodes each distinct key once per call,
-a tail as a JSON object of its own: a top-level seq key there sets its
-lines' seq, and where it has none each line's head does. parse_log reads a
-file in such runs and builds each line's event from its key's fields;
+The line format lives here, and so does the one log reader, _scan, over a
+log's runs of whole lines of about _CHUNK characters; _runs reads them from
+a file one at a time, for parse_log, `fpx cstg` and `fpx diff` alike. One
+C-level _LINE.findall per run splits each line into its canonical seq head
+and its tail, the text that decides every other field, or gives a line
+without such a head whole. A table keyed by (tail, whole line) decodes each
+distinct key once per call, a tail as a JSON object of its own: a top-level
+seq key there sets its lines' seq, and where it has none each line's head
+does. parse_log builds each line's event from its key's fields;
 _line_traces, which `fpx cstg` and `fpx diff` read a log with, counts the
 keys and builds no events. A run's new keys decode in the order they first
 occur, so the first that fails names the run's first bad line, whose one
@@ -50,7 +52,7 @@ import re
 import struct
 import threading
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -106,13 +108,6 @@ def _utf8(path, error=LogFormatError):
                     except UnicodeDecodeError as bad:
                         raise error(f"not UTF-8 text: {bad}", line_number) from exc
             raise error(f"not UTF-8 text: {exc}") from exc
-
-
-def read_log_text(path) -> str:
-    """A log's whole text, which must be UTF-8: LogFormatError names the
-    first line that is not."""
-    with _utf8(path) as fh:
-        return fh.read()
 
 
 def read_json_lines(path, error=FormatError):
@@ -226,16 +221,20 @@ class Ledger:
         return {kind: stored[kind] for kind in EventKind}
 
     def flush(self, output_dir) -> dict:
-        """Write the three jsonl files; rewrites from scratch, so it is idempotent."""
+        """Write the three jsonl files and return their paths, all three
+        closed. Each file is opened once and each line written as the encoder
+        returns it, so no stream's text is held. A flush rewrites from
+        scratch, so it is idempotent; one that raises part-way, on a full disk
+        say, can leave partial files."""
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
         encode = _encoder()
-        lines = {kind: [] for kind in EventKind}
-        for seq, row in enumerate(self._rows[:], 1):
-            lines[row[0]].append(encode(seq, *row))
         paths = {kind: out / filename for kind, filename in FILE_BY_KIND.items()}
-        for kind, path in paths.items():
-            path.write_text("".join(lines[kind]), "utf-8")
+        with ExitStack() as files:
+            writes = {kind: files.enter_context(open(path, "w", encoding="utf-8")).write
+                      for kind, path in paths.items()}
+            for seq, row in enumerate(self._rows[:], 1):
+                writes[row[0]](encode(seq, *row))
         return paths
 
 
@@ -356,18 +355,23 @@ _KEY = itemgetter(1, 2)     # a line's key: (tail, "") or, with no canonical hea
 _CHUNK = 1 << 16     # characters of a log one _LINE scan takes, up to the next line end
 
 
-def _split_lines(text, least=0):
+def _split_lines(text):
     """The lines of a text read from a file, as iterating that file in text mode
     yields them: the read translated every line end to "\n", so each line runs
-    to its "\n", and no other character ends one. With `least`, runs of whole
-    lines, each but the last of at least that many characters, as
-    `read(least) + readline()` reads them. Lazy, so a caller that holds the
-    text holds no second copy of it."""
+    to its "\n", and no other character ends one. Lazy, so a caller that holds
+    the text holds no second copy of it."""
     start = 0
     while start < len(text):
-        end = text.find("\n", start + least) + 1 or len(text)
+        end = text.find("\n", start) + 1 or len(text)
         yield text[start:end]
         start = end
+
+
+def _runs(fh):
+    """The one run reader of a log: the rest of fh's text in runs of whole
+    lines, each but the last of at least _CHUNK characters, so a reader holds
+    one run of the file at a time."""
+    return iter(lambda: fh.read(_CHUNK) + fh.readline(), "")
 
 
 def _decode_key(decode, tail, line):
@@ -417,23 +421,24 @@ def _scan(runs):
 
 def parse_log(path) -> list:
     """Read one jsonl event stream back, bit-exactly. Unknown fields are ignored.
-    The file is read in runs of about _CHUNK characters and whole lines, so it
-    is never held whole; each line is one event, built from its key's fields.
-    A file that is not UTF-8 raises LogFormatError naming its first bad line."""
+    The file is read by _runs, so it is never held whole; each line is one
+    event, built from its key's fields. A file that is not UTF-8 raises
+    LogFormatError naming its first bad line."""
     with _utf8(path) as fh:
-        runs = iter(lambda: fh.read(_CHUNK) + fh.readline(), "")
         return [ExceptionEvent(int(match[0]) if fields[0] is None else fields[0], *fields[1])
-                for lines, keys, table in _scan(runs)
+                for lines, keys, table in _scan(_runs(fh))
                 for match, fields in zip(lines, map(table.__getitem__, keys)) if fields]
 
 
-def _line_traces(text, value_class=None, in_order=False):
-    """The traces of the events parse_log gives for a log's text, or of those
-    of one ValueClass, with no event built: _scan reads the text cut as
-    parse_log cuts a file. Yields, per run, an iterable of traces: with
-    in_order, its kept events' traces in line order; else each distinct key's
-    trace as many times as the key occurs."""
-    for _, keys, table in _scan(_split_lines(text, _CHUNK)):
+def _line_traces(runs, value_class=None, in_order=False):
+    """The traces of the events parse_log gives for a log read in runs of
+    whole lines, or of those of one ValueClass, with no event built: _runs
+    of an open file, as `fpx cstg` and `fpx diff` stream a log, or a whole
+    text as one run. Yields, per run, an iterable of traces: with in_order,
+    its kept events' traces in line order; else each distinct key's trace as
+    many times as the key occurs. The next run is read only once the caller
+    has used up the one before, so no more than one run of the file is held."""
+    for _, keys, table in _scan(runs):
         counts = Counter(keys)
         traces = {key: (f[1][-1],) if (f := table[key]) and value_class in (None, f[1][1])
                   else () for key in counts}

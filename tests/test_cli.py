@@ -638,6 +638,21 @@ def test_undecodable_file_is_format_error(tmp_path, capsys):
                 assert f"line {line}: " in stderr, (newline, command, stderr)
 
 
+def test_a_later_undecodable_line_outranks_an_earlier_error(tmp_path, capsys):
+    """cstg and diff stream a log in runs, yet a line that is not UTF-8 past
+    the first run is the error, as for a file read whole, ahead of an error
+    met first: a malformed line in the first run, or a --split fraction out
+    of range."""
+    log = tmp_path / "log.jsonl"
+    log.write_bytes((LOG_LINE.encode() + b"\n") * 3 + b"not json\n"
+                    + (LOG_LINE.encode() + b"\n") * 700 + b'{"seq": 1, \xff\n')
+    for argv in (["cstg", str(log)], ["cstg", str(log), "--split", "1.5"],
+                 ["diff", str(log), str(log)]):
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert code == 2 and stdout == "", argv
+        assert stderr.startswith("fpx: line 705: not UTF-8 text: "), argv
+
+
 def test_broken_graph_document_is_reported_as_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(_graph(key_policy="bogus"), encoding="utf-8")

@@ -6,6 +6,7 @@ import operator
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,22 @@ class TestFlush:
         first = {k: p.read_bytes() for k, p in ledger.flush(tmp_path).items()}
         second = {k: p.read_bytes() for k, p in ledger.flush(tmp_path).items()}
         assert first == second
+
+    def test_peak_does_not_grow_with_the_rows(self, tmp_path):
+        """Flush writes each line as it encodes it: with ten times the rows of
+        repeating tails its tracemalloc peak rises by less than one run."""
+        def peak(n):
+            table = Ledger()
+            for i in range(n):
+                _record(table, kind=list(EventKind)[i % 3], operands=(NAN, float(i % 7)))
+            tracemalloc.start()
+            try:
+                table.flush(tmp_path / str(n))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        peak(300)       # once first, so module-level caches are warm
+        assert peak(3000) - peak(300) < ledger._CHUNK
 
 
 class TestRenderHuman:

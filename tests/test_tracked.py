@@ -979,8 +979,9 @@ def test_the_pin_matches_the_former_transfer_payload(width):
 
 @pytest.mark.parametrize("width, name_arity, slot, payloads", [
     (64, ("+", 2), 3, (None, 0x5A)), (64, ("+", 2), 0, (0x5A, 0x3C)),
-    (64, ("exp", 1), 0, (0x5A,)), (32, ("+", 2), 0, (0x5A, 0x3C))],
-    ids=["float64-twin", "float64-two-nans", "float64-no-twin", "float32"])
+    (64, ("exp", 1), 0, (0x5A,)), (32, ("+", 2), 0, (0x5A, 0x3C)),
+    (16, ("+", 2), 0, (0x5A, 0x3C))],
+    ids=["float64-twin", "float64-two-nans", "float64-no-twin", "float32", "float16"])
 def test_nan_result_takes_the_leftmost_nan_operand_payload(monkeypatch, width, name_arity,
                                                           slot, payloads):
     """Whichever substrate computes, a NaN result gets the payload of the
