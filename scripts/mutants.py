@@ -19,7 +19,7 @@ Run it from the root of an fpx checkout:
 
 Exit 0 when every mutant run is killed by each of its tests, 1 when one
 survives or is partial, its tests fail to run, or the unmutated copy fails a
-killer. The whole table, 36 mutants run, took 148 s on a shared 2-core
+killer. The whole table, 41 mutants run, took 203 s on a shared 2-core
 x86-64 VM.
 """
 
@@ -62,6 +62,9 @@ _WRITE = "                writes[row[0]](encode(seq, *row))\n"
 _CAST_GENS = "    for source, cast in born:\n"
 _GRAPHS = "tests/test_cli.py::TestGraphCommands::%s"
 _RUNS = "tests/test_cstg_reference.py::%s"
+_HIT = "frames.append(sites[frame.f_lasti])"
+_NATIVE = "tests/test_traces.py::TestNativeCallSiteTable::%s"
+_ROW_READS = "tests/test_ledger.py::TestFlush::test_reading_the_rows_copies_no_row_list"
 
 MUTANTS = (
     # The one log reader, ledger._scan, and the counted cstg path over it.
@@ -208,11 +211,27 @@ MUTANTS = (
     Mutant("transfer-payload-mask-misses-its-top-bit", "fpbits.py",
            (("    mask = PAYLOAD_MASK[w]\n", "    mask = PAYLOAD_MASK[w] >> 1\n"),),
            (_PIN % "[32]", _PIN % "[16]")),
-    # The native capture keys a frame's site by its code object and f_lasti.
+    # The native capture keys a frame's site by its code object and f_lasti;
+    # a hit is two subscripts, and a KeyError sends the frame to _site.
     Mutant("native-capture-ignores-f-lasti", "traces.py",
-           (("site = sites.get(frame.f_lasti)", "site = sites.get(0)"),
+           ((_HIT, _HIT.replace("frame.f_lasti", "0")),
+            ("site = sites.get(frame.f_lasti)", "site = sites.get(0)"),
             ("self._store(sites, frame.f_lasti, Frame(", "self._store(sites, 0, Frame(")),
            ("tests/test_traces.py::test_scoped_native_fuzz_matches_a_reference_walk",)),
+    Mutant("native-hit-reads-the-codes-first-site", "traces.py",
+           ((_HIT, _HIT.replace("[frame.f_lasti]", "[next(iter(sites), frame.f_lasti)]")),),
+           ("tests/test_traces.py::test_scoped_native_fuzz_matches_a_reference_walk",
+            _NATIVE % "test_recursion_from_one_call_site")),
+    Mutant("native-miss-returns-an-unstored-frame", "traces.py",
+           (("site = self._store(sites, frame.f_lasti, Frame(\n"
+             "                code.co_name, code.co_filename, frame.f_lineno))",
+             "site = Frame(code.co_name, code.co_filename, frame.f_lineno)"),),
+           (_NATIVE % "test_a_hit_returns_the_stored_frames",)),
+    Mutant("native-skip-verdict-inverted", "traces.py",
+           (("None if code.co_filename.startswith(SKIP_PREFIX) else {}",
+             "{} if code.co_filename.startswith(SKIP_PREFIX) else None"),),
+           (_NATIVE % "test_nested_calls",
+            "tests/test_traces.py::TestSkipPrefix::test_only_files_inside_the_package_are_skipped")),
     # Ledger.record: a ticket per kept kind below the cap stores, any other
     # event is counted by (kind, class) and captures no trace.
     Mutant("record-cap-off-by-one", "ledger.py",
@@ -227,7 +246,7 @@ MUTANTS = (
            ((_DROP, _DROP + "            self._rows.append(None)\n"),
             ("if kind is None or row[0] is kind]",
              "if row is not None and (kind is None or row[0] is kind)]"),
-            ("row[0] for row in self._rows[:])", "row[0] for row in self._rows[:] if row)"),
+            ("row[0] for row in self._stored())", "row[0] for row in self._stored() if row)"),
             (_WRITE, "                if row is not None:\n    " + _WRITE)),
            ("tests/test_ledger.py::TestRecord::test_seq_strictly_increases_across_kinds",
             _REFERENCE[1])),
@@ -246,6 +265,13 @@ MUTANTS = (
              "injected,\n                               trace))")),
            ("tests/test_ledger.py::TestDropped::test_dropped_event_never_captures_a_trace",
             "tests/test_ledger.py::TestRecord::test_lazy_capture_thunk")),
+    # Ledger._stored: readers walk the first len() rows in place.
+    Mutant("stored-stops-a-row-short", "ledger.py",
+           (("islice(self._rows, len(self._rows))", "islice(self._rows, len(self._rows) - 1)"),),
+           ("tests/test_ledger.py::TestFlush::test_counts_per_file", _ROW_READS)),
+    Mutant("stored-copies-the-row-list", "ledger.py",
+           (("islice(self._rows, len(self._rows))", "self._rows[:]"),),
+           (_ROW_READS,)),
     # The packed tail key of ledger flush.
     Mutant("packed-key-omits-the-result", "ledger.py",
            (("_PACKS[n](*operands, result)", "_PACKS[n](*operands, 0.0)"),),

@@ -54,7 +54,7 @@ import threading
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -202,6 +202,11 @@ class Ledger:
             self._dropped[key] = self._dropped.get(key, 0) + 1
         return False
 
+    def _stored(self):
+        """The rows stored so far, read without copying the list: rows are
+        only appended, so the first len() of them never change."""
+        return islice(self._rows, len(self._rows))
+
     def dropped(self) -> dict:
         """Events the caps and filters rejected: (kind, value class) -> count."""
         with self._lock:
@@ -212,12 +217,12 @@ class Ledger:
         on each call, so a caller that changes one changes no row."""
         if kind is not None and kind not in ALL_KINDS:
             raise KeyError(kind)
-        return [ExceptionEvent(seq, *row) for seq, row in enumerate(self._rows[:], 1)
+        return [ExceptionEvent(seq, *row) for seq, row in enumerate(self._stored(), 1)
                 if kind is None or row[0] is kind]
 
     def counts(self) -> dict:
         """Stored events per EventKind, read off the rows."""
-        stored = Counter(row[0] for row in self._rows[:])
+        stored = Counter(row[0] for row in self._stored())
         return {kind: stored[kind] for kind in EventKind}
 
     def flush(self, output_dir) -> dict:
@@ -233,7 +238,7 @@ class Ledger:
         with ExitStack() as files:
             writes = {kind: files.enter_context(open(path, "w", encoding="utf-8")).write
                       for kind, path in paths.items()}
-            for seq, row in enumerate(self._rows[:], 1):
+            for seq, row in enumerate(self._stored(), 1):
                 writes[row[0]](encode(seq, *row))
         return paths
 

@@ -19,8 +19,11 @@ The native provider memoizes per code object. A code object fixes its
 function and file, and an instruction offset in it fixes the line, so each
 provider keeps one table from a code's id to (code, None) for a code of this
 package, whose frames are skipped with one lookup and no offset read, or to
-(code, {offset: Frame}) for any other. A hit returns the stored Frame, the
-same value a fresh walk would build. The table holds its code objects, so
+(code, {offset: Frame}) for any other. A hit is one subscript per table
+level, the code's entry and then its site, with no test for a missing one,
+and returns the stored Frame, the same value a fresh walk would build. A
+KeyError from either subscript leaves the walk for _site, which stores what
+is missing and returns the Frame. The table holds its code objects, so
 no other live object can share an id it keys while the entry exists. It
 counts its codes plus their call sites and is cleared whole when that count
 reaches SITE_TABLE_LIMIT, so code made at run time by exec or compile cannot
@@ -114,24 +117,38 @@ class NativeTraceProvider:
             table[key] = value
         return value
 
+    def _site(self, frame):
+        """The miss path of capture: stores the frame's code, its call site
+        or both, whichever the table lacks, and returns the site's Frame, or
+        None for a skipped code."""
+        code = frame.f_code
+        entry = self._codes.get(id(code))
+        if entry is None:
+            entry = self._store(self._codes, id(code), (
+                code, None if code.co_filename.startswith(SKIP_PREFIX) else {}))
+        sites = entry[1]
+        if sites is None:
+            return None
+        site = sites.get(frame.f_lasti)
+        if site is None:
+            site = self._store(sites, frame.f_lasti, Frame(
+                code.co_name, code.co_filename, frame.f_lineno))
+        return site
+
     def capture(self) -> StackTrace:
         try:
             codes = self._codes
             frame = sys._getframe(1)
             frames = []
             while frame is not None:
-                code = frame.f_code
-                entry = codes.get(id(code))
-                if entry is None:
-                    entry = self._store(codes, id(code), (
-                        code, None if code.co_filename.startswith(SKIP_PREFIX) else {}))
-                sites = entry[1]
-                if sites is not None:
-                    site = sites.get(frame.f_lasti)
-                    if site is None:
-                        site = self._store(sites, frame.f_lasti, Frame(
-                            code.co_name, code.co_filename, frame.f_lineno))
-                    frames.append(site)
+                try:
+                    sites = codes[id(frame.f_code)][1]
+                    if sites is not None:
+                        frames.append(sites[frame.f_lasti])
+                except KeyError:
+                    site = self._site(frame)
+                    if site is not None:
+                        frames.append(site)
                 frame = frame.f_back
             return tuple(frames) if frames else (SENTINEL_FRAME,)
         except Exception:
