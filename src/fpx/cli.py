@@ -148,37 +148,19 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _graph_document(path, text):
-    """The JSON object in text (path's content) if it is a stack-graph
-    document, else None; a diff document is an error. The one content sniff
-    that tells graph and diff documents from the other files _content reads
-    whole."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        return None
-    except ValueError as exc:       # an int longer than int() reads
-        raise FormatError(f"not valid JSON: {exc}") from exc
-    document_format = obj.get("format") if isinstance(obj, dict) else None
-    if document_format == stackgraph.DIFF_FORMAT:
-        raise FormatError(f"{path} is a stack-graph diff document, which fpx writes "
-                          "but does not read")
-    return obj if document_format == stackgraph.GRAPH_FORMAT else None
-
-
 @contextmanager
-def _content(path):
-    """What path holds, for the block, read as UTF-8 (LogFormatError names
-    the first line that is not): a graph document's JSON object, a log's
-    runs of whole lines, or the text of plain-text traces; a diff document
-    is an error. A log whose first run shows it is one is streamed, its runs
-    read by ledger._runs as the block uses them up: the run opens with "{"
-    after whitespace, and json.loads rejects it only for data after its first
-    value, so the whole text fails alike at the same place and is no
-    document. Any other file is read whole, and a text that opens with "{"
-    is a log of one run. When the block raises over a streamed log, the rest
-    of it is read first, so a later line that is not UTF-8 is the error, as
-    for a file read whole."""
+def _content(path, value_class=None, in_order=False):
+    """What path holds, for the block, read under ledger._utf8's one error
+    rule: a graph document's JSON object, or the file's traces; a diff
+    document is an error. The traces come in file order, or, for
+    stackgraph.build, which takes them in any order, a log's grouped by line
+    tail; only log events carry a value class to filter on. A log whose
+    first run shows it is one is streamed, its runs read by ledger._runs as
+    the block uses its traces up: the run opens with "{" after whitespace,
+    and json.loads rejects it only for data after its first value, so the
+    whole text fails alike at the same place and is no document. Any other
+    file is read whole: a text that opens with "{" is then a log of one run,
+    and any other holds plain-text trace blocks."""
     with _utf8(path) as fh:
         runs = _runs(fh)
         first = next(runs, "")
@@ -188,37 +170,35 @@ def _content(path):
         except ValueError as exc:
             log = getattr(exc, "msg", None) == "Extra data" and first.lstrip().startswith("{")
         if not log:
-            text = first + fh.read()
-            yield (_graph_document(path, text)
-                   or ((text,) if text.lstrip().startswith("{") else text))
-            return
-        try:
-            yield chain((first,), runs)
-        except (OSError, UsageError, ValueError):     # every error cli_main reports
-            for _ in runs:
-                pass
-            raise
-
-
-def _load_traces(content, value_class=None, in_order=False):
-    """The traces of _content's log runs or plain-text trace blocks: in file
-    order, or, for stackgraph.build, which takes them in any order, a log's
-    grouped by line tail. Only log events carry a value class to filter on."""
-    if isinstance(content, str):
-        if value_class is not None and content.strip():
-            raise UsageError("--value-class applies to ledger logs, not plain-text traces")
-        return stackgraph.parse_trace_text(content)
-    wanted = None if value_class is None else ValueClass(value_class)
-    return chain.from_iterable(_line_traces(content, wanted, in_order))
+            first, runs = first + fh.read(), ()      # the whole text, as one run
+            try:
+                obj = json.loads(first)
+            except json.JSONDecodeError:
+                obj = None
+            except ValueError as exc:       # an int longer than int() reads
+                raise FormatError(f"not valid JSON: {exc}") from exc
+            document_format = obj.get("format") if isinstance(obj, dict) else None
+            if document_format == stackgraph.DIFF_FORMAT:
+                raise FormatError(f"{path} is a stack-graph diff document, which fpx writes "
+                                  "but does not read")
+            if document_format == stackgraph.GRAPH_FORMAT:
+                yield obj
+                return
+            if not first.lstrip().startswith("{"):
+                if value_class is not None and first.strip():
+                    raise UsageError("--value-class applies to ledger logs, not plain-text traces")
+                yield stackgraph.parse_trace_text(first)
+                return
+        wanted = None if value_class is None else ValueClass(value_class)
+        yield chain.from_iterable(_line_traces(chain((first,), runs), wanted, in_order))
 
 
 def _load_graph_any(path, key_policy):
     """A saved graph document, or a log/trace file coalesced on the fly. Only
     a file that is not a graph document is coalesced: a broken one is an error."""
     with _content(path) as content:
-        if isinstance(content, dict):
-            return stackgraph.graph_from_json(content)
-        return stackgraph.build(_load_traces(content), key_policy)
+        return (stackgraph.graph_from_json(content) if isinstance(content, dict)
+                else stackgraph.build(content, key_policy))
 
 
 def _emit(text, dest) -> None:
@@ -238,11 +218,10 @@ def _emit_diff(d, args) -> None:
 
 def cmd_cstg(args) -> int:
     key_policy = "coarse" if args.coarse else "fine"
-    with _content(args.log) as content:
-        if isinstance(content, dict):
+    with _content(args.log, args.value_class, args.split is not None) as traces:
+        if isinstance(traces, dict):
             raise FormatError(f"{args.log} is a stack-graph document, not a log or trace "
                               "file; fpx diff reads graph documents")
-        traces = _load_traces(content, args.value_class, args.split is not None)
         if args.split is not None:
             head, tail = stackgraph.slice_traces(traces, args.split)
             _emit_diff(stackgraph.diff(stackgraph.build(head, key_policy),

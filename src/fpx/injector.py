@@ -246,32 +246,35 @@ def save_recording(recording: InjectionRecording, path) -> None:
 
 def load_recording(path) -> InjectionRecording:
     rows = read_json_lines(path, RecordingFormatError)
-    line_number, header = next(rows, (None, {}))
-    if line_number != 1 or type(seed := header.get("seed")) is not int or seed < 0:
-        raise RecordingFormatError('missing seed header {"seed": <integer >= 0>}', 1)
-    recording = InjectionRecording(seed=seed)
-    for line_number, obj in rows:
-        try:
-            point = RecordedInjection(
-                op_counter=obj["op_counter"],
-                op=obj["op"],
-                value=fpbits.from_hex_bits(obj["value_hex"]),
-                trace_fp=obj["trace_fp"],
-                arity=obj.get("arity"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RecordingFormatError(f"bad injection point: {exc}", line_number) from exc
-        if (type(point.op_counter) is not int or not isinstance(point.op, str)
-                or not isinstance(point.trace_fp, str) or type(point.value) is not float
-                or math.isfinite(point.value)):
-            raise RecordingFormatError("op_counter must be an integer, op and trace_fp "
-                                       "strings, value_hex a 64-bit NaN or Inf", line_number)
-        if "arity" in obj and (type(point.arity) is not int or point.arity not in (1, 2)):
-            raise RecordingFormatError("arity must be 1 or 2", line_number)
-        if point.op_counter < 1:
-            raise RecordingFormatError("op_counter must be >= 1: ops are numbered from 1",
-                                       line_number)
-        if recording.points and point.op_counter <= recording.points[-1].op_counter:
-            raise RecordingFormatError("op_counter not strictly increasing", line_number)
-        recording.points.append(point)
-    return recording
+    try:
+        line_number, header = next(rows, (None, {}))
+        if line_number != 1 or type(seed := header.get("seed")) is not int or seed < 0:
+            raise RecordingFormatError('missing seed header {"seed": <integer >= 0>}', 1)
+        recording = InjectionRecording(seed=seed)
+        for line_number, obj in rows:
+            try:
+                point = RecordedInjection(
+                    op_counter=obj["op_counter"],
+                    op=obj["op"],
+                    value=fpbits.from_hex_bits(obj["value_hex"]),
+                    trace_fp=obj["trace_fp"],
+                    arity=obj.get("arity"),
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise RecordingFormatError(f"bad injection point: {exc}", line_number) from exc
+            if (type(point.op_counter) is not int or not isinstance(point.op, str)
+                    or not isinstance(point.trace_fp, str) or type(point.value) is not float
+                    or math.isfinite(point.value)):
+                raise RecordingFormatError("op_counter must be an integer, op and trace_fp "
+                                           "strings, value_hex a 64-bit NaN or Inf", line_number)
+            if "arity" in obj and (type(point.arity) is not int or point.arity not in (1, 2)):
+                raise RecordingFormatError("arity must be 1 or 2", line_number)
+            if point.op_counter < 1:
+                raise RecordingFormatError("op_counter must be >= 1: ops are numbered from 1",
+                                           line_number)
+            if recording.points and point.op_counter <= recording.points[-1].op_counter:
+                raise RecordingFormatError("op_counter not strictly increasing", line_number)
+            recording.points.append(point)
+        return recording
+    except RecordingFormatError as exc:
+        rows.throw(exc)     # in the reader's block, where a later non-UTF-8 line outranks it

@@ -39,19 +39,22 @@ keys and builds no events. A run's new keys decode in the order they first
 occur, so the first that fails names the run's first bad line, whose one
 decode then gives its error and number.
 FormatError and the JSON-lines reader here serve every fpx file format. Every
-reader of a file here takes one UTF-8 rule: a file that is not UTF-8 raises
-the reader's own FormatError naming its first bad line, which the error path
-alone finds by reading the file's bytes again.
+reader of a file opens it through _utf8, which states the one error rule for
+all of them: a file that is not UTF-8 raises the reader's own FormatError
+naming its first bad line, which the error path alone finds by reading the
+file's bytes again, and that error outranks any other a reader meets first,
+so a reader that fails reads the rest of its file before it reports.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import re
 import struct
 import threading
-from collections import Counter
+from collections import Counter, deque
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -92,13 +95,22 @@ def _json_object(line, line_number, error):
 
 @contextmanager
 def _utf8(path, error=LogFormatError):
-    """path open as UTF-8 text, for the block's reads: a UnicodeDecodeError
-    there is `error` naming the first line that is not UTF-8, found by
-    reading the file's bytes again, line by line, numbered as a text file's
-    lines are."""
+    """path open as UTF-8 text, for the block's reads, and the one place
+    that decides which error a reader of a file raises. When the block
+    raises anything but a UnicodeDecodeError, the rest of the file is read
+    through _runs before that error is raised again, so a later line that is
+    not UTF-8 outranks it, as if the file had been read whole first. A
+    UnicodeDecodeError is `error` naming the first line that is not UTF-8,
+    found by reading the file's bytes again, line by line, numbered as a
+    text file's lines are."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            yield fh
+            try:
+                yield fh
+            except Exception as exc:
+                if not isinstance(exc, UnicodeDecodeError):
+                    deque(_runs(fh), 0)
+                raise
         except UnicodeDecodeError as exc:
             with open(path, "rb") as binary:
                 lines = chain.from_iterable(raw.splitlines() for raw in binary)  # "\r" ends one
@@ -360,18 +372,6 @@ _KEY = itemgetter(1, 2)     # a line's key: (tail, "") or, with no canonical hea
 _CHUNK = 1 << 16     # characters of a log one _LINE scan takes, up to the next line end
 
 
-def _split_lines(text):
-    """The lines of a text read from a file, as iterating that file in text mode
-    yields them: the read translated every line end to "\n", so each line runs
-    to its "\n", and no other character ends one. Lazy, so a caller that holds
-    the text holds no second copy of it."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)
-        yield text[start:end]
-        start = end
-
-
 def _runs(fh):
     """The one run reader of a log: the rest of fh's text in runs of whole
     lines, each but the last of at least _CHUNK characters, so a reader holds
@@ -402,8 +402,9 @@ def _scan(runs):
     decoded once per call, until the table outgrows LINE_TABLE_LIMIT and is
     cleared. A run's new keys are decoded in the order they first occur, so
     the first key that fails first occurs on the run's first bad line: a
-    decode of that one line raises its error and number, every key of the
-    runs before decoded."""
+    decode of that one line, taken from the run as io.StringIO gives a text
+    file's lines, raises its error and number, every key of the runs before
+    decoded."""
     decode, table = _decoder(), {}
     first = 1       # the number of the run's first line
     for run in runs:
@@ -417,7 +418,7 @@ def _scan(runs):
                     table[key] = _decode_key(decode, *key)
         except LogFormatError:
             n = keys.index(key)
-            line = next(itertools.islice(_split_lines(run), n, None))
+            line = next(islice(io.StringIO(run), n, None))
             decode(_json_object(line, first + n, LogFormatError), first + n)
             raise
         yield lines, keys, table

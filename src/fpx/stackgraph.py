@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .ledger import FormatError, _split_lines
+from .ledger import FormatError
 from .traces import Frame
 
 GRAPH_FORMAT = "stackgraph-v1"
@@ -175,11 +175,12 @@ def save_graph(g: StackGraph, path) -> None:
 def parse_trace_text(text: str) -> list:
     """Plain-text traces: blank-line-separated blocks of `function<TAB>file:line`,
     innermost frame first, for interoperability with other collectors. Only
-    "\n" ends a line, as in a log: a U+2028 or U+0085 may sit in a name."""
+    "\n" ends a line, as in a log and in a file read in text mode, which
+    turns every line end into one: a U+2028 or U+0085 may sit in a name."""
     traces = []
     current = []
-    for line_number, raw in enumerate(_split_lines(text), start=1):
-        raw = raw.removesuffix("\n")
+    # the end of the text ends the last block, as a blank line does
+    for line_number, raw in enumerate([*text.split("\n"), ""], start=1):
         line = raw.rstrip()
         if not line:
             if current:
@@ -194,6 +195,4 @@ def parse_trace_text(text: str) -> list:
             current.append(Frame(function, file, int(lineno)))
         except ValueError as exc:       # more digits than int() reads
             raise GraphFormatError(f"bad trace line number: {exc}", line_number) from exc
-    if current:
-        traces.append(tuple(current))
     return traces

@@ -453,13 +453,18 @@ class TestGraphCommands:
         """cstg and diff parse the text they read to sniff the file, not the
         file again. Its lines are those of a text-mode read: a log with CRLF
         or CR line ends makes the same graph, and a U+2028 or U+0085 inside a
-        frame name ends no line."""
+        frame name ends no line. The same holds for the same traces written
+        as plain-text trace blocks."""
         text = gen_log.read_text(encoding="utf-8").replace("stencil_update",
                                                            "stencil\u2028\x85update")
         log, empty = tmp_path / "log.jsonl", tmp_path / "empty.txt"
+        blocks = tmp_path / "traces.txt"
         log.write_text(text, encoding="utf-8")
         empty.write_text("", encoding="utf-8")
-        graph = stackgraph.build([e.trace for e in parse_log(log)], "fine")
+        traces = [e.trace for e in parse_log(log)]
+        graph = stackgraph.build(traces, "fine")
+        trace_text = "\n\n".join("\n".join(f"{f.function}\t{f.file}:{f.line}" for f in trace)
+                                 for trace in traces) + "\n"
         expected = stackgraph.emit_dot(graph)
         expected_diff = stackgraph.emit_dot_diff(stackgraph.diff(stackgraph.build([]), graph))
         assert all("stencil\u2028\x85update" in dot for dot in (expected, expected_diff))
@@ -472,6 +477,8 @@ class TestGraphCommands:
             assert run_cli(capsys, "cstg", str(log)) == (0, expected, ""), repr(newline)
             assert run_cli(capsys, "diff", str(empty), str(log)) == (
                 0, expected_diff, ""), repr(newline)
+            blocks.write_text(trace_text, encoding="utf-8", newline=newline)
+            assert run_cli(capsys, "cstg", str(blocks)) == (0, expected, ""), repr(newline)
 
     def test_cstg_value_class_on_plain_text_traces_is_usage_error(self, tmp_path, capsys):
         txt = tmp_path / "traces.txt"
@@ -639,18 +646,32 @@ def test_undecodable_file_is_format_error(tmp_path, capsys):
 
 
 def test_a_later_undecodable_line_outranks_an_earlier_error(tmp_path, capsys):
-    """cstg and diff stream a log in runs, yet a line that is not UTF-8 past
-    the first run is the error, as for a file read whole, ahead of an error
-    met first: a malformed line in the first run, or a --split fraction out
-    of range."""
+    """Every reader streams its file, yet a line that is not UTF-8 past the
+    first run is the error, as for a file read whole, ahead of an error met
+    first: a malformed log line in the first run, which render, cstg and diff
+    meet, a --split fraction out of range, or a recording's bad header, bad
+    JSON line or bad injection point."""
     log = tmp_path / "log.jsonl"
     log.write_bytes((LOG_LINE.encode() + b"\n") * 3 + b"not json\n"
                     + (LOG_LINE.encode() + b"\n") * 700 + b'{"seq": 1, \xff\n')
-    for argv in (["cstg", str(log)], ["cstg", str(log), "--split", "1.5"],
+    for argv in (["render", str(log)], ["cstg", str(log)], ["cstg", str(log), "--split", "1.5"],
                  ["diff", str(log), str(log)]):
         code, stdout, stderr = run_cli(capsys, *argv)
         assert code == 2 and stdout == "", argv
         assert stderr.startswith("fpx: line 705: not UTF-8 text: "), argv
+    point = ('{"op_counter": %d, "op": "+", "value_hex": "0x7ff8000000000000", '
+             '"trace_fp": "aaaaaaaaaaaaaaaa"}\n')
+    points = "".join(point % n for n in range(3, 400)).encode() + b'{"op_counter": \xff\n'
+    rec = tmp_path / "rec.jsonl"
+    for head in ('{"seed": -1}\n' + point % 2, '{"seed": 1}\nnot json\n',
+                 '{"seed": 1}\n' + point.replace("value_hex", "value") % 2,
+                 '{"seed": 1}\n' + point.replace('"+"', "7") % 2):
+        rec.write_bytes(head.encode() + points)
+        code, stdout, stderr = run_cli(capsys, "run", "sim", "--replay", str(rec),
+                                       "--out", str(tmp_path / "out"))
+        assert code == 2 and stdout == "", head
+        assert stderr.startswith("fpx: line 400: not UTF-8 text: "), (head, stderr)
+    assert not (tmp_path / "out").exists()
 
 
 def test_broken_graph_document_is_reported_as_one(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Ledger behavior: bounds, streams, serialization, human rendering."""
 
-import io
 import json
 import operator
 import sys
@@ -662,14 +661,6 @@ def test_streams_past_the_line_table_limit_match_the_reference(tmp_path):
     assert path.read_text(encoding="utf-8") == "".join(map(_reference_line, events))
     assert _log_outcome(parse_log, path) == _log_outcome(_reference_parse_log, path)
     assert parse_log(path) == events and len(events) == 2 * n
-
-
-@pytest.mark.parametrize("text", ["", "a", "a\n", "\n\n", "a\nb", " \n{}\n\n",
-                                  "a\u2028b\x85c\x0bd\x0ce\x1cf\n"])
-def test_split_lines_are_a_text_file_lines(text):
-    """A read text splits as iterating a text-mode file splits it, once its
-    line ends are "\\n": only "\\n" ends a line, and it stays on the line."""
-    assert list(ledger._split_lines(text)) == list(io.StringIO(text))
 
 
 def test_every_format_error_shares_one_base():

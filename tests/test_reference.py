@@ -9,7 +9,10 @@ and numpy scalars, reached through the operator methods (forward and
 reflected), the public functions, apply and construction. Each program runs with injection off,
 under a drawn fuzz seed, and as a replay of that run's recording, and each
 run must match the reference on result bits, the full event list with seq,
-the op counter, the recorded injections and the flushed jsonl bytes. Other
+the op counter, the recorded injections and the flushed jsonl bytes. The
+reference tallies the path class of each op it runs (its width, its
+operands' kinds, a cast gen, an injection, a NaN pin that changes bits), and
+each class must be reached by a floor of the programs. Other
 drawn programs run under a drawn cap and kind filter, which must keep the
 reference's prefix of each logged kind and count the rest, and change no
 result, op number or injection point.
@@ -23,6 +26,7 @@ import random
 import sys
 import threading
 import warnings
+from collections import Counter
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -98,6 +102,40 @@ FAMILIES = (
 )
 FUZZ_VALUES = (math.nan, fpbits.from_bits(0x7FF8000000000042), math.inf, -math.inf)
 SCOPES = ((), ("hot",), ("cold",), ("cold", "hot"))
+# Path class -> the fewest programs of test_programs_match_the_reference that
+# must reach it: half the fewest that 80 draws of other seeds reached, and at
+# least 1. A seed's count swings widely, since a program draws its operands
+# from one or two value families, so a floor fails when a generator change
+# loses a class, not when an edit to the test changes the derandomized draw.
+# The @examples reach each class that some draws miss. No float64 pin changes
+# bits: on x86-64 the ufuncs already give the leftmost NaN operand's payload.
+T = "tracked"
+PATH_FLOORS = {
+    ("width", 16): 39, ("width", 32): 56, ("width", 64): 27,
+    ("cast gen", 16): 2, ("cast gen", 32): 1,
+    ("injected", 16): 11, ("injected", 32): 17, ("injected", 64): 11,
+    ("pin changes bits", 16): 1, ("pin changes bits", 32): 1,
+    ("operands", 16, (T,)): 24, ("operands", 16, (T, T)): 21,
+    ("operands", 16, (T, "float")): 17, ("operands", 16, ("float", T)): 10,
+    ("operands", 16, (T, "int")): 1, ("operands", 16, ("int", T)): 1,
+    ("operands", 16, (T, "numpy")): 2, ("operands", 16, ("numpy", T)): 1,
+    ("operands", 32, (T,)): 31, ("operands", 32, (T, T)): 30,
+    ("operands", 32, (T, "float")): 2, ("operands", 32, ("float", T)): 1,
+    ("operands", 32, (T, "int")): 1, ("operands", 32, ("int", T)): 1,
+    ("operands", 32, (T, "numpy")): 7, ("operands", 32, ("numpy", T)): 1,
+    ("operands", 64, (T,)): 20, ("operands", 64, (T, T)): 17,
+    ("operands", 64, (T, "float")): 1, ("operands", 64, ("float", T)): 1,
+    ("operands", 64, (T, "int")): 1, ("operands", 64, ("int", T)): 4,
+    ("operands", 64, (T, "numpy")): 6, ("operands", 64, ("numpy", T)): 6,
+}
+
+
+def _kind(operand):
+    """An operand's kind: tracked, a numpy scalar, a Python float, or an int
+    (a bool too); a numpy float64 is a numpy scalar, not a Python float."""
+    return (T if isinstance(operand, TrackedFloat) else
+            "numpy" if isinstance(operand, np.generic) else
+            "float" if isinstance(operand, float) else "int")
 
 
 def _frames(scope):
@@ -114,6 +152,7 @@ class Reference:
         self.events = []
         self.injections = []            # (op number, op name, value bits, fingerprint)
         self.trace = ()
+        self.paths = set()              # the path class of every op run
 
     def record(self, kind, value_class, op, operands, result, injected):
         self.events.append(ExceptionEvent(len(self.events) + 1, kind, value_class, op,
@@ -145,8 +184,12 @@ class Reference:
 
     def op(self, name, operands):
         width = max(o._width for o in operands if isinstance(o, TrackedFloat))
+        logged = len(self.events)
         xs = self.cast(width, [o.value if isinstance(o, TrackedFloat) else o
                                for o in operands])
+        paths = [("width", width), ("operands", width, tuple(map(_kind, operands)))]
+        if len(self.events) > logged:
+            paths.append(("cast gen", width))
         ufunc = ROWS[name, len(xs)][0]
         op = OpIdentity(name, len(xs))
         injected = None
@@ -161,8 +204,13 @@ class Reference:
             result = STORE[width](injected)
             self.injections.append((self.op_counter, name, fpbits.to_bits(injected),
                                     trace_fingerprint(self.trace)))
+            paths.append(("injected", width))
         else:
-            result = propagate_payload(xs, STORE[width](result))
+            raw = STORE[width](result)
+            result = propagate_payload(xs, raw)
+            if fpbits.to_bits(result) != fpbits.to_bits(raw):
+                paths.append(("pin changes bits", width))
+        self.paths.update(paths)
         for value_class in ValueClass:
             kind = classify(value_class, xs, result)
             if kind is not None:
@@ -357,12 +405,39 @@ _fuzz = st.builds(InjectionConfig, odds=st.integers(1, 4), n_inject=st.integers(
                         (("op", "<", "operator", [("t", 0), ("p", 0)]), ()),
                         (("op", "==", "operator", [("p", 0), ("t", 0)]), ())]),
          InjectionConfig())
+# Paths some draws miss: two float16 NaNs added, whose ufunc result takes the
+# right one's payload, which the pin changes; a float32 times a float past
+# float32's range, a cast gen; exp of a float32 NaN, whose payload the ufunc
+# drops and the pin puts back.
+@example(([fpbits.from_bits(0x7E01, 16), fpbits.from_bits(0xFE05, 16), 1.5, 1e300,
+           fpbits.from_bits(0x7FC00123, 32)],
+          [(("new", 16, ("p", 0)), ()), (("new", 16, ("p", 1)), ()),
+           (("op", "+", "operator", [("t", 0), ("t", 1)]), ()),
+           (("new", 32, ("p", 2)), ()),
+           (("op", "*", "operator", [("t", 3), ("p", 3)]), ()),
+           (("new", 32, ("p", 4)), ()),
+           (("op", "exp", "function", [("t", 5)]), ())]),
+         InjectionConfig())
+# A Python int on either side of a tracked value, at the widths where some
+# draws meet none.
+@example(([3], [(("new", 16, ("p", 0)), ()),
+                (("op", "+", "operator", [("p", 0), ("t", 0)]), ()),
+                (("op", "-", "operator", [("t", 0), ("p", 0)]), ()),
+                (("new", 32, ("p", 0)), ()),
+                (("op", "*", "operator", [("p", 0), ("t", 3)]), ()),
+                (("op", "-", "operator", [("t", 3), ("p", 0)]), ()),
+                (("new", 64, ("p", 0)), ()),
+                (("op", "/", "operator", [("t", 6), ("p", 0)]), ()),
+                (("op", "+", "operator", [("p", 0), ("t", 6)]), ())]),
+         InjectionConfig())
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(0, 2**64).map(_program), _fuzz)
-def test_programs_match_the_reference(tmp_path_factory, program, config):
-    out = tmp_path_factory.getbasetemp() / "reference-flush"    # one directory for every run
+def _programs_match_the_reference(out, paths, program, config):
+    """One program's three runs against the reference; paths counts each path
+    class the reference ran, once per program."""
     session, outcomes = _run_fpx(program, Injector())
-    _check(session, outcomes, *_run_reference(program, {}), out)
+    plain, expected = _run_reference(program, {})
+    _check(session, outcomes, plain, expected, out)
 
     fuzzed, outcomes = _run_fpx(program, Injector.fuzz(config))
     recording = fuzzed.injector.recording
@@ -374,6 +449,18 @@ def test_programs_match_the_reference(tmp_path_factory, program, config):
     _check(replayed, outcomes, reference, expected, out)
     assert replayed.ledger.events() == fuzzed.ledger.events()
     assert replayed.injector.unconsumed_points() == [] and not replayed.injector.divergences
+    paths.update(plain.paths | reference.paths)
+
+
+def test_programs_match_the_reference(tmp_path_factory):
+    """Every drawn program matches the reference, and every path class is
+    reached by at least its floor of programs, so a generator change that
+    loses a path fails here."""
+    out = tmp_path_factory.getbasetemp() / "reference-flush"    # one directory for every run
+    paths = Counter()
+    _programs_match_the_reference(out, paths)
+    assert {path: paths[path] for path, floor in PATH_FLOORS.items()
+            if paths[path] < floor} == {}
 
 
 # A cap of 1 to 3 in most runs, so that a stream is both kept and cut.

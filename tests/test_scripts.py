@@ -41,3 +41,27 @@ def test_blowup_report_dot_files_are_pinned(tmp_path):
         "gen.dot": "a885ea27f197c49b497e7832742e1fb90c9437ee9a5cfe17fd00e9394c65fadb",
         "gen-split.dot": "0db8a76384da7465d42417d5d70048ae33cf3ef55ee0656698c35f1572994d67",
     }
+
+
+def test_loc_counts_code_lines_only(tmp_path):
+    """Blank lines, comments and docstrings are not code; every line of a
+    multi-line call, and of a string that is no docstring, is."""
+    (tmp_path / "m.py").write_text(
+        '"""Module docstring."""\n'
+        "\n"
+        "import os  # a trailing comment\n"
+        "# a comment line\n"
+        "\n"
+        "def f(a, b):\n"
+        '    """A docstring\n'
+        '    over two lines."""\n'
+        "    return max(a,\n"
+        "               b)\n"
+        "\n"
+        "class C:\n"
+        '    """Class docstring."""\n'
+        '    y = """not a\n'
+        'docstring"""\n', encoding="utf-8")
+    (tmp_path / "n.py").write_text("x = 1\n", encoding="utf-8")
+    out = _run_script("loc.py", str(tmp_path))
+    assert out.stdout.splitlines() == ["     7  m.py", "     1  n.py", "     8  total"]
