@@ -19,7 +19,7 @@ Run it from the root of an fpx checkout:
 
 Exit 0 when every mutant run is killed by each of its tests, 1 when one
 survives or is partial, its tests fail to run, or the unmutated copy fails a
-killer. The whole table, 43 mutants run, took 182 s on a shared 2-core
+killer. The whole table, 47 mutants run, took 262 s on a shared 2-core
 x86-64 VM.
 """
 
@@ -65,6 +65,8 @@ _RUNS = "tests/test_cstg_reference.py::%s"
 _HIT = "frames.append(sites[frame.f_lasti])"
 _NATIVE = "tests/test_traces.py::TestNativeCallSiteTable::%s"
 _ROW_READS = "tests/test_ledger.py::TestFlush::test_reading_the_rows_copies_no_row_list"
+_REFUSES = "tests/test_operators.py::test_numpy_entry_refuses_what_it_does_not_map"
+_UNWRAP = "        if type(x) is np.ndarray and x.shape == ():\n            x = x[()]\n"
 
 MUTANTS = (
     # The one log reader, ledger._scan, and the counted cstg path over it.
@@ -297,6 +299,32 @@ MUTANTS = (
              "isinstance(operands[0], float) and isinstance(operands[-1], float) "
              "and isinstance(result, float)"),),
            ("tests/test_ledger.py::test_only_rows_of_exact_floats_take_the_packed_key",)),
+    # numpy's entry, TrackedFloat.__array_ufunc__: a row's ufunc called with no
+    # keyword runs the row's operator method, the reflected one for a tracked
+    # right operand, and a numpy scalar left of a comparison comes as a 0-d array.
+    Mutant("ufunc-entry-accepts-keywords", "tracked.py",
+           ((' or method != "__call__" or kwargs:', ' or method != "__call__":'),),
+           (_REFUSES,)),
+    Mutant("ufunc-entry-runs-the-forward-method-for-a-tracked-right-operand", "tracked.py",
+           (("return methods[1](inputs[1], ", "return methods[0](inputs[1], "),),
+           ("tests/test_operators.py::test_numpy_ufuncs_match_apply[('-', 2)-f64]",
+            "tests/test_operators.py::test_numpy_ufuncs_match_apply[('<', 2)-f32]")),
+    Mutant("ufunc-entry-unwraps-a-one-element-array", "tracked.py",
+           ((_UNWRAP, _UNWRAP.replace("x.shape == ()", "x.size == 1")
+                            .replace("x[()]", "x.reshape(())[()]")),),
+           (_REFUSES,)),
+    # Injector.count_op is an itertools.count's next(), atomic in CPython. A
+    # plain read-modify-write counter passed every test: its threads seldom
+    # switch inside it, so the sleep(0) widens its window until they do.
+    Mutant("count-op-reads-then-writes", "injector.py",
+           (("        self.count_op = self._ops.__next__     # numbers one operation\n",
+             "        def count_op():\n"
+             "            n = int(repr(self._ops)[len('count('):-1])\n"
+             "            __import__('time').sleep(0)\n"
+             "            self._ops = itertools.count(n + 1)\n"
+             "            return n\n"
+             "        self.count_op = count_op\n"),),
+           ("tests/test_tracked.py::test_threads_sharing_an_off_session_count_every_op",)),
     Mutant("finish-decides-before-the-compute", "tracked.py",
            (("    impl, is_comparison, op, exact = row\n",
              "    impl, is_comparison, op, exact = row\n"

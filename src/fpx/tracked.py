@@ -6,20 +6,23 @@ consults the injector, which may substitute an injected value. It pins NaN
 payloads to their source, logs one event per value class whose exceptional
 status it touched, and re-wraps the result. An operation is one row of the
 table below: name, arity, numpy ufunc, exact Python float twin, the operator
-methods or public function it backs, and whether it is a comparison; the
-registry, methods and functions are built from it. Every operation runs in
-the current session, which a `use_session` block picks. The + - * methods
-come from a maker of their own: they run the twin, and one test of the
-result, r - r == 0.0, stands for the operand tests, since a finite sum,
-difference or product has finite operands (not so for /: x / inf is
-finite). Such a clean op is counted or decided in the method, and wrapped
-unless a value is injected. Over Python float operands, the other operator
-methods return a comparison or truth test over finite operands as the
-twin's bool, and hand every other op to _finish, the tail apply shares.
-_finish computes, then decides: a comparison takes no decision, and any
-other op, clean or not, is counted under an OFF injector and takes
-Injector.decide under FUZZ or REPLAY. apply takes the operands that need a
-cast, the narrow widths, the public functions and direct calls.
+methods it backs or the public name of its ufunc, and whether it is a
+comparison; the registry, the methods and numpy's entry are built from it.
+numpy's entry, __array_ufunc__, runs a row's ufunc over a tracked value as
+the row's operator method, so np.add(x, y) is x + y and fpx.sqrt is np.sqrt,
+and a ufunc without a row, a keyword or an array is numpy's TypeError.
+Every operation runs in the current session, which a `use_session` block
+picks. The + - * methods come from a maker of their own: they run the twin,
+and one test of the result, r - r == 0.0, stands for the operand tests,
+since a finite sum, difference or product has finite operands (not so for
+/: x / inf is finite). Such a clean op is counted or decided in the method,
+and wrapped unless a value is injected. Over Python float operands, the
+other operator methods return a comparison or truth test over finite
+operands as the twin's bool, and hand every other op to _finish, the tail
+apply shares. _finish computes, then decides: a comparison takes no
+decision, and any other op, clean or not, is counted under an OFF injector
+and takes Injector.decide under FUZZ or REPLAY. apply takes the operands
+that need a cast, the narrow widths and direct calls.
 
 Two substrates compute, with the same bits either way, by one rule:
 - A twin (+ - * /, negation, abs, sqrt, the comparisons and truth) computes
@@ -63,7 +66,7 @@ from .injector import InjectorMode
 from .session import current_session
 
 # One row per operation: name, arity, numpy ufunc, Python float twin, the
-# methods it backs (forward then reflected dunder, or a public function name),
+# methods it backs (forward then reflected dunder, or the ufunc's public name),
 # and whether it is a comparison or truth test: a bool result, no injector
 # decision. A twin rounds exactly like the ufunc on finite float64 operands;
 # there is none for pow (1 ulp off), exp/log/trig/atan2/hypot (libm and numpy
@@ -126,7 +129,6 @@ class TrackedFloat:
     """Immutable scalar wrapper; all arithmetic goes through the intercept pipeline."""
 
     __slots__ = ("_value",)
-    __array_ufunc__ = None      # keep numpy from absorbing mixed expressions
     _width = 0
 
     @staticmethod
@@ -170,6 +172,23 @@ class TrackedFloat:
 
     def __pos__(self):
         return self
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        """numpy's entry: a row's ufunc called with no keyword runs the row's
+        operator method, the reflected one when the tracked value is on the
+        right. A numpy scalar left of a comparison comes as a 0-d array, and
+        a np.float64 is read as the Python float it is, bits and all. Any
+        other ufunc, method, keyword or operand returns NotImplemented:
+        numpy's TypeError, which names them, before any op is counted."""
+        methods = _UFUNCS.get((ufunc, len(inputs)))
+        if methods is None or method != "__call__" or kwargs:
+            return NotImplemented
+        x = inputs[0]
+        if isinstance(x, TrackedFloat):
+            return methods[0](*inputs)
+        if type(x) is np.ndarray and x.shape == ():
+            x = x[()]
+        return methods[1](inputs[1], float(x) if type(x) is np.float64 else x)
 
 
 class TrackedFloat64(TrackedFloat):
@@ -347,13 +366,13 @@ def _operator_method(name, arity, reflected):
     return method
 
 
-def _arithmetic_method(name, reflected):
+def _arithmetic_method(name, arity, reflected):
     """An operator method of + - * (reflected or not): the twin runs once,
     and a finite result, which only finite operands give, is the clean op,
     counted or decided after the compute and wrapped here.
     Every other op over Python floats goes to _finish, any other operands to
     apply, both looked up as module globals."""
-    row = _REGISTRY[name, 2]
+    row = _REGISTRY[name, arity]
     _, _, op, exact = row
 
     def method(self, other):
@@ -384,26 +403,16 @@ def _arithmetic_method(name, reflected):
     return method
 
 
-def _public(name, arity, public):
-    if arity == 1:
-        def fn(x):
-            return apply(name, (x,))
-    else:
-        def fn(x, y):
-            return apply(name, (x, y))
-    fn.__name__ = fn.__qualname__ = public
-    fn.__doc__ = f"Tracked {name}({'x' if arity == 1 else 'x, y'})."
-    return fn
-
-
-# The operator methods of TrackedFloat, and the public functions sqrt, exp,
-# log, sin, cos, tan, floor, ceil, atan2, hypot, rem, minimum and maximum.
-for _name, _arity, _, _, _methods, _ in _OPERATIONS:
-    for _method, _reflected in zip(_methods.split(), (False, True)):
+# (ufunc, arity) -> the row's forward and, for two operands, reflected
+# operator method; the dunders among them are TrackedFloat's, and the public
+# names sqrt, exp, log, sin, cos, tan, floor, ceil, atan2, hypot, rem, minimum
+# and maximum are bound to their rows' ufuncs.
+_UFUNCS = {}
+for _name, _arity, _ufunc, _, _methods, _ in _OPERATIONS:
+    _make = _arithmetic_method if _arity == 2 and _name in ("+", "-", "*") else _operator_method
+    _UFUNCS[_ufunc, _arity] = _fns = tuple(_make(_name, _arity, r) for r in (False, True)[:_arity])
+    for _method, _fn in zip(_methods.split(), _fns):
         if _method.startswith("__"):
-            setattr(TrackedFloat, _method,
-                    _arithmetic_method(_name, _reflected)
-                    if _arity == 2 and _name in ("+", "-", "*")
-                    else _operator_method(_name, _arity, _reflected))
+            setattr(TrackedFloat, _method, _fn)
         else:
-            globals()[_method] = _public(_name, _arity, _method)
+            globals()[_method] = _ufunc

@@ -1,5 +1,5 @@
-"""Operator wiring: every operator method and public function reaches the
-registry row it names, with its operands in the right order.
+"""Operator wiring: every operator method, public function and numpy ufunc
+reaches the registry row it names, with its operands in the right order.
 
 The expected wiring is written out here, independent of the operation table
 in tracked.py, so a row whose methods name the wrong operation, or a
@@ -30,10 +30,22 @@ OPERATORS = {
     (">=", 2): operator.ge, ("==", 2): operator.eq, ("!=", 2): operator.ne,
     ("-", 1): operator.neg, ("abs", 1): abs, ("bool", 1): bool,
 }
-# With a plain number on the left, Python calls the tracked operand's
-# reflected method; a comparison reflects to its mirror image.
+# With a Python number on the left, Python calls the tracked operand's
+# reflected method; a comparison reflects to its mirror image. A numpy scalar
+# on the left calls numpy's ufunc, which keeps the operands in order.
 MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
-# Public function name of each remaining row.
+# numpy's ufunc of every row but the truth test, whose np.bool_ is a type.
+UFUNCS = {
+    ("+", 2): np.add, ("-", 2): np.subtract, ("*", 2): np.multiply,
+    ("/", 2): np.divide, ("pow", 2): np.power, ("min", 2): np.minimum,
+    ("max", 2): np.maximum, ("atan2", 2): np.arctan2, ("hypot", 2): np.hypot,
+    ("rem", 2): np.fmod, ("-", 1): np.negative, ("abs", 1): np.absolute,
+    ("sqrt", 1): np.sqrt, ("exp", 1): np.exp, ("log", 1): np.log, ("sin", 1): np.sin,
+    ("cos", 1): np.cos, ("tan", 1): np.tan, ("floor", 1): np.floor, ("ceil", 1): np.ceil,
+    ("<", 2): np.less, ("<=", 2): np.less_equal, (">", 2): np.greater,
+    (">=", 2): np.greater_equal, ("==", 2): np.equal, ("!=", 2): np.not_equal,
+}
+# Public function name of each remaining row: fpx's name for its ufunc.
 PUBLIC = {
     ("sqrt", 1): "sqrt", ("exp", 1): "exp", ("log", 1): "log",
     ("sin", 1): "sin", ("cos", 1): "cos", ("tan", 1): "tan",
@@ -112,6 +124,7 @@ def _cases(arity, cls, np_type):
 def test_every_row_is_wired_once():
     assert sorted(OPERATORS.keys() | PUBLIC.keys(), key=str) == sorted(_REGISTRY, key=str)
     assert not OPERATORS.keys() & PUBLIC.keys()
+    assert UFUNCS.keys() == _REGISTRY.keys() - {("bool", 1)}
 
 
 @pytest.mark.parametrize("width", range(len(WIDTHS)), ids=("f64", "f32", "f16"))
@@ -123,7 +136,7 @@ def test_operator_methods_match_apply(name_arity, width):
     calls, applied = [], []
     for operands in _cases(arity, cls, np_type):
         reached, args = name, operands
-        if name in MIRRORED and not isinstance(operands[0], fpx.TrackedFloat):
+        if name in MIRRORED and not isinstance(operands[0], (fpx.TrackedFloat, np.generic)):
             reached, args = MIRRORED[name], operands[::-1]
         # a reflected arithmetic method keeps the plain left operand first
         calls.append(lambda o=operands: python_op(*o))
@@ -142,11 +155,42 @@ def test_public_functions_match_apply(name_arity, width):
                           [lambda o=o: apply(name, o) for o in cases])
 
 
+@pytest.mark.parametrize("width", range(len(WIDTHS)), ids=("f64", "f32", "f16"))
+@pytest.mark.parametrize("name_arity", sorted(OPERATORS.keys() & UFUNCS.keys(), key=str), ids=str)
+def test_numpy_ufuncs_match_apply(name_arity, width):
+    """numpy's own name of an operator row runs the row over tracked values,
+    with a plain operand of any kind on either side kept in its place."""
+    name, arity = name_arity
+    cls, np_type = WIDTHS[width]
+    ufunc = UFUNCS[name_arity]
+    cases = _cases(arity, cls, np_type)
+    _assert_matches_apply([lambda o=o: ufunc(*o) for o in cases],
+                          [lambda o=o: apply(name, o) for o in cases])
+
+
+def test_numpy_entry_refuses_what_it_does_not_map():
+    """A ufunc without a row, a call with a keyword, a ufunc method other than
+    a call and an array operand are each numpy's TypeError, which names it,
+    before any op is numbered or decided."""
+    session = explicit_session(injector=Injector.fuzz(InjectionConfig(odds=1, n_inject=10)))
+    t = TrackedFloat64(1.5)
+    calls = {"isnan": lambda: np.isnan(t), "divmod": lambda: np.divmod(t, t),
+             "dtype=": lambda: np.add(t, t, dtype=float), "'outer'": lambda: np.add.outer(t, t),
+             r"'ndarray', 'Tracked": lambda: np.add(np.array([1.0]), t),
+             r"'Tracked\w*', 'ndarray'": lambda: np.add(t, np.array([1.0]))}
+    with use_session(session):
+        for named, call in calls.items():
+            with pytest.raises(TypeError, match=named):
+                call()
+    assert session.injector.op_counter == 0 and session.injector.recording.points == []
+    assert session.ledger.events() == []
+
+
 @pytest.mark.parametrize("public", sorted(PUBLIC.values()))
 def test_public_function_names(public):
-    fn = getattr(fpx, public)
-    assert fn is getattr(fpx.tracked, public)
-    assert fn.__name__ == fn.__qualname__ == public
+    """Each public function is its row's numpy ufunc, so `fpx.*` and `np.*` are one path."""
+    row, = [row for row, name in PUBLIC.items() if name == public]
+    assert getattr(fpx, public) is getattr(fpx.tracked, public) is UFUNCS[row]
     assert public in fpx.__all__
 
 
@@ -186,9 +230,8 @@ def test_public_surface_is_pinned():
     assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(fpx.ExceptionEvent))
     # the session of an operation is the one a use_session block selects
     assert list(inspect.signature(fpx.apply).parameters) == ["name", "operands"]
-    for (_, arity), public in PUBLIC.items():
-        assert list(inspect.signature(getattr(fpx, public)).parameters) == (
-            ["x"] if arity == 1 else ["x", "y"])
+    for row, public in PUBLIC.items():
+        assert getattr(fpx, public) is UFUNCS[row]
     # no parameter that only tests would set; the injector derives its mode
     for fn, params in [
         (fpx.NativeTraceProvider, []),

@@ -71,8 +71,9 @@ ROWS = {
     ("bool", 1): (np.bool_, bool, None, None),
 }
 COMPARISONS = {"<", "<=", ">", ">=", "==", "!=", "bool"}
-# A comparison whose left operand is not tracked runs as the right one's
-# reflected method: x < t is t > x.
+# A comparison whose left operand is a Python number runs as the right one's
+# reflected method: x < t is t > x. A numpy scalar on the left runs numpy's
+# ufunc, which keeps the order.
 REFLECTED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 CLASSES = {64: TrackedFloat64, 32: TrackedFloat32, 16: TrackedFloat16}
 STORE = {64: float, 32: np.float32, 16: np.float16}
@@ -245,7 +246,8 @@ def _call(stmt, env, palette, ref=None):
         if form == "function":
             return getattr(tracked, function)(*xs)
         return tracked.apply(name, tuple(xs))
-    if form == "operator" and name in REFLECTED and not isinstance(xs[0], TrackedFloat):
+    if form == "operator" and name in REFLECTED and not isinstance(xs[0], (TrackedFloat,
+                                                                            np.generic)):
         name, xs = REFLECTED[name], xs[::-1]
     return ref.op(name, xs)
 
