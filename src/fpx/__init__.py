@@ -20,9 +20,7 @@ from .session import (TrackerSession, current_session, explicit_session,
 from .traces import (EMPTY_TRACE, ExplicitContextProvider, Frame,
                      NativeTraceProvider, StackTrace, trace_fingerprint)
 from .tracked import (TrackedFloat, TrackedFloat16, TrackedFloat32,
-                      TrackedFloat64, apply, atan2, ceil, cos, exp, floor,
-                      hypot, log, maximum, minimum, rem, sin, sqrt, tan,
-                      unwrap)
+                      TrackedFloat64, apply, unwrap)
 
 __version__ = "0.1.0"
 
@@ -30,8 +28,6 @@ __all__ = [
     "EventKind", "OpIdentity", "ValueClass", "is_exceptional", "propagate_payload",
     "TrackedFloat", "TrackedFloat16", "TrackedFloat32", "TrackedFloat64",
     "apply", "unwrap",
-    "sqrt", "exp", "log", "sin", "cos", "tan", "floor", "ceil",
-    "atan2", "hypot", "rem", "minimum", "maximum",
     "Frame", "StackTrace", "EMPTY_TRACE", "ExplicitContextProvider",
     "NativeTraceProvider", "trace_fingerprint",
     "ExceptionEvent", "Ledger", "LedgerConfig", "LogFormatError",

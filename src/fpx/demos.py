@@ -13,8 +13,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .session import TrackerSession, explicit_session, use_session
-from .tracked import TrackedFloat64, maximum, unwrap
+from .tracked import TrackedFloat64, unwrap
 
 _MAX_FILE = "demo/find_max.py"
 _LOOP_FILE = "demo/integrate.py"
@@ -58,7 +60,7 @@ def demo_max(values=(1.0, 5.0, float("nan"), 4.0), session=None) -> MaxDemoResul
                 if not (x <= best):
                     best = x
         with scope("max2", _MAX_FILE, 21):
-            folded = functools.reduce(maximum, xs)
+            folded = functools.reduce(np.maximum, xs)
     return MaxDemoResult(float(unwrap(best)), float(unwrap(folded)), sess)
 
 

@@ -6,11 +6,12 @@ consults the injector, which may substitute an injected value. It pins NaN
 payloads to their source, logs one event per value class whose exceptional
 status it touched, and re-wraps the result. An operation is one row of the
 table below: name, arity, numpy ufunc, exact Python float twin, the operator
-methods it backs or the public name of its ufunc, and whether it is a
-comparison; the registry, the methods and numpy's entry are built from it.
-numpy's entry, __array_ufunc__, runs a row's ufunc over a tracked value as
-the row's operator method, so np.add(x, y) is x + y and fpx.sqrt is np.sqrt,
-and a ufunc without a row, a keyword or an array is numpy's TypeError.
+methods it backs, if any, and whether it is a comparison; the registry, the
+methods and numpy's entry are built from it. numpy's entry, __array_ufunc__,
+runs a row's ufunc over a tracked value as the row's operator method, so
+np.add(x, y) is x + y and np.sqrt(x) is the sqrt row, which numpy's name
+alone reaches, and a ufunc without a row, a keyword or an array is numpy's
+TypeError.
 Every operation runs in the current session, which a `use_session` block
 picks. The + - * methods come from a maker of their own: they run the twin,
 and one test of the result, r - r == 0.0, stands for the operand tests,
@@ -66,8 +67,8 @@ from .injector import InjectorMode
 from .session import current_session
 
 # One row per operation: name, arity, numpy ufunc, Python float twin, the
-# methods it backs (forward then reflected dunder, or the ufunc's public name),
-# and whether it is a comparison or truth test: a bool result, no injector
+# dunders it backs (forward then reflected; none where only the ufunc names
+# it), and whether it is a comparison or truth test: a bool result, no injector
 # decision. A twin rounds exactly like the ufunc on finite float64 operands;
 # there is none for pow (1 ulp off), exp/log/trig/atan2/hypot (libm and numpy
 # differ), floor (math.floor drops -0.0) and min/max (signed zero).
@@ -77,21 +78,21 @@ _OPERATIONS = (
     ("*", 2, np.multiply, operator.mul, "__mul__ __rmul__", False),
     ("/", 2, np.divide, operator.truediv, "__truediv__ __rtruediv__", False),
     ("pow", 2, np.power, None, "__pow__ __rpow__", False),
-    ("min", 2, np.minimum, None, "minimum", False),     # NaN-propagating, not IEEE minNum
-    ("max", 2, np.maximum, None, "maximum", False),
-    ("atan2", 2, np.arctan2, None, "atan2", False),
-    ("hypot", 2, np.hypot, None, "hypot", False),
-    ("rem", 2, np.fmod, None, "rem", False),
+    ("min", 2, np.minimum, None, "", False),     # NaN-propagating, not IEEE minNum
+    ("max", 2, np.maximum, None, "", False),
+    ("atan2", 2, np.arctan2, None, "", False),
+    ("hypot", 2, np.hypot, None, "", False),
+    ("rem", 2, np.fmod, None, "", False),
     ("-", 1, np.negative, operator.neg, "__neg__", False),
     ("abs", 1, np.abs, abs, "__abs__", False),
-    ("sqrt", 1, np.sqrt, math.sqrt, "sqrt", False),
-    ("exp", 1, np.exp, None, "exp", False),
-    ("log", 1, np.log, None, "log", False),
-    ("sin", 1, np.sin, None, "sin", False),
-    ("cos", 1, np.cos, None, "cos", False),
-    ("tan", 1, np.tan, None, "tan", False),
-    ("floor", 1, np.floor, None, "floor", False),
-    ("ceil", 1, np.ceil, None, "ceil", False),
+    ("sqrt", 1, np.sqrt, math.sqrt, "", False),
+    ("exp", 1, np.exp, None, "", False),
+    ("log", 1, np.log, None, "", False),
+    ("sin", 1, np.sin, None, "", False),
+    ("cos", 1, np.cos, None, "", False),
+    ("tan", 1, np.tan, None, "", False),
+    ("floor", 1, np.floor, None, "", False),
+    ("ceil", 1, np.ceil, None, "", False),
     ("<", 2, np.less, operator.lt, "__lt__", True),
     ("<=", 2, np.less_equal, operator.le, "__le__", True),
     (">", 2, np.greater, operator.gt, "__gt__", True),
@@ -172,6 +173,11 @@ class TrackedFloat:
 
     def __pos__(self):
         return self
+
+    def __reduce__(self):
+        """copy and pickle rebuild through the constructor, whose value of
+        the class's own width logs no event and counts no op."""
+        return type(self), (self._value,)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         """numpy's entry: a row's ufunc called with no keyword runs the row's
@@ -404,15 +410,10 @@ def _arithmetic_method(name, arity, reflected):
 
 
 # (ufunc, arity) -> the row's forward and, for two operands, reflected
-# operator method; the dunders among them are TrackedFloat's, and the public
-# names sqrt, exp, log, sin, cos, tan, floor, ceil, atan2, hypot, rem, minimum
-# and maximum are bound to their rows' ufuncs.
+# operator method; TrackedFloat's dunders are those the row names.
 _UFUNCS = {}
 for _name, _arity, _ufunc, _, _methods, _ in _OPERATIONS:
     _make = _arithmetic_method if _arity == 2 and _name in ("+", "-", "*") else _operator_method
     _UFUNCS[_ufunc, _arity] = _fns = tuple(_make(_name, _arity, r) for r in (False, True)[:_arity])
     for _method, _fn in zip(_methods.split(), _fns):
-        if _method.startswith("__"):
-            setattr(TrackedFloat, _method, _fn)
-        else:
-            globals()[_method] = _ufunc
+        setattr(TrackedFloat, _method, _fn)

@@ -77,7 +77,7 @@ OVERFLOWING_OPERANDS = {
     "f16-add-int": (lambda: TrackedFloat16(1.0) + 100000, 100000.0, INF, EventKind.PROP),
     "f16-reflected-sub": (lambda: 100000 - TrackedFloat16(1.0), 100000.0, INF, EventKind.PROP),
     "f16-less": (lambda: TrackedFloat16(1.0) < 70000.0, 70000.0, True, EventKind.KILL),
-    "f16-maximum": (lambda: fpx.maximum(TrackedFloat16(1.0), 1e6), 1e6, INF, EventKind.PROP),
+    "f16-maximum": (lambda: np.maximum(TrackedFloat16(1.0), 1e6), 1e6, INF, EventKind.PROP),
     "f32-mul": (lambda: TrackedFloat32(2.0) * 1e300, 1e300, INF, EventKind.PROP),
 }
 

@@ -31,7 +31,7 @@ def ops():
     y = x - x                                   # NaN gen, Inf kill
     y < 1.0                                     # NaN kill
     fpx.TrackedFloat32(2.0) * y + 3             # NaN props, an int operand
-    fpx.sqrt(fpx.TrackedFloat16(-1.0))          # NaN gen on a narrow width
+    numpy.sqrt(fpx.TrackedFloat16(-1.0))        # NaN gen on a narrow width
 
 ops()                                           # the default session: native traces
 session = fpx.explicit_session()

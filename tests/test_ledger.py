@@ -164,16 +164,22 @@ class TestRecord:
 
     def test_concurrent_records_lose_nothing(self):
         """A seq is a position in the one list, so a lost or doubled append
-        shows as a gap, a repeat, or a count that disagrees with the list."""
-        ledger = Ledger()
+        shows as a gap, a repeat, or a count that disagrees with the list.
+        Each capture yields the GIL, so the threads take turns between
+        records."""
+        ledger, provider = Ledger(), _SpyProvider(yields=True)
 
         def worker(kind):
             for _ in range(200):
-                _record(ledger, kind=kind)
+                ledger.record(kind, ValueClass.NAN, OP_SUB, (-INF, -INF), NAN, False,
+                              provider.capture)
 
         _run_threads(worker, (EventKind.GEN, EventKind.PROP, EventKind.KILL, EventKind.GEN))
         assert [e.seq for e in ledger.events()] == list(range(1, 801))
         assert ledger.counts() == {EventKind.GEN: 400, EventKind.PROP: 200, EventKind.KILL: 200}
+        # consecutive captures changed thread about 600 times in 800;
+        # without the yield, a few times
+        assert provider.changes > 200
 
     def test_capped_concurrent_records_store_exactly_the_cap(self):
         """Four threads offer every kind more events than its cap: each kind
@@ -197,12 +203,13 @@ class TestRecord:
         for kind in EventKind:
             assert sum(n for (k, _), n in dropped.items() if k is kind) == 4 * per_thread - cap
         assert provider.captures == 3 * cap
+        assert provider.changes > 200      # about 600 times in 750
 
 
 class _SpyProvider:
-    """A trace provider that counts its captures, by one atomic append each,
-    so threads sharing it lose no count; with `yields`, each capture first
-    lets another thread run."""
+    """A trace provider that notes the thread of each capture, by one atomic
+    append, so threads sharing it lose no count; with `yields`, each capture
+    first lets another thread run."""
 
     def __init__(self, yields=False):
         self._captured = []
@@ -212,10 +219,15 @@ class _SpyProvider:
     def captures(self):
         return len(self._captured)
 
+    @property
+    def changes(self):
+        """How often consecutive captures came from different threads."""
+        return sum(a != b for a, b in zip(self._captured, self._captured[1:]))
+
     def capture(self):
         if self._yields:
             time.sleep(0)
-        self._captured.append(None)
+        self._captured.append(threading.get_ident())
         return TRACE
 
 

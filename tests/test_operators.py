@@ -1,5 +1,5 @@
-"""Operator wiring: every operator method, public function and numpy ufunc
-reaches the registry row it names, with its operands in the right order.
+"""Operator wiring: every operator method and numpy ufunc reaches the
+registry row it names, with its operands in the right order.
 
 The expected wiring is written out here, independent of the operation table
 in tracked.py, so a row whose methods name the wrong operation, or a
@@ -17,7 +17,7 @@ import fpx
 from fpx import demos, fpbits
 from fpx.injector import InjectionConfig, InjectionRecording, Injector
 from fpx.session import explicit_session, use_session
-from fpx.tracked import (_REGISTRY, TrackedFloat16, TrackedFloat32,
+from fpx.tracked import (_OPERATIONS, _REGISTRY, TrackedFloat16, TrackedFloat32,
                          TrackedFloat64, apply, unwrap)
 
 INF = float("inf")
@@ -34,7 +34,8 @@ OPERATORS = {
 # reflected method; a comparison reflects to its mirror image. A numpy scalar
 # on the left calls numpy's ufunc, which keeps the operands in order.
 MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
-# numpy's ufunc of every row but the truth test, whose np.bool_ is a type.
+# numpy's ufunc of every row but the truth test, whose np.bool_ is a type;
+# it is the only name of each row that backs no operator.
 UFUNCS = {
     ("+", 2): np.add, ("-", 2): np.subtract, ("*", 2): np.multiply,
     ("/", 2): np.divide, ("pow", 2): np.power, ("min", 2): np.minimum,
@@ -44,14 +45,6 @@ UFUNCS = {
     ("cos", 1): np.cos, ("tan", 1): np.tan, ("floor", 1): np.floor, ("ceil", 1): np.ceil,
     ("<", 2): np.less, ("<=", 2): np.less_equal, (">", 2): np.greater,
     (">=", 2): np.greater_equal, ("==", 2): np.equal, ("!=", 2): np.not_equal,
-}
-# Public function name of each remaining row: fpx's name for its ufunc.
-PUBLIC = {
-    ("sqrt", 1): "sqrt", ("exp", 1): "exp", ("log", 1): "log",
-    ("sin", 1): "sin", ("cos", 1): "cos", ("tan", 1): "tan",
-    ("floor", 1): "floor", ("ceil", 1): "ceil", ("atan2", 2): "atan2",
-    ("hypot", 2): "hypot", ("rem", 2): "rem", ("min", 2): "minimum",
-    ("max", 2): "maximum",
 }
 
 WIDTHS = ((TrackedFloat64, np.float64), (TrackedFloat32, np.float32),
@@ -122,9 +115,13 @@ def _cases(arity, cls, np_type):
 
 
 def test_every_row_is_wired_once():
-    assert sorted(OPERATORS.keys() | PUBLIC.keys(), key=str) == sorted(_REGISTRY, key=str)
-    assert not OPERATORS.keys() & PUBLIC.keys()
+    """The table installs only dunders, and exactly the rows with an operator
+    back one; every other row is its ufunc's."""
+    assert sorted(OPERATORS.keys() | UFUNCS.keys(), key=str) == sorted(_REGISTRY, key=str)
     assert UFUNCS.keys() == _REGISTRY.keys() - {("bool", 1)}
+    for name, arity, _, _, methods, _ in _OPERATIONS:
+        assert all(m[:2] == m[-2:] == "__" for m in methods.split()), methods
+        assert bool(methods) == ((name, arity) in OPERATORS), name
 
 
 @pytest.mark.parametrize("width", range(len(WIDTHS)), ids=("f64", "f32", "f16"))
@@ -145,14 +142,12 @@ def test_operator_methods_match_apply(name_arity, width):
 
 
 @pytest.mark.parametrize("width", range(len(WIDTHS)), ids=("f64", "f32", "f16"))
-@pytest.mark.parametrize("name_arity", sorted(PUBLIC, key=str), ids=str)
+@pytest.mark.parametrize("name_arity", sorted(UFUNCS.keys() - OPERATORS.keys(), key=str),
+                         ids=str)
 def test_public_functions_match_apply(name_arity, width):
-    name, arity = name_arity
-    cls, np_type = WIDTHS[width]
-    fn = getattr(fpx, PUBLIC[name_arity])
-    cases = _cases(arity, cls, np_type)
-    _assert_matches_apply([lambda o=o: fn(*o) for o in cases],
-                          [lambda o=o: apply(name, o) for o in cases])
+    """A row that backs no operator, sqrt or maximum say, runs under
+    numpy's name as apply runs it."""
+    test_numpy_ufuncs_match_apply(name_arity, width)
 
 
 @pytest.mark.parametrize("width", range(len(WIDTHS)), ids=("f64", "f32", "f16"))
@@ -186,12 +181,13 @@ def test_numpy_entry_refuses_what_it_does_not_map():
     assert session.ledger.events() == []
 
 
-@pytest.mark.parametrize("public", sorted(PUBLIC.values()))
+@pytest.mark.parametrize("public", ["atan2", "ceil", "cos", "exp", "floor", "hypot", "log",
+                                    "maximum", "minimum", "rem", "sin", "sqrt", "tan"])
 def test_public_function_names(public):
-    """Each public function is its row's numpy ufunc, so `fpx.*` and `np.*` are one path."""
-    row, = [row for row, name in PUBLIC.items() if name == public]
-    assert getattr(fpx, public) is getattr(fpx.tracked, public) is UFUNCS[row]
-    assert public in fpx.__all__
+    """numpy's name is a function row's only one: fpx gives it no second
+    spelling, so `np.sqrt(t)` is the one way to write it."""
+    assert not hasattr(fpx, public) and not hasattr(fpx.tracked, public)
+    assert public not in fpx.__all__
 
 
 def test_every_exported_name_resolves():
@@ -212,11 +208,10 @@ def test_public_surface_is_pinned():
         "Ledger", "LedgerConfig", "LogFormatError", "NativeTraceProvider", "OpIdentity",
         "RecordedInjection", "RecordingFormatError", "ReplayDivergenceWarning",
         "StackTrace", "TrackedFloat", "TrackedFloat16", "TrackedFloat32",
-        "TrackedFloat64", "TrackerSession", "ValueClass", "apply", "atan2", "ceil",
-        "cos", "current_session", "exp", "explicit_session", "floor",
-        "hypot", "is_exceptional", "load_recording", "log", "maximum", "minimum",
-        "parse_log", "propagate_payload", "rem", "render_human", "save_recording",
-        "sin", "sqrt", "tan", "trace_fingerprint", "unwrap", "use_session"]
+        "TrackedFloat64", "TrackerSession", "ValueClass", "apply", "current_session",
+        "explicit_session", "is_exceptional", "load_recording", "parse_log",
+        "propagate_payload", "render_human", "save_recording", "trace_fingerprint",
+        "unwrap", "use_session"]
     assert [f.name for f in dataclasses.fields(fpx.LedgerConfig)] == [
         "max_logs", "log_kinds"]
     assert [f.name for f in dataclasses.fields(fpx.InjectionConfig)] == [
@@ -230,8 +225,6 @@ def test_public_surface_is_pinned():
     assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(fpx.ExceptionEvent))
     # the session of an operation is the one a use_session block selects
     assert list(inspect.signature(fpx.apply).parameters) == ["name", "operands"]
-    for row, public in PUBLIC.items():
-        assert getattr(fpx, public) is UFUNCS[row]
     # no parameter that only tests would set; the injector derives its mode
     for fn, params in [
         (fpx.NativeTraceProvider, []),

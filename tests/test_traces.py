@@ -311,7 +311,7 @@ class TestNativeCallSiteTable:
     def test_two_threads_share_a_provider(self):
         p = NativeTraceProvider()
         barrier = threading.Barrier(2)
-        results = {}
+        results, rounds = {}, []
 
         def leaf():
             return _both(p)
@@ -324,7 +324,11 @@ class TestNativeCallSiteTable:
 
         def worker(name, body):
             barrier.wait(timeout=30)
-            results[name] = [pair for _ in range(200) for pair in body()]
+            results[name] = []
+            for _ in range(200):
+                time.sleep(0)
+                results[name] += body()
+                rounds.append(name)
 
         threads = [threading.Thread(target=worker, args=("a", branch_a)),
                    threading.Thread(target=worker, args=("b", branch_b))]
@@ -337,6 +341,8 @@ class TestNativeCallSiteTable:
         self._assert_same(results["b"])
         assert results["a"][0][0][2].function == "branch_a"
         assert results["b"][0][0][2].function == "branch_b"
+        # each round yields, so rounds changed thread 200 to 370 times in 400
+        assert sum(a != b for a, b in zip(rounds, rounds[1:])) > 100
 
     @pytest.mark.parametrize("skip", [(__file__,), ("/nonexistent-prefix",),
                                       (__file__, threading.__file__)])
@@ -407,17 +413,22 @@ class TestNativeCallSiteTable:
 
     def test_threads_missing_at_once_lose_no_count(self, monkeypatch):
         """More threads than cores miss on fresh call sites at a short switch
-        interval: every capture is the fresh walk's, and the table never
-        holds more than it counted, nor more than the limit."""
+        interval, yielding the GIL between captures: every capture is the
+        fresh walk's, and after every capture the table holds no more than
+        it counted, nor more than the limit."""
         limit = 2 * _stack_depth() + 64
         monkeypatch.setattr(traces, "SITE_TABLE_LIMIT", limit)
         p = NativeTraceProvider()
         source = "def many(both, check):\n" + "    check(both())\n" * 200
         barrier = threading.Barrier(6)
-        failures = []
+        failures, checked_by = [], []
 
         def check(pair):
-            if pair[0] != pair[1]:
+            time.sleep(0)
+            checked_by.append(threading.get_ident())
+            with p._lock:       # the lock every store takes, so the count is whole
+                counted = _table_size(p) <= p._entries <= limit
+            if pair[0] != pair[1] or not counted:
                 failures.append(pair)
 
         def worker(k):
@@ -438,13 +449,16 @@ class TestNativeCallSiteTable:
             sys.setswitchinterval(interval)
         assert failures == []
         assert _table_size(p) <= p._entries <= limit
+        # each check yields, so checks changed thread about 5,900 times in
+        # 6,000; without the yield, 100 to 250 times
+        assert sum(a != b for a, b in zip(checked_by, checked_by[1:])) > 1000
 
     def test_stores_yielding_the_gil_interleave_clears_with_walks(self, monkeypatch):
         """Each store yields the GIL, so other threads capture, store and
         clear a small shared table between two frames of a walk. Four
         threads capture from fresh code objects and from one repeated call
-        site: every capture is the fresh walk's, and the table never holds
-        more than it counted, nor more than the limit."""
+        site: every capture is the fresh walk's, and after every capture the
+        table holds no more than it counted, nor more than the limit."""
         limit = 2 * _stack_depth() + 16
         monkeypatch.setattr(traces, "SITE_TABLE_LIMIT", limit)
         stored_by, real = [], NativeTraceProvider._store
@@ -461,7 +475,9 @@ class TestNativeCallSiteTable:
 
         def check(pair):
             captures.append(pair)
-            if pair[0] != pair[1]:
+            with p._lock:
+                counted = _table_size(p) <= p._entries <= limit
+            if pair[0] != pair[1] or not counted:
                 failures.append(pair)
 
         def repeated():
