@@ -19,7 +19,7 @@ Run it from the root of an fpx checkout:
 
 Exit 0 when every mutant run is killed by each of its tests, 1 when one
 survives or is partial, its tests fail to run, or the unmutated copy fails a
-killer. The whole table, 50 mutants run, took 116 s on a shared 2-core
+killer. The whole table, 50 mutants run, took 132 s on a shared 2-core
 x86-64 VM.
 """
 

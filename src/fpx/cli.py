@@ -149,18 +149,16 @@ def cmd_run(args) -> int:
 
 
 @contextmanager
-def _content(path, value_class=None, in_order=False):
+def _content(path, value_class=None):
     """What path holds, for the block, read under ledger._utf8's one error
-    rule: a graph document's JSON object, or the file's traces; a diff
-    document is an error. The traces come in file order, or, for
-    stackgraph.build, which takes them in any order, a log's grouped by line
-    tail; only log events carry a value class to filter on. A log whose
-    first run shows it is one is streamed, its runs read by ledger._runs as
-    the block uses its traces up: the run opens with "{" after whitespace,
-    and json.loads rejects it only for data after its first value, so the
-    whole text fails alike at the same place and is no document. Any other
-    file is read whole: a text that opens with "{" is then a log of one run,
-    and any other holds plain-text trace blocks."""
+    rule: a graph document's JSON object, or the file's traces in file order;
+    a diff document is an error. Only log events carry a value class to
+    filter on. A log whose first run shows it is one is streamed, its runs
+    read by ledger._runs as the block uses its traces up: the run opens with
+    "{" after whitespace, and json.loads rejects it only for data after its
+    first value, so the whole text fails alike at the same place and is no
+    document. Any other file is read whole: a text that opens with "{" is
+    then a log of one run, and any other holds plain-text trace blocks."""
     with _utf8(path) as fh:
         runs = _runs(fh)
         first = next(runs, "")
@@ -190,7 +188,7 @@ def _content(path, value_class=None, in_order=False):
                 yield stackgraph.parse_trace_text(first)
                 return
         wanted = None if value_class is None else ValueClass(value_class)
-        yield chain.from_iterable(_line_traces(chain((first,), runs), wanted, in_order))
+        yield chain.from_iterable(_line_traces(chain((first,), runs), wanted))
 
 
 def _load_graph_any(path, key_policy):
@@ -218,7 +216,7 @@ def _emit_diff(d, args) -> None:
 
 def cmd_cstg(args) -> int:
     key_policy = "coarse" if args.coarse else "fine"
-    with _content(args.log, args.value_class, args.split is not None) as traces:
+    with _content(args.log, args.value_class) as traces:
         if isinstance(traces, dict):
             raise FormatError(f"{args.log} is a stack-graph document, not a log or trace "
                               "file; fpx diff reads graph documents")

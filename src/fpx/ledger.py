@@ -34,10 +34,10 @@ without such a head whole. A table keyed by (tail, whole line) decodes each
 distinct key once per call, a tail as a JSON object of its own: a top-level
 seq key there sets its lines' seq, and where it has none each line's head
 does. parse_log builds each line's event from its key's fields;
-_line_traces, which `fpx cstg` and `fpx diff` read a log with, counts the
-keys and builds no events. A run's new keys decode in the order they first
-occur, so the first that fails names the run's first bad line, whose one
-decode then gives its error and number.
+_line_traces, which `fpx cstg` and `fpx diff` read a log with, takes each
+line's trace from its key's fields and builds no events. A run's new keys
+decode in the order they first occur, so the first that fails names the
+run's first bad line, whose one decode then gives its error and number.
 FormatError and the JSON-lines reader here serve every fpx file format. Every
 reader of a file opens it through _utf8, which states the one error rule for
 all of them: a file that is not UTF-8 raises the reader's own FormatError
@@ -436,20 +436,18 @@ def parse_log(path) -> list:
                 for match, fields in zip(lines, map(table.__getitem__, keys)) if fields]
 
 
-def _line_traces(runs, value_class=None, in_order=False):
+def _line_traces(runs, value_class=None):
     """The traces of the events parse_log gives for a log read in runs of
     whole lines, or of those of one ValueClass, with no event built: _runs
     of an open file, as `fpx cstg` and `fpx diff` stream a log, or a whole
-    text as one run. Yields, per run, an iterable of traces: with in_order,
-    its kept events' traces in line order; else each distinct key's trace as
-    many times as the key occurs. The next run is read only once the caller
-    has used up the one before, so no more than one run of the file is held."""
+    text as one run. Yields, per run, an iterable of its kept events' traces
+    in line order, each distinct key decoded once. The next run is read only
+    once the caller has used up the one before, so no more than one run of
+    the file is held."""
     for _, keys, table in _scan(runs):
-        counts = Counter(keys)
         traces = {key: (f[1][-1],) if (f := table[key]) and value_class in (None, f[1][1])
-                  else () for key in counts}
-        yield chain.from_iterable(map(traces.__getitem__, keys) if in_order else
-                                  (traces[key] * n for key, n in counts.items()))
+                  else () for key in dict.fromkeys(keys)}
+        yield chain.from_iterable(map(traces.__getitem__, keys))
 
 
 def render_human(e: ExceptionEvent) -> str:

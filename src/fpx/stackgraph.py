@@ -6,8 +6,8 @@ each caller->callee adjacency adds one to its edge count. Diffs subtract edge
 counts between two graphs built with the same key policy; a policy mismatch is
 a ValueError. DOT output is deterministic so renders and golden files are
 stable. build takes an iterable of traces, in any order: ledger events' traces
-(those of the session a `use_session` block selected), a log's traces grouped
-by line tail, as `fpx cstg` passes them, or parse_trace_text's blocks.
+(those of the session a `use_session` block selected), a log's traces in
+line order, as `fpx cstg` passes them, or parse_trace_text's blocks.
 save_graph writes a graph document and graph_from_json reads its parsed JSON
 back; a malformed document is a GraphFormatError.
 """

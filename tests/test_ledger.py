@@ -2,7 +2,6 @@
 
 import json
 import operator
-import sys
 import threading
 import time
 import tracemalloc
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_threads, thread_changes
 from fpx import fpbits, ledger
 from fpx.classify import EventKind, OpIdentity, ValueClass
 from fpx.injector import RecordingFormatError
@@ -35,28 +35,6 @@ TRACE = (Frame("momentum_u!", "SW/rhs.jl", 246),
 def _record(ledger, kind=EventKind.GEN, value_class=ValueClass.NAN,
             operands=(-INF, -INF), result=NAN, trace=TRACE):
     return ledger.record(kind, value_class, OP_SUB, operands, result, False, lambda: trace)
-
-
-def _run_threads(worker, args):
-    """Runs worker(arg) for each arg, one thread each, started together on a
-    barrier and all switching often."""
-    barrier = threading.Barrier(len(args))
-
-    def run(arg):
-        barrier.wait()
-        worker(arg)
-
-    threads = [threading.Thread(target=run, args=(arg,)) for arg in args]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
 
 
 class TestRecord:
@@ -174,7 +152,7 @@ class TestRecord:
                 ledger.record(kind, ValueClass.NAN, OP_SUB, (-INF, -INF), NAN, False,
                               provider.capture)
 
-        _run_threads(worker, (EventKind.GEN, EventKind.PROP, EventKind.KILL, EventKind.GEN))
+        run_threads(worker, (EventKind.GEN, EventKind.PROP, EventKind.KILL, EventKind.GEN))
         assert [e.seq for e in ledger.events()] == list(range(1, 801))
         assert ledger.counts() == {EventKind.GEN: 400, EventKind.PROP: 200, EventKind.KILL: 200}
         # consecutive captures changed thread about 600 times in 800;
@@ -196,7 +174,7 @@ class TestRecord:
                     ledger.record(kind, (ValueClass.NAN, ValueClass.INF)[(i + offset) % 2],
                                   OP_SUB, (NAN, 1.0), NAN, False, provider.capture)
 
-        _run_threads(worker, range(4))
+        run_threads(worker, range(4))
         assert ledger.counts() == dict.fromkeys(EventKind, cap)
         assert [e.seq for e in ledger.events()] == list(range(1, 3 * cap + 1))
         dropped = ledger.dropped()
@@ -222,7 +200,7 @@ class _SpyProvider:
     @property
     def changes(self):
         """How often consecutive captures came from different threads."""
-        return sum(a != b for a, b in zip(self._captured, self._captured[1:]))
+        return thread_changes(self._captured)
 
     def capture(self):
         if self._yields:

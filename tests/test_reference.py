@@ -24,7 +24,6 @@ import json
 import math
 import operator
 import random
-import sys
 import threading
 import time
 import warnings
@@ -34,6 +33,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_threads, thread_changes
 from fpx import fpbits, tracked
 from fpx.classify import EventKind, OpIdentity, ValueClass, classify, propagate_payload
 from fpx.injector import InjectionConfig, Injector, InjectorMode
@@ -493,42 +493,23 @@ def test_threads_running_programs_at_once_each_match_the_reference(tmp_path, mon
     monkeypatch.setattr(tracked, "_finish", noted)
     rng = random.Random(23)
     work = [_case(rng.getrandbits(64))[:2] for _ in range(24)]
-    barrier = threading.Barrier(2, timeout=30)
-    runs = {}
 
     def worker(k):
-        try:
-            barrier.wait()
-            done = []
-            for program, config in work[k::2]:
-                off = _run_in_session(program, Injector())
-                fuzzed = _run_in_session(program, Injector.fuzz(config))
-                recording = fuzzed[0].injector.recording
-                done.append((program, off, fuzzed, _run_in_session(program,
-                                                                   Injector.replay(recording))))
-            runs[k] = done
-        except BaseException as exc:        # re-raised below, in the test's thread
-            runs[k] = exc
+        done = []
+        for program, config in work[k::2]:
+            off = _run_in_session(program, Injector())
+            fuzzed = _run_in_session(program, Injector.fuzz(config))
+            recording = fuzzed[0].injector.recording
+            done.append((program, off, fuzzed, _run_in_session(program,
+                                                               Injector.replay(recording))))
+        return done
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)             # switch threads every few ops
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            threads = [threading.Thread(target=worker, args=(k,)) for k in (0, 1)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for k in (0, 1):
-        if isinstance(runs[k], BaseException):
-            raise runs[k]
-        assert len(runs[k]) == len(work) // 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = run_threads(worker, (0, 1))
+    for done in runs:
         for program, (off, off_outcomes), (fuzzed, outcomes), (replayed, replayed_outcomes) \
-                in runs[k]:
+                in done:
             _check(off, off_outcomes, *_run_reference(program, {}), tmp_path)
             schedule = {p.op_counter: p.value for p in fuzzed.injector.recording.points}
             reference, expected = _run_reference(program, schedule)
@@ -537,4 +518,4 @@ def test_threads_running_programs_at_once_each_match_the_reference(tmp_path, mon
             assert not replayed.injector.divergences
     # ops through _finish changed thread about 470 times in 550; without
     # the yield, from 6 to 270 times
-    assert sum(a != b for a, b in zip(finished_by, finished_by[1:])) > 100
+    assert thread_changes(finished_by) > 100

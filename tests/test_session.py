@@ -2,32 +2,12 @@
 
 import threading
 
+from conftest import run_threads
 from fpx.classify import EventKind, ValueClass
 from fpx.session import current_session, explicit_session, use_session
 from fpx.tracked import TrackedFloat64
 
 NAN = float("nan")
-
-
-def _run_threads(targets):
-    errors = []
-
-    def guarded(fn):
-        def run():
-            try:
-                fn()
-            except Exception as exc:  # surfaced in the main thread
-                errors.append(exc)
-        return run
-
-    threads = [threading.Thread(target=guarded(fn)) for fn in targets]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
-        assert not t.is_alive()
-    if errors:
-        raise errors[0]
 
 
 def test_threads_keep_their_own_sessions():
@@ -40,15 +20,13 @@ def test_threads_keep_their_own_sessions():
     computed = threading.Barrier(2, timeout=10)
 
     def worker(session):
-        def run():
-            with use_session(session):
-                entered.wait()
-                for _ in range(50):
-                    TrackedFloat64(NAN) + 1.0
-                computed.wait()
-        return run
+        with use_session(session):
+            entered.wait()
+            for _ in range(50):
+                TrackedFloat64(NAN) + 1.0
+            computed.wait()
 
-    _run_threads([worker(s) for s in sessions])
+    run_threads(worker, sessions)
     for session in sessions:
         events = session.ledger.events()
         assert len(events) == 50
@@ -60,10 +38,9 @@ def test_threads_keep_their_own_sessions():
 
 def test_new_thread_starts_on_default_session():
     default = current_session()
-    seen = []
     with use_session(explicit_session()) as mine:
         assert current_session() is mine
-        _run_threads([lambda: seen.append(current_session())])
+        seen = run_threads(lambda _: current_session(), [None])
     assert seen == [default]
     assert current_session() is default
 

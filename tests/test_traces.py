@@ -11,6 +11,7 @@ import time
 import pytest
 
 import fpx
+from conftest import run_threads, thread_changes
 from fpx import fpbits, traces
 from fpx.injector import InjectionConfig, Injector
 from fpx.ledger import Ledger
@@ -62,17 +63,14 @@ class TestExplicitProvider:
 
     def test_scopes_are_thread_local(self):
         p = ExplicitContextProvider()
-        seen = {}
 
-        def worker():
+        def worker(_):
             with p.scope("worker_thread"):
-                seen["trace"] = p.capture()
+                return p.capture()
 
         with p.scope("main_thread"):
-            t = threading.Thread(target=worker)
-            t.start()
-            t.join()
-            assert [f.function for f in seen["trace"]] == ["worker_thread"]
+            [trace] = run_threads(worker, [None])
+            assert [f.function for f in trace] == ["worker_thread"]
             assert [f.function for f in p.capture()] == ["main_thread"]
 
     def test_scopes_are_task_local(self):
@@ -310,8 +308,7 @@ class TestNativeCallSiteTable:
 
     def test_two_threads_share_a_provider(self):
         p = NativeTraceProvider()
-        barrier = threading.Barrier(2)
-        results, rounds = {}, []
+        rounds = []
 
         def leaf():
             return _both(p)
@@ -322,27 +319,21 @@ class TestNativeCallSiteTable:
         def branch_b():
             return [leaf(), _both(p)]
 
-        def worker(name, body):
-            barrier.wait(timeout=30)
-            results[name] = []
+        def worker(body):
+            pairs = []
             for _ in range(200):
                 time.sleep(0)
-                results[name] += body()
-                rounds.append(name)
+                pairs += body()
+                rounds.append(threading.get_ident())
+            return pairs
 
-        threads = [threading.Thread(target=worker, args=("a", branch_a)),
-                   threading.Thread(target=worker, args=("b", branch_b))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-            assert not t.is_alive()
-        self._assert_same(results["a"])
-        self._assert_same(results["b"])
-        assert results["a"][0][0][2].function == "branch_a"
-        assert results["b"][0][0][2].function == "branch_b"
+        a, b = run_threads(worker, (branch_a, branch_b))
+        self._assert_same(a)
+        self._assert_same(b)
+        assert a[0][0][2].function == "branch_a"
+        assert b[0][0][2].function == "branch_b"
         # each round yields, so rounds changed thread 200 to 370 times in 400
-        assert sum(a != b for a, b in zip(rounds, rounds[1:])) > 100
+        assert thread_changes(rounds) > 100
 
     @pytest.mark.parametrize("skip", [(__file__,), ("/nonexistent-prefix",),
                                       (__file__, threading.__file__)])
@@ -420,38 +411,24 @@ class TestNativeCallSiteTable:
         monkeypatch.setattr(traces, "SITE_TABLE_LIMIT", limit)
         p = NativeTraceProvider()
         source = "def many(both, check):\n" + "    check(both())\n" * 200
-        barrier = threading.Barrier(6)
-        failures, checked_by = [], []
+        checked_by = []
 
         def check(pair):
             time.sleep(0)
             checked_by.append(threading.get_ident())
             with p._lock:       # the lock every store takes, so the count is whole
-                counted = _table_size(p) <= p._entries <= limit
-            if pair[0] != pair[1] or not counted:
-                failures.append(pair)
+                assert _table_size(p) <= p._entries <= limit
+            assert pair[0] == pair[1]
 
         def worker(k):
-            barrier.wait(timeout=30)
             for i in range(5):      # fresh code objects, so every site misses
                 _made(source, f"<worker {k} round {i}>", "many")(lambda: _both(p), check)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-                assert not t.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert failures == []
+        run_threads(worker, range(6))
         assert _table_size(p) <= p._entries <= limit
         # each check yields, so checks changed thread about 5,900 times in
         # 6,000; without the yield, 100 to 250 times
-        assert sum(a != b for a, b in zip(checked_by, checked_by[1:])) > 1000
+        assert thread_changes(checked_by) > 1000
 
     def test_stores_yielding_the_gil_interleave_clears_with_walks(self, monkeypatch):
         """Each store yields the GIL, so other threads capture, store and
@@ -470,42 +447,29 @@ class TestNativeCallSiteTable:
         monkeypatch.setattr(NativeTraceProvider, "_store", store)
         p = NativeTraceProvider()
         source = "def many(both, check):\n" + "    check(both())\n" * 40
-        barrier = threading.Barrier(4)
-        failures, captures = [], []
+        captures = []
 
         def check(pair):
             captures.append(pair)
             with p._lock:
-                counted = _table_size(p) <= p._entries <= limit
-            if pair[0] != pair[1] or not counted:
-                failures.append(pair)
+                assert _table_size(p) <= p._entries <= limit
+            assert pair[0] == pair[1]
 
         def repeated():
             return _both(p)
 
         def worker(k):
-            barrier.wait(timeout=30)
             for i in range(10):     # fresh code objects, so every site misses
                 _made(source, f"<worker {k} round {i}>", "many")(lambda: _both(p), check)
                 for _ in range(20):
                     check(repeated())
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-                assert not t.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert failures == [] and len(captures) == 4 * 10 * (40 + 20)
+        run_threads(worker, range(4))
+        assert len(captures) == 4 * 10 * (40 + 20)
         assert _table_size(p) <= p._entries <= limit
         # without the yield, consecutive stores changed thread about a dozen
         # times in 5,000; with it, about 24,000 times in 32,000
-        assert sum(a != b for a, b in zip(stored_by, stored_by[1:])) > 1000
+        assert thread_changes(stored_by) > 1000
 
     def test_a_hit_returns_the_stored_frames(self):
         """Repeated captures of one stack return the very Frame objects the

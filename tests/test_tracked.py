@@ -5,7 +5,6 @@ import copy
 import math
 import pickle
 import random
-import sys
 import threading
 import time
 import warnings
@@ -15,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_threads, thread_changes
 from fpx import fpbits, tracked
 from fpx.classify import (EventKind, OpIdentity, ValueClass, classify,
                           propagate_payload)
@@ -343,22 +343,18 @@ def test_concurrent_apply_serializes_events():
     one = TrackedFloat64(1.0)
     applied_by = []
 
-    def worker():
+    def worker(_):
         with use_session(session):
             for _ in range(100):
                 apply("+", (nan, one))
                 applied_by.append(threading.get_ident())
                 time.sleep(0)
 
-    threads = [threading.Thread(target=worker) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run_threads(worker, range(4))
     events = session.ledger.events()
     assert len(events) == 400
     assert len({e.seq for e in events}) == 400
-    assert sum(a != b for a, b in zip(applied_by, applied_by[1:])) > 100   # about 300 in 400
+    assert thread_changes(applied_by) > 100   # about 300 in 400
 
 
 def _scalar_bits(x):
@@ -1040,7 +1036,7 @@ def test_threads_sharing_an_off_session_count_every_op():
     n_clean, n_nan = 20000, 200
     counted_by = []
 
-    def worker():
+    def worker(_):
         a, one, nan = TrackedFloat64(1.5), TrackedFloat64(1.0), TrackedFloat64(NAN)
         me = threading.get_ident()
         with use_session(session):
@@ -1051,22 +1047,12 @@ def test_threads_sharing_an_off_session_count_every_op():
                     time.sleep(0)
                 if i % (n_clean // n_nan) == 0:
                     nan * one
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    run_threads(worker, range(2))
     assert session.injector.op_counter == 2 * (n_clean + n_nan)
     assert len(session.ledger.events()) == 2 * n_nan
     # yielding every tenth op, consecutive ops changed thread about 2,500
     # times in 40,000; without the yields, 7 to 60 times
-    assert sum(a != b for a, b in zip(counted_by, counted_by[1:])) > 1000
+    assert thread_changes(counted_by) > 1000
 
 
 def test_threads_sharing_the_outcome_table_get_the_bare_bits(monkeypatch):
@@ -1095,7 +1081,6 @@ def test_threads_sharing_the_outcome_table_get_the_bare_bits(monkeypatch):
         pinned_by.append(threading.get_ident())
         return real(operands, raw_result)
     monkeypatch.setattr(tracked, "propagate_payload", pin)
-    failures, threads = [], []
 
     def worker(k):
         rng = random.Random(k)
@@ -1103,28 +1088,13 @@ def test_threads_sharing_the_outcome_table_get_the_bare_bits(monkeypatch):
             for _ in range(3000):
                 a, b = rng.choice(pool)
                 name = rng.choice(list(ARITHMETIC))
-                try:
-                    got = _scalar_bits(unwrap(apply(name, (TrackedFloat64(a), b))))
-                except Exception as exc:        # a thread's error fails the test too
-                    got = exc
-                if got != expected[name, a, b]:
-                    failures.append((name, a, b, got))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert failures == []
-    assert len(tracked._OUTCOMES) <= tracked.OUTCOME_TABLE_LIMIT + len(threads)
+                got = _scalar_bits(unwrap(apply(name, (TrackedFloat64(a), b))))
+                assert got == expected[name, a, b], (name, a, b)
+    run_threads(worker, range(4))
+    assert len(tracked._OUTCOMES) <= tracked.OUTCOME_TABLE_LIMIT + 4
     # without the yield, consecutive pins changed thread about 20 times in
     # 10,500; with it, thousands of times
-    assert sum(a != b for a, b in zip(pinned_by, pinned_by[1:])) > 100
+    assert thread_changes(pinned_by) > 100
 
 
 def test_threads_sharing_a_replay_session_fire_every_point_once():
@@ -1136,9 +1106,9 @@ def test_threads_sharing_a_replay_session_fire_every_point_once():
               for n in range(5, 2 * (n_clean + n_nan), 97)]
     session = explicit_session(injector=Injector.replay(
         InjectionRecording(seed=0, points=points)))
-    injected_by_thread, decided_by = [], []
+    decided_by = []
 
-    def worker():
+    def worker(_):
         a, one, nan = TrackedFloat64(1.5), TrackedFloat64(1.0), TrackedFloat64(NAN)
         injected, me = 0, threading.get_ident()
         with use_session(session):
@@ -1149,26 +1119,16 @@ def test_threads_sharing_a_replay_session_fire_every_point_once():
                     time.sleep(0)
                 if i % (n_clean // n_nan) == 0:
                     nan + one
-        injected_by_thread.append(injected)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
+        return injected
+    injected_by_thread = run_threads(worker, range(2))
     injector = session.injector
-    assert not any(t.is_alive() for t in threads)
     assert injector.op_counter == 2 * (n_clean + n_nan)
     assert injector.unconsumed_points() == [] and injector.divergences == []
     assert injector.injected_so_far == len(points)
     assert sum(e.injected for e in session.ledger.events()) == len(points)
     assert all(injected_by_thread)
     # about 2,800 times in 40,000, as in the OFF test above
-    assert sum(a != b for a, b in zip(decided_by, decided_by[1:])) > 1000
+    assert thread_changes(decided_by) > 1000
 
 
 def test_replay_shifted_onto_another_op_in_one_scope_is_a_divergence():
