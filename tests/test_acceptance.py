@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from conftest import ROWS, WIDTHS
 from fpx import fpbits, stackgraph
 from fpx.classify import (EventKind, OpIdentity, ValueClass, classify,
                           is_exceptional)
@@ -19,8 +20,7 @@ from fpx.demos import demo_loop_kill, demo_max, demo_sim
 from fpx.injector import InjectionConfig, Injector, save_recording, load_recording
 from fpx.ledger import Ledger, LedgerConfig, render_human
 from fpx.session import explicit_session, use_session
-from fpx.tracked import (TrackedFloat16, TrackedFloat32, TrackedFloat64,
-                         apply, unwrap)
+from fpx.tracked import TrackedFloat64, apply, unwrap
 from fpx.traces import Frame
 
 NAN = float("nan")
@@ -193,17 +193,8 @@ def test_criterion_7_replay_determinism(tmp_path):
     assert done_in_time()
 
 
-# plain-scalar oracle table, independent of the tracked pipeline
-_PLAIN = {
-    ("+", 2): np.add, ("-", 2): np.subtract, ("*", 2): np.multiply,
-    ("/", 2): np.divide, ("pow", 2): np.power, ("min", 2): np.minimum,
-    ("max", 2): np.maximum, ("atan2", 2): np.arctan2, ("hypot", 2): np.hypot,
-    ("rem", 2): np.fmod,
-    ("-", 1): np.negative, ("abs", 1): np.abs, ("sqrt", 1): np.sqrt,
-    ("exp", 1): np.exp, ("log", 1): np.log, ("sin", 1): np.sin,
-    ("cos", 1): np.cos, ("tan", 1): np.tan, ("floor", 1): np.floor,
-    ("ceil", 1): np.ceil,
-}
+# the plain-scalar oracle, independent of the tracked pipeline
+_PLAIN = {key: ufunc for key, (ufunc, _, _, comparison) in ROWS.items() if not comparison}
 _OPS = sorted(_PLAIN, key=str)
 
 _COMMON_LEAVES = [0.0, -0.0, 1.0, -1.0, 2.5, -3.75, 0.5, 1234.5678, INF, -INF, NAN]
@@ -214,8 +205,6 @@ _LEAVES = {
     32: _COMMON_LEAVES + [1e38, -1e38, 1e-44],
     16: _COMMON_LEAVES + [60000.0, -60000.0, 6e-8],
 }
-_TRACKED_CLS = {64: TrackedFloat64, 32: TrackedFloat32, 16: TrackedFloat16}
-_NP_TYPE = {64: np.float64, 32: np.float32, 16: np.float16}
 
 
 def _random_dag(rng, width):
@@ -231,7 +220,7 @@ def _random_dag(rng, width):
 
 
 def _eval_plain(leaves, program, width):
-    np_type = _NP_TYPE[width]
+    np_type = WIDTHS[width][1]
     values = [np_type(x) for x in leaves]
     with np.errstate(all="ignore"):
         for (name, arity), args in program:
@@ -240,7 +229,7 @@ def _eval_plain(leaves, program, width):
 
 
 def _eval_tracked(leaves, program, width, session):
-    cls = _TRACKED_CLS[width]
+    cls = WIDTHS[width][0]
     values = [cls(x) for x in leaves]
     with use_session(session):
         for (name, _), args in program:

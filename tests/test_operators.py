@@ -1,54 +1,34 @@
 """Operator wiring: every operator method and numpy ufunc reaches the
 registry row it names, with its operands in the right order.
 
-The expected wiring is written out here, independent of the operation table
-in tracked.py, so a row whose methods name the wrong operation, or a
-reflected method that passes its operands unswapped, fails.
+The expected wiring is the op oracle of tests/conftest.py, written
+independently of the operation table in tracked.py, so a row whose methods
+name the wrong operation, or a reflected method that passes its operands
+unswapped, fails.
 """
 
 import dataclasses
 import inspect
-import operator
 
 import numpy as np
 import pytest
 
 import fpx
+from conftest import MIRRORED, ROWS, WIDTHS, assert_matches_apply
 from fpx import demos, fpbits
-from fpx.injector import InjectionConfig, InjectionRecording, Injector
+from fpx.injector import InjectionConfig, Injector
 from fpx.session import explicit_session, use_session
-from fpx.tracked import (_OPERATIONS, _REGISTRY, TrackedFloat16, TrackedFloat32,
-                         TrackedFloat64, apply, unwrap)
+from fpx.tracked import _OPERATIONS, _REGISTRY, TrackedFloat64, apply
 
 INF = float("inf")
 
-# Python syntax that must reach each operator row, forward (tracked on the left).
-OPERATORS = {
-    ("+", 2): operator.add, ("-", 2): operator.sub, ("*", 2): operator.mul,
-    ("/", 2): operator.truediv, ("pow", 2): operator.pow,
-    ("<", 2): operator.lt, ("<=", 2): operator.le, (">", 2): operator.gt,
-    (">=", 2): operator.ge, ("==", 2): operator.eq, ("!=", 2): operator.ne,
-    ("-", 1): operator.neg, ("abs", 1): abs, ("bool", 1): bool,
-}
-# With a Python number on the left, Python calls the tracked operand's
-# reflected method; a comparison reflects to its mirror image. A numpy scalar
-# on the left calls numpy's ufunc, which keeps the operands in order.
-MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
+# Python syntax that must reach each operator row, forward (tracked on the
+# left). With a Python number on the left, Python calls the tracked operand's
+# reflected method, the mirror image of a comparison.
+OPERATORS = {key: pyop for key, (_, pyop, _, _) in ROWS.items() if pyop is not None}
 # numpy's ufunc of every row but the truth test, whose np.bool_ is a type;
 # it is the only name of each row that backs no operator.
-UFUNCS = {
-    ("+", 2): np.add, ("-", 2): np.subtract, ("*", 2): np.multiply,
-    ("/", 2): np.divide, ("pow", 2): np.power, ("min", 2): np.minimum,
-    ("max", 2): np.maximum, ("atan2", 2): np.arctan2, ("hypot", 2): np.hypot,
-    ("rem", 2): np.fmod, ("-", 1): np.negative, ("abs", 1): np.absolute,
-    ("sqrt", 1): np.sqrt, ("exp", 1): np.exp, ("log", 1): np.log, ("sin", 1): np.sin,
-    ("cos", 1): np.cos, ("tan", 1): np.tan, ("floor", 1): np.floor, ("ceil", 1): np.ceil,
-    ("<", 2): np.less, ("<=", 2): np.less_equal, (">", 2): np.greater,
-    (">=", 2): np.greater_equal, ("==", 2): np.equal, ("!=", 2): np.not_equal,
-}
-
-WIDTHS = ((TrackedFloat64, np.float64), (TrackedFloat32, np.float32),
-          (TrackedFloat16, np.float16))
+UFUNCS = {key: ufunc for key, (ufunc, *_) in ROWS.items() if isinstance(ufunc, np.ufunc)}
 # Plain operands on either side of a tracked one: with a plain number on the
 # left, a reflected method that swapped its operands would compute 1.5 - 3.0
 # for 3.0 - 1.5. Ints past 2**53 round at float64 and overflow the narrow
@@ -58,55 +38,12 @@ PLAIN = (3.0, -0.5, 2, INF, 0, 1, -1, 2**53, -2**53, 2**53 + 1, 10**400,
          np.float64(2.5), np.float32(-0.75), np.float16(3.0), np.int32(7))
 
 
-def _bits(x):
-    if isinstance(x, (bool, np.bool_)):
-        return ("bool", bool(x))
-    return (fpbits.width_of(x), fpbits.to_bits(x))
-
-
-def _tracked_pool(cls, np_type):
-    values = [np_type(1.5), np_type(-2.0), np_type(0.0), np_type(-0.0),
-              np_type(INF), np_type(-INF),
-              fpbits.nan_with_payload(0x2B, np.dtype(np_type).itemsize * 8)]
-    return [cls(v) for v in values]
-
-
-def _run(calls, injector):
-    """Result bits, or the OverflowError raised, per call, then the events,
-    op count and injection points of the whole program."""
-    session = explicit_session(injector=injector)
-    outcomes = []
-    with use_session(session):
-        for call in calls:
-            try:
-                result = call()
-            except OverflowError as e:
-                outcomes.append(("raises", str(e)))
-                continue
-            if not isinstance(result, bool):
-                assert isinstance(result, fpx.TrackedFloat)
-            outcomes.append(_bits(unwrap(result)))
-    events = [(e.seq, e.op, tuple(map(_bits, e.operands)), _bits(e.result), e.kind,
-               e.value_class, e.injected) for e in session.ledger.events()]
-    return outcomes, events, session.injector.op_counter, session.injector.recording.points
-
-
-def _assert_matches_apply(calls, applied):
-    """The calls give the results, events, op numbers and injection points of
-    the apply calls they stand for, with injection off, under a fuzz injector
-    that fires on some ops, and under replay of its recording."""
-    assert _run(calls, Injector()) == _run(applied, Injector())
-    fuzz = InjectionConfig(odds=3, n_inject=len(calls), seed=16)
-    expected = _run(applied, Injector(fuzz))
-    assert _run(calls, Injector(fuzz)) == expected
-    recording = InjectionRecording(seed=fuzz.seed, points=expected[3])
-    replayed = _run(calls, Injector(recording=recording))
-    assert replayed == _run(applied, Injector(recording=recording))
-    assert replayed[:3] == expected[:3]
-
-
-def _cases(arity, cls, np_type):
-    tracked = _tracked_pool(cls, np_type)
+def _cases(arity, width):
+    """Every operand tuple of a row at a width: tracked values of the width,
+    with a plain operand on either side of a binary row."""
+    cls, np_type = WIDTHS[width]
+    tracked = [cls(np_type(v)) for v in (1.5, -2.0, 0.0, -0.0, INF, -INF)]
+    tracked.append(cls(fpbits.nan_with_payload(0x2B, width)))
     if arity == 1:
         return [(t,) for t in tracked]
     return ([(a, b) for a in tracked for b in tracked]
@@ -114,53 +51,49 @@ def _cases(arity, cls, np_type):
             + [(p, t) for p in PLAIN for t in tracked])
 
 
+def _fuzz(calls):
+    """A fuzz config that fires on some of the calls' ops."""
+    return (InjectionConfig(odds=3, n_inject=len(calls), seed=16),)
+
+
 def test_every_row_is_wired_once():
-    """The table installs only dunders, and exactly the rows with an operator
-    back one; every other row is its ufunc's."""
-    assert sorted(OPERATORS.keys() | UFUNCS.keys(), key=str) == sorted(_REGISTRY, key=str)
+    """The oracle names every row in the table's order, the table installs
+    only dunders, and exactly the rows with an operator back one; every
+    other row is its ufunc's."""
+    assert list(ROWS) == [row[:2] for row in _OPERATIONS]
     assert UFUNCS.keys() == _REGISTRY.keys() - {("bool", 1)}
     for name, arity, _, _, methods, _ in _OPERATIONS:
         assert all(m[:2] == m[-2:] == "__" for m in methods.split()), methods
         assert bool(methods) == ((name, arity) in OPERATORS), name
 
 
-@pytest.mark.parametrize("width", range(len(WIDTHS)), ids=("f64", "f32", "f16"))
+@pytest.mark.parametrize("width", WIDTHS, ids=lambda width: f"f{width}")
 @pytest.mark.parametrize("name_arity", sorted(OPERATORS, key=str), ids=str)
 def test_operator_methods_match_apply(name_arity, width):
     name, arity = name_arity
-    cls, np_type = WIDTHS[width]
     python_op = OPERATORS[name_arity]
     calls, applied = [], []
-    for operands in _cases(arity, cls, np_type):
+    for operands in _cases(arity, width):
         reached, args = name, operands
         if name in MIRRORED and not isinstance(operands[0], (fpx.TrackedFloat, np.generic)):
             reached, args = MIRRORED[name], operands[::-1]
         # a reflected arithmetic method keeps the plain left operand first
         calls.append(lambda o=operands: python_op(*o))
         applied.append(lambda r=reached, a=args: apply(r, a))
-    _assert_matches_apply(calls, applied)
+    assert_matches_apply(calls, applied, _fuzz(calls))
 
 
-@pytest.mark.parametrize("width", range(len(WIDTHS)), ids=("f64", "f32", "f16"))
-@pytest.mark.parametrize("name_arity", sorted(UFUNCS.keys() - OPERATORS.keys(), key=str),
-                         ids=str)
-def test_public_functions_match_apply(name_arity, width):
-    """A row that backs no operator, sqrt or maximum say, runs under
-    numpy's name as apply runs it."""
-    test_numpy_ufuncs_match_apply(name_arity, width)
-
-
-@pytest.mark.parametrize("width", range(len(WIDTHS)), ids=("f64", "f32", "f16"))
-@pytest.mark.parametrize("name_arity", sorted(OPERATORS.keys() & UFUNCS.keys(), key=str), ids=str)
+@pytest.mark.parametrize("width", WIDTHS, ids=lambda width: f"f{width}")
+@pytest.mark.parametrize("name_arity", sorted(UFUNCS, key=str), ids=str)
 def test_numpy_ufuncs_match_apply(name_arity, width):
-    """numpy's own name of an operator row runs the row over tracked values,
-    with a plain operand of any kind on either side kept in its place."""
+    """numpy's own name of a row runs the row over tracked values, with a
+    plain operand of any kind on either side kept in its place; a row that
+    backs no operator, sqrt or maximum say, has no other name."""
     name, arity = name_arity
-    cls, np_type = WIDTHS[width]
     ufunc = UFUNCS[name_arity]
-    cases = _cases(arity, cls, np_type)
-    _assert_matches_apply([lambda o=o: ufunc(*o) for o in cases],
-                          [lambda o=o: apply(name, o) for o in cases])
+    cases = _cases(arity, width)
+    calls = [lambda o=o: ufunc(*o) for o in cases]
+    assert_matches_apply(calls, [lambda o=o: apply(name, o) for o in cases], _fuzz(calls))
 
 
 def test_numpy_entry_refuses_what_it_does_not_map():

@@ -22,7 +22,6 @@ result, op number or injection point.
 import contextlib
 import json
 import math
-import operator
 import random
 import threading
 import time
@@ -33,53 +32,19 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_threads, thread_changes
+from conftest import MIRRORED, ROWS, WIDTHS, run_threads, thread_changes
 from fpx import fpbits, tracked
 from fpx.classify import EventKind, OpIdentity, ValueClass, classify, propagate_payload
 from fpx.injector import InjectionConfig, Injector, InjectorMode
 from fpx.ledger import FILE_BY_KIND, ExceptionEvent, LedgerConfig
 from fpx.session import explicit_session, use_session
 from fpx.traces import Frame, trace_fingerprint
-from fpx.tracked import TrackedFloat, TrackedFloat16, TrackedFloat32, TrackedFloat64
+from fpx.tracked import TrackedFloat
 
-# (name, arity) -> (ufunc, Python operator, reflected dunder); a row without
-# an operator is reached by its ufunc, the "function" form.
-ROWS = {
-    ("+", 2): (np.add, operator.add, "__radd__"),
-    ("-", 2): (np.subtract, operator.sub, "__rsub__"),
-    ("*", 2): (np.multiply, operator.mul, "__rmul__"),
-    ("/", 2): (np.divide, operator.truediv, "__rtruediv__"),
-    ("pow", 2): (np.power, operator.pow, "__rpow__"),
-    ("min", 2): (np.minimum, None, None),
-    ("max", 2): (np.maximum, None, None),
-    ("atan2", 2): (np.arctan2, None, None),
-    ("hypot", 2): (np.hypot, None, None),
-    ("rem", 2): (np.fmod, None, None),
-    ("-", 1): (np.negative, operator.neg, None),
-    ("abs", 1): (np.abs, abs, None),
-    ("sqrt", 1): (np.sqrt, None, None),
-    ("exp", 1): (np.exp, None, None),
-    ("log", 1): (np.log, None, None),
-    ("sin", 1): (np.sin, None, None),
-    ("cos", 1): (np.cos, None, None),
-    ("tan", 1): (np.tan, None, None),
-    ("floor", 1): (np.floor, None, None),
-    ("ceil", 1): (np.ceil, None, None),
-    ("<", 2): (np.less, operator.lt, None),
-    ("<=", 2): (np.less_equal, operator.le, None),
-    (">", 2): (np.greater, operator.gt, None),
-    (">=", 2): (np.greater_equal, operator.ge, None),
-    ("==", 2): (np.equal, operator.eq, None),
-    ("!=", 2): (np.not_equal, operator.ne, None),
-    ("bool", 1): (np.bool_, bool, None),
-}
-COMPARISONS = {"<", "<=", ">", ">=", "==", "!=", "bool"}
-# A comparison whose left operand is a Python number runs as the right one's
-# reflected method: x < t is t > x. A numpy scalar on the left runs numpy's
-# ufunc, which keeps the order.
-REFLECTED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
-CLASSES = {64: TrackedFloat64, 32: TrackedFloat32, 16: TrackedFloat16}
-STORE = {64: float, 32: np.float32, 16: np.float16}
+COMPARISONS = {name for (name, _), (_, _, _, comparison) in ROWS.items() if comparison}
+CLASSES = {width: cls for width, (cls, _) in WIDTHS.items()}
+# the type a value of each width is stored as: a Python float at float64
+STORE = {**{width: np_type for width, (_, np_type) in WIDTHS.items()}, 64: float}
 CAST = OpIdentity("cast", 1)
 
 MAX64 = 1.7976931348623157e308
@@ -240,7 +205,7 @@ def _call(stmt, env, palette, ref=None):
         return ref.construct(width, value) if ref else CLASSES[width](value)
     _, name, form, refs = stmt
     xs = [_operand(env, palette, r) for r in refs]
-    ufunc, pyop, rdunder = ROWS[name, len(xs)]
+    ufunc, pyop, rdunder, _ = ROWS[name, len(xs)]
     if ref is None:
         if form == "operator":
             return pyop(*xs)
@@ -249,9 +214,9 @@ def _call(stmt, env, palette, ref=None):
         if form == "function":
             return ufunc(*xs)
         return tracked.apply(name, tuple(xs))
-    if form == "operator" and name in REFLECTED and not isinstance(xs[0], (TrackedFloat,
-                                                                            np.generic)):
-        name, xs = REFLECTED[name], xs[::-1]
+    if form == "operator" and name in MIRRORED and not isinstance(xs[0], (TrackedFloat,
+                                                                           np.generic)):
+        name, xs = MIRRORED[name], xs[::-1]
     return ref.op(name, xs)
 
 
@@ -371,7 +336,7 @@ _ROW_CHOICES = [row for row in ROWS.items()
 def _statement(rng, widths):
     if rng.random() < 0.2:
         return "new", rng.choice(widths), _ref(rng, rng.random() < 0.5)
-    (name, arity), (_, pyop, rdunder) = rng.choice(_ROW_CHOICES)
+    (name, arity), (_, pyop, rdunder, _) = rng.choice(_ROW_CHOICES)
     forms = ["apply"] + ["operator"] * 3 * (pyop is not None)
     forms += ["reflected"] * 2 * (rdunder is not None) + ["function"] * 2 * (pyop is None)
     form = rng.choice(forms)

@@ -1,4 +1,6 @@
-"""Tracked scalar semantics: the intercept pipeline, transparency, payloads."""
+"""Tracked scalar semantics: the intercept pipeline, transparency, payloads.
+Transparency over random programs and the payload chain are acceptance
+criteria 8 and 9."""
 
 import contextlib
 import copy
@@ -11,17 +13,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import run_threads, thread_changes
+from conftest import (ROWS, WIDTHS, assert_matches_apply, run_threads, scalar_bits,
+                      thread_changes)
 from fpx import fpbits, tracked
 from fpx.classify import (EventKind, OpIdentity, ValueClass, classify,
                           propagate_payload)
 from fpx.fpbits import _pack_dd, _unpack_qq
 from fpx.injector import (InjectionConfig, InjectionRecording, Injector, RecordedInjection,
                           ReplayDivergenceWarning, load_recording, save_recording)
-from fpx.ledger import LedgerConfig
 from fpx.session import explicit_session, use_session
 from fpx.traces import trace_fingerprint
 from fpx.tracked import (_REGISTRY, TrackedFloat, TrackedFloat16,
@@ -30,64 +32,11 @@ from fpx.tracked import (_REGISTRY, TrackedFloat, TrackedFloat16,
 NAN = float("nan")
 INF = float("inf")
 
-
-# Plain-scalar oracle: the same IEEE substrate, used directly, no pipeline.
-PLAIN = {
-    ("+", 2): np.add, ("-", 2): np.subtract, ("*", 2): np.multiply,
-    ("/", 2): np.divide, ("pow", 2): np.power, ("min", 2): np.minimum,
-    ("max", 2): np.maximum, ("atan2", 2): np.arctan2, ("hypot", 2): np.hypot,
-    ("rem", 2): np.fmod,
-    ("-", 1): np.negative, ("abs", 1): np.abs, ("sqrt", 1): np.sqrt,
-    ("exp", 1): np.exp, ("log", 1): np.log, ("sin", 1): np.sin,
-    ("cos", 1): np.cos, ("tan", 1): np.tan, ("floor", 1): np.floor,
-    ("ceil", 1): np.ceil,
-}
-
-NUMERIC_OPS = sorted(PLAIN, key=str)
-COMPARISONS = {
-    ("<", 2): np.less, ("<=", 2): np.less_equal, (">", 2): np.greater,
-    (">=", 2): np.greater_equal, ("==", 2): np.equal, ("!=", 2): np.not_equal,
-    ("bool", 1): np.bool_,      # truth: comparison semantics
-}
-REFERENCE = {**PLAIN, **COMPARISONS}
-WIDTHS = {64: (TrackedFloat64, np.float64), 32: (TrackedFloat32, np.float32),
-          16: (TrackedFloat16, np.float16)}
-
-
-def plain_eval(leaves, program, np_type):
-    values = [np_type(x) for x in leaves]
-    with np.errstate(all="ignore"):
-        for name_arity, arg_indexes in program:
-            fn = PLAIN[name_arity]
-            values.append(fn(*(values[i] for i in arg_indexes)))
-    return values
-
-
-def tracked_eval(leaves, program, cls):
-    session = explicit_session(LedgerConfig(log_kinds=frozenset()))
-    values = [cls(x) for x in leaves]
-    with use_session(session):
-        for (name, _), arg_indexes in program:
-            values.append(apply(name, tuple(values[i] for i in arg_indexes)))
-    return [unwrap(v) for v in values]
-
-
-def random_program(rng, n_ops):
-    """Op list over an implicit node list seeded with 4 leaves."""
-    program = []
-    size = 4
-    for _ in range(n_ops):
-        name, arity = rng.choice(NUMERIC_OPS)
-        program.append(((name, arity), tuple(rng.randrange(size) for _ in range(arity))))
-        size += 1
-    return program
-
-
+COMPARISONS = {key for key, (_, _, _, comparison) in ROWS.items() if comparison}
 LEAF_POOL_64 = [
     0.0, -0.0, 1.0, -1.0, 2.5, -3.75, 1e-300, -1e308, 1e308, 0.5, 1234.5678,
     INF, -INF, NAN, 5e-324,
 ]
-PAYLOAD_LEAVES_64 = [fpbits.nan_with_payload(0x123), fpbits.nan_with_payload(0xBEEF)]
 
 
 def test_wrap_unwrap_bit_identity():
@@ -278,44 +227,6 @@ def test_numpy_does_not_absorb_tracked(session):
     assert unwrap(r) == 6.0
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_numeric_transparency_property(data):
-    """Random DAGs, depth <= 8: tracked (injection off) == plain, bit for bit."""
-    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    leaves = [rng.choice(LEAF_POOL_64 + PAYLOAD_LEAVES_64) for _ in range(4)]
-    program = random_program(rng, rng.randint(1, 8))
-    plain = plain_eval(leaves, program, np.float64)
-    tracked = tracked_eval(leaves, program, TrackedFloat64)
-    for p, t in zip(plain, tracked):
-        assert fpbits.to_bits(float(p)) == fpbits.to_bits(float(t))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_payload_conservation_chain(data):
-    """A payload NaN pushed through a random op chain keeps its payload
-    whenever the result is NaN and no other NaN was generated."""
-    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    payload = data.draw(st.integers(1, (1 << 51) - 1))
-    session = explicit_session()
-    value = TrackedFloat64(fpbits.nan_with_payload(payload))
-    with use_session(session):
-        for _ in range(20):
-            name, arity = NUMERIC_OPS[rng.randrange(len(NUMERIC_OPS))]
-            if arity == 1:
-                value = apply(name, (value,))
-            else:
-                other = TrackedFloat64(rng.uniform(-10.0, 10.0))
-                operands = (value, other) if rng.random() < 0.5 else (other, value)
-                value = apply(name, operands)
-    result = unwrap(value)
-    gens = [e for e in session.ledger.events(kind=EventKind.GEN)
-            if e.value_class is ValueClass.NAN]
-    if math.isnan(result) and not gens:
-        assert fpbits.nan_payload(result) == payload
-
-
 def test_tracked_float16_round_trip():
     t = TrackedFloat16(1.5)
     assert isinstance(unwrap(t), np.float16)
@@ -357,17 +268,11 @@ def test_concurrent_apply_serializes_events():
     assert thread_changes(applied_by) > 100   # about 300 in 400
 
 
-def _scalar_bits(x):
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    return (fpbits.width_of(x), fpbits.to_bits(x))
-
-
 def _predicted(name_arity, operands, np_type):
     """Bare-ufunc result, NaN payload pinned to its source as the pipeline
     does, and the (kind, class) events classify predicts for it, after an Inf
     gen of the cast for each finite operand too big for the width."""
-    impl = REFERENCE[name_arity]
+    impl = ROWS[name_arity][0]      # the plain-scalar oracle, no pipeline
     with np.errstate(all="ignore"):
         xs = tuple(np_type(unwrap(o)) for o in operands)
         raw = impl(*xs)
@@ -375,10 +280,10 @@ def _predicted(name_arity, operands, np_type):
     if name_arity not in COMPARISONS:
         raw = propagate_payload(xs, raw)
     events = [(EventKind.GEN, ValueClass.INF, OpIdentity("cast", 1),
-               (_scalar_bits(np.float64(unwrap(o))),), _scalar_bits(x))
+               (scalar_bits(np.float64(unwrap(o))),), scalar_bits(x))
               for o, x in zip(operands, xs)
               if math.isinf(x) and math.isfinite(np.float64(unwrap(o)))]
-    events += [(kind, vc, op, tuple(map(_scalar_bits, xs)), _scalar_bits(raw))
+    events += [(kind, vc, op, tuple(map(scalar_bits, xs)), scalar_bits(raw))
                for vc in (ValueClass.NAN, ValueClass.INF)
                if (kind := classify(vc, xs, raw)) is not None]
     return raw, events
@@ -390,15 +295,15 @@ def _observed(name_arity, operands):
         result = apply(name_arity[0], operands)
     if not isinstance(result, bool):
         assert type(result._value) is type(result)._store
-    events = [(e.kind, e.value_class, e.op, tuple(map(_scalar_bits, e.operands)),
-               _scalar_bits(e.result)) for e in session.ledger.events()]
+    events = [(e.kind, e.value_class, e.op, tuple(map(scalar_bits, e.operands)),
+               scalar_bits(e.result)) for e in session.ledger.events()]
     return unwrap(result), events
 
 
 def _check_against_reference(name_arity, operands, np_type):
     expected, expected_events = _predicted(name_arity, operands, np_type)
     result, events = _observed(name_arity, operands)
-    assert _scalar_bits(result) == _scalar_bits(expected), (name_arity, operands)
+    assert scalar_bits(result) == scalar_bits(expected), (name_arity, operands)
     assert events == expected_events, (name_arity, operands)
     return events
 
@@ -607,23 +512,6 @@ def _fused_cases(arity):
                     (TrackedFloat16(2.0), 2**53 + 1), (TrackedFloat32(1.5), np.float16(3.0))]
 
 
-def _fused_run(calls, injector):
-    """Result bits and types, or the OverflowError raised, then the events, op
-    count and recording of one program."""
-    session = explicit_session(injector=injector)
-    bits = []
-    with use_session(session):
-        for call in calls:
-            try:
-                r = call()
-            except OverflowError as e:
-                bits.append((OverflowError, str(e)))
-            else:
-                bits.append((type(r), _scalar_bits(unwrap(r))))
-    return (bits, session.ledger.events(), session.injector.op_counter,
-            session.injector.recording.points)
-
-
 @pytest.mark.parametrize("dunder", sorted(FUSED))
 def test_fused_methods_match_apply(dunder):
     """A fused operator method gives apply's result bits, events and op count
@@ -638,25 +526,14 @@ def test_fused_methods_match_apply(dunder):
                 for c in cases]
     applied = [lambda o=o: apply(name, o) for o in operands]
     # odds=1 fires on every op until its budget ends; odds=3 fires on some
-    fuzzes = (InjectionConfig(odds=1, n_inject=len(cases) // 2, seed=5),
-              InjectionConfig(odds=3, n_inject=len(cases), seed=7))
-    points = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert _fused_run(fused, Injector()) == _fused_run(applied, Injector())
-        for fuzz in fuzzes:
-            expected = _fused_run(applied, Injector.fuzz(fuzz))
-            assert _fused_run(fused, Injector.fuzz(fuzz)) == expected, (dunder, fuzz)
-            recording = InjectionRecording(seed=fuzz.seed, points=expected[3])
-            replayed = _fused_run(fused, Injector.replay(recording))
-            assert replayed == _fused_run(applied, Injector.replay(recording))
-            assert replayed[:3] == expected[:3]
-            points.append(len(expected[3]))
+    every, some = assert_matches_apply(fused, applied, (
+        InjectionConfig(odds=1, n_inject=len(cases) // 2, seed=5),
+        InjectionConfig(odds=3, n_inject=len(cases), seed=7)))
     if (name, arity) not in COMPARISONS:
-        raised = sum(r[0] is OverflowError for r in expected[0])
+        raised = sum(r[0] is OverflowError for r in some[0])
         assert raised == (4 if arity == 2 else 0)        # 10**400 after each of 4 values
-        assert expected[2] == len(cases) - raised
-        assert points[0] == len(cases) // 2 and 0 < points[1] < len(cases)
+        assert some[2] == len(cases) - raised
+        assert len(every[3]) == len(cases) // 2 and 0 < len(some[3]) < len(cases)
 
 
 # NaN and Inf operands for the substrate rule: two NaNs of opposite signs and
@@ -706,10 +583,10 @@ def test_nan_and_inf_operands_match_the_bare_ufunc(name_arity):
                     with use_session(session):
                         result = getattr(self, dunder)(*other)
                     assert np.geterr() == raising
-                    assert _scalar_bits(unwrap(result)) == _scalar_bits(expected), (
+                    assert scalar_bits(unwrap(result)) == scalar_bits(expected), (
                         dunder, operands)
-                    assert [(e.kind, e.value_class, e.op, tuple(map(_scalar_bits, e.operands)),
-                             _scalar_bits(e.result)) for e in session.ledger.events()
+                    assert [(e.kind, e.value_class, e.op, tuple(map(scalar_bits, e.operands)),
+                             scalar_bits(e.result)) for e in session.ledger.events()
                             ] == expected_events, (dunder, operands)
     finally:
         np.seterr(**caller)
@@ -734,7 +611,7 @@ def test_a_finite_sum_difference_or_product_has_finite_operands(name):
 # Every ordered pair of the pool's NaNs: quiet/quiet, quiet/signalling and
 # signalling/signalling, with both signs.
 NAN_PAIRS = [(a, b) for a in SPECIAL_FLOAT64 for b in SPECIAL_FLOAT64 if a != a and b != b]
-ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+ARITHMETIC = {name: ROWS[name, 2][0] for name in ("+", "-", "*", "/")}
 
 
 def _two_nan_calls(a, b, name):
@@ -765,7 +642,7 @@ def test_two_nan_arithmetic_keeps_the_caller_numpy_state(caller):
                         with np.errstate(all="ignore"):
                             bare = propagate_payload((a, b), ufunc(a, b))
                         for call in _two_nan_calls(a, b, name):
-                            assert _scalar_bits(unwrap(call())) == _scalar_bits(bare), (
+                            assert scalar_bits(unwrap(call())) == scalar_bits(bare), (
                                 name, a, b)
                             assert np.geterr() == state
     finally:
@@ -790,7 +667,7 @@ SIGNALLING = fpbits.from_bits(0x7FF0000000000ABC)
 
 def _bare_two_nan_bits(a, b, name):
     with np.errstate(all="ignore"):
-        return _scalar_bits(propagate_payload((a, b), ARITHMETIC[name](a, b)))
+        return scalar_bits(propagate_payload((a, b), ARITHMETIC[name](a, b)))
 
 
 def test_remembered_two_quiet_nan_results_are_the_bare_ufunc_bits(monkeypatch):
@@ -811,7 +688,7 @@ def test_remembered_two_quiet_nan_results_are_the_bare_ufunc_bits(monkeypatch):
                         if cleared:
                             tracked._OUTCOMES.clear()
                         entered.clear()
-                        results.append(_scalar_bits(unwrap(call())))
+                        results.append(scalar_bits(unwrap(call())))
                         assert entered == ([{"all": "ignore"}] if cleared else []), (
                             name, a, b, cleared)
                     assert results == [bare] * 3, (name, a, b)
@@ -829,7 +706,7 @@ def test_outcome_table_holds_every_exceptional_set_and_is_cleared_past_its_limit
     with use_session(explicit_session()):
         for k in range(1, 9):
             a, b = fpbits.nan_with_payload(k), fpbits.nan_with_payload(k + 100)
-            assert _scalar_bits(unwrap(TrackedFloat64(a) * b)) == _bare_two_nan_bits(a, b, "*")
+            assert scalar_bits(unwrap(TrackedFloat64(a) * b)) == _bare_two_nan_bits(a, b, "*")
             sizes.append(len(tracked._OUTCOMES))
         assert sizes == [1, 2, 3, 1, 2, 3, 1, 2]
         monkeypatch.setattr(tracked, "OUTCOME_TABLE_LIMIT", 10**6)
@@ -882,9 +759,9 @@ def test_remembered_two_nan_result_keeps_a_raising_numpy_state(monkeypatch):
             assert np.geterr() == raising
         finally:
             np.seterr(**caller)
-    assert _scalar_bits(unwrap(result)) == _bare_two_nan_bits(a, b, "/")
+    assert scalar_bits(unwrap(result)) == _bare_two_nan_bits(a, b, "/")
     with np.errstate(all="ignore"):
-        assert _scalar_bits(unwrap(log)) == _scalar_bits(np.log(-INF))
+        assert scalar_bits(unwrap(log)) == scalar_bits(np.log(-INF))
 
 
 def _counting_row(monkeypatch, name, arity, calls):
@@ -922,7 +799,7 @@ def test_outcome_table_hit_calls_neither_the_ufunc_nor_the_pin(monkeypatch):
                     pins.clear()
                     hit = call()
                     assert pins == [], (name, a, b)
-                    assert _scalar_bits(unwrap(miss)) == _scalar_bits(unwrap(hit)) == bare
+                    assert scalar_bits(unwrap(miss)) == scalar_bits(unwrap(hit)) == bare
         calls = []
         _counting_row(monkeypatch, "*", 2, calls)
         _counting_row(monkeypatch, "pow", 2, calls)
@@ -938,7 +815,7 @@ def test_outcome_table_hit_calls_neither_the_ufunc_nor_the_pin(monkeypatch):
                 pins.clear()
                 hit = apply(name, tuple(map(TrackedFloat64, xs)))
                 assert calls == [] and pins == [], (name, xs)
-                assert _scalar_bits(unwrap(hit)) == _scalar_bits(unwrap(miss))
+                assert scalar_bits(unwrap(hit)) == scalar_bits(unwrap(miss))
 
 
 @pytest.mark.parametrize("mode", ["fuzz", "replay"])
@@ -961,7 +838,7 @@ def test_an_injection_on_a_remembered_key_overrides_its_outcome(monkeypatch, mod
         session = explicit_session(injector=Injector.replay(session.injector.recording))
     with use_session(session):
         results = [unwrap(TrackedFloat64(nan) * 2.0), unwrap(TrackedFloat64(INF) / 3.0)]
-    assert _scalar_bits(remembered[0]) == _scalar_bits(nan) and remembered[1] == INF
+    assert scalar_bits(remembered[0]) == scalar_bits(nan) and remembered[1] == INF
     assert results == [-INF, -INF]
     assert [tracked._OUTCOMES[key] for key in keys] == entries
     assert all(tracked._OUTCOMES[key] is entry for key, entry in zip(keys, entries))
@@ -996,9 +873,9 @@ def test_the_pin_matches_the_former_transfer_payload(width):
             sources = [b, WIDTHS[width][1](b)]
         for raw in raws:
             for source in sources:
-                expected = _scalar_bits(_transfer_payload_reference(raw, source))
-                assert _scalar_bits(propagate_payload((1.5, source), raw)) == expected
-                assert _scalar_bits(fpbits.transfer_payload(raw, source)) == expected
+                expected = scalar_bits(_transfer_payload_reference(raw, source))
+                assert scalar_bits(propagate_payload((1.5, source), raw)) == expected
+                assert scalar_bits(fpbits.transfer_payload(raw, source)) == expected
                 assert type(propagate_payload((source,), raw)) is type(
                     _transfer_payload_reference(raw, source))
 
@@ -1073,7 +950,7 @@ def test_threads_sharing_the_outcome_table_get_the_bare_bits(monkeypatch):
     with np.errstate(all="ignore"):
         for a, b in pool:
             for name, ufunc in ARITHMETIC.items():
-                expected[name, a, b] = _scalar_bits(propagate_payload((a, b), ufunc(a, b)))
+                expected[name, a, b] = scalar_bits(propagate_payload((a, b), ufunc(a, b)))
     pinned_by, real = [], tracked.propagate_payload
 
     def pin(operands, raw_result):
@@ -1088,7 +965,7 @@ def test_threads_sharing_the_outcome_table_get_the_bare_bits(monkeypatch):
             for _ in range(3000):
                 a, b = rng.choice(pool)
                 name = rng.choice(list(ARITHMETIC))
-                got = _scalar_bits(unwrap(apply(name, (TrackedFloat64(a), b))))
+                got = scalar_bits(unwrap(apply(name, (TrackedFloat64(a), b))))
                 assert got == expected[name, a, b], (name, a, b)
     run_threads(worker, range(4))
     assert len(tracked._OUTCOMES) <= tracked.OUTCOME_TABLE_LIMIT + 4
