@@ -83,17 +83,28 @@ def test_operator_methods_match_apply(name_arity, width):
     assert_matches_apply(calls, applied, _fuzz(calls))
 
 
-@pytest.mark.parametrize("width", WIDTHS, ids=lambda width: f"f{width}")
-@pytest.mark.parametrize("name_arity", sorted(UFUNCS, key=str), ids=str)
-def test_numpy_ufuncs_match_apply(name_arity, width):
-    """numpy's own name of a row runs the row over tracked values, with a
-    plain operand of any kind on either side kept in its place; a row that
-    backs no operator, sqrt or maximum say, has no other name."""
+def _assert_ufunc_matches_apply(name_arity, width):
     name, arity = name_arity
     ufunc = UFUNCS[name_arity]
     cases = _cases(arity, width)
     calls = [lambda o=o: ufunc(*o) for o in cases]
     assert_matches_apply(calls, [lambda o=o: apply(name, o) for o in cases], _fuzz(calls))
+
+
+@pytest.mark.parametrize("width", WIDTHS, ids=lambda width: f"f{width}")
+@pytest.mark.parametrize("name_arity", sorted(UFUNCS.keys() & OPERATORS.keys(), key=str), ids=str)
+def test_numpy_ufuncs_match_apply(name_arity, width):
+    """numpy's own name of an operator row runs the row over tracked values,
+    with a plain operand of any kind on either side kept in its place."""
+    _assert_ufunc_matches_apply(name_arity, width)
+
+
+@pytest.mark.parametrize("width", WIDTHS, ids=lambda width: f"f{width}")
+@pytest.mark.parametrize("name_arity", sorted(UFUNCS.keys() - OPERATORS.keys(), key=str), ids=str)
+def test_public_functions_match_apply(name_arity, width):
+    """A row that backs no operator, sqrt or maximum say, runs under numpy's
+    name, its only name, as apply runs it."""
+    _assert_ufunc_matches_apply(name_arity, width)
 
 
 def test_numpy_entry_refuses_what_it_does_not_map():
