@@ -19,7 +19,7 @@ Run it from the root of an fpx checkout:
 
 Exit 0 when every mutant run is killed by each of its tests, 1 when one
 survives or is partial, its tests fail to run, or the unmutated copy fails a
-killer. The whole table, 50 mutants run, took 132 s on a shared 2-core
+killer. The whole table, 53 mutants run, took 155 s on a shared 2-core
 x86-64 VM.
 """
 
@@ -46,11 +46,14 @@ class Mutant(NamedTuple):
     equivalent: str = ""    # why the mutant changes no output; then it is not run
 
 
-_NOT_DECIDED = "        if injected_value is None:\n            injector = sess.injector\n"
-_FINISH_OFF = "injector = sess.injector\n            if injector.mode is _OFF:"
+_NOT_DECIDED = "    if injected_value is None:\n        injector = sess.injector\n"
+_FINISH_OFF = "injector = sess.injector\n        if injector.mode is _OFF:"
 _ACCEPT = "offered() < self._cap"
 _DROP = "            key = kind, value_class\n"
 _COMPARISON = "                if is_comparison and x - x == y - y:\n"
+_FUSED_COUNT = "(row, (x, y), key)\n                injector.count_op()\n"
+_FUSED_FINISH = ("tests/test_tracked.py::"
+                 "test_an_off_nan_or_inf_sum_difference_or_product_finishes_in_its_method")
 _REFERENCE = ("tests/test_reference.py::test_programs_match_the_reference",
               "tests/test_reference.py::test_capped_and_filtered_runs_keep_the_reference_prefix")
 _OUTCOME_LIMIT = ("tests/test_tracked.py::"
@@ -138,9 +141,24 @@ MUTANTS = (
             "tests/test_tracked.py::test_clean_float64_ops_decide_in_their_method[replay]",
             "tests/test_operators.py::test_operator_methods_match_apply[('+', 2)-f64]")),
     Mutant("finish-keeps-the-computed-status-after-an-injection", "tracked.py",
-           (("            result_status = 2 if result == result else 1\n"
-             "    injected = ", "    injected = "),),
+           (("        result_status = 2 if result == result else 1\n"
+             "    events = ", "    events = "),),
            (*_REFERENCE, "tests/test_cli.py::TestRun::test_fuzz_value_accepts_inf_spellings")),
+    # The fused finish of a + - * with a NaN or an Inf operand: OFF only,
+    # counted, and logged with the table's events.
+    Mutant("fused-hit-taken-under-fuzz-or-replay", "tracked.py",
+           (("if injector.mode is _OFF and x - x != y - y:", "if x - x != y - y:"),),
+           ("tests/test_tracked.py::test_fused_methods_match_apply[__add__]",
+            "tests/test_tracked.py::test_clean_float64_ops_decide_in_their_method[fuzz]",
+            "tests/test_tracked.py::test_clean_float64_ops_decide_in_their_method[replay]")),
+    Mutant("fused-hit-skips-count-op", "tracked.py",
+           ((_FUSED_COUNT, _FUSED_COUNT.replace("injector.count_op()", "pass")),),
+           (_FUSED_FINISH, "tests/test_tracked.py::test_fused_methods_match_apply[__mul__]",
+            "tests/test_tracked.py::test_clean_float64_ops_bypass_apply_and_decide")),
+    Mutant("fused-hit-logs-the-wrong-events-row", "tracked.py",
+           (("_EVENTS[status][result_status], result)", "_EVENTS[status][1], result)"),),
+           ("tests/test_tracked.py::test_fused_methods_match_apply[__sub__]",
+            "tests/test_tracked.py::test_nan_and_inf_operands_match_the_bare_ufunc[('+', 2)]")),
     Mutant("comparison-shortcut-without-its-operand-test", "tracked.py",
            ((_COMPARISON, "                if is_comparison:\n"),),
            ("tests/test_tracked.py::test_comparison_kills",
@@ -153,9 +171,8 @@ MUTANTS = (
     # numbered, an operand's cast gens come before the op's own events, and
     # only Python floats take the fused block.
     Mutant("finish-counts-a-comparison", "tracked.py",
-           (("    if not is_comparison:\n        if injected_value is None:\n",
-             "    if is_comparison:\n        sess.injector.count_op()\n"
-             "    else:\n        if injected_value is None:\n"),),
+           (("    if is_comparison:\n        return _logged(",
+             "    if is_comparison:\n        sess.injector.count_op()\n        return _logged("),),
            (_REFERENCE[0], _REFERENCE[1],
             "tests/test_tracked.py::test_truth_of_exceptional_value_is_a_kill",
             "tests/test_tracked.py::test_fused_methods_match_apply[__lt__]")),
@@ -186,17 +203,19 @@ MUTANTS = (
             "tests/test_operators.py::test_operator_methods_match_apply[('<', 2)-f64]")),
     # The outcome table of ops over Python floats with a NaN or an Inf operand.
     Mutant("outcome-table-skips-a-signalling-set", "tracked.py",
-           (("        if key is not None:\n",
-             "        if key is not None and (x == x or key[1][6] & 8)"
+           (("    if key is not None:\n",
+             "    if key is not None and (x == x or key[1][6] & 8)"
              " and (y == y or key[1][14] & 8):\n"),),
            (_OUTCOME_LIMIT,
             "tests/test_tracked.py::test_remembered_two_quiet_nan_results_are_the_bare_ufunc_bits",
             "tests/test_tracked.py::test_outcome_table_hit_calls_neither_the_ufunc_nor_the_pin")),
     Mutant("outcome-table-never-cleared", "tracked.py",
-           (("                _OUTCOMES.clear()\n", "                pass\n"),),
+           (("            _OUTCOMES.clear()\n", "            pass\n"),),
            (_OUTCOME_LIMIT,)),
-    Mutant("outcome-table-keyed-by-the-first-operand", "tracked.py",
-           (("key = impl, _pack_dd(x, y)", "key = impl, _pack_dd(x, x)"),),
+    Mutant("outcome-table-keyed-by-the-first-operand", "tracked.py",   # both lookups
+           (("                key = impl, _pack_dd(x, y)\n",
+             "                key = impl, _pack_dd(x, x)\n"),
+            ("key = impl, _pack_dd(x, y)      #", "key = impl, _pack_dd(x, x)      #")),
            (_REFERENCE[0], _OUTCOME_LIMIT)),
     # The one NaN payload pin, classify.propagate_payload, and fpbits.transfer_payload.
     Mutant("pin-skipped-at-width-32", "classify.py",
@@ -343,10 +362,10 @@ MUTANTS = (
            ("tests/test_ledger.py::TestRecord::"
             "test_capped_concurrent_records_store_exactly_the_cap",)),
     Mutant("outcome-store-publishes-then-fills", "tracked.py",
-           (("            _OUTCOMES[key] = result, status, result_status\n",
-             "            _OUTCOMES[key] = outcome = [None, status, result_status]\n"
-             "            __import__('time').sleep(0)\n"
-             "            outcome[0] = result\n"),),
+           (("        _OUTCOMES[key] = result, status, result_status\n",
+             "        _OUTCOMES[key] = outcome = [None, status, result_status]\n"
+             "        __import__('time').sleep(0)\n"
+             "        outcome[0] = result\n"),),
            ("tests/test_tracked.py::test_threads_sharing_the_outcome_table_get_the_bare_bits",)),
     Mutant("native-entry-count-reads-then-writes", "traces.py",
            (("        with self._lock:\n            if self._entries",
@@ -368,8 +387,8 @@ MUTANTS = (
                       "reads and deletes key n, and a dict's get and del are each atomic: "
                       "every point is returned to one op and removed, as by pop"),
     Mutant("finish-decides-before-the-compute", "tracked.py",
-           (("    impl, is_comparison, op, exact = row\n",
-             "    impl, is_comparison, op, exact = row\n"
+           (("    impl, is_comparison, op, _ = row\n",
+             "    impl, is_comparison, op, _ = row\n"
              "    decided = (injected_value is None and not is_comparison\n"
              "               and sess.injector.mode is not _OFF)\n"
              "    if decided:\n"

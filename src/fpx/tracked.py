@@ -17,13 +17,16 @@ picks. The + - * methods come from a maker of their own: they run the twin,
 and one test of the result, r - r == 0.0, stands for the operand tests,
 since a finite sum, difference or product has finite operands (not so for
 /: x / inf is finite). Such a clean op is counted or decided in the method,
-and wrapped unless a value is injected. Over Python float operands, the
-other operator methods return a comparison or truth test over finite
-operands as the twin's bool, and hand every other op to _finish, the tail
-apply shares. _finish computes, then decides: a comparison takes no
-decision, and any other op, clean or not, is counted under an OFF injector
-and takes Injector.decide under FUZZ or REPLAY. apply takes the operands
-that need a cast, the narrow widths and direct calls.
+and wrapped unless a value is injected. Under an OFF injector, one with a
+NaN or an Inf operand is finished in the method too, from the outcome
+table. Over Python float operands, the other operator methods return a
+comparison or truth test over finite operands as the twin's bool, and hand
+every other op to _finish, which apply shares. _finish takes the op's
+outcome from the outcome table or from _outcome, the outcome step, then
+runs the tail: a comparison takes no decision, and any other op, clean or
+not, is counted under an OFF injector and takes Injector.decide under FUZZ
+or REPLAY; _logged, the tail's log and wrap, ends it. apply takes the
+operands that need a cast, the narrow widths and direct calls.
 
 Two substrates compute, with the same bits either way, by one rule:
 - A twin (+ - * /, negation, abs, sqrt, the comparisons and truth) computes
@@ -41,7 +44,8 @@ Two substrates compute, with the same bits either way, by one rule:
   ufunc and pair of operand bit patterns, since its pinned result and both
   statuses are a function of those bits. _OUTCOMES, keyed by them, is
   cleared past OUTCOME_TABLE_LIMIT entries. A remembered op still counts or
-  decides, logs and wraps.
+  decides, logs and wraps: under an OFF injector a + - * over Python floats
+  is counted, logged and wrapped by its method, any other in _finish.
 With injection off, unwrapped results are bit-identical to the same
 computation over plain numpy scalars.
 Construction and ops share one operand rule and one cast: a value that is not
@@ -278,66 +282,88 @@ def apply(name: str, operands):
 
 
 def _finish(sess, cls, row, xs, injected_value=None):
-    """The op over operands already at cls's width: it computes by the
-    module docstring's rule, the twin over Python floats with at most one
-    NaN operand and the ufunc under np.errstate otherwise, then decides. It
-    pins a NaN result's payload with propagate_payload and tests both value
-    classes in one pass; over Python floats with a NaN or an Inf operand,
-    that outcome is remembered in _OUTCOMES, every such set, or read from
-    it. A comparison takes no decision. Not given an injected value, any
-    other op under an OFF injector is only counted, and under FUZZ or
-    REPLAY takes Injector.decide; an injected value, stored at cls's width,
-    replaces the result and its status. Then it logs and wraps."""
-    impl, is_comparison, op, exact = row
+    """The op over operands already at cls's width: its outcome, looked up
+    in _OUTCOMES over Python floats with a NaN or an Inf operand, else
+    _outcome's, then the tail. A comparison takes no decision. Not given an
+    injected value, any other op under an OFF injector is only counted, and
+    under FUZZ or REPLAY takes Injector.decide; an injected value, stored at
+    cls's width, replaces the result and its status. Then _logged logs and
+    wraps an op with events; one without, such as a clean /, is wrapped
+    here, with no call."""
+    impl, is_comparison, op, _ = row
     x, y = xs[0], xs[-1]
-    floats = type(x) is type(y) is float
     key = outcome = None
-    if floats and x - x != y - y:       # a NaN or an Inf operand
+    if type(x) is type(y) is float and x - x != y - y:     # a NaN or an Inf operand
         key = impl, _pack_dd(x, y)      # a one-operand op packs its operand twice
         outcome = _OUTCOMES.get(key)
-    if outcome is None:
-        result = None
-        if exact is not None and floats and (len(xs) == 1 or x == x or y == y):
-            try:
-                result = exact(*xs)
-            except (ZeroDivisionError, ValueError):    # x/0, sqrt(-x)
-                pass
-        if result is None:
-            with np.errstate(all="ignore"):
-                result = impl(*xs)
-        status = 0              # bit 1: a NaN operand, bit 2: an Inf one, as in _EVENTS
-        for v in xs:
-            if not isfinite(v):
-                status |= 1 if v != v else 2
-        if is_comparison:
-            result, result_status = bool(result), 0     # what the ledger and the caller get
-        else:
-            result_status = 0 if isfinite(result) else 2 if result == result else 1
-            if result_status == 1 and status & 1:   # pin the leftmost NaN's payload
-                result = propagate_payload(xs, result)
-        if key is not None:
-            if len(_OUTCOMES) >= OUTCOME_TABLE_LIMIT:
-                _OUTCOMES.clear()
-            _OUTCOMES[key] = result, status, result_status
-    else:
-        result, status, result_status = outcome
-    if not is_comparison:
-        if injected_value is None:
-            injector = sess.injector
-            if injector.mode is _OFF:
-                injector.count_op()
-            else:
-                injected_value = injector.decide(op, sess.traces.capture)
-        if injected_value is not None:
-            result = cls._store(injected_value)
-            result_status = 2 if result == result else 1
-    injected = injected_value is not None
-    for kind, value_class in _EVENTS[status][result_status]:
-        sess.ledger.record(kind, value_class, op, xs, result, injected, sess.traces.capture)
+    result, status, result_status = outcome or _outcome(row, xs, key)
     if is_comparison:
-        return result
+        return _logged(sess, None, op, xs, result, False, _EVENTS[status][0], result)
+    if injected_value is None:
+        injector = sess.injector
+        if injector.mode is _OFF:
+            injector.count_op()
+        else:
+            injected_value = injector.decide(op, sess.traces.capture)
+    if injected_value is not None:
+        result = cls._store(injected_value)
+        result_status = 2 if result == result else 1
+    events = _EVENTS[status][result_status]
+    if events:
+        return _logged(sess, cls, op, xs, result, injected_value is not None, events,
+                       cls._store(result))
     wrapped = _new(cls)
     _set_value(wrapped, cls._store(result))
+    return wrapped
+
+
+def _outcome(row, xs, key):
+    """The outcome step: (result, operand status, result status) of the op
+    over xs. It computes by the module docstring's rule, the twin over
+    Python floats with at most one NaN operand and the ufunc under
+    np.errstate otherwise, pins a NaN result's payload with
+    propagate_payload and tests both value classes in one pass; a key
+    remembers the outcome in _OUTCOMES."""
+    impl, is_comparison, _, exact = row
+    x, y = xs[0], xs[-1]
+    result = None
+    if exact is not None and type(x) is type(y) is float and (len(xs) == 1 or x == x or y == y):
+        try:
+            result = exact(*xs)
+        except (ZeroDivisionError, ValueError):    # x/0, sqrt(-x)
+            pass
+    if result is None:
+        with np.errstate(all="ignore"):
+            result = impl(*xs)
+    status = 0              # bit 1: a NaN operand, bit 2: an Inf one, as in _EVENTS
+    for v in xs:
+        if not isfinite(v):
+            status |= 1 if v != v else 2
+    if is_comparison:
+        result, result_status = bool(result), 0     # what the ledger and the caller get
+    else:
+        result_status = 0 if isfinite(result) else 2 if result == result else 1
+        if result_status == 1 and status & 1:   # pin the leftmost NaN's payload
+            result = propagate_payload(xs, result)
+    if key is not None:
+        if len(_OUTCOMES) >= OUTCOME_TABLE_LIMIT:
+            _OUTCOMES.clear()
+        _OUTCOMES[key] = result, status, result_status
+    return result, status, result_status
+
+
+def _logged(sess, cls, op, xs, result, injected, events, value):
+    """The tail's log and wrap: records each (kind, class) of events for the
+    op's result, then returns value, the result as cls stores it, wrapped
+    in cls, or as it is for a comparison, whose cls is None. A one-event op
+    runs faster looking the ledger and trace provider up in the loop than
+    binding them first."""
+    for kind, value_class in events:
+        sess.ledger.record(kind, value_class, op, xs, result, injected, sess.traces.capture)
+    if cls is None:
+        return value
+    wrapped = _new(cls)
+    _set_value(wrapped, value)
     return wrapped
 
 
@@ -375,11 +401,14 @@ def _operator_method(name, arity, reflected):
 def _arithmetic_method(name, arity, reflected):
     """An operator method of + - * (reflected or not): the twin runs once,
     and a finite result, which only finite operands give, is the clean op,
-    counted or decided after the compute and wrapped here.
-    Every other op over Python floats goes to _finish, any other operands to
-    apply, both looked up as module globals."""
+    counted or decided after the compute and wrapped here. Under an OFF
+    injector an op with a NaN or an Inf operand is finished here too: its
+    outcome is looked up in _OUTCOMES, or _outcome's on a miss, then it is
+    counted, and _logged logs and wraps it. Every other op over Python
+    floats goes to _finish, any other operands to apply, both looked up as
+    module globals."""
     row = _REGISTRY[name, arity]
-    _, _, op, exact = row
+    impl, _, op, exact = row
 
     def method(self, other):
         if reflected:
@@ -390,9 +419,9 @@ def _arithmetic_method(name, arity, reflected):
             x, y = self._value, other
         if type(x) is float and type(y) is float:
             result = exact(x, y)
+            session = current_session()
+            injector = session.injector
             if result - result == 0.0:      # NaN for an Inf or NaN result
-                session = current_session()
-                injector = session.injector
                 if injector.mode is _OFF:
                     injector.count_op()
                 else:
@@ -402,7 +431,15 @@ def _arithmetic_method(name, arity, reflected):
                 wrapped = _new(type(self))
                 _set_value(wrapped, result)
                 return wrapped
-            return _finish(current_session(), type(self), row, (x, y))
+            if injector.mode is _OFF and x - x != y - y:    # a NaN or an Inf operand
+                key = impl, _pack_dd(x, y)
+                result, status, result_status = _OUTCOMES.get(key) or _outcome(row, (x, y), key)
+                injector.count_op()
+                # an outcome of + - * over Python floats is a Python float,
+                # the pinned one of two NaN operands too, so it wraps as is
+                return _logged(session, type(self), op, (x, y), result, False,
+                               _EVENTS[status][result_status], result)
+            return _finish(session, type(self), row, (x, y))
         if not isinstance(other, _OPERANDS):
             return NotImplemented
         return apply(name, (other, self) if reflected else (self, other))
