@@ -19,7 +19,7 @@ Run it from the root of an fpx checkout:
 
 Exit 0 when every mutant run is killed by each of its tests, 1 when one
 survives or is partial, its tests fail to run, or the unmutated copy fails a
-killer. The whole table, 53 mutants run, took 155 s on a shared 2-core
+killer. The whole table, 57 mutants run, took 105 s on a shared 2-core
 x86-64 VM.
 """
 
@@ -70,6 +70,7 @@ _NATIVE = "tests/test_traces.py::TestNativeCallSiteTable::%s"
 _ROW_READS = "tests/test_ledger.py::TestFlush::test_reading_the_rows_copies_no_row_list"
 _REFUSES = "tests/test_operators.py::test_numpy_entry_refuses_what_it_does_not_map"
 _UNWRAP = "        if type(x) is np.ndarray and x.shape == ():\n            x = x[()]\n"
+_GOLDEN = "tests/test_cli_golden.py::test_commands_match_the_digest_table"
 
 MUTANTS = (
     # The one log reader, ledger._scan, and the counted cstg path over it.
@@ -332,6 +333,21 @@ MUTANTS = (
            ((_UNWRAP, _UNWRAP.replace("x.shape == ()", "x.size == 1")
                             .replace("x[()]", "x.reshape(())[()]")),),
            (_REFUSES,)),
+    # Input checks that only the CLI golden's rows reach: each row's exit code
+    # and stderr tell a rejected input from one that runs.
+    Mutant("fuzz-ignores-an-unknown-key", "cli.py",
+           (('            raise UsageError(f"unknown --fuzz key {key!r}")\n',
+             "            continue\n"),),
+           (_GOLDEN,)),
+    Mutant("recording-takes-a-point-before-op-one", "injector.py",
+           (("            if point.op_counter < 1:\n", "            if False:\n"),),
+           (_GOLDEN,)),
+    Mutant("graph-takes-an-unlisted-node", "stackgraph.py",
+           ((" or g.nodes.union(*g.edges) != g.nodes", ""),),
+           (_GOLDEN,)),
+    Mutant("sim-runs-negative-steps", "demos.py",
+           (("    if steps < 0:\n", "    if False:\n"),),
+           (_GOLDEN,)),
     # Injector.count_op is an itertools.count's next(), atomic in CPython. A
     # plain read-modify-write counter passed every test: its threads seldom
     # switch inside it, so the sleep(0) widens its window until they do.

@@ -131,11 +131,12 @@ def cmd_run(args) -> int:
         _run_demo(args.demo, args, session)
     counts = session.ledger.counts()
     print("events: " + " ".join(f"{k.value}={counts[k]}" for k in EventKind))
+    if args.record:     # saved first, so a failed flush loses no fuzzed failure
+        save_recording(injector.recording, args.record)
     out = Path(args.out)
     session.ledger.flush(out)
     print(f"logs written to {out}")
     if args.record:
-        save_recording(injector.recording, args.record)
         print(f"recording written to {args.record}")
     for message in injector.divergences:
         print(f"warning: {message}", file=sys.stderr)

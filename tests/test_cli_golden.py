@@ -3,8 +3,10 @@ cli_main over fixture files written to a fresh directory, must give the
 committed digest table (tests/cli_golden.json) byte for byte. Per command the
 table holds the exit code, stderr, the SHA-256 of stdout, and the SHA-256 of
 every file the command wrote or changed, with the directory's path written
-as <tmp>. A deliberate output change edits the table in the same change;
-`python3 tests/test_cli_golden.py` rewrites it from the code as it is.
+as <tmp>. A check of one command's outcome is a row here. A deliberate
+output change edits the table in the same change: `python3
+tests/test_cli_golden.py` rewrites it from the code as it is and prints each
+command whose row it added, removed or changed.
 """
 
 import hashlib
@@ -37,6 +39,11 @@ def _mixed_log(n=600):
     return "".join(lines)
 
 
+_POINT = ('{"op_counter": %d, "op": "+", "value_hex": "0x7ff8000000000000", '
+          '"trace_fp": "aaaaaaaaaaaaaaaa"}\n')
+_GRAPH = ('{"format": "stackgraph-v1", "key_policy": %s, "trace_total": 1, "nodes": %s, '
+          '"edges": [{"parent": "a x.py:1", "child": "b y.py:2", "count": 1}]}\n')
+
 # fixture files: name -> text
 FIXTURES = {
     "mixed.jsonl": _mixed_log(),
@@ -46,6 +53,13 @@ FIXTURES = {
     "bad.jsonl": '{"seq": 1, "kind": "gen", "class": "nan", "op": "-", "arity": 2, '
                  '"operands": [], "result": true, "injected": false, "trace": []}\n'
                  '{"seq": oops\n',
+    "oops.jsonl": '{"seq": oops\n',          # one bad line: read whole, not streamed
+    "down.jsonl": '{"seed": 1}\n' + _POINT % 9 + _POINT % 4,
+    "op0.jsonl": '{"seed": 1}\n' + _POINT % 0,
+    "op-5.jsonl": '{"seed": 1}\n' + _POINT % -5,
+    "negseed.jsonl": '{"seed": -3}\n',
+    "unlisted.json": _GRAPH % ('"fine"', '["b y.py:2"]'),
+    "bogus.json": _GRAPH % ('"bogus"', '["a x.py:1", "b y.py:2"]'),
 }
 
 # each command's argv, "{}" standing for the directory; run in this order
@@ -98,6 +112,36 @@ COMMANDS = [
     "render {}/max/kill.jsonl",
     "render {}/sim/gen.jsonl --value-class inf",
     "render {}/bad.jsonl",
+    "run max --nonsense --out {}/x",
+    "run sim --blowup --max-logs -1 --out {}/x",
+    "run sim --cells 0 --out {}/x",
+    "run loop --max-iters 0 --out {}/x",
+    "run loop --max-iters -3 --out {}/x",
+    "run sim --steps -2 --out {}/x",
+    "run loop --max-iters 5 --out {}/loop5",
+    "run loop --max-iters 10 --out {}/loop10",
+    "run sim --fuzz odds --out {}/x",
+    "run sim --fuzz seed=1 bogus=1 --out {}/x",
+    "run sim --fuzz seed=1 odds=x --out {}/x",
+    "run sim --fuzz seed=1 odds=1.5 --out {}/x",
+    "run sim --fuzz seed=1 value=nonsense --out {}/x",
+    "run sim --fuzz seed=1 seed=-1 --out {}/x",
+    "run sim --fuzz seed=1 functions= --out {}/x",
+    "run sim --fuzz seed=1 libraries=a,,b --out {}/x",
+    "run sim --fuzz seed=1 functions=f, --out {}/x",
+    "run max --replay {}/down.jsonl --out {}/x",
+    "run max --replay {}/op0.jsonl --out {}/x",
+    "run max --replay {}/op-5.jsonl --out {}/x",
+    "run max --replay {}/negseed.jsonl --out {}/x",
+    "replay {}/rec.jsonl sim --out {}/x",
+    "run sim --replay {}/rec.jsonl --fuzz seed=1 --out {}/x",
+    "run sim --replay {}/rec.jsonl --fuzz seed=1 --record {}/again.jsonl --out {}/x",
+    "run sim --replay {}/rec.jsonl --record {}/again.jsonl --out {}/x",
+    "diff {}/prop.json {}/unlisted.json",
+    "diff {}/bogus.json {}/bogus.json",
+    "cstg {}/oops.jsonl",
+    "run sim --blowup --fuzz odds=3 n=2 seed=7 --record {}/rec3.jsonl --out {}/traces.txt",
+    "run sim --blowup --replay {}/rec3.jsonl --out {}/rec3",
 ]
 
 
@@ -147,5 +191,11 @@ if __name__ == "__main__":
         return text
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
         table = _digests(Path(tmp), readouterr)
+    old = {row["command"]: row for row in json.loads(TABLE.read_text(encoding="utf-8"))}
+    new = {row["command"]: row for row in table}
+    for command in dict.fromkeys([*old, *new]):
+        if old.get(command) != new.get(command):
+            print("added" if command not in old else "removed" if command not in new
+                  else "changed", command, sep=": ")
     TABLE.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(table)} rows to {TABLE}")

@@ -7,7 +7,6 @@ import pytest
 
 from fpx import fpbits, stackgraph
 from fpx.classify import EventKind, OpIdentity, ValueClass
-from fpx.cli import cli_main
 from fpx.demos import demo_loop_kill, demo_max, demo_sim
 from fpx.ledger import FILE_BY_KIND, LedgerConfig
 from fpx.session import explicit_session
@@ -61,16 +60,6 @@ class TestDemoMax:
         result = demo_max((NAN,))
         assert math.isnan(result.max1)
         assert math.isnan(result.max2)
-
-    def test_run_max_log_digest(self, tmp_path):
-        """`fpx run max` keeps the bytes of its three logs, whatever name the
-        fold's maximum is reached by."""
-        assert cli_main(["run", "max", "--out", str(tmp_path)]) == 0
-        digest = hashlib.sha256()
-        for filename in FILE_BY_KIND.values():
-            digest.update(filename.encode() + b"\0" + (tmp_path / filename).read_bytes() + b"\0")
-        assert digest.hexdigest() == (
-            "3791d1c74ba2b861a22939b38bae4c0668a94a2aefca4cb9e49d30a3b60f8e96")
 
 
 class TestDemoLoopKill:
