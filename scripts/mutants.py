@@ -50,8 +50,9 @@ _NOT_DECIDED = "    if injected_value is None:\n        injector = sess.injector
 _FINISH_OFF = "injector = sess.injector\n        if injector.mode is _OFF:"
 _ACCEPT = "offered() < self._cap"
 _DROP = "            key = kind, value_class\n"
-_COMPARISON = "                if is_comparison and x - x == y - y:\n"
-_FUSED_COUNT = "(row, (x, y), key)\n                injector.count_op()\n"
+_COMPARISON = "            if is_comparison and x - x == y - y:\n"
+_FUSED_COUNT = "(row, (x, y), key, r)\n            injector.count_op()\n"
+_UNARY_OFF = "        if injector.mode is _OFF:\n            injector.count_op()\n        elif"
 _FUSED_FINISH = ("tests/test_tracked.py::"
                  "test_an_off_nan_or_inf_sum_difference_or_product_finishes_in_its_method")
 _REFERENCE = ("tests/test_reference.py::test_programs_match_the_reference",
@@ -143,7 +144,7 @@ MUTANTS = (
             "tests/test_operators.py::test_operator_methods_match_apply[('+', 2)-f64]")),
     Mutant("finish-keeps-the-computed-status-after-an-injection", "tracked.py",
            (("        result_status = 2 if result == result else 1\n"
-             "    events = ", "    events = "),),
+             "    return _logged(", "    return _logged("),),
            (*_REFERENCE, "tests/test_cli.py::TestRun::test_fuzz_value_accepts_inf_spellings")),
     # The fused finish of a + - * with a NaN or an Inf operand: OFF only,
     # counted, and logged with the table's events.
@@ -157,16 +158,18 @@ MUTANTS = (
            (_FUSED_FINISH, "tests/test_tracked.py::test_fused_methods_match_apply[__mul__]",
             "tests/test_tracked.py::test_clean_float64_ops_bypass_apply_and_decide")),
     Mutant("fused-hit-logs-the-wrong-events-row", "tracked.py",
-           (("_EVENTS[status][result_status], result)", "_EVENTS[status][1], result)"),),
+           (("False, _EVENTS[status][result_status],", "False, _EVENTS[status][1],"),),
            ("tests/test_tracked.py::test_fused_methods_match_apply[__sub__]",
             "tests/test_tracked.py::test_nan_and_inf_operands_match_the_bare_ufunc[('+', 2)]")),
     Mutant("comparison-shortcut-without-its-operand-test", "tracked.py",
-           ((_COMPARISON, "                if is_comparison:\n"),),
+           ((_COMPARISON, "            if is_comparison:\n"),),
            ("tests/test_tracked.py::test_comparison_kills",
             "tests/test_tracked.py::test_nan_and_inf_operands_match_the_bare_ufunc[('<', 2)]",
             "tests/test_tracked.py::test_fused_methods_match_apply[__lt__]")),
     Mutant("comparison-shortcut-taken-for-a-numeric-row", "tracked.py",
-           ((_COMPARISON, "                if x - x == y - y:\n"),),
+           (("    plain = is_comparison or exact is None",
+             "    plain = is_comparison or exact is None or name == '/'"),
+            (_COMPARISON, "            if (is_comparison or divides) and x - x == y - y:\n")),
            ("tests/test_tracked.py::test_fused_methods_match_apply[__truediv__]",)),
     # The one path of an op over Python floats: a comparison is never
     # numbered, an operand's cast gens come before the op's own events, and
@@ -178,9 +181,9 @@ MUTANTS = (
             "tests/test_tracked.py::test_truth_of_exceptional_value_is_a_kill",
             "tests/test_tracked.py::test_fused_methods_match_apply[__lt__]")),
     Mutant("clean-block-counts-a-comparison", "tracked.py",
-           tuple((f"                    return exact({xs})\n",
-                  f"                    current_session().injector.count_op()\n"
-                  f"                    return exact({xs})\n") for xs in ("x", "x, y")),
+           tuple((f"                return exact({xs})\n",
+                  f"                current_session().injector.count_op()\n"
+                  f"                return exact({xs})\n") for xs in ("x", "x, y")),
            (_REFERENCE[0],
             "tests/test_tracked.py::test_clean_comparisons_call_neither_apply_nor_decide",
             "tests/test_tracked.py::test_clean_float64_ops_bypass_apply_and_decide")),
@@ -199,9 +202,36 @@ MUTANTS = (
            (_REFERENCE[0], "tests/test_tracked.py::test_fast_path_boundary_events[16]",
             "tests/test_cast.py::test_overflowing_plain_operand_is_a_cast_gen_before_the_op")),
     Mutant("fused-path-takes-a-python-int", "tracked.py",
-           (("            if type(y) is float:\n", "            if type(y) in (float, int):\n"),),
+           (("        elif type(other) is not float:\n",
+             "        elif type(other) not in (float, int):\n"),),
            (_REFERENCE[0], "tests/test_tracked.py::test_fused_methods_match_apply[__lt__]",
             "tests/test_operators.py::test_operator_methods_match_apply[('<', 2)-f64]")),
+    # TrackedFloat64's methods: the operand test, the clean test of each twin
+    # row, the decision of a clean unary op and the hand-off of a twin error.
+    Mutant("divide-clean-test-ignores-the-divisor", "tracked.py",
+           (("if r - r == (y - y if divides else 0.0):", "if r - r == 0.0:"),),
+           ("tests/test_tracked.py::test_fused_methods_match_apply[__truediv__]",
+            "tests/test_tracked.py::test_fused_methods_match_apply[__rtruediv__]")),
+    Mutant("unary-clean-op-counted-under-fuzz-or-replay", "tracked.py",
+           ((_UNARY_OFF, _UNARY_OFF.replace("if injector.mode is _OFF:", "if True:")),),
+           ("tests/test_tracked.py::test_clean_float64_ops_decide_in_their_method[fuzz]",
+            "tests/test_tracked.py::test_fused_methods_match_apply[__neg__]",
+            "tests/test_tracked.py::test_fused_methods_match_apply[__abs__]")),
+    Mutant("twin-error-returns-without-finish", "tracked.py",
+           tuple((f"        except {error}:{pad}# {why}\n"
+                  f"            return _finish(current_session(), cls, row, {xs}, None)\n",
+                  f"        except {error}:\n"
+                  f"            with np.errstate(all='ignore'):\n"
+                  f"                return cls(impl(*{xs}))\n")
+                 for error, pad, why, xs in (("ValueError", " " * 18, "sqrt(-x)", "(x,)"),
+                                             ("ZeroDivisionError", " " * 11, "x / 0.0",
+                                              "(x, y)"))),
+           ("tests/test_tracked.py::test_fused_methods_match_apply[__truediv__]",
+            "tests/test_operators.py::test_public_functions_match_apply[('sqrt', 1)-f64]")),
+    Mutant("float64-operand-test-takes-any-tracked-value", "tracked.py",
+           (("        if type(other) is cls:\n", "        if isinstance(other, TrackedFloat):\n"),),
+           ("tests/test_tracked.py::test_every_float64_result_holds_a_python_float[('+', 2)]",
+            "tests/test_tracked.py::test_fused_methods_match_apply[__add__]")),
     # The outcome table of ops over Python floats with a NaN or an Inf operand.
     Mutant("outcome-table-skips-a-signalling-set", "tracked.py",
            (("    if key is not None:\n",
@@ -214,8 +244,8 @@ MUTANTS = (
            (("            _OUTCOMES.clear()\n", "            pass\n"),),
            (_OUTCOME_LIMIT,)),
     Mutant("outcome-table-keyed-by-the-first-operand", "tracked.py",   # both lookups
-           (("                key = impl, _pack_dd(x, y)\n",
-             "                key = impl, _pack_dd(x, x)\n"),
+           (("            key = impl, _pack_dd(x, y)\n",
+             "            key = impl, _pack_dd(x, x)\n"),
             ("key = impl, _pack_dd(x, y)      #", "key = impl, _pack_dd(x, x)      #")),
            (_REFERENCE[0], _OUTCOME_LIMIT)),
     # The one NaN payload pin, classify.propagate_payload, and fpbits.transfer_payload.

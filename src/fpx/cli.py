@@ -194,10 +194,15 @@ def _content(path, value_class=None):
 
 def _load_graph_any(path, key_policy):
     """A saved graph document, or a log/trace file coalesced on the fly. Only
-    a file that is not a graph document is coalesced: a broken one is an error."""
+    a file that is not a graph document is coalesced: a broken one is an
+    error that names path, as a diff document's does, so that of diff's two
+    inputs the broken one is told."""
     with _content(path) as content:
-        return (stackgraph.graph_from_json(content) if isinstance(content, dict)
-                else stackgraph.build(content, key_policy))
+        try:
+            return (stackgraph.graph_from_json(content) if isinstance(content, dict)
+                    else stackgraph.build(content, key_policy))
+        except stackgraph.GraphFormatError as exc:     # only a graph document's
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 def _emit(text, dest) -> None:

@@ -153,8 +153,10 @@ class Injector:
         Every intercepted operation computes, then decides. A comparison
         takes no decision, and under an OFF injector every other operation,
         clean or not, only calls count_op. Under FUZZ or REPLAY every other
-        operation calls decide once, after its compute: a clean float64
-        + - * from its operator method, any other from tracked._finish.
+        operation calls decide once, after its compute: a clean op over
+        Python floats of a row with a twin (+ - * /, negation, abs, sqrt)
+        from TrackedFloat64's method of the row, any other from
+        tracked._finish.
         A FUZZ decision is this one call. It numbers the operation and draws
         under the lock, so op numbers and draws stay in one order; past
         n_inject it stops there. With scope filters it captures the trace and

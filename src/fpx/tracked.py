@@ -8,25 +8,33 @@ status it touched, and re-wraps the result. An operation is one row of the
 table below: name, arity, numpy ufunc, exact Python float twin, the operator
 methods it backs, if any, and whether it is a comparison; the registry, the
 methods and numpy's entry are built from it. numpy's entry, __array_ufunc__,
-runs a row's ufunc over a tracked value as the row's operator method, so
-np.add(x, y) is x + y and np.sqrt(x) is the sqrt row, which numpy's name
-alone reaches, and a ufunc without a row, a keyword or an array is numpy's
-TypeError.
+runs a row's ufunc over a tracked value as the row's method of that value's
+class, so np.add(x, y) is x + y and np.sqrt(x) is the sqrt row, which numpy's
+name alone reaches, and a ufunc without a row, a keyword or an array is
+numpy's TypeError.
 Every operation runs in the current session, which a `use_session` block
-picks. The + - * methods come from a maker of their own: they run the twin,
-and one test of the result, r - r == 0.0, stands for the operand tests,
-since a finite sum, difference or product has finite operands (not so for
-/: x / inf is finite). Such a clean op is counted or decided in the method,
-and wrapped unless a value is injected. Under an OFF injector, one with a
-NaN or an Inf operand is finished in the method too, from the outcome
-table. Over Python float operands, the other operator methods return a
-comparison or truth test over finite operands as the twin's bool, and hand
-every other op to _finish, which apply shares. _finish takes the op's
-outcome from the outcome table or from _outcome, the outcome step, then
-runs the tail: a comparison takes no decision, and any other op, clean or
-not, is counted under an OFF injector and takes Injector.decide under FUZZ
-or REPLAY; _logged, the tail's log and wrap, ends it. apply takes the
-operands that need a cast, the narrow widths and direct calls.
+picks. Each row has a method on two classes. TrackedFloat's is a router to
+apply, which the narrow widths inherit. TrackedFloat64's comes from one
+maker and binds cls = TrackedFloat64: every value of that class is a Python
+float, so an other operand that is a cls or a Python float makes the op one
+over Python floats, and any other goes to the router. A method wraps in the
+class it binds, so the width classes are final: subclassing one is a
+TypeError. Over Python floats a comparison or truth test with finite
+operands returns the twin's bool, and a row without a twin goes to _finish.
+A row with a twin (+ - * /, negation, abs, sqrt) runs it once, and one test
+of the result stands for the operand tests: r - r == 0.0, since a finite
+sum, difference, product, negation, absolute value or square root has
+finite operands, and r - r == y - y for /, since x / inf is finite. Such a
+clean op is counted or decided in the method, and wrapped unless a value is
+injected. Under an OFF injector, a binary one with a NaN or an Inf operand
+is finished in the method too, from the outcome table. Every other op goes
+to _finish, which apply shares, with the twin's result or the fact that the
+twin raised, so nothing computes twice. _finish takes the op's outcome from
+the outcome table or from _outcome, the outcome step, then runs the tail: a
+comparison takes no decision, and any other op, clean or not, is counted
+under an OFF injector and takes Injector.decide under FUZZ or REPLAY;
+_logged, the tail's log and wrap, ends it. apply takes the operands that
+need a cast, the narrow widths and direct calls.
 
 Two substrates compute, with the same bits either way, by one rule:
 - A twin (+ - * /, negation, abs, sqrt, the comparisons and truth) computes
@@ -44,8 +52,9 @@ Two substrates compute, with the same bits either way, by one rule:
   ufunc and pair of operand bit patterns, since its pinned result and both
   statuses are a function of those bits. _OUTCOMES, keyed by them, is
   cleared past OUTCOME_TABLE_LIMIT entries. A remembered op still counts or
-  decides, logs and wraps: under an OFF injector a + - * over Python floats
-  is counted, logged and wrapped by its method, any other in _finish.
+  decides, logs and wraps: under an OFF injector a binary twin row over
+  Python floats is counted, logged and wrapped by its method, any other op
+  in _finish.
 With injection off, unwrapped results are bit-identical to the same
 computation over plain numpy scalars.
 Construction and ops share one operand rule and one cast: a value that is not
@@ -122,6 +131,7 @@ _EVENTS = tuple(tuple(tuple((kind, vc) for vc in ValueClass
                 for ins in ((), (math.nan,), (math.inf,), (math.nan, math.inf)))
 _OFF = InjectorMode.OFF
 _UNARY = object()       # the absent second operand of a one-operand op
+_NOT_RUN = object()     # the twin's result of an op whose caller did not run it
 # (ufunc, packed bits of the first and last operand) -> (pinned result, operand
 # status, result status) of an op over Python floats with a NaN or an Inf
 # operand: a pure function of its key, so threads share the table without a
@@ -135,6 +145,7 @@ class TrackedFloat:
 
     __slots__ = ("_value",)
     _width = 0
+    _ufuncs = {}
 
     @staticmethod
     def _store(value):
@@ -152,6 +163,12 @@ class TrackedFloat:
             raise TypeError(f"unsupported operand type for {type(self).__name__}: "
                             f"{type(value).__name__}")
         _set_value(self, _cast(type(self), (value,))[0])
+
+    def __init_subclass__(cls):
+        """A width class is final: TrackedFloat64's methods bind it, so they
+        would wrap a subclass's results in it."""
+        if cls.__base__ is not TrackedFloat:
+            raise TypeError(f"{cls.__base__.__name__} is final and cannot be subclassed")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -190,7 +207,7 @@ class TrackedFloat:
         a np.float64 is read as the Python float it is, bits and all. Any
         other ufunc, method, keyword or operand returns NotImplemented:
         numpy's TypeError, which names them, before any op is counted."""
-        methods = _UFUNCS.get((ufunc, len(inputs)))
+        methods = self._ufuncs.get((ufunc, len(inputs)))
         if methods is None or method != "__call__" or kwargs:
             return NotImplemented
         x = inputs[0]
@@ -204,6 +221,7 @@ class TrackedFloat:
 class TrackedFloat64(TrackedFloat):
     __slots__ = ()
     _width = 64
+    _ufuncs = {}
     _store = staticmethod(float)
 
 
@@ -273,30 +291,28 @@ def apply(name: str, operands):
             raise TypeError(f"unsupported operand type for {name}: {type(o).__name__}")
     if cls is None:
         raise TypeError("apply requires at least one tracked operand")
-    try:
-        row = _REGISTRY[(name, len(operands))]
-    except KeyError:
-        raise ValueError(f"unsupported operation: {name}/{len(operands)}") from None
+    row = _REGISTRY.get((name, len(operands)))
+    if row is None:
+        raise ValueError(f"unsupported operation: {name}/{len(operands)}")
     values = [o._value if isinstance(o, TrackedFloat) else o for o in operands]
     return _finish(current_session(), cls, row, _cast(cls, values))
 
 
-def _finish(sess, cls, row, xs, injected_value=None):
+def _finish(sess, cls, row, xs, twin=_NOT_RUN, injected_value=None):
     """The op over operands already at cls's width: its outcome, looked up
     in _OUTCOMES over Python floats with a NaN or an Inf operand, else
-    _outcome's, then the tail. A comparison takes no decision. Not given an
-    injected value, any other op under an OFF injector is only counted, and
-    under FUZZ or REPLAY takes Injector.decide; an injected value, stored at
-    cls's width, replaces the result and its status. Then _logged logs and
-    wraps an op with events; one without, such as a clean /, is wrapped
-    here, with no call."""
+    _outcome's, given twin, the twin's result if the caller ran it, then the
+    tail. A comparison takes no decision. Not given an injected value, any
+    other op under an OFF injector is only counted, and under FUZZ or
+    REPLAY takes Injector.decide; an injected value, stored at cls's width,
+    replaces the result and its status. Then _logged logs and wraps it."""
     impl, is_comparison, op, _ = row
     x, y = xs[0], xs[-1]
     key = outcome = None
     if type(x) is type(y) is float and x - x != y - y:     # a NaN or an Inf operand
         key = impl, _pack_dd(x, y)      # a one-operand op packs its operand twice
         outcome = _OUTCOMES.get(key)
-    result, status, result_status = outcome or _outcome(row, xs, key)
+    result, status, result_status = outcome or _outcome(row, xs, key, twin)
     if is_comparison:
         return _logged(sess, None, op, xs, result, False, _EVENTS[status][0], result)
     if injected_value is None:
@@ -308,20 +324,16 @@ def _finish(sess, cls, row, xs, injected_value=None):
     if injected_value is not None:
         result = cls._store(injected_value)
         result_status = 2 if result == result else 1
-    events = _EVENTS[status][result_status]
-    if events:
-        return _logged(sess, cls, op, xs, result, injected_value is not None, events,
-                       cls._store(result))
-    wrapped = _new(cls)
-    _set_value(wrapped, cls._store(result))
-    return wrapped
+    return _logged(sess, cls, op, xs, result, injected_value is not None,
+                   _EVENTS[status][result_status], cls._store(result))
 
 
-def _outcome(row, xs, key):
+def _outcome(row, xs, key, twin=_NOT_RUN):
     """The outcome step: (result, operand status, result status) of the op
     over xs. It computes by the module docstring's rule, the twin over
     Python floats with at most one NaN operand and the ufunc under
-    np.errstate otherwise, pins a NaN result's payload with
+    np.errstate otherwise; twin is the twin's result if the caller ran it,
+    None if it raised. It pins a NaN result's payload with
     propagate_payload and tests both value classes in one pass; a key
     remembers the outcome in _OUTCOMES."""
     impl, is_comparison, _, exact = row
@@ -329,7 +341,7 @@ def _outcome(row, xs, key):
     result = None
     if exact is not None and type(x) is type(y) is float and (len(xs) == 1 or x == x or y == y):
         try:
-            result = exact(*xs)
+            result = exact(*xs) if twin is _NOT_RUN else twin
         except (ZeroDivisionError, ValueError):    # x/0, sqrt(-x)
             pass
     if result is None:
@@ -367,29 +379,13 @@ def _logged(sess, cls, op, xs, result, injected, events, value):
     return wrapped
 
 
-def _operator_method(name, arity, reflected):
-    """An operator method of any row but + - *. Over Python float operands a
-    comparison or truth test with finite operands returns its bool here, the
-    twin's, and every other op goes to _finish. An op with an operand to cast
-    or at a narrow width goes on to apply, looked up as a module global, so a
-    patched apply sees every call that falls through."""
-    row = _REGISTRY[name, arity]
-    _, is_comparison, _, exact = row
-
+def _router(name, reflected):
+    """A row's method on TrackedFloat, which the narrow widths inherit and
+    TrackedFloat64's methods fall back to: the op goes to apply, looked up
+    as a module global so a patched apply sees every call, with a plain
+    left operand kept on the left. An operand of another type returns
+    NotImplemented."""
     def method(self, other=_UNARY):
-        if reflected:
-            x, y = other, self._value       # a tracked left operand is left to apply
-        else:
-            x, y = self._value, (other._value if isinstance(other, TrackedFloat) else other)
-        if type(x) is float:        # x - x is 0.0 for a finite x, NaN otherwise
-            if y is _UNARY:
-                if is_comparison and x - x == 0.0:
-                    return exact(x)
-                return _finish(current_session(), type(self), row, (x,))
-            if type(y) is float:
-                if is_comparison and x - x == y - y:
-                    return exact(x, y)
-                return _finish(current_session(), type(self), row, (x, y))
         if other is _UNARY:
             return apply(name, (self,))
         if not isinstance(other, _OPERANDS):
@@ -398,59 +394,97 @@ def _operator_method(name, arity, reflected):
     return method
 
 
-def _arithmetic_method(name, arity, reflected):
-    """An operator method of + - * (reflected or not): the twin runs once,
-    and a finite result, which only finite operands give, is the clean op,
-    counted or decided after the compute and wrapped here. Under an OFF
-    injector an op with a NaN or an Inf operand is finished here too: its
-    outcome is looked up in _OUTCOMES, or _outcome's on a miss, then it is
-    counted, and _logged logs and wraps it. Every other op over Python
-    floats goes to _finish, any other operands to apply, both looked up as
-    module globals."""
+def _float64_method(name, arity, reflected, route):
+    """TrackedFloat64's method of a row. It binds cls, and every value of
+    cls is a Python float, so an other operand that is a cls or a Python
+    float makes the op one over Python floats; any other goes to route,
+    the base class's method. A comparison or truth test over finite
+    operands (x - x is 0.0 for a finite x, NaN otherwise) returns the
+    twin's bool here, and a row without a twin goes to _finish. A twin row
+    runs its twin once: a clean op is counted or decided here and wrapped
+    in cls unless a value is injected. A finite sum, difference, product,
+    negation, absolute value or square root has finite operands, so its
+    clean test is r - r == 0.0; not so for /, x / inf is finite, so its
+    test is r - r == y - y. Under an OFF injector a binary twin row's op
+    with a NaN or an Inf operand is finished here too: its outcome is
+    looked up in _OUTCOMES, or _outcome's on a miss, then it is counted, and
+    _logged logs it and wraps it. Every other op goes to _finish with the twin's
+    result, or None when the twin raised (x / 0.0, sqrt(-x)), so its
+    NaN/Inf path computes once."""
+    cls = TrackedFloat64
     row = _REGISTRY[name, arity]
-    impl, _, op, exact = row
+    impl, is_comparison, op, exact = row
+    plain = is_comparison or exact is None      # no clean op to finish here
+    divides = name == "/"
 
-    def method(self, other):
+    def unary(self):
+        x = self._value
+        if plain:
+            if is_comparison and x - x == 0.0:
+                return exact(x)
+            return _finish(current_session(), cls, row, (x,))
+        try:
+            r = exact(x)
+        except ValueError:                  # sqrt(-x)
+            return _finish(current_session(), cls, row, (x,), None)
+        session = current_session()
+        if r - r != 0.0:                    # NaN for an Inf or NaN result
+            return _finish(session, cls, row, (x,), r)
+        injector = session.injector
+        if injector.mode is _OFF:
+            injector.count_op()
+        elif (injected := injector.decide(op, session.traces.capture)) is not None:
+            return _finish(session, cls, row, (x,), r, injected)
+        wrapped = _new(cls)
+        _set_value(wrapped, r)
+        return wrapped
+
+    def binary(self, other):
+        if type(other) is cls:
+            other = other._value
+        elif type(other) is not float:
+            return route(self, other)
         if reflected:
-            x, y = other, self._value       # a tracked left operand is left to apply
-        elif type(other) is type(self) or isinstance(other, TrackedFloat):
-            x, y = self._value, other._value
+            x, y = other, self._value
         else:
             x, y = self._value, other
-        if type(x) is float and type(y) is float:
-            result = exact(x, y)
-            session = current_session()
-            injector = session.injector
-            if result - result == 0.0:      # NaN for an Inf or NaN result
-                if injector.mode is _OFF:
-                    injector.count_op()
-                else:
-                    injected = injector.decide(op, session.traces.capture)
-                    if injected is not None:
-                        return _finish(session, type(self), row, (x, y), injected)
-                wrapped = _new(type(self))
-                _set_value(wrapped, result)
-                return wrapped
-            if injector.mode is _OFF and x - x != y - y:    # a NaN or an Inf operand
-                key = impl, _pack_dd(x, y)
-                result, status, result_status = _OUTCOMES.get(key) or _outcome(row, (x, y), key)
+        if plain:
+            if is_comparison and x - x == y - y:
+                return exact(x, y)
+            return _finish(current_session(), cls, row, (x, y))
+        try:
+            r = exact(x, y)
+        except ZeroDivisionError:           # x / 0.0
+            return _finish(current_session(), cls, row, (x, y), None)
+        injector = (session := current_session()).injector
+        if r - r == (y - y if divides else 0.0):
+            if injector.mode is _OFF:
                 injector.count_op()
-                # an outcome of + - * over Python floats is a Python float,
-                # the pinned one of two NaN operands too, so it wraps as is
-                return _logged(session, type(self), op, (x, y), result, False,
-                               _EVENTS[status][result_status], result)
-            return _finish(session, type(self), row, (x, y))
-        if not isinstance(other, _OPERANDS):
-            return NotImplemented
-        return apply(name, (other, self) if reflected else (self, other))
-    return method
+            elif (injected := injector.decide(op, session.traces.capture)) is not None:
+                return _finish(session, cls, row, (x, y), r, injected)
+            wrapped = _new(cls)
+            _set_value(wrapped, r)
+            return wrapped
+        if injector.mode is _OFF and x - x != y - y:    # a NaN or an Inf operand
+            key = impl, _pack_dd(x, y)
+            result, status, result_status = _OUTCOMES.get(key) or _outcome(row, (x, y), key, r)
+            injector.count_op()
+            # an outcome of + - * is the twin's Python float or the pinned one
+            # of two NaN operands, also a Python float; / stores through cls
+            return _logged(session, cls, op, (x, y), result, False, _EVENTS[status][result_status],
+                           cls._store(result) if divides else result)
+        return _finish(session, cls, row, (x, y), r)
+    return unary if arity == 1 else binary
 
 
 # (ufunc, arity) -> the row's forward and, for two operands, reflected
-# operator method; TrackedFloat's dunders are those the row names.
-_UFUNCS = {}
+# method, per class: TrackedFloat's routers, which the narrow widths
+# inherit, and TrackedFloat64's own. Each class's dunders are those the row
+# names.
 for _name, _arity, _ufunc, _, _methods, _ in _OPERATIONS:
-    _make = _arithmetic_method if _arity == 2 and _name in ("+", "-", "*") else _operator_method
-    _UFUNCS[_ufunc, _arity] = _fns = tuple(_make(_name, _arity, r) for r in (False, True)[:_arity])
-    for _method, _fn in zip(_methods.split(), _fns):
-        setattr(TrackedFloat, _method, _fn)
+    _routers = tuple(_router(_name, r) for r in (False, True)[:_arity])
+    _fast = tuple(_float64_method(_name, _arity, r, route) for r, route in enumerate(_routers))
+    for _cls, _fns in ((TrackedFloat, _routers), (TrackedFloat64, _fast)):
+        _cls._ufuncs[_ufunc, _arity] = _fns
+        for _method, _fn in zip(_methods.split(), _fns):
+            setattr(_cls, _method, _fn)

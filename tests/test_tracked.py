@@ -183,6 +183,74 @@ def test_copy_and_pickle_keep_the_class_and_bits(width):
     assert session.injector.recording.points == []
 
 
+# Operands beside a float64 tracked value: Python floats, NaN and Inf among
+# them, ints (2**53 + 1 rounds, 10**400 raises), numpy scalars of each kind
+# and width, and tracked values of every width.
+BESIDE_FLOAT64 = [1.5, -0.0, NAN, INF, -INF, 3, 0, 2**53 + 1, 10**400, np.float64(2.5),
+                  np.float64(NAN), np.float32(-0.75), np.float16(INF), np.int32(7),
+                  np.longdouble(1.25), TrackedFloat32(1.5), TrackedFloat32(NAN),
+                  TrackedFloat16(-2.0), TrackedFloat64(-3.0), TrackedFloat64(INF)]
+
+
+def _float64_calls(name_arity):
+    """Every spelling of the row over a float64 tracked value: its operator
+    and numpy's ufunc, with each other operand on either side."""
+    ufunc, python_op, _, _ = ROWS[name_arity]
+    spellings = [f for f in (python_op, ufunc) if isinstance(f, np.ufunc) or f is python_op]
+    tracked = [TrackedFloat64(v) for v in (1.5, -0.0, 0.25, NAN, INF, -INF, FLOAT64_MAX)]
+    if name_arity[1] == 1:
+        return [lambda f=f, t=t: f(t) for f in spellings if f is not None for t in tracked]
+    return [call for f in spellings if f is not None for t in tracked for o in BESIDE_FLOAT64
+            for call in (lambda f=f, t=t, o=o: f(t, o), lambda f=f, t=t, o=o: f(o, t))]
+
+
+@pytest.mark.parametrize("name_arity", sorted(ROWS, key=str), ids=str)
+def test_every_float64_result_holds_a_python_float(name_arity):
+    """The invariant TrackedFloat64's methods rest on: every TrackedFloat64 a
+    row gives holds a Python float, whatever the other operand and whether
+    a value is injected, under OFF, fuzz and the replay of its recording."""
+    calls = _float64_calls(name_arity)
+    fuzz = Injector.fuzz(InjectionConfig(odds=2, n_inject=len(calls), seed=3,
+                                         value=fpbits.nan_with_payload(0x55)))
+    injectors = [Injector(), fuzz, lambda: Injector.replay(fuzz.recording)]
+    for injector in injectors:
+        with use_session(explicit_session(injector=injector if type(injector) is Injector
+                                          else injector())):
+            for call in calls:
+                try:
+                    result = call()
+                except OverflowError:
+                    continue
+                if isinstance(result, TrackedFloat):
+                    assert type(result) is not TrackedFloat64 or type(result.value) is float
+    assert bool(fuzz.recording.points) is not ROWS[name_arity][3]    # comparisons take none
+
+
+def test_every_float64_value_is_a_python_float_after_construction_copy_and_pickle():
+    """Construction from any number, and copy, deepcopy and a pickle round
+    trip of the result, give a TrackedFloat64 holding a Python float."""
+    sources = [2.5, NAN, -INF, 7, True, 2**53 + 1, np.float64(1.5), np.float32(-0.75),
+               np.float16(INF), np.longdouble(0.1), np.int64(-4), np.uint8(200),
+               TrackedFloat32(1.5), TrackedFloat16(NAN), TrackedFloat64(-0.0)]
+    with use_session(explicit_session()):
+        for source in sources:
+            t = TrackedFloat64(source)
+            for u in (t, copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+                assert type(u) is TrackedFloat64 and type(u.value) is float, source
+
+
+@pytest.mark.parametrize("width", sorted(WIDTHS))
+def test_width_classes_are_final(width):
+    """TrackedFloat64's methods bind their class, so a subclass's results
+    would be wrapped in the width class: subclassing any width class, alone
+    or beside a mixin, is a TypeError when the class is created."""
+    cls = WIDTHS[width][0]
+    mixin = type("Mixin", (), {"__slots__": ()})
+    for bases in ((cls,), (mixin, cls), (cls, TrackedFloat)):
+        with pytest.raises(TypeError, match=f"{cls.__name__} is final"):
+            type("Sub", bases, {"__slots__": ()})
+
+
 @pytest.mark.parametrize("width", sorted(WIDTHS))
 def test_truth_of_exceptional_value_is_a_kill(width):
     """bool() of NaN or Inf is True and logs a kill; of a finite value, nothing.
@@ -1142,8 +1210,9 @@ def test_clean_float64_ops_bypass_apply_and_decide(monkeypatch):
 def test_clean_float64_ops_decide_in_their_method(monkeypatch, mode):
     """Under FUZZ and REPLAY a clean float64 op calls Injector.decide once
     and never apply, and an injected one is finished and logged there too;
-    so does an op with a NaN operand, while one with an int operand or at a
-    narrow width goes through apply, which decides."""
+    so does an op with a NaN operand and a clean op of a row without a
+    twin, which _finish decides, while one with an int operand, clean or
+    not, or at a narrow width goes through apply, which decides."""
     calls = _watch_apply_and_decide(monkeypatch)
     session = explicit_session(injector=QUIET_INJECTORS[mode]())
     a, b = TrackedFloat64(1.5), TrackedFloat64(-2.0)
@@ -1159,11 +1228,15 @@ def test_clean_float64_ops_decide_in_their_method(monkeypatch, mode):
         TrackedFloat64(NAN) + a
         assert calls == ["decide"]
         calls.clear()
-        TrackedFloat64(NAN) + 2
-        assert calls == ["apply", "decide"]
+        a ** 2.0
+        assert calls == ["decide"]
+        for op in (lambda: TrackedFloat64(NAN) + 2, lambda: a + 2):
+            calls.clear()
+            op()
+            assert calls == ["apply", "decide"]
         calls.clear()
         TrackedFloat32(NAN) + TrackedFloat32(1.5)
-    assert calls == ["apply", "decide"] and session.injector.op_counter == len(ops) + 3
+    assert calls == ["apply", "decide"] and session.injector.op_counter == len(ops) + 5
 
     injector = (Injector.fuzz(InjectionConfig(odds=1, n_inject=1)) if mode == "fuzz" else
                 Injector.replay(InjectionRecording(points=[
