@@ -196,11 +196,11 @@ def _float64_calls(name_arity):
     """Every spelling of the row over a float64 tracked value: its operator
     and numpy's ufunc, with each other operand on either side."""
     ufunc, python_op, _, _ = ROWS[name_arity]
-    spellings = [f for f in (python_op, ufunc) if isinstance(f, np.ufunc) or f is python_op]
+    spellings = [f for f in (python_op, ufunc) if f is not None and f is not np.bool_]
     tracked = [TrackedFloat64(v) for v in (1.5, -0.0, 0.25, NAN, INF, -INF, FLOAT64_MAX)]
     if name_arity[1] == 1:
-        return [lambda f=f, t=t: f(t) for f in spellings if f is not None for t in tracked]
-    return [call for f in spellings if f is not None for t in tracked for o in BESIDE_FLOAT64
+        return [lambda f=f, t=t: f(t) for f in spellings for t in tracked]
+    return [call for f in spellings for t in tracked for o in BESIDE_FLOAT64
             for call in (lambda f=f, t=t, o=o: f(t, o), lambda f=f, t=t, o=o: f(o, t))]
 
 
@@ -212,10 +212,9 @@ def test_every_float64_result_holds_a_python_float(name_arity):
     calls = _float64_calls(name_arity)
     fuzz = Injector.fuzz(InjectionConfig(odds=2, n_inject=len(calls), seed=3,
                                          value=fpbits.nan_with_payload(0x55)))
-    injectors = [Injector(), fuzz, lambda: Injector.replay(fuzz.recording)]
-    for injector in injectors:
-        with use_session(explicit_session(injector=injector if type(injector) is Injector
-                                          else injector())):
+    # the replay is built once the fuzz run has filled its recording
+    for injector in (Injector, lambda: fuzz, lambda: Injector.replay(fuzz.recording)):
+        with use_session(explicit_session(injector=injector())):
             for call in calls:
                 try:
                     result = call()
